@@ -3,7 +3,8 @@ sampling-bound verification / exact-vs-sampled comparison reports.
 
 Config files are flat ``key = value`` text ('#' starts a comment); unknown
 keys are rejected. Exit codes are a stable contract:
-0 converged, 2 not-converged, 4 verification failure, 3 config error.
+0 converged, 2 not-converged, 4 verification failure, 3 config error
+(malformed dataset files included).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from .core import (Array, ConfigurationError, HessianOperator, NonFiniteError,
                    OptimalityTolerances, SolveResult)
 from .cubic_reg import ARCConfig, run_arc
-from .problems import (LOSSES, FiniteSumProblem, QuarticSaddle, generate_synthetic,
-                       load_dataset)
+from .problems import (LOSSES, DatasetError, FiniteSumProblem, QuarticSaddle,
+                       generate_synthetic, load_dataset)
 from .sampling import (SampleScheme, build_subsampled_hessian, resolve_scheme,
                        verify_concentration)
 from .trust_region import TRConfig, exact_hessian_source, run_tr
@@ -468,7 +469,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             _, report = compare_exact_vs_sampled(config)
             print(report)
             return EXIT_OK
-    except ConfigurationError as exc:
+    except (ConfigurationError, DatasetError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except NonFiniteError as exc:

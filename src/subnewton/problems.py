@@ -75,7 +75,12 @@ LOSSES = {loss.name: loss for loss in (BIWEIGHT, NLS_LOGISTIC)}
 
 @dataclass(eq=False)
 class FiniteSumProblem:
-    """Rows, targets, and a scalar loss, with precomputed curvature bounds."""
+    """Rows, targets, and a scalar loss, with precomputed curvature bounds.
+
+    F, grad F and f'' share one pass over the rows per point: the last point
+    is kept, keyed on the bytes of x, so ``rows`` and ``targets`` must not be
+    mutated after construction.
+    """
 
     rows: Array
     targets: Array
@@ -84,6 +89,8 @@ class FiniteSumProblem:
     k_max: float = field(init=False)
     k_hat: float = field(init=False)
     row_sq_norms: Array = field(init=False)
+    # (key of x, (F, grad F, f'')), replaced whole so threads can share it.
+    _last: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.rows = np.ascontiguousarray(self.rows, dtype=float)
@@ -111,16 +118,29 @@ class FiniteSumProblem:
     def predictions(self, x: Array) -> Array:
         return self.rows @ x
 
-    def value_grad(self, x: Array) -> tuple[float, Array]:
-        """Exact F and grad F; the scalar sum is compensated (math.fsum)."""
-        values, first, _ = self.loss.evaluate(self.predictions(x), self.targets)
+    def _evaluate(self, x: Array) -> tuple[float, Array, Array]:
+        """(F, grad F, f'') at x, F compensated (math.fsum), arrays read-only."""
+        x = np.asarray(x)
+        key = (x.dtype.str, x.shape, x.tobytes())
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        values, first, second = self.loss.evaluate(self.predictions(x), self.targets)
         f = math.fsum(values.tolist()) / self.n
         grad = self.rows.T @ (first / self.n)
+        grad.flags.writeable = False
+        second.flags.writeable = False
+        evaluated = (f, grad, second)
+        self._last = (key, evaluated)
+        return evaluated
+
+    def value_grad(self, x: Array) -> tuple[float, Array]:
+        """Exact F and grad F."""
+        f, grad, _ = self._evaluate(x)
         return f, grad
 
     def second_derivatives(self, x: Array) -> Array:
-        _, _, second = self.loss.evaluate(self.predictions(x), self.targets)
-        return second
+        return self._evaluate(x)[2]
 
     def exact_hessian_operator(self, x: Array) -> HessianOperator:
         """grad^2 F as a matrix-free operator; bound tightened to the value at x."""
@@ -146,18 +166,6 @@ class FiniteSumProblem:
         """Global (hence path) Lipschitz bound for grad^2 F from sup|f'''|."""
         row_cubes = self.row_sq_norms ** 1.5
         return self.loss.third_bound * float(np.mean(row_cubes))
-
-
-def full_value_grad(problem: FiniteSumProblem, x: Array) -> tuple[float, Array]:
-    return problem.value_grad(x)
-
-
-def exact_hessian_operator(problem: FiniteSumProblem, x: Array) -> HessianOperator:
-    return problem.exact_hessian_operator(x)
-
-
-def dense_hessian(problem: FiniteSumProblem, x: Array) -> Array:
-    return problem.dense_hessian(x)
 
 
 class QuarticSaddle:

@@ -148,9 +148,10 @@ def resolve_scheme(problem: FiniteSumProblem, mode: str, epsilon: float,
                         resolved_size=size, cap_at_n=cap_at_n)
 
 
-def _draw_indices(problem: FiniteSumProblem, x: Array, scheme: SampleScheme,
-                  rng: np.random.Generator) -> tuple[Array, Array]:
-    """Sorted index multiset plus the per-draw selection probabilities."""
+def _draw_indices(problem: FiniteSumProblem, scheme: SampleScheme,
+                  p: Array | None, rng: np.random.Generator) -> tuple[Array, Array]:
+    """Sorted index multiset plus the per-draw selection probabilities
+    (non-uniform modes draw from ``p``, uniform modes ignore it)."""
     n = problem.n
     size = scheme.resolved_size
     if scheme.cap_at_n:
@@ -165,7 +166,6 @@ def _draw_indices(problem: FiniteSumProblem, x: Array, scheme: SampleScheme,
         idx = rng.choice(n, size=size, replace=False)
         p_sel = np.full(size, 1.0 / n)
     else:
-        p = nonuniform_distribution(problem, x)
         idx = rng.choice(n, size=size, replace=True, p=p)
         p_sel = p[idx]
     order = np.argsort(idx, kind="stable")
@@ -181,21 +181,24 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
     Uniform weights collapse to the plain average of per-sample Hessians, so
     the spectral bound K_max holds deterministically; non-uniform weighting
     carries the bound K_hat + eps. A full sample drawn without replacement
-    reproduces the exact Hessian, and is recorded as exact (accuracy 0).
+    reproduces the exact Hessian, and is recorded as exact (accuracy 0); its
+    sorted indices are 0..n-1, so it uses the rows in place instead of a copy.
     """
     rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
            else np.random.default_rng(rng_seed))
-    idx, p_sel = _draw_indices(problem, x, scheme, rng)
+    p = (None if scheme.mode.startswith("uniform")
+         else nonuniform_distribution(problem, x))
+    idx, p_sel = _draw_indices(problem, scheme, p, rng)
     second = problem.second_derivatives(x)
     size = idx.shape[0]
     weights = second[idx] / (problem.n * size * p_sel)
-    rows = problem.rows[idx]
+    exact_full = (scheme.mode == "uniform_without_replacement"
+                  and size == problem.n)
+    rows = problem.rows if exact_full else problem.rows[idx]
 
     def apply(v: Array) -> Array:
         return rows.T @ (weights * (rows @ v))
 
-    exact_full = (scheme.mode == "uniform_without_replacement"
-                  and size == problem.n)
     if scheme.mode.startswith("uniform"):
         norm_bound = problem.k_max
     else:
@@ -220,9 +223,11 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
            else np.random.default_rng(rng_seed))
     exact = problem.dense_hessian(x)
     second = problem.second_derivatives(x)
+    p = (None if scheme.mode.startswith("uniform")
+         else nonuniform_distribution(problem, x))
     failures = 0
     for _ in range(trials):
-        idx, p_sel = _draw_indices(problem, x, scheme, rng)
+        idx, p_sel = _draw_indices(problem, scheme, p, rng)
         size = idx.shape[0]
         weights = second[idx] / (problem.n * size * p_sel)
         rows = problem.rows[idx]

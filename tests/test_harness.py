@@ -206,6 +206,14 @@ class TestCLI:
         assert code == EXIT_CONFIG_ERROR
         assert "gama" in capsys.readouterr().err
 
+    def test_malformed_dataset_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "ragged.csv"
+        data.write_text("1.0,2.0,0.5\n3.0,4.0,1.5\n5.0,6.0\n")
+        cfg = write_cfg(tmp_path, f"problem = biweight\ndata = {data}\nformat = csv\n")
+        code = main(["solve", "--config", str(cfg)])
+        assert code == EXIT_CONFIG_ERROR
+        assert "line 3: expected 3 fields, got 2" in capsys.readouterr().err
+
     def test_verification_failure_exit_code(self, tmp_path, monkeypatch):
         import subnewton.harness as harness
         monkeypatch.setattr(harness, "verify_bounds", lambda config: ([], False))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subnewton.core import densify
+from subnewton.harness import build_problem, format_trace, parse_config_text, run_solver
 from subnewton.problems import (BIWEIGHT, NLS_LOGISTIC, DatasetError,
                                 FiniteSumProblem, QuarticSaddle,
                                 biweight_scalar, generate_synthetic,
@@ -162,6 +163,89 @@ class TestGenerateSynthetic:
         b = generate_synthetic("nls_logistic", n=30, d=4, rng_seed=9)
         assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.targets, b.targets)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestEvaluationRecord:
+    """One data pass per point: F, grad F and f'' share the last evaluation."""
+
+    TR_CFG = ("problem = biweight\nsolver = tr\nhessian = uniform_wor\n"
+              "n = 3000\nd = 10\nk_max_target = 1.0\nx0_scale = 0.5\nseed = 1\n")
+
+    def test_revisits_and_near_points_match_a_fresh_instance(self, rng):
+        problem = generate_synthetic("biweight", n=200, d=6, rng_seed=12)
+        x_a = rng.standard_normal(6)
+        x_a[0] = 0.0
+        x_b = rng.standard_normal(6)
+        x_neg_zero = x_a.copy()
+        x_neg_zero[0] = -0.0
+        x_ulp = x_a.copy()
+        x_ulp[1] = np.nextafter(x_a[1], np.inf)
+        for x in (x_a, x_b, x_a, x_neg_zero, x_ulp):
+            fresh = FiniteSumProblem(rows=problem.rows, targets=problem.targets,
+                                     loss=problem.loss)
+            f, grad = problem.value_grad(x)
+            second = problem.second_derivatives(x)
+            f_ref, grad_ref = fresh.value_grad(x)
+            assert _bits(f) == _bits(f_ref)
+            assert _bits(grad) == _bits(grad_ref)
+            assert _bits(second) == _bits(fresh.second_derivatives(x))
+
+    def test_returned_arrays_are_read_only(self):
+        problem = generate_synthetic("nls_logistic", n=50, d=4, rng_seed=13)
+        _, grad = problem.value_grad(np.ones(4))
+        second = problem.second_derivatives(np.ones(4))
+        for array in (grad, second):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_one_pass_per_run_of_queries_at_a_point(self):
+        # A point queried again after another point was evaluated costs a
+        # second pass (the record holds one point), so passes are counted
+        # against runs of consecutive queries at the same point.
+        config = parse_config_text(self.TR_CFG)
+        problem = build_problem(config)
+        queried: list[bytes] = []
+        passes = []
+        for name in ("value_grad", "second_derivatives"):
+            method = getattr(problem, name)
+
+            def wrapper(x, _method=method):
+                queried.append(np.asarray(x).tobytes())
+                return _method(x)
+
+            setattr(problem, name, wrapper)
+        predictions = problem.predictions
+
+        def counted_predictions(x):
+            passes.append(np.asarray(x).tobytes())
+            return predictions(x)
+
+        problem.predictions = counted_predictions
+        result = run_solver(config, problem)
+        format_trace(result, problem=problem)
+        runs = [key for i, key in enumerate(queried) if i == 0 or key != queried[i - 1]]
+        assert result.n_rejected >= 1
+        assert passes == runs
+        assert len(passes) < len(queried)
+
+    def test_trace_matches_a_run_that_never_reuses(self):
+        config = parse_config_text(self.TR_CFG)
+        problem = build_problem(config)
+        traced = format_trace(run_solver(config, problem), problem=problem)
+        forgetful = build_problem(config)
+        evaluate = forgetful._evaluate
+
+        def evaluate_afresh(x):
+            forgetful._last = None
+            return evaluate(x)
+
+        forgetful._evaluate = evaluate_afresh
+        assert format_trace(run_solver(config, forgetful), problem=forgetful) == traced
 
 
 class TestQuarticSaddle:
