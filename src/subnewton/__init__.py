@@ -5,12 +5,10 @@ sufficient-descent certificates and an experiment harness."""
 from .core import (CertificateError, ConfigurationError, HessianOperator,
                    IterationRecord, NonFiniteError, Objective,
                    OptimalityTolerances, SolveResult, acceptance_ratio,
-                   check_first_order, check_second_order, densify,
-                   operator_from_dense, symmetry_defect)
+                   densify, operator_from_dense, symmetry_defect)
 from .cubic_reg import (ARCConfig, arc_epsilon, estimate_hessian_lipschitz,
                         run_arc)
-from .curvature import (CurvatureResult, lanczos_extreme, min_valid_nu,
-                        negative_curvature_direction)
+from .curvature import CurvatureResult, lanczos_extreme, min_valid_nu
 from .problems import (BIWEIGHT, LOSSES, NLS_LOGISTIC, FiniteSumProblem,
                        QuarticSaddle, ScalarLoss, biweight_scalar,
                        generate_synthetic, load_dataset, nls_logistic_scalar,

@@ -1,4 +1,4 @@
-"""Shared domain types, optimality tests, and the step-acceptance ratio.
+"""Shared domain types, error classes, and the step-acceptance ratio.
 
 Everything here is an immutable value; operator application is pure, so all
 types can be shared freely across threads.
@@ -6,7 +6,7 @@ types can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
 import numpy as np
@@ -55,7 +55,6 @@ class HessianOperator:
     provenance: str = "exact"
     accuracy: float = 0.0
     sample_size: int = 0
-    info: dict[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim <= 0:
@@ -64,12 +63,6 @@ class HessianOperator:
             raise ConfigurationError("norm_bound must be a nonnegative real")
         if self.provenance not in ("exact", "subsampled", "dense"):
             raise ConfigurationError(f"unknown provenance {self.provenance!r}")
-
-    def __call__(self, v: Array) -> Array:
-        return self.apply(v)
-
-    def matvec(self, v: Array) -> Array:
-        return self.apply(v)
 
     def quad(self, v: Array) -> float:
         """<v, Hv> as a float."""
@@ -180,24 +173,6 @@ class SolveResult:
     @property
     def n_rejected(self) -> int:
         return sum(1 for r in self.records if not r.accepted)
-
-
-def check_first_order(grad: Array, tol: OptimalityTolerances) -> bool:
-    """True iff ||grad||_2 <= eps_g (boundary inclusive)."""
-    ensure_finite(grad, "gradient passed to check_first_order")
-    return float(np.linalg.norm(grad)) <= tol.eps_g
-
-
-def check_second_order(hessian: HessianOperator, tol: OptimalityTolerances,
-                       curvature_probe: Callable[[HessianOperator, float], Any]) -> bool:
-    """True iff the probe certifies that no sufficient negative curvature exists.
-
-    ``curvature_probe(H, eps_H)`` must return None exactly when it converged
-    and found no direction u with <u,Hu> <= -nu*eps_H*||u||^2. Any non-None
-    result (a found direction, or an inconclusive unconverged probe) counts
-    as "not optimal": the certificate is only as strong as the probe.
-    """
-    return curvature_probe(hessian, tol.eps_H) is None
 
 
 def acceptance_ratio(f_old: float, f_new: float, model_decrease: float) -> float:

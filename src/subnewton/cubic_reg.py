@@ -1,9 +1,12 @@
 """Adaptive cubic-regularization driver with a fixed a-priori Hessian tolerance.
 
-The accuracy the Hessian approximation must meet is computed once from the
-target tolerances and a Hessian-Lipschitz estimate, and stays fixed for the
-whole run; rejected steps therefore always reuse the previous operator. The
-``standard`` mode solves the model on the small Cauchy/Eigen span, the
+The accuracy the Hessian approximation must meet is computed from the
+target tolerances, a Hessian-Lipschitz estimate and the norm bound of a
+bootstrap operator built at eps = 1/2, and stays fixed for the whole run;
+rejected steps therefore always reuse the previous operator. The iteration
+itself is ``trust_region.iterate``, shared with the trust-region driver; this
+module supplies the cubic model, the fixed tolerance and the sigma update.
+The ``standard`` mode solves the model on the small Cauchy/Eigen span, the
 ``optimal`` mode keeps enlarging a Krylov space until the model-gradient
 inexactness test holds.
 """
@@ -11,21 +14,16 @@ inexactness test holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Array, ConfigurationError, HessianOperator, IterationRecord,
-                   Objective, OptimalityTolerances, SolveResult,
-                   acceptance_ratio, ensure_finite, iteration_rng)
-from .curvature import default_nu, probe_extreme
-from .sampling import per_iteration_delta
-from .subproblem import (CubicModel, arc_cauchy_point, arc_eigen_point,
-                         arc_progressive_solve, arc_subspace_solve)
-from .trust_region import HessianSource
-
-_PROBE_STREAM = 0
-_HESSIAN_STREAM = 1
+from .core import (Array, ConfigurationError, HessianOperator, Objective,
+                   OptimalityTolerances, SolveResult)
+from .subproblem import (CubicModel, SubproblemSolution, arc_cauchy_point,
+                         arc_eigen_point, arc_progressive_solve,
+                         arc_subspace_solve)
+from .trust_region import HessianSource, iterate
 
 
 @dataclass(frozen=True)
@@ -126,105 +124,38 @@ def run_arc(oracle: Objective, hessian_source: HessianSource, config: ARCConfig,
             x0: Array, rng_seed: int = 0) -> SolveResult:
     """Iterate Algorithm-style sigma updates until optimality of the inexact
     model is certified, or max_iters is hit (flagged not-converged)."""
-    x = np.asarray(x0, dtype=float).copy()
-    ensure_finite(x, "starting point")
-    tol = config.tol
-    sigma = config.sigma0
     mode_tag = "arc_optimal" if config.mode == "optimal" else "arc_standard"
-    delta0_prob = per_iteration_delta(config.delta_total, tol, mode_tag)
-    records: list[IterationRecord] = []
-    converged = False
-    message = "max_iters exhausted"
-    f = grad_norm = lam_est = float("nan")
+    # The fixed tolerance comes from the bootstrap operator's norm bound.
+    return iterate(oracle, hessian_source, config, x0, rng_seed,
+                   param=config.sigma0, tag=mode_tag, bootstrap_eps=0.5,
+                   tolerance=lambda cfg, bootstrap, sigma: arc_epsilon(
+                       cfg, bootstrap.norm_bound),
+                   step=_arc_step,
+                   update=lambda sigma, accepted: (
+                       max(sigma / config.gamma, config.sigma_min) if accepted
+                       else config.gamma * sigma))
 
-    # Resolve nu and the fixed tolerance from a bootstrap operator.
-    bootstrap = hessian_source(x, 0.5, delta0_prob,
-                               iteration_rng(rng_seed, _HESSIAN_STREAM, 0))
-    if config.nu is None:
-        config = replace(config, nu=default_nu(bootstrap.norm_bound, tol.eps_H))
-    eps_fixed = arc_epsilon(config, bootstrap.norm_bound)
-    hessian: HessianOperator | None = (
-        bootstrap if bootstrap.accuracy <= eps_fixed else None)
-    eps_in_force = bootstrap.accuracy if hessian is not None else float("nan")
 
-    for t in range(config.max_iters):
-        f, grad = oracle.value_grad(x)
-        ensure_finite(f, f"objective value at iteration {t}")
-        ensure_finite(grad, f"gradient at iteration {t}")
-        grad_norm = float(np.linalg.norm(grad))
-
-        if hessian is None:
-            hessian = hessian_source(x, eps_fixed, delta0_prob,
-                                     iteration_rng(rng_seed, _HESSIAN_STREAM, t))
-        eps_in_force = hessian.accuracy
-
-        probe = probe_extreme(hessian, tol.eps_H, config.nu, delta0_prob,
-                              rng_seed=iteration_rng(rng_seed, _PROBE_STREAM, t),
-                              max_matvecs=config.probe_matvecs)
-        lam_est = probe.rayleigh
-        direction_found = probe.rayleigh <= -config.nu * tol.eps_H
-        second_order_ok = probe.converged and not direction_found
-
-        if grad_norm <= tol.eps_g and second_order_ok:
-            converged = True
-            message = "optimality certified"
-            break
-
-        model = CubicModel(grad=grad, hessian=hessian, sigma=sigma)
-        seeds: list[Array] = []
-        nu_hat = eigen_norm = None
-        if grad_norm > 0.0:
-            cauchy = arc_cauchy_point(model)
-            seeds.append(cauchy.step)
-        if direction_found:
-            # The eigen seed joins the basis whenever it exists (ties between
-            # the seed points resolve toward it, escaping saddles); the
-            # subspace solution dominates both seeds anyway.
-            eigen = arc_eigen_point(model, probe.direction, config.nu)
-            seeds.append(eigen.step)
-            nu_hat = eigen.certificates.nu_hat
-            eigen_norm = eigen.certificates.eigen_norm
-        if not seeds:
-            message = "no descent direction available (probe inconclusive at a "
-            message += "first-order stationary point)"
-            break
-
-        if config.mode == "optimal":
-            solution = arc_progressive_solve(model, seeds, zeta=config.zeta,
-                                             max_dim=config.max_subspace_dim,
-                                             nu_hat=nu_hat, eigen_norm=eigen_norm)
-        else:
-            basis = list(seeds)
-            if grad_norm > 0.0:
-                basis.append(hessian.apply(grad))
-            solution = arc_subspace_solve(model, basis, nu_hat=nu_hat,
-                                          eigen_norm=eigen_norm)
-
-        step = solution.step
-        f_trial, _ = oracle.value_grad(x + step)
-        ensure_finite(f_trial, f"trial objective value at iteration {t}")
-        rho = acceptance_ratio(f, f_trial, -solution.model_value)
-        accepted = rho >= config.eta
-
-        records.append(IterationRecord(
-            t=t, f_value=f, grad_norm=grad_norm, lambda_min_estimate=lam_est,
-            radius_or_sigma=sigma, rho=rho, accepted=accepted,
-            sample_size=hessian.sample_size,
-            step_norm=float(np.linalg.norm(step)), eps_t=eps_in_force))
-
-        if accepted:
-            x = x + step
-            sigma = max(sigma / config.gamma, config.sigma_min)
-            hessian = None  # operator belongs to the previous iterate
-        else:
-            sigma = config.gamma * sigma
-            # eps is fixed for the run, so the previous operator is reused.
-
-    if not converged:
-        f, grad = oracle.value_grad(x)
-        grad_norm = float(np.linalg.norm(grad))
-
-    return SolveResult(x=x, records=tuple(records), converged=converged,
-                       f_final=f, grad_norm_final=grad_norm,
-                       lambda_min_final=lam_est, eps_final=eps_in_force,
-                       message=message)
+def _arc_step(config: ARCConfig, grad: Array, grad_norm: float,
+              hessian: HessianOperator, direction: Array | None,
+              sigma: float) -> SubproblemSolution:
+    model = CubicModel(grad=grad, hessian=hessian, sigma=sigma)
+    seeds: list[Array] = []
+    nu_hat = eigen_norm = None
+    if grad_norm > 0.0:
+        seeds.append(arc_cauchy_point(model).step)
+    if direction is not None:
+        # The eigen seed joins the basis whenever it exists (ties between
+        # the seed points resolve toward it, escaping saddles); the
+        # subspace solution dominates both seeds anyway.
+        eigen = arc_eigen_point(model, direction, config.nu)
+        seeds.append(eigen.step)
+        nu_hat = eigen.certificates.nu_hat
+        eigen_norm = eigen.certificates.eigen_norm
+    if config.mode == "optimal":
+        return arc_progressive_solve(model, seeds, zeta=config.zeta,
+                                     max_dim=config.max_subspace_dim,
+                                     nu_hat=nu_hat, eigen_norm=eigen_norm)
+    if grad_norm > 0.0:
+        seeds.append(hessian.apply(grad))
+    return arc_subspace_solve(model, seeds, nu_hat=nu_hat, eigen_norm=eigen_norm)

@@ -1,4 +1,4 @@
-"""Approximate extreme eigenpairs and negative-curvature directions.
+"""Approximate bottom eigenpairs: the Lanczos curvature probe.
 
 The search runs Lanczos with full reorthogonalization on the shifted
 positive-semidefinite operator K_H*I - H, whose top eigenpair corresponds to
@@ -138,45 +138,13 @@ def probe_extreme(hessian: HessianOperator, eps_H: float, nu: float,
                   max_matvecs: int | None = None) -> CurvatureResult:
     """Run the bottom-eigenpair probe with the nu = 2*kappa budget rule.
 
-    Always returns the probe result; drivers gate on
-    ``result.rayleigh <= -nu * eps_H`` themselves so the trace can record the
-    lambda_min estimate even when no usable direction exists. Unlike
-    negative_curvature_direction this does not enforce the nu floor: a nu
-    below it only inflates the matvec budget, which is conservative.
+    Always returns the probe result; the driver loop gates on
+    ``result.rayleigh <= -nu * eps_H`` itself so the trace can record the
+    lambda_min estimate even when no usable direction exists. The nu floor
+    (``min_valid_nu``) is not enforced: a nu below it only inflates the
+    matvec budget, which is conservative.
     """
     if not (0.0 < nu < 1.0):
         raise ConfigurationError(f"nu must lie in (0, 1), got {nu}")
     return lanczos_extreme(hessian, kappa=nu / 2.0, delta=delta,
                            max_matvecs=max_matvecs, rng_seed=rng_seed)
-
-
-def negative_curvature_direction(hessian: HessianOperator, eps_H: float,
-                                 nu: float, delta: float,
-                                 rng_seed: int | np.random.Generator = 0,
-                                 max_matvecs: int | None = None
-                                 ) -> CurvatureResult | None:
-    """Search for u with <u,Hu> <= -nu*eps_H*||u||^2.
-
-    Returns None exactly when the probe converged and found nothing
-    sufficient (a certificate that lambda_min(H) > -eps_H up to the probe's
-    guarantee). An unconverged probe whose best Rayleigh quotient is above
-    the threshold is returned as-is with converged=False: inconclusive, and
-    callers must not treat it as an optimality certificate.
-    """
-    _validate_nu(nu, hessian.norm_bound, eps_H)
-    result = probe_extreme(hessian, eps_H, nu, delta, rng_seed=rng_seed,
-                           max_matvecs=max_matvecs)
-    if result.rayleigh <= -nu * eps_H:
-        return result
-    if not result.converged:
-        return result
-    return None
-
-
-def _validate_nu(nu: float, norm_bound: float, eps_H: float) -> None:
-    if not (0.0 < nu < 1.0):
-        raise ConfigurationError(f"nu must lie in (0, 1), got {nu}")
-    floor = min_valid_nu(norm_bound, eps_H)
-    if nu < floor - 1e-12:
-        raise ConfigurationError(
-            f"nu={nu} violates nu >= 2K_H/(2K_H + eps_H) = {floor}")

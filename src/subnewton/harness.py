@@ -3,8 +3,8 @@ sampling-bound verification / exact-vs-sampled comparison reports.
 
 Config files are flat ``key = value`` text ('#' starts a comment); unknown
 keys are rejected. Exit codes are a stable contract:
-0 converged, 2 not-converged, 4 verification failure, 3 config error
-(malformed dataset files included).
+0 converged, 2 not-converged (solver aborted included), 4 verification
+failure, 3 config error (malformed dataset files included).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (Array, ConfigurationError, HessianOperator, NonFiniteError,
-                   OptimalityTolerances, SolveResult)
+from .core import (Array, CertificateError, ConfigurationError, HessianOperator,
+                   NonFiniteError, OptimalityTolerances, SolveResult)
 from .cubic_reg import ARCConfig, run_arc
 from .problems import (LOSSES, DatasetError, FiniteSumProblem, QuarticSaddle,
                        generate_synthetic, load_dataset)
@@ -472,7 +472,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigurationError, DatasetError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except NonFiniteError as exc:
+    except (NonFiniteError, CertificateError, OverflowError) as exc:
         print(f"solver aborted: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK

@@ -206,9 +206,7 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
     accuracy = 0.0 if exact_full else scheme.epsilon
     return HessianOperator(apply=apply, dim=problem.d, norm_bound=norm_bound,
                            provenance="subsampled", accuracy=accuracy,
-                           sample_size=size,
-                           info={"indices": idx, "probabilities": p_sel,
-                                 "scheme": scheme})
+                           sample_size=size)
 
 
 def verify_concentration(problem: FiniteSumProblem, x: Array,

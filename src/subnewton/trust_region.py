@@ -1,18 +1,21 @@
-"""Trust-region driver with inexact Hessians and an adaptive accuracy schedule.
+"""Trust-region driver, and the iteration loop it shares with the
+cubic-regularization driver.
 
-Per iteration: build (or reuse) an approximate Hessian at tolerance
-eps_t = max(eps0, Delta_t), probe for negative curvature, test optimality,
-solve the ball-constrained model on the span of the Cauchy and Eigen seeds,
-then accept/reject with the multiplicative radius update. On rejected steps
-the previous operator is reused whenever its recorded accuracy still meets
-the shrunken tolerance.
+``iterate`` runs the skeleton of the paper's Algorithms 1 and 2: evaluate,
+build or reuse an inexact Hessian, probe for negative curvature, test
+(eps_g, eps_H)-optimality, solve the sub-problem, and accept or reject the
+step. It holds the only optimality test. The trust-region driver plugs in the
+adaptive tolerance eps_t = max(eps0, Delta_t), the ball-constrained model
+solved on the span of g, Hg and the Eigen seed, and the multiplicative radius
+update. On rejected steps the previous operator is reused whenever its
+recorded accuracy still meets the shrunken tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -21,7 +24,8 @@ from .core import (Array, ConfigurationError, HessianOperator, IterationRecord,
                    acceptance_ratio, ensure_finite, iteration_rng)
 from .curvature import default_nu, probe_extreme
 from .sampling import per_iteration_delta
-from .subproblem import TRModel, tr_eigen_point, tr_subspace_solve
+from .subproblem import (SubproblemSolution, TRModel, tr_eigen_point,
+                         tr_subspace_solve)
 
 HessianSource = Callable[[Array, float, float, np.random.Generator], HessianOperator]
 
@@ -92,17 +96,70 @@ def run_tr(oracle: Objective, hessian_source: HessianSource, config: TRConfig,
            x0: Array, rng_seed: int = 0) -> SolveResult:
     """Iterate until (eps_g, eps_H)-optimality of the inexact model is certified,
     or max_iters is hit (flagged not-converged)."""
+    bootstrap_eps = (_provisional_tolerance(config, config.delta0)
+                     if config.nu is None else None)
+    return iterate(oracle, hessian_source, config, x0, rng_seed,
+                   param=config.delta0, tag="tr_optimal",
+                   bootstrap_eps=bootstrap_eps,
+                   tolerance=lambda cfg, bootstrap, delta: tr_tolerance(cfg, delta),
+                   step=_tr_step,
+                   update=lambda delta, accepted: (delta * config.gamma if accepted
+                                                   else delta / config.gamma))
+
+
+def _tr_step(config: TRConfig, grad: Array, grad_norm: float,
+             hessian: HessianOperator, direction: Array | None,
+             delta: float) -> SubproblemSolution:
+    model = TRModel(grad=grad, hessian=hessian, radius=delta)
+    seeds: list[Array] = []
+    nu_hat = eigen_norm = None
+    if grad_norm > 0.0:
+        seeds.extend([grad, hessian.apply(grad)])
+    if direction is not None:
+        eigen = tr_eigen_point(model, direction, config.nu)
+        seeds.append(direction)
+        nu_hat = eigen.certificates.nu_hat
+        eigen_norm = eigen.certificates.eigen_norm
+    return tr_subspace_solve(model, seeds, nu_hat=nu_hat, eigen_norm=eigen_norm)
+
+
+def _provisional_tolerance(config: TRConfig, delta: float) -> float:
+    # nu <= 1, so this upper-bounds the resolved tolerance; used only for the
+    # very first build when nu is still unknown.
+    eps0 = config.alpha * (1.0 - config.eta) * config.tol.eps_H
+    return max(eps0, delta)
+
+
+def iterate(oracle: Objective, hessian_source: HessianSource, config: Any,
+            x0: Array, rng_seed: int, *, param: float, tag: str,
+            bootstrap_eps: float | None,
+            tolerance: Callable[[Any, HessianOperator | None, float], float],
+            step: Callable[..., SubproblemSolution],
+            update: Callable[[float, bool], float]) -> SolveResult:
+    """The loop shared by the TR and ARC drivers.
+
+    ``config`` supplies tol, eta, nu, max_iters, delta_total and
+    probe_matvecs; ``param`` is the initial radius or sigma and ``tag`` the
+    failure-probability schedule. The driver-specific hooks:
+
+    - ``bootstrap_eps``: accuracy of a build right after the first evaluation
+      whose norm bound resolves a missing nu (None: no such build);
+    - ``tolerance(config, bootstrap, param)``: the accuracy an operator must
+      meet; one is rebuilt when there is none or its accuracy exceeds this;
+    - ``step(config, grad, grad_norm, hessian, direction, param)``: the
+      sub-problem solution; ``direction`` is the probe's or None;
+    - ``update(param, accepted)``: the next radius or sigma.
+    """
     x = np.asarray(x0, dtype=float).copy()
     ensure_finite(x, "starting point")
     tol = config.tol
-    delta = config.delta0
-    delta0_prob = per_iteration_delta(config.delta_total, tol, "tr_optimal")
+    delta_prob = per_iteration_delta(config.delta_total, tol, tag)
     records: list[IterationRecord] = []
     hessian: HessianOperator | None = None
+    bootstrap: HessianOperator | None = None
     converged = False
     message = "max_iters exhausted"
-    f = grad_norm = lam_est = float("nan")
-    eps_in_force = float("nan")
+    f = grad_norm = lam_est = eps_in_force = float("nan")
 
     for t in range(config.max_iters):
         f, grad = oracle.value_grad(x)
@@ -110,66 +167,53 @@ def run_tr(oracle: Objective, hessian_source: HessianSource, config: TRConfig,
         ensure_finite(grad, f"gradient at iteration {t}")
         grad_norm = float(np.linalg.norm(grad))
 
-        if config.nu is None:
-            hessian = hessian_source(x, _provisional_tolerance(config, delta),
-                                     delta0_prob, iteration_rng(rng_seed, _HESSIAN_STREAM, t))
-            config = replace(config, nu=default_nu(hessian.norm_bound, tol.eps_H))
-            if hessian.accuracy > tr_tolerance(config, delta):
-                hessian = None  # provisional build too crude; rebuild below
+        if t == 0 and bootstrap_eps is not None:
+            bootstrap = hessian = hessian_source(
+                x, bootstrap_eps, delta_prob,
+                iteration_rng(rng_seed, _HESSIAN_STREAM, 0))
+            if config.nu is None:
+                config = replace(config, nu=default_nu(bootstrap.norm_bound, tol.eps_H))
 
-        eps_t = tr_tolerance(config, delta)
+        eps_t = tolerance(config, bootstrap, param)
         if hessian is None or hessian.accuracy > eps_t:
-            hessian = hessian_source(x, eps_t, delta0_prob,
+            hessian = hessian_source(x, eps_t, delta_prob,
                                      iteration_rng(rng_seed, _HESSIAN_STREAM, t))
         eps_in_force = hessian.accuracy
 
-        probe = probe_extreme(hessian, tol.eps_H, config.nu, delta0_prob,
+        probe = probe_extreme(hessian, tol.eps_H, config.nu, delta_prob,
                               rng_seed=iteration_rng(rng_seed, _PROBE_STREAM, t),
                               max_matvecs=config.probe_matvecs)
         lam_est = probe.rayleigh
         direction_found = probe.rayleigh <= -config.nu * tol.eps_H
-        second_order_ok = probe.converged and not direction_found
 
-        if grad_norm <= tol.eps_g and second_order_ok:
+        # The optimality test: ||g|| <= eps_g (boundary inclusive), and a
+        # converged probe that found no sufficient negative curvature.
+        if grad_norm <= tol.eps_g and probe.converged and not direction_found:
             converged = True
             message = "optimality certified"
             break
-
-        model = TRModel(grad=grad, hessian=hessian, radius=delta)
-        seeds: list[Array] = []
-        nu_hat = eigen_norm = None
-        if grad_norm > 0.0:
-            seeds.extend([grad, hessian.apply(grad)])
-        if direction_found:
-            eigen = tr_eigen_point(model, probe.direction, config.nu)
-            seeds.append(probe.direction)
-            nu_hat = eigen.certificates.nu_hat
-            eigen_norm = eigen.certificates.eigen_norm
-        if not seeds:
+        if grad_norm == 0.0 and not direction_found:
             message = "no descent direction available (probe inconclusive at a "
             message += "first-order stationary point)"
             break
 
-        solution = tr_subspace_solve(model, seeds, nu_hat=nu_hat,
-                                     eigen_norm=eigen_norm)
-        step = solution.step
-        f_trial, _ = oracle.value_grad(x + step)
+        solution = step(config, grad, grad_norm, hessian,
+                        probe.direction if direction_found else None, param)
+        f_trial, _ = oracle.value_grad(x + solution.step)
         ensure_finite(f_trial, f"trial objective value at iteration {t}")
         rho = acceptance_ratio(f, f_trial, -solution.model_value)
         accepted = rho >= config.eta
 
         records.append(IterationRecord(
             t=t, f_value=f, grad_norm=grad_norm, lambda_min_estimate=lam_est,
-            radius_or_sigma=delta, rho=rho, accepted=accepted,
+            radius_or_sigma=param, rho=rho, accepted=accepted,
             sample_size=hessian.sample_size,
-            step_norm=float(np.linalg.norm(step)), eps_t=eps_in_force))
+            step_norm=float(np.linalg.norm(solution.step)), eps_t=eps_in_force))
 
         if accepted:
-            x = x + step
-            delta *= config.gamma
+            x = x + solution.step
             hessian = None  # operator belongs to the previous iterate
-        else:
-            delta /= config.gamma
+        param = update(param, accepted)
 
     if not converged:
         # The last accepted step may have moved x after its stats were taken.
@@ -180,10 +224,3 @@ def run_tr(oracle: Objective, hessian_source: HessianSource, config: TRConfig,
                        f_final=f, grad_norm_final=grad_norm,
                        lambda_min_final=lam_est, eps_final=eps_in_force,
                        message=message)
-
-
-def _provisional_tolerance(config: TRConfig, delta: float) -> float:
-    # nu <= 1, so this upper-bounds the resolved tolerance; used only for the
-    # very first build when nu is still unknown.
-    eps0 = config.alpha * (1.0 - config.eta) * config.tol.eps_H
-    return max(eps0, delta)

@@ -19,6 +19,18 @@ def dense_operator(matrix, norm_bound=None):
     return operator_from_dense(np.asarray(matrix, dtype=float), norm_bound=norm_bound)
 
 
+class CountingSource:
+    """A Hessian source that counts its builds."""
+
+    def __init__(self, source):
+        self.source = source
+        self.builds = 0
+
+    def __call__(self, x, eps, delta, rng):
+        self.builds += 1
+        return self.source(x, eps, delta, rng)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

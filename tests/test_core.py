@@ -4,50 +4,70 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subnewton.core import (CertificateError, ConfigurationError, NonFiniteError,
-                            OptimalityTolerances, acceptance_ratio,
-                            check_first_order, check_second_order, densify,
+                            OptimalityTolerances, acceptance_ratio, densify,
                             operator_from_dense, symmetry_defect)
-from subnewton.curvature import negative_curvature_direction
+from subnewton.trust_region import TRConfig, run_tr
 
 from conftest import dense_operator, random_symmetric
 
 
+class StaticOracle:
+    """A constant objective value and gradient, whatever the point."""
+
+    def __init__(self, grad):
+        self.grad = np.asarray(grad, dtype=float)
+
+    def value_grad(self, x):
+        return 0.0, self.grad.copy()
+
+
+def run_at(grad, hessian, tol, max_iters=1):
+    """One driver run whose first iterate sees ``grad`` and ``hessian``."""
+    config = TRConfig(tol=tol, nu=0.9, max_iters=max_iters)
+    return run_tr(StaticOracle(grad), lambda x, eps, delta, rng: hessian,
+                  config, x0=np.zeros(len(grad)), rng_seed=7)
+
+
 class TestCheckFirstOrder:
+    """The first-order half of the driver loop's optimality test:
+    ||g|| <= eps_g, boundary inclusive, on finite gradients only."""
+
     def test_zero_gradient(self):
         tol = OptimalityTolerances(eps_g=0.1, eps_H=0.1)
-        assert check_first_order(np.zeros(2), tol)
+        result = run_at(np.zeros(2), dense_operator(np.eye(2)), tol)
+        assert result.converged and result.records == ()
 
     def test_boundary_inclusive(self):
         # 3-4-5 triangle: the norm is exactly 0.5.
         tol = OptimalityTolerances(eps_g=0.5, eps_H=0.1)
-        assert check_first_order(np.array([0.3, 0.4]), tol)
+        result = run_at(np.array([0.3, 0.4]), dense_operator(np.eye(2)), tol)
+        assert result.converged and result.records == ()
 
     def test_large_gradient(self):
         tol = OptimalityTolerances(eps_g=0.5, eps_H=0.1)
-        assert not check_first_order(np.array([1.0, 0.0]), tol)
+        result = run_at(np.array([1.0, 0.0]), dense_operator(np.eye(2)), tol)
+        assert not result.converged and len(result.records) == 1
 
     def test_non_finite_rejected(self):
         tol = OptimalityTolerances(eps_g=0.5, eps_H=0.1)
         with pytest.raises(NonFiniteError):
-            check_first_order(np.array([np.nan, 0.0]), tol)
+            run_at(np.array([np.nan, 0.0]), dense_operator(np.eye(2)), tol)
 
 
 class TestCheckSecondOrder:
-    @staticmethod
-    def probe(hessian, eps_h):
-        from subnewton.curvature import min_valid_nu
-        nu = min(0.999, max(0.9, min_valid_nu(hessian.norm_bound, eps_h) + 1e-9))
-        return negative_curvature_direction(hessian, eps_h, nu=nu, delta=0.01,
-                                            rng_seed=7)
+    """The second-order half of the optimality test: a converged probe that
+    finds no Rayleigh quotient <= -nu*eps_H, checked at a zero gradient."""
 
     def test_identity_is_optimal(self):
         tol = OptimalityTolerances(eps_g=0.1, eps_H=0.1)
-        assert check_second_order(dense_operator(np.eye(3)), tol, self.probe)
+        assert run_at(np.zeros(3), dense_operator(np.eye(3)), tol).converged
 
     def test_explicit_negative_eigenvector(self):
         tol = OptimalityTolerances(eps_g=0.1, eps_H=0.5)
         op = dense_operator(np.diag([1.0, -1.0]))
-        assert not check_second_order(op, tol, self.probe)
+        result = run_at(np.zeros(2), op, tol)
+        assert not result.converged
+        assert result.records[0].lambda_min_estimate == pytest.approx(-1.0)
 
     def test_agrees_with_dense_eigendecomposition(self, rng):
         # Filter out the nu-gap band (-eps_H, -nu*eps_H] where the probe is
@@ -59,9 +79,8 @@ class TestCheckSecondOrder:
             lam_min = float(np.linalg.eigvalsh(h)[0])
             if -tol.eps_H * 1.05 < lam_min < -tol.eps_H * 0.85:
                 continue
-            op = dense_operator(h)
             expected = lam_min >= -tol.eps_H
-            assert check_second_order(op, tol, self.probe) == expected
+            assert run_at(np.zeros(10), dense_operator(h), tol).converged == expected
             checked += 1
         assert checked >= 20
 
@@ -128,7 +147,7 @@ class TestOperators:
         op = operator_from_dense(h)
         for _ in range(20):
             v = rng.standard_normal(9)
-            assert np.linalg.norm(op(v)) <= op.norm_bound * np.linalg.norm(v) * (1 + 1e-12)
+            assert np.linalg.norm(op.apply(v)) <= op.norm_bound * np.linalg.norm(v) * (1 + 1e-12)
 
 
 class TestTolerances:

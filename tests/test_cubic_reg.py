@@ -7,6 +7,8 @@ from subnewton.problems import QuarticSaddle, generate_synthetic
 from subnewton.subproblem import CubicModel, arc_certificates
 from subnewton.trust_region import exact_hessian_source
 
+from conftest import CountingSource
+
 QUAD_TOL = OptimalityTolerances(eps_g=1e-6, eps_H=1e-3)
 
 
@@ -146,6 +148,22 @@ class TestRunArcFiniteSum:
         bound = max(config.sigma0, 2.0 * config.gamma * l_hat)
         for rec in result.records:
             assert rec.radius_or_sigma <= bound * (1 + 1e-12)
+
+    @pytest.mark.parametrize("mode", ["standard", "optimal"])
+    def test_operator_reused_on_rejection_with_exact_source(self, mode):
+        problem = generate_synthetic("biweight", n=200, d=10, rng_seed=11)
+        tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
+        source = CountingSource(exact_hessian_source(problem))
+        # A tiny sigma0 forces early rejections.
+        config = ARCConfig(tol=tol, sigma0=1e-4, mode=mode, max_iters=300,
+                           l_estimate=problem.hessian_lipschitz_bound())
+        result = run_arc(problem, source, config, x0=np.zeros(10), rng_seed=12)
+        assert result.converged
+        rejected = result.n_rejected
+        assert rejected > 0
+        # Exact operators (accuracy 0) are reused across every rejection:
+        # the bootstrap plus one build per accepted step, at most.
+        assert source.builds <= len(result.records) + 1 - rejected
 
     def test_accepted_steps_decrease_by_eta_times_model(self):
         problem = generate_synthetic("nls_logistic", n=300, d=15, rng_seed=7)

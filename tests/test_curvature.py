@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from subnewton.core import ConfigurationError
-from subnewton.curvature import (lanczos_extreme, min_valid_nu,
-                                 negative_curvature_direction)
+from subnewton.curvature import lanczos_extreme, min_valid_nu, probe_extreme
 
 from conftest import dense_operator, random_symmetric
 
@@ -80,29 +79,24 @@ class TestLanczosExtreme:
 
 
 class TestNegativeCurvatureDirection:
+    """A probe finds a direction when its Rayleigh quotient is <= -nu*eps_H;
+    it certifies none when it converged above that threshold."""
+
     def test_explicit_spectrum(self):
         op = dense_operator(np.diag([1.0, 1.0, -2.0]))
         eps_h = 1.0
         nu = min_valid_nu(op.norm_bound, eps_h) + 1e-6
-        res = negative_curvature_direction(op, eps_h, nu, delta=0.05, rng_seed=1)
-        assert res is not None
+        res = probe_extreme(op, eps_h, nu, delta=0.05, rng_seed=1)
         assert abs(abs(res.direction[2]) - 1.0) < 1e-6
         assert res.rayleigh <= -nu * eps_h
 
     def test_psd_returns_absent(self):
         op = dense_operator(np.diag([0.5, 1.0, 2.0]))
-        res = negative_curvature_direction(op, 0.2, nu=0.96, delta=0.05,
-                                           rng_seed=1)
-        assert res is None
-
-    def test_invalid_nu_rejected(self):
-        op = dense_operator(np.diag([1.0, -1.0]))
-        # floor is 2*1/(2*1+0.1) ~ 0.952
-        with pytest.raises(ConfigurationError):
-            negative_curvature_direction(op, 0.1, nu=0.5, delta=0.05)
+        res = probe_extreme(op, 0.2, nu=0.96, delta=0.05, rng_seed=1)
+        assert res.converged and res.rayleigh > -0.96 * 0.2
 
     def test_returned_certificate_holds_exactly(self, rng):
-        # Whenever a direction comes back, its stored Rayleigh quotient must
+        # Whenever a direction is found, its stored Rayleigh quotient must
         # satisfy the advertised inequality on recomputation.
         eps_h = 0.3
         found = 0
@@ -110,9 +104,9 @@ class TestNegativeCurvatureDirection:
             h = random_symmetric(rng, 15)
             op = dense_operator(h)
             nu = min_valid_nu(op.norm_bound, eps_h) + 1e-9
-            res = negative_curvature_direction(op, eps_h, nu, delta=0.05,
-                                               rng_seed=rng.integers(1 << 30))
-            if res is None or not res.converged:
+            res = probe_extreme(op, eps_h, nu, delta=0.05,
+                                rng_seed=rng.integers(1 << 30))
+            if not res.converged:
                 continue
             if res.rayleigh <= -nu * eps_h:
                 found += 1
@@ -137,7 +131,7 @@ class TestNegativeCurvatureDirection:
         lam_min = float(np.linalg.eigvalsh(dense)[0])
         eps_h = 0.05
         nu = min_valid_nu(op.norm_bound, eps_h) + 1e-9
-        res = negative_curvature_direction(op, eps_h, nu, delta=0.05, rng_seed=3)
-        if lam_min <= -eps_h:
-            assert res is not None
-            assert res.rayleigh == pytest.approx(lam_min, abs=1e-6 * op.norm_bound)
+        res = probe_extreme(op, eps_h, nu, delta=0.05, rng_seed=3)
+        assert res.converged
+        assert res.rayleigh == pytest.approx(lam_min, abs=1e-6 * op.norm_bound)
+        assert (res.rayleigh <= -nu * eps_h) == (lam_min <= -nu * eps_h)

@@ -54,7 +54,7 @@ class TestTinyDatasets:
         scheme = SampleScheme(mode="uniform_without_replacement", epsilon=0.9,
                               delta=0.5, resolved_size=1)
         op = build_subsampled_hessian(problem, np.zeros(2), scheme, rng_seed=0)
-        assert np.allclose(op(np.ones(2)),
+        assert np.allclose(op.apply(np.ones(2)),
                            problem.dense_hessian(np.zeros(2)) @ np.ones(2))
 
     def test_huge_gradient_start(self):

@@ -214,6 +214,18 @@ class TestCLI:
         assert code == EXIT_CONFIG_ERROR
         assert "line 3: expected 3 fields, got 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "problem = quartic\nsolver = tr\nradius0 = 1e300\n",  # CertificateError
+        "solver = arc\nsigma0 = 1e-300\n",  # OverflowError in the Eigen point
+        # CertificateError on a non-finite model value
+        "solver = arc\nsigma0 = 1e300\nx0_scale = 1000\n",
+    ], ids=["tr_huge_radius", "arc_tiny_sigma", "arc_huge_sigma_far_start"])
+    def test_solver_abort_exit_code(self, tmp_path, capsys, text):
+        cfg = write_cfg(tmp_path, text + f"out = {tmp_path / 'abort.csv'}\n")
+        code = main(["solve", "--config", str(cfg)])
+        assert code == EXIT_NOT_CONVERGED
+        assert "solver aborted" in capsys.readouterr().err
+
     def test_verification_failure_exit_code(self, tmp_path, monkeypatch):
         import subnewton.harness as harness
         monkeypatch.setattr(harness, "verify_bounds", lambda config: ([], False))

@@ -115,7 +115,7 @@ class TestFiniteSumProblem:
         dense = problem.dense_hessian(x)
         for _ in range(10):
             v = rng.standard_normal(10)
-            assert np.allclose(op(v), dense @ v, atol=1e-12)
+            assert np.allclose(op.apply(v), dense @ v, atol=1e-12)
         assert np.allclose(densify(op), dense, atol=1e-12)
 
     def test_biweight_hessian_at_origin(self):

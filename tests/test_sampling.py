@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from subnewton.core import ConfigurationError, OptimalityTolerances, densify, symmetry_defect
 from subnewton.problems import BIWEIGHT, FiniteSumProblem, generate_synthetic
-from subnewton.sampling import (SampleScheme, build_subsampled_hessian,
-                                intrinsic_dimension, intrinsic_sample_size,
-                                nonuniform_distribution, nonuniform_sample_size,
-                                per_iteration_delta, resolve_scheme,
-                                uniform_sample_size, verify_concentration)
+from subnewton.sampling import (SampleScheme, _draw_indices,
+                                build_subsampled_hessian, intrinsic_dimension,
+                                intrinsic_sample_size, nonuniform_distribution,
+                                nonuniform_sample_size, per_iteration_delta,
+                                resolve_scheme, uniform_sample_size,
+                                verify_concentration)
 
 
 class TestSampleSizes:
@@ -153,7 +154,7 @@ class TestBuildSubsampledHessian:
         # Sorted full sample makes the apply bitwise identical to the exact one.
         v = rng.standard_normal(6)
         exact = problem.exact_hessian_operator(x)
-        assert np.array_equal(op(v), exact(v))
+        assert np.array_equal(op.apply(v), exact.apply(v))
 
     def test_identical_summands_reproduce_exact(self):
         rows = np.tile(np.array([[1.0, 0.5]]), (2, 1))
@@ -177,7 +178,7 @@ class TestBuildSubsampledHessian:
         sq = np.zeros(6)
         for _ in range(trials):
             op = build_subsampled_hessian(problem, x, scheme, rng_seed=gen)
-            hv = op(v)
+            hv = op.apply(v)
             acc += hv
             sq += hv * hv
         mean = acc / trials
@@ -197,7 +198,7 @@ class TestBuildSubsampledHessian:
         acc = np.zeros(5)
         sq = np.zeros(5)
         for _ in range(trials):
-            hv = build_subsampled_hessian(problem, x, scheme, rng_seed=gen)(v)
+            hv = build_subsampled_hessian(problem, x, scheme, rng_seed=gen).apply(v)
             acc += hv
             sq += hv * hv
         mean = acc / trials
@@ -242,8 +243,12 @@ class TestBuildSubsampledHessian:
                               resolved_size=7)
         a = build_subsampled_hessian(problem, x, scheme, rng_seed=99)
         b = build_subsampled_hessian(problem, x, scheme, rng_seed=99)
-        assert np.array_equal(a.info["indices"], b.info["indices"])
-        assert np.all(np.diff(a.info["indices"]) >= 0)  # canonical sorted order
+        assert np.array_equal(densify(a), densify(b))
+        p = nonuniform_distribution(problem, x)
+        idx, _ = _draw_indices(problem, scheme, p, np.random.default_rng(99))
+        again, _ = _draw_indices(problem, scheme, p, np.random.default_rng(99))
+        assert np.array_equal(idx, again)
+        assert np.all(np.diff(idx) >= 0)  # canonical sorted order
 
     def test_nonuniform_norm_bound_recorded(self, rng):
         problem = generate_synthetic("biweight", n=30, d=5, rng_seed=9)

@@ -7,6 +7,8 @@ from subnewton.sampling import build_subsampled_hessian, resolve_scheme
 from subnewton.trust_region import (TRConfig, exact_hessian_source, run_tr,
                                     tr_tolerance)
 
+from conftest import CountingSource
+
 
 class TrackedOracle:
     """Wraps an oracle and records every query point (for path bounds)."""
@@ -20,16 +22,6 @@ class TrackedOracle:
         self.calls += 1
         self.max_abs_coord = max(self.max_abs_coord, float(np.max(np.abs(x))))
         return self.inner.value_grad(x)
-
-
-class CountingSource:
-    def __init__(self, source):
-        self.source = source
-        self.builds = 0
-
-    def __call__(self, x, eps, delta, rng):
-        self.builds += 1
-        return self.source(x, eps, delta, rng)
 
 
 def replay_radius_identity(records, delta0, gamma):
