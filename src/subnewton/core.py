@@ -1,7 +1,8 @@
 """Shared domain types, error classes, and the step-acceptance ratio.
 
-Everything here is an immutable value; operator application is pure, so all
-types can be shared freely across threads.
+Everything here is an immutable value and operator application is pure, so
+all types can be shared freely across threads. An ``apply`` may fill a
+write-once cache (``problems.gram_operator``); a race fills it twice, harmlessly.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ def operator_from_dense(matrix: Array, norm_bound: float | None = None,
 
 
 def densify(op: HessianOperator) -> Array:
-    """Materialize the operator column by column. Desk scale only."""
+    """Materialize the operator column by column (d matvecs); for a Gram-form
+    operator this returns its exactly symmetric d x d matrix."""
     eye = np.eye(op.dim)
     cols = [op.apply(eye[:, j]) for j in range(op.dim)]
     dense = np.column_stack(cols)

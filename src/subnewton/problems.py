@@ -73,6 +73,28 @@ NLS_LOGISTIC = ScalarLoss("nls_logistic", nls_logistic_scalar, 2.0, 0.4)
 LOSSES = {loss.name: loss for loss in (BIWEIGHT, NLS_LOGISTIC)}
 
 
+def weighted_gram(rows: Array, w: Array) -> Array:
+    """sum_i w_i a_i a_i' over the rows, exactly symmetric; |rows| d^2 flops."""
+    m = (rows * w[:, None]).T @ rows
+    return 0.5 * (m + m.T)
+
+
+def gram_operator(rows: Array, idx: Array | None, weights: Array,
+                  **fields) -> HessianOperator:
+    """Operator of ``weighted_gram(rows[idx], weights)`` (idx None: all rows),
+    formed on the first apply and kept: a matvec then costs d^2 flops, and an
+    unapplied operator only its construction. Threads racing on the first
+    apply each form the same matrix, which is harmless."""
+    cache: list[Array] = []
+
+    def apply(v: Array) -> Array:
+        if not cache:
+            cache.append(weighted_gram(rows if idx is None else rows[idx], weights))
+        return cache[0] @ v
+
+    return HessianOperator(apply=apply, dim=rows.shape[1], **fields)
+
+
 @dataclass(eq=False)
 class FiniteSumProblem:
     """Rows, targets, and a scalar loss, with precomputed curvature bounds.
@@ -143,24 +165,15 @@ class FiniteSumProblem:
         return self._evaluate(x)[2]
 
     def exact_hessian_operator(self, x: Array) -> HessianOperator:
-        """grad^2 F as a matrix-free operator; bound tightened to the value at x."""
+        """grad^2 F, formed on first apply; bound tightened to the value at x."""
         weights = self.second_derivatives(x) / self.n
-        rows = self.rows
         bound_at_x = float(np.sum(np.abs(weights) * self.row_sq_norms))
-
-        def apply(v: Array) -> Array:
-            return rows.T @ (weights * (rows @ v))
-
-        return HessianOperator(apply=apply, dim=self.d,
-                               norm_bound=min(self.k_max, bound_at_x),
-                               provenance="exact", accuracy=0.0,
-                               sample_size=self.n)
+        return gram_operator(self.rows, None, weights, sample_size=self.n,
+                             norm_bound=min(self.k_max, bound_at_x))
 
     def dense_hessian(self, x: Array) -> Array:
-        """Materialized grad^2 F(x). Desk scale only."""
-        weights = self.second_derivatives(x) / self.n
-        dense = (self.rows * weights[:, None]).T @ self.rows
-        return 0.5 * (dense + dense.T)
+        """Materialized grad^2 F(x): one pass and n d^2 flops."""
+        return weighted_gram(self.rows, self.second_derivatives(x) / self.n)
 
     def hessian_lipschitz_bound(self) -> float:
         """Global (hence path) Lipschitz bound for grad^2 F from sup|f'''|."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Array, ConfigurationError, HessianOperator, OptimalityTolerances
-from .problems import FiniteSumProblem
+from .problems import FiniteSumProblem, gram_operator, weighted_gram
 
 logger = logging.getLogger(__name__)
 
@@ -113,10 +113,8 @@ def nonuniform_distribution(problem: FiniteSumProblem, x: Array) -> Array:
 
 def intrinsic_dimension(problem: FiniteSumProblem, x: Array) -> float:
     """trace/spectral-norm of the curvature-weighted Gram matrix A'|B|A."""
-    second = problem.second_derivatives(x)
-    weights = np.abs(second) / problem.n
-    dense = (problem.rows * weights[:, None]).T @ problem.rows
-    dense = 0.5 * (dense + dense.T)
+    dense = weighted_gram(problem.rows,
+                          np.abs(problem.second_derivatives(x)) / problem.n)
     norm = float(np.max(np.abs(np.linalg.eigvalsh(dense)))) if dense.size else 0.0
     if norm == 0.0:
         logger.warning("zero curvature matrix; intrinsic dimension set to 1")
@@ -183,6 +181,7 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
     carries the bound K_hat + eps. A full sample drawn without replacement
     reproduces the exact Hessian, and is recorded as exact (accuracy 0); its
     sorted indices are 0..n-1, so it uses the rows in place instead of a copy.
+    Rows are gathered and the matrix formed on first apply (``gram_operator``).
     """
     rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
            else np.random.default_rng(rng_seed))
@@ -194,19 +193,14 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
     weights = second[idx] / (problem.n * size * p_sel)
     exact_full = (scheme.mode == "uniform_without_replacement"
                   and size == problem.n)
-    rows = problem.rows if exact_full else problem.rows[idx]
-
-    def apply(v: Array) -> Array:
-        return rows.T @ (weights * (rows @ v))
-
     if scheme.mode.startswith("uniform"):
         norm_bound = problem.k_max
     else:
         norm_bound = problem.k_hat + scheme.epsilon
     accuracy = 0.0 if exact_full else scheme.epsilon
-    return HessianOperator(apply=apply, dim=problem.d, norm_bound=norm_bound,
-                           provenance="subsampled", accuracy=accuracy,
-                           sample_size=size)
+    return gram_operator(problem.rows, None if exact_full else idx, weights,
+                         norm_bound=norm_bound, provenance="subsampled",
+                         accuracy=accuracy, sample_size=size)
 
 
 def verify_concentration(problem: FiniteSumProblem, x: Array,
@@ -226,11 +220,8 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
     failures = 0
     for _ in range(trials):
         idx, p_sel = _draw_indices(problem, scheme, p, rng)
-        size = idx.shape[0]
-        weights = second[idx] / (problem.n * size * p_sel)
-        rows = problem.rows[idx]
-        dense = (rows * weights[:, None]).T @ rows
-        diff = 0.5 * (dense + dense.T) - exact
+        weights = second[idx] / (problem.n * idx.shape[0] * p_sel)
+        diff = weighted_gram(problem.rows[idx], weights) - exact
         err = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
         if err > scheme.epsilon:
             failures += 1

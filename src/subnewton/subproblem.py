@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Array, CertificateError, HessianOperator
+from .core import Array, CertificateError, HessianOperator, NonFiniteError
 
 # Inequalities count as met with this much slack allowance, relative to the
 # magnitude of the required decrease.
@@ -101,7 +101,11 @@ class SubproblemSolution:
     certificates: Certificates
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.model_value) and self.model_value < 0.0):
+        if not (np.isfinite(self.model_value) and np.all(np.isfinite(self.step))):
+            raise NonFiniteError(
+                f"non-finite sub-problem solution: m(s)={self.model_value}, "
+                f"||s||={np.linalg.norm(self.step)}")
+        if not self.model_value < 0.0:
             raise CertificateError(
                 f"sub-problem solutions must strictly decrease the model, "
                 f"got m(s)={self.model_value}")

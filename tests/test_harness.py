@@ -214,17 +214,20 @@ class TestCLI:
         assert code == EXIT_CONFIG_ERROR
         assert "line 3: expected 3 fields, got 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        "problem = quartic\nsolver = tr\nradius0 = 1e300\n",  # CertificateError
-        "solver = arc\nsigma0 = 1e-300\n",  # OverflowError in the Eigen point
-        # CertificateError on a non-finite model value
-        "solver = arc\nsigma0 = 1e300\nx0_scale = 1000\n",
+    @pytest.mark.parametrize("text, reason", [
+        ("problem = quartic\nsolver = tr\nradius0 = 1e300\n",  # CertificateError
+         "exceeds the radius"),
+        # OverflowError in the Eigen point; its text is the platform's
+        ("solver = arc\nsigma0 = 1e-300\n", "solver aborted"),
+        # NonFiniteError on a non-finite model value
+        ("solver = arc\nsigma0 = 1e300\nx0_scale = 1000\n", "non-finite"),
     ], ids=["tr_huge_radius", "arc_tiny_sigma", "arc_huge_sigma_far_start"])
-    def test_solver_abort_exit_code(self, tmp_path, capsys, text):
+    def test_solver_abort_exit_code(self, tmp_path, capsys, text, reason):
         cfg = write_cfg(tmp_path, text + f"out = {tmp_path / 'abort.csv'}\n")
         code = main(["solve", "--config", str(cfg)])
         assert code == EXIT_NOT_CONVERGED
-        assert "solver aborted" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver aborted" in err and reason in err
 
     def test_verification_failure_exit_code(self, tmp_path, monkeypatch):
         import subnewton.harness as harness

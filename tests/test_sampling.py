@@ -260,6 +260,84 @@ class TestBuildSubsampledHessian:
         assert op.sample_size == 9
 
 
+class TestMaterializedOperator:
+    """The operators apply a d x d matrix formed once from the weighted rows."""
+
+    MODES = {
+        "exact": None,
+        "uniform": ("uniform_with_replacement", 70),
+        "uniform_wor_partial": ("uniform_without_replacement", 70),
+        "uniform_wor_full": ("uniform_without_replacement", 120),
+        "nonuniform": ("nonuniform", 70),
+        "intrinsic": ("nonuniform_intrinsic", 70),
+    }
+
+    @staticmethod
+    def operator_and_rows(problem, x, case, seed):
+        """The operator plus the rows and weights it sums, drawn the same way."""
+        second = problem.second_derivatives(x)
+        if TestMaterializedOperator.MODES[case] is None:
+            return (problem.exact_hessian_operator(x), problem.rows,
+                    second / problem.n)
+        mode, size = TestMaterializedOperator.MODES[case]
+        scheme = SampleScheme(mode=mode, epsilon=0.5, delta=0.1,
+                              resolved_size=size)
+        op = build_subsampled_hessian(problem, x, scheme, rng_seed=seed)
+        p = (None if mode.startswith("uniform")
+             else nonuniform_distribution(problem, x))
+        idx, p_sel = _draw_indices(problem, scheme, p,
+                                   np.random.default_rng(seed))
+        weights = second[idx] / (problem.n * idx.shape[0] * p_sel)
+        return op, problem.rows[idx], weights
+
+    @pytest.mark.parametrize("case", list(MODES))
+    def test_matches_row_form(self, rng, case):
+        problem = generate_synthetic("biweight", n=120, d=7, rng_seed=21, skew=4.0)
+        x = rng.standard_normal(7)
+        op, rows, weights = self.operator_and_rows(problem, x, case, seed=5)
+        matrix = np.column_stack([op.apply(e) for e in np.eye(7)])
+        assert np.array_equal(matrix, matrix.T)
+        scale = float(np.linalg.norm(matrix, 2))
+        for _ in range(10):
+            v = rng.standard_normal(7)
+            reference = rows.T @ (weights * (rows @ v))
+            assert np.linalg.norm(op.apply(v) - reference) <= 1e-12 * scale * np.linalg.norm(v)
+
+    def test_unapplied_operator_forms_no_gram(self, monkeypatch):
+        # ARC's eps = 0.5 bootstrap (a partial sample here) only resolves nu
+        # and the fixed tolerance; it misses ARC's target, so it is rebuilt
+        # at once, capped at n, and never applied.
+        import subnewton.harness as harness
+        import subnewton.problems as problems
+        from subnewton.harness import build_problem, parse_config_text, run_solver
+
+        grams = []
+        ops = []
+        gram = problems.weighted_gram
+        build = harness.build_subsampled_hessian
+
+        def counting_gram(rows, w):
+            grams.append(rows.shape[0])
+            return gram(rows, w)
+
+        def counting_build(*args, **kwargs):
+            ops.append(build(*args, **kwargs))
+            return ops[-1]
+
+        monkeypatch.setattr(problems, "weighted_gram", counting_gram)
+        monkeypatch.setattr(harness, "build_subsampled_hessian", counting_build)
+        config = parse_config_text(
+            "problem = biweight\nsolver = arc\nhessian = uniform_wor\n"
+            "n = 2000\nd = 8\nk_max_target = 1.0\nseed = 11\n")
+        result = run_solver(config, build_problem(config))
+        assert result.converged
+        assert len(ops) >= 3
+        assert ops[0].sample_size < 2000
+        assert all(op.sample_size == 2000 for op in ops[1:])
+        assert len(grams) == len(ops) - 1
+        assert grams == [2000] * len(grams)
+
+
 class TestResolveScheme:
     def test_capping_logs_and_caps(self):
         problem = generate_synthetic("biweight", n=50, d=10, rng_seed=10, k_max=1.0)

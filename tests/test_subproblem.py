@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnewton.core import CertificateError
-from subnewton.subproblem import (CubicModel, TRModel, arc_cauchy_point,
+from subnewton.core import CertificateError, NonFiniteError
+from subnewton.subproblem import (Certificates, CubicModel, SubproblemSolution,
+                                  TRModel, arc_cauchy_point,
                                   arc_certificates, arc_eigen_point,
                                   arc_progressive_solve, arc_subspace_solve,
                                   tr_cauchy_point, tr_certificates,
@@ -377,3 +378,22 @@ class TestCertificateChecker:
         model = cubic_model([scale, 0.0], np.eye(2), 1.0)
         sol = arc_cauchy_point(model)
         assert sol.certificates.cauchy_met
+
+
+class TestSubproblemSolution:
+    @pytest.mark.parametrize("step, value", [
+        ([1.0, 0.0], float("nan")),
+        ([1.0, 0.0], -float("inf")),
+        ([np.inf, 0.0], -1.0),
+        ([np.nan, 0.0], float("nan")),
+    ], ids=["nan_value", "inf_value", "inf_step", "nan_both"])
+    def test_non_finite_solution_raises_non_finite(self, step, value):
+        with pytest.raises(NonFiniteError, match="non-finite") as info:
+            SubproblemSolution(step=np.array(step), model_value=value,
+                               model_grad_norm=None, certificates=Certificates())
+        assert f"m(s)={value}" in str(info.value)
+
+    def test_finite_non_decrease_still_a_certificate_error(self):
+        with pytest.raises(CertificateError):
+            SubproblemSolution(step=np.array([1.0, 0.0]), model_value=0.0,
+                               model_grad_norm=None, certificates=Certificates())
