@@ -6,9 +6,8 @@ from .core import (CertificateError, ConfigurationError, HessianOperator,
                    IterationRecord, NonFiniteError, Objective,
                    OptimalityTolerances, SolveResult, acceptance_ratio,
                    densify, operator_from_dense, symmetry_defect)
-from .cubic_reg import (ARCConfig, arc_epsilon, estimate_hessian_lipschitz,
-                        run_arc)
-from .curvature import CurvatureResult, lanczos_extreme, min_valid_nu
+from .cubic_reg import ARCConfig, arc_epsilon, run_arc
+from .curvature import CurvatureResult, min_valid_nu, probe_extreme
 from .problems import (BIWEIGHT, LOSSES, NLS_LOGISTIC, FiniteSumProblem,
                        QuarticSaddle, ScalarLoss, biweight_scalar,
                        generate_synthetic, load_dataset, nls_logistic_scalar,

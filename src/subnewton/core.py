@@ -53,7 +53,6 @@ class HessianOperator:
     apply: Callable[[Array], Array]
     dim: int
     norm_bound: float
-    provenance: str = "exact"
     accuracy: float = 0.0
     sample_size: int = 0
 
@@ -62,8 +61,6 @@ class HessianOperator:
             raise ConfigurationError("operator dimension must be positive")
         if not np.isfinite(self.norm_bound) or self.norm_bound < 0:
             raise ConfigurationError("norm_bound must be a nonnegative real")
-        if self.provenance not in ("exact", "subsampled", "dense"):
-            raise ConfigurationError(f"unknown provenance {self.provenance!r}")
 
     def quad(self, v: Array) -> float:
         """<v, Hv> as a float."""
@@ -79,8 +76,7 @@ def operator_from_dense(matrix: Array, norm_bound: float | None = None,
     if norm_bound is None:
         norm_bound = float(np.max(np.abs(np.linalg.eigvalsh(m)))) if m.size else 0.0
     return HessianOperator(apply=lambda v, _m=m: _m @ v, dim=m.shape[0],
-                           norm_bound=norm_bound, provenance="dense",
-                           accuracy=accuracy)
+                           norm_bound=norm_bound, accuracy=accuracy)
 
 
 def densify(op: HessianOperator) -> Array:

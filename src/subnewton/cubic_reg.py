@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (Array, ConfigurationError, HessianOperator, Objective,
                    OptimalityTolerances, SolveResult)
 from .subproblem import (CubicModel, SubproblemSolution, arc_cauchy_point,
@@ -47,8 +45,6 @@ class ARCConfig:
     max_iters: int = 200
     delta_total: float = 0.1
     sigma_min: float = 1e-12
-    max_subspace_dim: int | None = None
-    probe_matvecs: int | None = None
 
     def __post_init__(self) -> None:
         if not (self.sigma0 > 0 and math.isfinite(self.sigma0)):
@@ -94,32 +90,6 @@ def arc_epsilon(config: ARCConfig, k_h: float) -> float:
     return eps
 
 
-def estimate_hessian_lipschitz(hessian_at: "callable", x0: Array,
-                               rng_seed: int = 0, probes: int = 5,
-                               step: float = 0.5) -> float:
-    """Startup estimate of the Hessian Lipschitz constant near x0.
-
-    Samples spectral-norm differences of the dense(-ified) Hessian across
-    random segments: max ||H(x0 + t v) - H(x0)|| / t over unit directions v.
-    A sampled maximum is a heuristic, not a verified bound -- problems with
-    analytic bounds (e.g. the finite-sum losses) should prefer those, and
-    sigma-cap assertions are only as good as the estimate. Desk scale only.
-    """
-    from .core import densify
-
-    rng = np.random.default_rng(rng_seed)
-    base = densify(hessian_at(x0))
-    best = 0.0
-    for _ in range(probes):
-        v = rng.standard_normal(x0.shape[0])
-        v /= np.linalg.norm(v)
-        for t in (step, 2.0 * step):
-            other = densify(hessian_at(x0 + t * v))
-            diff = float(np.max(np.abs(np.linalg.eigvalsh(other - base))))
-            best = max(best, diff / t)
-    return best
-
-
 def run_arc(oracle: Objective, hessian_source: HessianSource, config: ARCConfig,
             x0: Array, rng_seed: int = 0) -> SolveResult:
     """Iterate Algorithm-style sigma updates until optimality of the inexact
@@ -148,13 +118,12 @@ def _arc_step(config: ARCConfig, grad: Array, grad_norm: float,
         # The eigen seed joins the basis whenever it exists (ties between
         # the seed points resolve toward it, escaping saddles); the
         # subspace solution dominates both seeds anyway.
-        eigen = arc_eigen_point(model, direction, config.nu)
+        eigen = arc_eigen_point(model, direction)
         seeds.append(eigen.step)
         nu_hat = eigen.certificates.nu_hat
         eigen_norm = eigen.certificates.eigen_norm
     if config.mode == "optimal":
         return arc_progressive_solve(model, seeds, zeta=config.zeta,
-                                     max_dim=config.max_subspace_dim,
                                      nu_hat=nu_hat, eigen_norm=eigen_norm)
     if grad_norm > 0.0:
         seeds.append(hessian.apply(grad))

@@ -3,12 +3,13 @@
 The search runs Lanczos with full reorthogonalization on the shifted
 positive-semidefinite operator K_H*I - H, whose top eigenpair corresponds to
 the bottom of H. Desk-scale dimensions make full reorthogonalization cheap
-and avoid ghost eigenvalues.
+and avoid ghost eigenvalues. The probe runs up to d steps, where the
+factorization is exact, so the paper's log(d/delta)*sqrt(K_H/kappa) matvec
+budget never binds and is not computed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,42 +31,25 @@ class CurvatureResult:
     converged: bool
 
 
-def suggested_matvec_budget(dim: int, kappa: float, delta: float,
-                            norm_bound: float) -> int:
-    """Default matrix-vector budget: at least log(d/delta)*sqrt(K_H/kappa).
-
-    Also at least dim: with full reorthogonalization the factorization is
-    exact once the Krylov space fills the whole space, so allowing dim steps
-    keeps desk-scale probes conclusive. Callers wanting the bare probabilistic
-    budget can pass max_matvecs explicitly.
-    """
-    d = max(dim, 2)
-    k = max(norm_bound, 1e-12)
-    budget = math.log(d / delta) * math.sqrt(k / kappa)
-    return max(int(math.ceil(budget)), dim, 8)
-
-
-def lanczos_extreme(hessian: HessianOperator, kappa: float, delta: float,
-                    max_matvecs: int | None = None,
-                    rng_seed: int | np.random.Generator = 0) -> CurvatureResult:
+def probe_extreme(hessian: HessianOperator,
+                  rng_seed: int | np.random.Generator = 0,
+                  max_matvecs: int | None = None) -> CurvatureResult:
     """Estimate the bottom eigenpair of H through the shifted operator.
 
     Starts from a normalized Gaussian vector and iterates until the top Ritz
     pair of the shifted tridiagonal has residual <= 1e-8 * K_H, the Krylov
-    space becomes invariant, or the matvec budget runs out (converged=False;
-    the caller decides what to do with an inconclusive probe).
+    space becomes invariant, or ``max_matvecs`` steps are spent
+    (converged=False). Without a cap it runs up to d steps, where full
+    reorthogonalization makes the factorization exact, so the probe always
+    converges. The driver loop gates on ``result.rayleigh <= -nu * eps_H``
+    itself, so the trace records the estimate even when no usable direction
+    exists.
     """
-    if not (0.0 < kappa < 1.0):
-        raise ConfigurationError(f"kappa must lie in (0, 1), got {kappa}")
-    if not (0.0 < delta < 1.0):
-        raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
     rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
            else np.random.default_rng(rng_seed))
     d = hessian.dim
     shift = hessian.norm_bound
-    if max_matvecs is None:
-        max_matvecs = suggested_matvec_budget(d, kappa, delta, shift)
-    steps = min(max_matvecs, d)
+    steps = d if max_matvecs is None else min(max_matvecs, d)
 
     def shifted(v: Array) -> Array:
         return shift * v - hessian.apply(v)
@@ -122,7 +106,8 @@ def _top_ritz(alphas: Array, betas: Array) -> tuple[float, Array]:
 
 
 def min_valid_nu(norm_bound: float, eps_H: float) -> float:
-    """Smallest nu the budget rule admits: nu = 2*kappa >= 2K_H/(2K_H + eps_H)."""
+    """Smallest nu the paper's matvec-budget rule admits:
+    nu = 2*kappa >= 2K_H/(2K_H + eps_H)."""
     if eps_H <= 0:
         raise ConfigurationError("eps_H must be positive")
     k = max(norm_bound, 0.0)
@@ -131,20 +116,3 @@ def min_valid_nu(norm_bound: float, eps_H: float) -> float:
 
 def default_nu(norm_bound: float, eps_H: float) -> float:
     return max(min_valid_nu(norm_bound, eps_H), 0.5)
-
-
-def probe_extreme(hessian: HessianOperator, eps_H: float, nu: float,
-                  delta: float, rng_seed: int | np.random.Generator = 0,
-                  max_matvecs: int | None = None) -> CurvatureResult:
-    """Run the bottom-eigenpair probe with the nu = 2*kappa budget rule.
-
-    Always returns the probe result; the driver loop gates on
-    ``result.rayleigh <= -nu * eps_H`` itself so the trace can record the
-    lambda_min estimate even when no usable direction exists. The nu floor
-    (``min_valid_nu``) is not enforced: a nu below it only inflates the
-    matvec budget, which is conservative.
-    """
-    if not (0.0 < nu < 1.0):
-        raise ConfigurationError(f"nu must lie in (0, 1), got {nu}")
-    return lanczos_extreme(hessian, kappa=nu / 2.0, delta=delta,
-                           max_matvecs=max_matvecs, rng_seed=rng_seed)

@@ -4,14 +4,15 @@ sampling-bound verification / exact-vs-sampled comparison reports.
 Config files are flat ``key = value`` text ('#' starts a comment); unknown
 keys are rejected. Exit codes are a stable contract:
 0 converged, 2 not-converged (solver aborted included), 4 verification
-failure, 3 config error (malformed dataset files included).
+failure, 3 config error (malformed or unreadable dataset and config files, and
+an unwritable trace path, included).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -97,11 +98,9 @@ class ExperimentConfig:
             raise ConfigurationError("eps_cap must lie in (0, 1]")
 
 
-_FIELD_TYPES = {f.name: f for f in dataclass_fields(ExperimentConfig)}
-_OPTIONAL_FLOATS = {"k_max_target", "nu", "l_estimate"}
-_INT_KEYS = {"n", "d", "data_seed", "max_iters", "seed", "trials", "verify_trials"}
-_STR_KEYS = {"problem", "data", "format", "solver", "arc_mode", "hessian", "out",
-             "verify_eps", "verify_delta"}
+# Field name -> its annotation as a string ("str", "str | None", "int",
+# "float" or "float | None"); the annotations are postponed.
+_FIELD_TYPES = {f.name: f.type for f in dataclass_fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -122,20 +121,22 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(), source=str(path))
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
+    return parse_config_text(text, source=str(path))
 
 
 def _coerce(key: str, value: str, source: str, lineno: int) -> object:
+    annotation = _FIELD_TYPES[key]
     try:
-        if key in _STR_KEYS:
+        if annotation.startswith("str"):
             return value
-        if key in _INT_KEYS:
+        if annotation == "int":
             return int(value)
-        if key in _OPTIONAL_FLOATS:
-            return None if value.lower() in ("none", "") else float(value)
+        if annotation == "float | None" and value.lower() in ("none", ""):
+            return None
         return float(value)
     except ValueError:
         raise ConfigurationError(
@@ -251,7 +252,10 @@ def run_experiment(config: ExperimentConfig, out_path: str | Path | None = None)
     problem = build_problem(config)
     result = run_solver(config, problem)
     path = Path(out_path if out_path is not None else config.out)
-    path.write_text(format_trace(result, problem=problem))
+    try:
+        path.write_text(format_trace(result, problem=problem))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write trace {path}: {exc}") from None
     print(f"wrote {path} ({len(result.records)} iterations, "
           f"converged={result.converged})")
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
@@ -381,8 +385,7 @@ def compare_exact_vs_sampled(config: ExperimentConfig) -> tuple[list[ComparisonR
     for trial in range(config.trials):
         seed = config.seed + trial
         for hessian_mode in ("exact", config.hessian):
-            variant = _with_updates(config, hessian=hessian_mode, seed=seed,
-                                    x0_scale=config.x0_scale)
+            variant = replace(config, hessian=hessian_mode, seed=seed)
             result = run_solver(variant, problem, seed=seed)
             lam = float(np.linalg.eigvalsh(problem.dense_hessian(result.x))[0])
             cost = sum(r.sample_size for r in result.records)
@@ -394,12 +397,6 @@ def compare_exact_vs_sampled(config: ExperimentConfig) -> tuple[list[ComparisonR
                 hessian_cost=cost))
     report = _format_comparison(runs, config)
     return runs, report
-
-
-def _with_updates(config: ExperimentConfig, **updates) -> ExperimentConfig:
-    kwargs = {f.name: getattr(config, f.name) for f in dataclass_fields(ExperimentConfig)}
-    kwargs.update(updates)
-    return ExperimentConfig(**kwargs)
 
 
 def _format_comparison(runs: Sequence[ComparisonRun], config: ExperimentConfig) -> str:
@@ -457,7 +454,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = load_config(args.config)
         if args.command == "solve":
             if args.seed is not None:
-                config = _with_updates(config, seed=args.seed)
+                config = replace(config, seed=args.seed)
             return run_experiment(config, out_path=args.out)
         if args.command == "verify-sampling":
             rows, all_ok = verify_bounds(config)
@@ -465,7 +462,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_OK if all_ok else EXIT_VERIFICATION_FAILURE
         if args.command == "compare":
             if args.trials is not None:
-                config = _with_updates(config, trials=args.trials)
+                config = replace(config, trials=args.trials)
             _, report = compare_exact_vs_sampled(config)
             print(report)
             return EXIT_OK

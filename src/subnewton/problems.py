@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .core import Array, ConfigurationError, HessianOperator, ensure_finite
+from .core import (Array, ConfigurationError, HessianOperator, ensure_finite,
+                   operator_from_dense)
 
 
 def biweight_scalar(z: Array, b: Array) -> tuple[Array, Array, Array]:
@@ -199,9 +200,7 @@ class QuarticSaddle:
     def exact_hessian_operator(self, x: Array) -> HessianOperator:
         h = self.dense_hessian(x)
         bound = float(np.max(np.abs(np.diag(h))))
-        return HessianOperator(apply=lambda v, _h=h: _h @ v, dim=2,
-                               norm_bound=bound, provenance="exact",
-                               accuracy=0.0)
+        return operator_from_dense(h, norm_bound=bound)
 
     def hessian_lipschitz_bound(self, box_radius: float) -> float:
         # |d/dx (3x^2 - 1)| = 6|x| on the box |x| <= box_radius.
@@ -257,13 +256,15 @@ def load_dataset(path: str | Path, fmt: str = "csv",
     """
     if isinstance(loss, str):
         loss = LOSSES[loss]
-    path = Path(path)
-    if fmt == "csv":
-        rows, targets = _read_csv(path)
-    elif fmt == "svmlight":
-        rows, targets = _read_svmlight(path, d)
-    else:
+    if fmt not in ("csv", "svmlight"):
         raise ConfigurationError(f"unknown dataset format {fmt!r}")
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"cannot read dataset {path}: {exc}") from None
+    rows, targets = (_read_csv(path, text) if fmt == "csv"
+                     else _read_svmlight(path, text, d))
     return FiniteSumProblem(rows=rows, targets=targets, loss=loss)
 
 
@@ -283,11 +284,11 @@ def save_dataset(problem: FiniteSumProblem, path: str | Path,
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read_csv(path: Path) -> tuple[Array, Array]:
+def _read_csv(path: Path, text: str) -> tuple[Array, Array]:
     rows: list[list[float]] = []
     targets: list[float] = []
     width = None
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split(",")
@@ -311,10 +312,10 @@ def _read_csv(path: Path) -> tuple[Array, Array]:
     return np.asarray(rows), np.asarray(targets)
 
 
-def _read_svmlight(path: Path, d: int | None) -> tuple[Array, Array]:
+def _read_svmlight(path: Path, text: str, d: int | None) -> tuple[Array, Array]:
     parsed: list[tuple[float, dict[int, float]]] = []
     max_idx = 0
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split()

@@ -34,7 +34,6 @@ class SampleScheme:
     epsilon: float
     delta: float
     resolved_size: int
-    cap_at_n: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -143,7 +142,7 @@ def resolve_scheme(problem: FiniteSumProblem, mode: str, epsilon: float,
         logger.info("prescribed sample size %d exceeds n=%d; capping", size, problem.n)
         size = problem.n
     return SampleScheme(mode=mode, epsilon=epsilon, delta=delta,
-                        resolved_size=size, cap_at_n=cap_at_n)
+                        resolved_size=size)
 
 
 def _draw_indices(problem: FiniteSumProblem, scheme: SampleScheme,
@@ -152,8 +151,6 @@ def _draw_indices(problem: FiniteSumProblem, scheme: SampleScheme,
     (non-uniform modes draw from ``p``, uniform modes ignore it)."""
     n = problem.n
     size = scheme.resolved_size
-    if scheme.cap_at_n:
-        size = min(size, n)
     if scheme.mode == "uniform_with_replacement":
         idx = rng.integers(0, n, size=size)
         p_sel = np.full(size, 1.0 / n)
@@ -199,8 +196,8 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
         norm_bound = problem.k_hat + scheme.epsilon
     accuracy = 0.0 if exact_full else scheme.epsilon
     return gram_operator(problem.rows, None if exact_full else idx, weights,
-                         norm_bound=norm_bound, provenance="subsampled",
-                         accuracy=accuracy, sample_size=size)
+                         norm_bound=norm_bound, accuracy=accuracy,
+                         sample_size=size)
 
 
 def verify_concentration(problem: FiniteSumProblem, x: Array,

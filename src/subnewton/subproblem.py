@@ -161,12 +161,11 @@ def tr_cauchy_point(model: TRModel) -> SubproblemSolution:
                               model_grad_norm=None, certificates=certs)
 
 
-def tr_eigen_point(model: TRModel, u: Array,
-                   nu: float | None = None) -> SubproblemSolution:
+def tr_eigen_point(model: TRModel, u: Array) -> SubproblemSolution:
     """Step of length radius along a certified negative-curvature direction.
 
-    The sign is chosen so <grad, s> <= 0. ``nu`` documents the caller's
-    lambda_min guarantee; the certificate itself uses the realized curvature.
+    The sign is chosen so <grad, s> <= 0; the certificate uses the realized
+    curvature.
     """
     un = float(np.linalg.norm(u))
     if un == 0.0:
@@ -282,8 +281,7 @@ def arc_cauchy_point(model: CubicModel) -> SubproblemSolution:
                               certificates=certs)
 
 
-def arc_eigen_point(model: CubicModel, u: Array,
-                    nu: float | None = None) -> SubproblemSolution:
+def arc_eigen_point(model: CubicModel, u: Array) -> SubproblemSolution:
     """Global minimizer of the 1-D cubic along a negative-curvature direction.
 
     On each half-line the model is a cubic polynomial with closed-form
@@ -362,23 +360,21 @@ def arc_subspace_solve(model: CubicModel, basis: Sequence[Array],
 
 
 def arc_progressive_solve(model: CubicModel, seeds: Sequence[Array],
-                          zeta: float, max_dim: int | None = None,
-                          nu_hat: float | None = None,
+                          zeta: float, nu_hat: float | None = None,
                           eigen_norm: float | None = None) -> SubproblemSolution:
     """Grow a Krylov space {g, Hg, H^2 g, ...} over the seed directions and
     re-solve until the model-gradient test
 
         ||grad m(s)|| <= zeta * max(||s||^2, min(1, ||s||) * ||grad||)
 
-    holds, or the dimension cap is reached (best solution so far is then
-    returned flagged cond5_met=False). Seeds sit inside every search space,
-    so the Cauchy/Eigen decrease certificates hold throughout.
+    holds, or the dimension cap min(d, 50) is reached (best solution so far
+    is then returned flagged cond5_met=False). Seeds sit inside every search
+    space, so the Cauchy/Eigen decrease certificates hold throughout.
     """
     if not (0.0 < zeta < 1.0):
         raise CertificateError(f"zeta must lie in (0, 1), got {zeta}")
     d = model.grad.shape[0]
-    if max_dim is None:
-        max_dim = min(d, 50)
+    max_dim = min(d, 50)
     directions: list[Array] = [np.asarray(s, dtype=float) for s in seeds]
     gn = float(np.linalg.norm(model.grad))
     krylov = model.grad.copy() if gn > 0.0 else None
@@ -477,7 +473,7 @@ def _tr_reduced_exact(g: Array, h: Array, radius: float) -> Array:
 
     # norm_at(mu) <= ||gq|| / (lam[0] + mu), so this hi always brackets.
     hi = mu_lo + float(np.linalg.norm(gq)) / radius + 1e-3 * scale
-    mu = _secular_root(lambda m: norm_at(m) - radius, mu_lo, radius, scale, hi=hi)
+    mu = _secular_root(lambda m: norm_at(m) - radius, mu_lo, hi, radius, scale)
     denom = lam + mu
     v = np.where(np.abs(denom) > 0.0, -gq / np.where(denom == 0.0, 1.0, denom), 0.0)
     vn = float(np.linalg.norm(v))
@@ -527,14 +523,14 @@ def _arc_reduced_exact(g: Array, h: Array, sigma: float) -> Array:
 
     # ||v(r)|| <= ||gq|| / (sigma (r - r_lo)), so this hi always brackets.
     hi = r_lo + math.sqrt(float(np.linalg.norm(gq)) / sigma) + 1e-3 * scale
-    r = _secular_root(lambda m: norm_at(m) - m, r_lo, None, scale, hi=hi)
+    r = _secular_root(lambda m: norm_at(m) - m, r_lo, hi, None, scale)
     denom = lam + sigma * r
     v = np.where(np.abs(denom) > 0.0, -gq / np.where(denom == 0.0, 1.0, denom), 0.0)
     return q @ v
 
 
-def _secular_root(f, lo: float, radius: float | None, scale: float,
-                  hi: float | None = None) -> float:
+def _secular_root(f, lo: float, hi: float, radius: float | None,
+                  scale: float) -> float:
     """Safeguarded root search on a strictly decreasing secular function.
 
     For the trust-region case f(mu) = ||v(mu)|| - radius on (lo, inf); for the
@@ -549,8 +545,7 @@ def _secular_root(f, lo: float, radius: float | None, scale: float,
     if fa <= 0.0:
         # Root is pinned (numerically) at the left endpoint.
         return a
-    b = hi if hi is not None and hi > a else max(lo * 2.0, lo + max(scale, 1.0))
-    fb = f(b)
+    b, fb = hi, f(hi)
     grow = 0
     while fb > 0.0 and grow < 300:
         b = 2.0 * b + 1.0

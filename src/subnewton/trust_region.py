@@ -39,9 +39,9 @@ class TRConfig:
 
     ``delta0`` is the initial radius. ``nu=None`` resolves the curvature
     quality from the first operator's norm bound. ``delta_total`` is the
-    total failure-probability budget split across iterations for both the
-    sub-sampling and the curvature probe. ``strict`` additionally enforces
-    the theory-mode coupling eps_H <= sqrt(eps_g).
+    total failure-probability budget split across iterations for the
+    sub-sampling. ``strict`` additionally enforces the theory-mode coupling
+    eps_H <= sqrt(eps_g).
     """
 
     tol: OptimalityTolerances
@@ -53,7 +53,6 @@ class TRConfig:
     max_iters: int = 200
     delta_total: float = 0.1
     strict: bool = False
-    probe_matvecs: int | None = None
 
     def __post_init__(self) -> None:
         if not (self.delta0 > 0 and math.isfinite(self.delta0)):
@@ -116,7 +115,7 @@ def _tr_step(config: TRConfig, grad: Array, grad_norm: float,
     if grad_norm > 0.0:
         seeds.extend([grad, hessian.apply(grad)])
     if direction is not None:
-        eigen = tr_eigen_point(model, direction, config.nu)
+        eigen = tr_eigen_point(model, direction)
         seeds.append(direction)
         nu_hat = eigen.certificates.nu_hat
         eigen_norm = eigen.certificates.eigen_norm
@@ -138,9 +137,9 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: Any,
             update: Callable[[float, bool], float]) -> SolveResult:
     """The loop shared by the TR and ARC drivers.
 
-    ``config`` supplies tol, eta, nu, max_iters, delta_total and
-    probe_matvecs; ``param`` is the initial radius or sigma and ``tag`` the
-    failure-probability schedule. The driver-specific hooks:
+    ``config`` supplies tol, eta, nu, max_iters and delta_total (which only
+    sizes the Hessian samples); ``param`` is the initial radius or sigma and
+    ``tag`` the failure-probability schedule. The driver-specific hooks:
 
     - ``bootstrap_eps``: accuracy of a build right after the first evaluation
       whose norm bound resolves a missing nu (None: no such build);
@@ -180,9 +179,8 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: Any,
                                      iteration_rng(rng_seed, _HESSIAN_STREAM, t))
         eps_in_force = hessian.accuracy
 
-        probe = probe_extreme(hessian, tol.eps_H, config.nu, delta_prob,
-                              rng_seed=iteration_rng(rng_seed, _PROBE_STREAM, t),
-                              max_matvecs=config.probe_matvecs)
+        probe = probe_extreme(hessian,
+                              rng_seed=iteration_rng(rng_seed, _PROBE_STREAM, t))
         lam_est = probe.rayleigh
         direction_found = probe.rayleigh <= -config.nu * tol.eps_H
 

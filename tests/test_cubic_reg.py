@@ -22,7 +22,7 @@ class StrongConvexQuadratic:
     def exact_hessian_operator(self, x):
         from subnewton.core import HessianOperator
         return HessianOperator(apply=lambda v: v.copy(), dim=self.d,
-                               norm_bound=1.0, provenance="exact")
+                               norm_bound=1.0)
 
     def dense_hessian(self, x):
         return np.eye(self.d)
@@ -251,26 +251,6 @@ class TestRunArcOptimalMode:
             grad_next = (recs[i + 1].grad_norm if i + 1 < len(recs)
                          else result.grad_norm_final)
             assert rec.step_norm >= kappa_g * np.sqrt(grad_next) * (1 - 1e-9)
-
-
-class TestLipschitzEstimator:
-    def test_quartic_probe_bounds_below_box_constant(self):
-        from subnewton.cubic_reg import estimate_hessian_lipschitz
-
-        problem = QuarticSaddle()
-        est = estimate_hessian_lipschitz(problem.exact_hessian_operator,
-                                         np.array([0.5, 0.0]), rng_seed=1)
-        # True constant on the segment is 6*max|x|; the sampled estimate sits
-        # below the analytic box bound and above a fraction of it.
-        assert 0.5 <= est <= problem.hessian_lipschitz_bound(box_radius=2.0)
-
-    def test_glm_probe_below_analytic_bound(self):
-        from subnewton.cubic_reg import estimate_hessian_lipschitz
-
-        problem = generate_synthetic("biweight", n=200, d=8, rng_seed=2)
-        est = estimate_hessian_lipschitz(problem.exact_hessian_operator,
-                                         np.zeros(8), rng_seed=3)
-        assert 0.0 < est <= problem.hessian_lipschitz_bound()
 
 
 class TestConfigValidation:

@@ -5,7 +5,7 @@ import pytest
 
 from subnewton.core import OptimalityTolerances, operator_from_dense
 from subnewton.cubic_reg import ARCConfig, run_arc
-from subnewton.curvature import lanczos_extreme
+from subnewton.curvature import probe_extreme
 from subnewton.problems import BIWEIGHT, FiniteSumProblem, generate_synthetic
 from subnewton.sampling import SampleScheme, build_subsampled_hessian
 from subnewton.subproblem import (CubicModel, TRModel, arc_subspace_solve,
@@ -16,7 +16,7 @@ from subnewton.trust_region import TRConfig, exact_hessian_source, run_tr
 class TestOneDimensional:
     def test_lanczos_on_scalar_operator(self):
         op = operator_from_dense(np.array([[-0.7]]))
-        res = lanczos_extreme(op, kappa=0.5, delta=0.1, rng_seed=0)
+        res = probe_extreme(op, rng_seed=0)
         assert res.converged
         assert res.rayleigh == pytest.approx(-0.7, abs=1e-12)
 
@@ -73,7 +73,7 @@ class TestOperatorEdges:
     def test_zero_operator(self):
         op = operator_from_dense(np.zeros((3, 3)))
         assert op.norm_bound == 0.0
-        res = lanczos_extreme(op, kappa=0.5, delta=0.1, rng_seed=2)
+        res = probe_extreme(op, rng_seed=2)
         assert res.converged
         assert res.rayleigh == pytest.approx(0.0, abs=1e-12)
 

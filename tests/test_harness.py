@@ -1,3 +1,4 @@
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 from subnewton.core import ConfigurationError
 from subnewton.harness import (EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK,
-                               EXIT_VERIFICATION_FAILURE, build_problem,
-                               compare_exact_vs_sampled, load_config, main,
-                               parse_config_text, run_experiment, run_solver,
-                               verify_bounds)
+                               EXIT_VERIFICATION_FAILURE, ExperimentConfig,
+                               build_problem, compare_exact_vs_sampled,
+                               load_config, main, parse_config_text,
+                               run_experiment, run_solver, verify_bounds)
 
 QUARTIC_CFG = """
 problem = quartic
@@ -54,6 +55,22 @@ class TestConfigParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigurationError):
             load_config("/nonexistent/path.cfg")
+
+    ANNOTATED = {"str": str, "str | None": str, "int": int, "float": float,
+                 "float | None": float}
+
+    @pytest.mark.parametrize("field", fields(ExperimentConfig),
+                             ids=lambda f: f.name)
+    def test_field_parses_to_annotated_type(self, field):
+        # "1" is legal for every numeric field, so an int field must not
+        # come back as a float, nor a float field as an int.
+        value = (field.default or "data.csv") if field.type.startswith("str") else "1"
+        expected = self.ANNOTATED[field.type]
+        parsed = getattr(parse_config_text(f"{field.name} = {value}\n"), field.name)
+        assert type(parsed) is expected and parsed == expected(value)
+        if field.type == "float | None":
+            config = parse_config_text(f"{field.name} = none\n")
+            assert getattr(config, field.name) is None
 
 
 class TestRunExperiment:
@@ -207,12 +224,36 @@ class TestCLI:
         assert "gama" in capsys.readouterr().err
 
     def test_malformed_dataset_exit_code(self, tmp_path, capsys):
-        data = tmp_path / "ragged.csv"
-        data.write_text("1.0,2.0,0.5\n3.0,4.0,1.5\n5.0,6.0\n")
-        cfg = write_cfg(tmp_path, f"problem = biweight\ndata = {data}\nformat = csv\n")
-        code = main(["solve", "--config", str(cfg)])
-        assert code == EXIT_CONFIG_ERROR
-        assert "line 3: expected 3 fields, got 2" in capsys.readouterr().err
+        # Bad dataset contents, unreadable data or config paths and an
+        # unwritable trace path all exit 3 with a message naming the cause.
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("1.0,2.0,0.5\n3.0,4.0,1.5\n5.0,6.0\n")
+        not_utf8 = tmp_path / "latin1.csv"
+        not_utf8.write_bytes(b"1.0,2.0,0.5\n3.0,\xe9,1.5\n")
+        good = tmp_path / "good.csv"
+        good.write_text("1.0,2.0,0.5\n3.0,4.0,1.5\n")
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        missing = tmp_path / "missing.csv"
+        no_dir_out = tmp_path / "no_such_dir" / "trace.csv"
+
+        def data_cfg(name, data, out=tmp_path / "trace.csv"):
+            return write_cfg(tmp_path, f"problem = biweight\ndata = {data}\n"
+                                       f"format = csv\nout = {out}\n", name)
+
+        cases = [
+            (data_cfg("ragged.cfg", ragged), "line 3: expected 3 fields, got 2"),
+            (data_cfg("missing.cfg", missing), str(missing)),
+            (data_cfg("folder.cfg", folder), str(folder)),
+            (data_cfg("latin1.cfg", not_utf8), str(not_utf8)),
+            (folder, str(folder)),
+            (data_cfg("no_dir_out.cfg", good, out=no_dir_out), str(no_dir_out)),
+        ]
+        for cfg, cause in cases:
+            code = main(["solve", "--config", str(cfg)])
+            err = capsys.readouterr().err
+            assert code == EXIT_CONFIG_ERROR, (cfg, err)
+            assert cause in err, (cfg, err)
 
     @pytest.mark.parametrize("text, reason", [
         ("problem = quartic\nsolver = tr\nradius0 = 1e300\n",  # CertificateError

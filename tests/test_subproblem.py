@@ -334,7 +334,7 @@ class TestARCProgressive:
         g = rng.standard_normal(d)
         model = cubic_model(g, h, 1e-6)
         cauchy = arc_cauchy_point(model)
-        sol = arc_progressive_solve(model, [cauchy.step], zeta=0.4, max_dim=d)
+        sol = arc_progressive_solve(model, [cauchy.step], zeta=0.4)
         assert sol.certificates.cond5_met
         # Certificate inequality re-derived from scratch.
         fresh = arc_certificates(model, sol.step, zeta=0.4)

@@ -55,7 +55,7 @@ class StrongConvexQuadratic:
     def exact_hessian_operator(self, x):
         from subnewton.core import HessianOperator
         return HessianOperator(apply=lambda v: v.copy(), dim=self.d,
-                               norm_bound=1.0, provenance="exact")
+                               norm_bound=1.0)
 
     def dense_hessian(self, x):
         return np.eye(self.d)
@@ -135,6 +135,16 @@ class TestRunTRSaddle:
         lam = np.linalg.eigvalsh(problem.dense_hessian(result.x))
         assert result.grad_norm_final <= 1e-6
         assert lam[0] >= -1e-3
+
+    def test_tiny_nu_escapes_without_overflow(self):
+        # K_H/kappa with kappa = nu/2 overflows for nu = 1e-308; the probe
+        # no longer computes a budget from it.
+        problem = QuarticSaddle()
+        config = TRConfig(tol=QUAD_TOL, nu=1e-308, max_iters=100)
+        result = run_tr(problem, exact_hessian_source(problem), config,
+                        x0=np.zeros(2), rng_seed=3)
+        assert result.converged
+        assert result.f_final <= -0.25 + 1e-6
 
     def test_radius_floor_from_tracked_path(self):
         # kappa_Delta from the radius-floor analysis, computed with verified
