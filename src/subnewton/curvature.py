@@ -106,8 +106,18 @@ def _top_ritz(alphas: Array, betas: Array) -> tuple[float, Array]:
 
 
 def min_valid_nu(norm_bound: float, eps_H: float) -> float:
-    """Smallest nu the paper's matvec-budget rule admits:
-    nu = 2*kappa >= 2K_H/(2K_H + eps_H)."""
+    """2K_H/(2K_H + eps_H) with K_H = max(norm_bound, 0): a value in [0, 1)
+    that rises to 1 as K_H/eps_H grows.
+
+    ``default_nu`` floors it at 1/2 to get the nu a driver resolves from its
+    bootstrap operator's norm bound when the config sets none. nu scales the
+    negative-curvature threshold -nu*eps_H, TR's accuracy floor
+    alpha*(1-eta)*nu*eps_H and the Eigen branch of ARC's fixed accuracy. The
+    probe is exact, so any nu < 1 still certifies lambda_min(H) > -eps_H at
+    termination; a nu near 1 makes the threshold and both accuracies as
+    large as that allows, and this formula keeps the default every trace has
+    been made with.
+    """
     if eps_H <= 0:
         raise ConfigurationError("eps_H must be positive")
     k = max(norm_bound, 0.0)

@@ -74,6 +74,67 @@ NLS_LOGISTIC = ScalarLoss("nls_logistic", nls_logistic_scalar, 2.0, 0.4)
 LOSSES = {loss.name: loss for loss in (BIWEIGHT, NLS_LOGISTIC)}
 
 
+# Extraction levels before the residuals go to math.fsum; loss vectors need
+# two or three, and any count is exact.
+_EXTRACTIONS = 3
+
+
+def exact_sum(x: Array) -> float:
+    """Correctly rounded sum of the entries of x, bit for bit ``math.fsum``,
+    without building a Python list (error-free extraction, Rump, Ogita and
+    Oishi, "Accurate floating-point summation, Part I", SISC 2008).
+
+    Each level takes 2^m >= n + 2 and sigma = 2^k > 2^m * max|r_i| (so that
+    |r_i| < 2^-m sigma), sets q_i = (sigma + r_i) - sigma and r_i -= q_i, and
+    sums q with ``np.sum``. With u = 2^-53 and -1021 <= k <= 1022:
+
+    1. Every float of magnitude >= sigma/2 is normal with ulp >= u*sigma, so
+       it is a multiple of u*sigma. Every multiple j*u*sigma with |j| <= 2^53
+       is a float, since u*sigma >= 2^-1074 and sigma <= 2^1022.
+    2. s_i = fl(sigma + r_i) lies in [sigma/2, 2 sigma], so s_i - sigma is
+       exact (Sterbenz): q_i is a multiple of u*sigma. Rounding is monotone
+       and sigma +- 2^-m sigma are floats (m <= 52), so |q_i| <= 2^-m sigma.
+    3. r_i - q_i = (sigma + r_i) - s_i is the rounding error of one addition,
+       itself a float, so r_i = q_i + r'_i exactly, with |r'_i| <= u*sigma.
+    4. The sum of any subset of the q_i is a multiple of u*sigma of magnitude
+       at most n 2^-m sigma < sigma, a float by (1). ``np.sum`` adds sums of
+       disjoint subsets in some tree order; each addition has a float as its
+       exact result, hence is exact, whatever order or blocking is used.
+
+    So the level sums plus the final residuals add up exactly to the sum of
+    x, and ``math.fsum`` of them returns its correct rounding, which is what
+    ``math.fsum(x)`` returns. Neither call overflows: sum|x_i| is below the
+    first sigma, each level's sum is below its sigma, which is at most half
+    the previous one (m <= 51, as any array in memory has n < 2^50), and the
+    last residuals add up to less than the last sigma; with sigma <= 2^1022
+    all of these stay below 2^1023. No level sum is -0.0 (q_i = +0.0 when
+    s_i equals sigma) and zero residuals are dropped, so an exact zero sum is
+    +0.0, as fsum gives when some input is nonzero. Non-finite input, an
+    all-zero input and a first sigma outside [2^-1021, 2^1022] go to
+    ``math.fsum`` itself, which keeps its NaN result, its OverflowError and
+    its ValueError.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    m = (x.size + 1).bit_length()
+    r, q = x, np.empty_like(x)
+    sums: list[float] = []
+    for level in range(_EXTRACTIONS):
+        hi, lo = (float(r.max()), float(r.min())) if r.size else (0.0, 0.0)
+        k = math.frexp(max(hi, -lo))[1] + m
+        if not (math.isfinite(hi) and math.isfinite(lo) and (hi or lo)
+                and -1021 <= k <= 1022):
+            if level == 0:
+                return math.fsum(x.tolist())
+            break
+        sigma = math.ldexp(1.0, k)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        sums.append(float(np.sum(q)))
+        # The first level writes a new array, so the caller's x is untouched.
+        r = np.subtract(r, q, out=None if level == 0 else r)
+    return math.fsum(sums + r[r != 0].tolist())
+
+
 def weighted_gram(rows: Array, w: Array) -> Array:
     """sum_i w_i a_i a_i' over the rows, exactly symmetric; |rows| d^2 flops."""
     m = (rows * w[:, None]).T @ rows
@@ -100,9 +161,10 @@ def gram_operator(rows: Array, idx: Array | None, weights: Array,
 class FiniteSumProblem:
     """Rows, targets, and a scalar loss, with precomputed curvature bounds.
 
-    F, grad F and f'' share one pass over the rows per point: the last point
-    is kept, keyed on the bytes of x, so ``rows`` and ``targets`` must not be
-    mutated after construction.
+    F, grad F and f'' share one pass over the rows per point: the last two
+    points are kept (a driver's current point and its last trial), keyed on
+    the bytes of x, so ``rows`` and ``targets`` must not be mutated after
+    construction.
     """
 
     rows: Array
@@ -112,8 +174,9 @@ class FiniteSumProblem:
     k_max: float = field(init=False)
     k_hat: float = field(init=False)
     row_sq_norms: Array = field(init=False)
-    # (key of x, (F, grad F, f'')), replaced whole so threads can share it.
-    _last: tuple | None = field(init=False, default=None, repr=False)
+    # Up to two (key of x, (F, grad F, f'')) entries, most recent first; the
+    # tuple is replaced whole so threads can share it.
+    _last: tuple = field(init=False, default=(), repr=False)
 
     def __post_init__(self) -> None:
         self.rows = np.ascontiguousarray(self.rows, dtype=float)
@@ -142,19 +205,22 @@ class FiniteSumProblem:
         return self.rows @ x
 
     def _evaluate(self, x: Array) -> tuple[float, Array, Array]:
-        """(F, grad F, f'') at x, F compensated (math.fsum), arrays read-only."""
+        """(F, grad F, f'') at x, F exactly rounded, arrays read-only."""
         x = np.asarray(x)
         key = (x.dtype.str, x.shape, x.tobytes())
         last = self._last
-        if last is not None and last[0] == key:
-            return last[1]
+        for i, (entry_key, evaluated) in enumerate(last):
+            if entry_key == key:
+                if i:
+                    self._last = (last[i], last[0])
+                return evaluated
         values, first, second = self.loss.evaluate(self.predictions(x), self.targets)
-        f = math.fsum(values.tolist()) / self.n
+        f = exact_sum(values) / self.n
         grad = self.rows.T @ (first / self.n)
         grad.flags.writeable = False
         second.flags.writeable = False
         evaluated = (f, grad, second)
-        self._last = (key, evaluated)
+        self._last = ((key, evaluated),) + last[:1]
         return evaluated
 
     def value_grad(self, x: Array) -> tuple[float, Array]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Array, ConfigurationError, HessianOperator, OptimalityTolerances
-from .problems import FiniteSumProblem, gram_operator, weighted_gram
+from .problems import FiniteSumProblem, exact_sum, gram_operator, weighted_gram
 
 logger = logging.getLogger(__name__)
 
@@ -101,13 +101,13 @@ def nonuniform_distribution(problem: FiniteSumProblem, x: Array) -> Array:
     """
     second = problem.second_derivatives(x)
     weights = np.abs(second) * problem.row_sq_norms
-    total = math.fsum(weights.tolist())
+    total = exact_sum(weights)
     if total <= 0.0:
         logger.warning("all per-row curvatures vanish at this point; "
                        "falling back to uniform sampling weights")
         return np.full(problem.n, 1.0 / problem.n)
     p = weights / total
-    return p / math.fsum(p.tolist())
+    return p / exact_sum(p)
 
 
 def intrinsic_dimension(problem: FiniteSumProblem, x: Array) -> float:

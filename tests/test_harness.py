@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -292,3 +295,24 @@ class TestCLI:
         code = main(["compare", "--config", str(cfg), "--trials", "2"])
         assert code == EXIT_OK
         assert "hessian" in capsys.readouterr().out
+
+
+class TestTraceDeterminism:
+    def test_rerun_at_a_fixed_blas_thread_count_gives_the_same_bytes(self, tmp_path):
+        # Traces are byte-identical across reruns only at one BLAS thread
+        # count (the Gram GEMM's blocking follows it), so the count is set
+        # in each child's environment before numpy loads.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        traces = []
+        for run in range(2):
+            out = tmp_path / f"trace{run}.csv"
+            done = subprocess.run(
+                [sys.executable, "-m", "subnewton", "solve",
+                 "--config", "configs/biweight_tr.cfg", "--out", str(out)],
+                cwd=root, env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == EXIT_OK, done.stderr
+            traces.append(out.read_bytes())
+        assert traces[0] == traces[1]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from subnewton.core import densify
 from subnewton.harness import build_problem, format_trace, parse_config_text, run_solver
 from subnewton.problems import (BIWEIGHT, NLS_LOGISTIC, DatasetError,
                                 FiniteSumProblem, QuarticSaddle,
-                                biweight_scalar, generate_synthetic,
+                                biweight_scalar, exact_sum, generate_synthetic,
                                 load_dataset, nls_logistic_scalar, save_dataset)
 
 
@@ -169,6 +171,85 @@ def _bits(value):
     return np.asarray(value, dtype=float).tobytes()
 
 
+def _sum_outcome(total, values):
+    """The bits of total(values), or the type of the exception it raises."""
+    try:
+        return _bits(total(values))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+class TestExactSum:
+    """exact_sum is math.fsum bit for bit, sign of zero and exceptions included."""
+
+    def assert_matches_fsum(self, values):
+        values = np.asarray(values, dtype=float)
+        assert (_sum_outcome(exact_sum, values)
+                == _sum_outcome(math.fsum, values.tolist()))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_floats(self, values):
+        self.assert_matches_fsum(values)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 3000),
+           low=st.integers(-1074, 1000), span=st.integers(0, 400))
+    @settings(max_examples=150, deadline=None)
+    def test_wide_exponent_arrays(self, seed, n, low, span):
+        # Sizes past numpy's pairwise-sum blocks; exponent spans that leave
+        # residuals after the last extraction level.
+        rng = np.random.default_rng(seed)
+        exponents = rng.integers(low, min(low + span, 1000) + 1, size=n)
+        self.assert_matches_fsum(np.ldexp(rng.standard_normal(n), exponents))
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_small_sizes(self, n, rng):
+        self.assert_matches_fsum(rng.standard_normal(n))
+        self.assert_matches_fsum(-np.abs(rng.standard_normal(n)) * 1e-300)
+
+    def test_magnitudes_spanning_e_to_the_700(self, rng):
+        signs = rng.choice([-1.0, 1.0], size=5000)
+        self.assert_matches_fsum(signs * np.exp(rng.uniform(-700, 700, size=5000)))
+
+    def test_huge_values_mixed_with_subnormals(self, rng):
+        subnormals = rng.choice([-1.0, 1.0], size=200) * rng.integers(1, 2**40, 200) * 5e-324
+        for huge in ([1e308, -1e308], [1e308, -1e308, 1e300], [1e300, -3e299]):
+            self.assert_matches_fsum(np.concatenate([huge, subnormals]))
+            self.assert_matches_fsum(np.concatenate([subnormals, huge, subnormals]))
+
+    def test_rounding_ties_go_to_even(self):
+        half_ulp = 2.0 ** -53
+        cases = [([1.0, half_ulp], 1.0),
+                 ([1.0 + 2 * half_ulp, half_ulp], 1.0 + 4 * half_ulp),
+                 ([1.0, half_ulp, 2.0 ** -120], 1.0 + 2 * half_ulp),
+                 ([1.0, half_ulp, -(2.0 ** -120)], 1.0)]
+        for values, expected in cases:
+            for order in (values, values[::-1]):
+                self.assert_matches_fsum(order * 50 + [-v for v in order] * 49)
+                assert exact_sum(np.array(order)) == expected
+
+    def test_signed_zeros(self):
+        for values in ([], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0],
+                       [1.0, -1.0], [-5e-324, 5e-324], [-0.0] * 20):
+            self.assert_matches_fsum(values)
+
+    def test_exceptions_and_nan_as_fsum(self):
+        with pytest.raises(OverflowError):
+            exact_sum(np.array([1e308, 1e308]))
+        with pytest.raises(ValueError):
+            exact_sum(np.array([np.inf, -np.inf]))
+        assert math.isnan(exact_sum(np.array([1.0, np.nan, 2.0])))
+        assert exact_sum(np.array([np.inf, 1.0])) == np.inf
+
+    def test_loss_vectors(self, rng):
+        problem = generate_synthetic("biweight", n=5000, d=8, rng_seed=15)
+        for _ in range(20):
+            values, _, second = problem.loss.evaluate(
+                problem.predictions(rng.standard_normal(8)), problem.targets)
+            self.assert_matches_fsum(values)
+            self.assert_matches_fsum(np.abs(second) * problem.row_sq_norms)
+
+
 class TestEvaluationRecord:
     """One data pass per point: F, grad F and f'' share the last evaluation."""
 
@@ -203,10 +284,10 @@ class TestEvaluationRecord:
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
-    def test_one_pass_per_run_of_queries_at_a_point(self):
-        # A point queried again after another point was evaluated costs a
-        # second pass (the record holds one point), so passes are counted
-        # against runs of consecutive queries at the same point.
+    def test_one_pass_per_distinct_point(self):
+        # The record keeps the current point and the last trial, so the loop
+        # head's query after a rejected trial reads it instead of passing
+        # over the rows again: each distinct point costs exactly one pass.
         config = parse_config_text(self.TR_CFG)
         problem = build_problem(config)
         queried: list[bytes] = []
@@ -230,8 +311,23 @@ class TestEvaluationRecord:
         format_trace(result, problem=problem)
         runs = [key for i, key in enumerate(queried) if i == 0 or key != queried[i - 1]]
         assert result.n_rejected >= 1
-        assert passes == runs
-        assert len(passes) < len(queried)
+        assert passes == list(dict.fromkeys(queried))
+        assert len(passes) < len(runs)
+
+    def test_two_points_alternate_without_a_new_pass(self):
+        problem = generate_synthetic("biweight", n=100, d=4, rng_seed=14)
+        passes = []
+        predictions = problem.predictions
+
+        def counted_predictions(x):
+            passes.append(np.asarray(x).tobytes())
+            return predictions(x)
+
+        problem.predictions = counted_predictions
+        x_a, x_b, x_c = np.zeros(4), np.ones(4), np.full(4, 2.0)
+        for x in (x_a, x_b, x_a, x_b, x_a, x_c, x_a, x_b):
+            problem.value_grad(x)
+        assert passes == [x.tobytes() for x in (x_a, x_b, x_c, x_b)]
 
     def test_trace_matches_a_run_that_never_reuses(self):
         config = parse_config_text(self.TR_CFG)
@@ -241,7 +337,7 @@ class TestEvaluationRecord:
         evaluate = forgetful._evaluate
 
         def evaluate_afresh(x):
-            forgetful._last = None
+            forgetful._last = ()
             return evaluate(x)
 
         forgetful._evaluate = evaluate_afresh

@@ -110,6 +110,16 @@ class TestNonuniformDistribution:
         expected = problem.row_sq_norms / problem.row_sq_norms.sum()
         assert np.allclose(p, expected, rtol=1e-12)
 
+    def test_bytes_equal_an_fsum_reference(self, rng):
+        for loss, seed, skew in (("biweight", 16, 1.0), ("nls_logistic", 17, 50.0)):
+            problem = generate_synthetic(loss, n=3000, d=7, rng_seed=seed, skew=skew)
+            for _ in range(5):
+                x = 2.0 * rng.standard_normal(7)
+                weights = np.abs(problem.second_derivatives(x)) * problem.row_sq_norms
+                p = weights / math.fsum(weights.tolist())
+                expected = p / math.fsum(p.tolist())
+                assert nonuniform_distribution(problem, x).tobytes() == expected.tobytes()
+
     def test_degenerate_fallback_uniform(self, caplog):
         # Far in the bi-weight tails the curvature underflows to ~0 only
         # asymptotically; force exact zeros through a custom loss.
