@@ -43,6 +43,7 @@ class Objective(Protocol):
 class HessianOperator:
     """Symmetric linear map v -> Hv with a known spectral-norm bound.
 
+    ``apply`` takes a d-vector or a d x k block V and returns Hv or HV.
     ``accuracy`` records the spectral error bound (relative to the exact
     Hessian at the point the operator was built for) that the construction
     guarantees; 0.0 means the operator is exact. ``sample_size`` is the
@@ -80,11 +81,9 @@ def operator_from_dense(matrix: Array, norm_bound: float | None = None,
 
 
 def densify(op: HessianOperator) -> Array:
-    """Materialize the operator column by column (d matvecs); for a Gram-form
-    operator this returns its exactly symmetric d x d matrix."""
-    eye = np.eye(op.dim)
-    cols = [op.apply(eye[:, j]) for j in range(op.dim)]
-    dense = np.column_stack(cols)
+    """The operator's d x d matrix, symmetrized, from one block apply; for a
+    Gram-form or dense operator this is exactly its matrix."""
+    dense = op.apply(np.eye(op.dim))
     return 0.5 * (dense + dense.T)
 
 
@@ -185,8 +184,9 @@ def acceptance_ratio(f_old: float, f_new: float, model_decrease: float) -> float
 def iteration_rng(base_seed: int, stream: int, t: int) -> np.random.Generator:
     """Deterministic per-(stream, iteration) generator.
 
-    Separate streams keep e.g. curvature-probe randomness identical between
-    paired runs whose Hessian-construction draws differ.
+    The driver loop draws iteration t's Hessian sample from stream 1. The
+    stream number is part of the seed, so it stays fixed to keep those draws,
+    and the traces made from them, unchanged.
     """
     return np.random.default_rng(np.random.SeedSequence([int(base_seed) & 0xFFFFFFFF,
                                                          stream, t]))

@@ -433,7 +433,7 @@ def _orthonormalize(basis: Sequence[Array], dim: int) -> Array:
 
 
 def _reduce(grad: Array, hessian: HessianOperator, u_mat: Array) -> tuple[Array, Array]:
-    hu = np.column_stack([hessian.apply(u_mat[:, j]) for j in range(u_mat.shape[1])])
+    hu = hessian.apply(u_mat)
     reduced_h = u_mat.T @ hu
     reduced_h = 0.5 * (reduced_h + reduced_h.T)
     return reduced_h, u_mat.T @ grad

@@ -29,7 +29,6 @@ from .subproblem import (SubproblemSolution, TRModel, tr_eigen_point,
 
 HessianSource = Callable[[Array, float, float, np.random.Generator], HessianOperator]
 
-_PROBE_STREAM = 0
 _HESSIAN_STREAM = 1
 
 
@@ -179,20 +178,15 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: Any,
                                      iteration_rng(rng_seed, _HESSIAN_STREAM, t))
         eps_in_force = hessian.accuracy
 
-        probe = probe_extreme(hessian,
-                              rng_seed=iteration_rng(rng_seed, _PROBE_STREAM, t))
+        probe = probe_extreme(hessian)
         lam_est = probe.rayleigh
         direction_found = probe.rayleigh <= -config.nu * tol.eps_H
 
-        # The optimality test: ||g|| <= eps_g (boundary inclusive), and a
-        # converged probe that found no sufficient negative curvature.
-        if grad_norm <= tol.eps_g and probe.converged and not direction_found:
+        # The optimality test: ||g|| <= eps_g (boundary inclusive), and an
+        # exact probe that found no sufficient negative curvature.
+        if grad_norm <= tol.eps_g and not direction_found:
             converged = True
             message = "optimality certified"
-            break
-        if grad_norm == 0.0 and not direction_found:
-            message = "no descent direction available (probe inconclusive at a "
-            message += "first-order stationary point)"
             break
 
         solution = step(config, grad, grad_norm, hessian,

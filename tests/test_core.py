@@ -136,6 +136,8 @@ class TestOperators:
     def test_densify_roundtrip(self, rng):
         h = random_symmetric(rng, 6)
         assert np.allclose(densify(dense_operator(h)), h, atol=1e-12)
+        # One block apply of the identity returns the wrapped matrix exactly.
+        assert np.array_equal(densify(operator_from_dense(h)), h)
 
     def test_norm_bound_default_is_spectral_norm(self, rng):
         h = random_symmetric(rng, 7)

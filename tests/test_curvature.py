@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,17 @@ from conftest import dense_operator, random_symmetric
 
 class TestLanczosExtreme:
     def test_diagonal_bound_evaluated_exactly(self):
-        # rayleigh <= (1-kappa)*K_H + kappa*lambda_min = -0.97 for kappa=0.99.
+        # The probe is exact, so it meets any nu-approximate bound, e.g.
+        # rayleigh <= (1-nu)*K_H + nu*lambda_min = -0.97 for nu=0.99.
         op = dense_operator(np.diag([2.0, -1.0]), norm_bound=2.0)
-        res = probe_extreme(op, rng_seed=3)
+        res = probe_extreme(op)
         assert res.converged
         assert res.rayleigh <= (1 - 0.99) * 2.0 + 0.99 * (-1.0) + 1e-12
+        assert res.rayleigh == pytest.approx(-1.0, abs=1e-15)
 
     def test_identity_has_no_negative_curvature(self):
         op = dense_operator(np.eye(3))
-        res = probe_extreme(op, rng_seed=0)
+        res = probe_extreme(op)
         assert res.converged
         assert res.rayleigh == pytest.approx(1.0, abs=1e-10)
 
@@ -25,18 +29,14 @@ class TestLanczosExtreme:
             h = random_symmetric(rng, 50)
             op = dense_operator(h)
             lam_min = float(np.linalg.eigvalsh(h)[0])
-            res = probe_extreme(op, max_matvecs=50,
-                                rng_seed=rng.integers(1 << 30))
+            res = probe_extreme(op)
             assert res.converged
-            bound = (1 - 0.5) * op.norm_bound + 0.5 * lam_min
-            assert res.rayleigh <= bound + 1e-10
-            # Converged Ritz pairs are far better than the worst-case bound.
-            assert res.rayleigh == pytest.approx(lam_min, abs=1e-6 * op.norm_bound)
+            assert abs(res.rayleigh - lam_min) <= 1e-12 * op.norm_bound
 
     def test_unit_direction_and_rayleigh_consistency(self, rng):
         h = random_symmetric(rng, 20)
         op = dense_operator(h)
-        res = probe_extreme(op, rng_seed=11)
+        res = probe_extreme(op)
         assert np.linalg.norm(res.direction) == pytest.approx(1.0, abs=1e-12)
         assert res.rayleigh == pytest.approx(
             float(res.direction @ h @ res.direction), abs=1e-10)
@@ -44,56 +44,55 @@ class TestLanczosExtreme:
     def test_seeded_determinism(self, rng):
         h = random_symmetric(rng, 30)
         op = dense_operator(h)
-        a = probe_extreme(op, rng_seed=42)
-        b = probe_extreme(op, rng_seed=42)
+        a = probe_extreme(op)
+        b = probe_extreme(op)
         assert np.array_equal(a.direction, b.direction)
         assert a.rayleigh == b.rayleigh
-        assert a.iterations_used == b.iterations_used
-
-    def test_budget_exhaustion_reports_unconverged(self, rng):
-        h = random_symmetric(rng, 60)
-        op = dense_operator(h)
-        res = probe_extreme(op, max_matvecs=3, rng_seed=5)
-        assert not res.converged
-        assert res.iterations_used <= 3
 
     def test_shift_invariance_of_direction(self, rng):
-        # H and H + cI with the bound adjusted share the shifted operator,
-        # hence the iterates; Rayleigh quotients differ by exactly c.
+        # H and H + cI share their bottom eigenvector, so the Rayleigh
+        # quotients differ by c.
         h = random_symmetric(rng, 12)
         c = 0.75
         op = dense_operator(h)
         op_shifted = dense_operator(h + c * np.eye(12),
                                     norm_bound=op.norm_bound + c)
-        a = probe_extreme(op, rng_seed=9)
-        b = probe_extreme(op_shifted, rng_seed=9)
+        a = probe_extreme(op)
+        b = probe_extreme(op_shifted)
         assert b.rayleigh - a.rayleigh == pytest.approx(c, abs=1e-8)
 
     def test_huge_norm_bound_has_no_budget_to_overflow(self):
         # log(d/delta)*sqrt(K_H/kappa) overflows here; the probe computes no
-        # such budget. In floating point K_H*I - H is 1e308*I, so the Krylov
-        # space is invariant after one step.
+        # such budget and never reads the norm bound.
         op = dense_operator(np.diag([2.0, -1.0]), norm_bound=1e308)
-        res = probe_extreme(op, rng_seed=0)
-        assert res.converged and res.iterations_used == 1
-        assert -1.0 <= res.rayleigh <= 2.0
+        res = probe_extreme(op)
+        assert res.converged
+        assert res.rayleigh == pytest.approx(-1.0, abs=1e-15)
+
+    def test_huge_entries_give_the_exact_bottom_pair(self):
+        op = dense_operator(np.diag([1e307, -1e307]), norm_bound=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = probe_extreme(op)
+        assert res.rayleigh == -1e307
+        assert abs(res.direction[1]) == 1.0 and res.direction[0] == 0.0
 
 
 class TestNegativeCurvatureDirection:
     """A probe finds a direction when its Rayleigh quotient is <= -nu*eps_H;
-    it certifies none when it converged above that threshold."""
+    it certifies none when its quotient, lambda_min, is above that threshold."""
 
     def test_explicit_spectrum(self):
         op = dense_operator(np.diag([1.0, 1.0, -2.0]))
         eps_h = 1.0
         nu = min_valid_nu(op.norm_bound, eps_h) + 1e-6
-        res = probe_extreme(op, rng_seed=1)
+        res = probe_extreme(op)
         assert abs(abs(res.direction[2]) - 1.0) < 1e-6
         assert res.rayleigh <= -nu * eps_h
 
     def test_psd_returns_absent(self):
         op = dense_operator(np.diag([0.5, 1.0, 2.0]))
-        res = probe_extreme(op, rng_seed=1)
+        res = probe_extreme(op)
         assert res.converged and res.rayleigh > -0.96 * 0.2
 
     def test_returned_certificate_holds_exactly(self, rng):
@@ -105,9 +104,7 @@ class TestNegativeCurvatureDirection:
             h = random_symmetric(rng, 15)
             op = dense_operator(h)
             nu = min_valid_nu(op.norm_bound, eps_h) + 1e-9
-            res = probe_extreme(op, rng_seed=rng.integers(1 << 30))
-            if not res.converged:
-                continue
+            res = probe_extreme(op)
             if res.rayleigh <= -nu * eps_h:
                 found += 1
                 u = res.direction
@@ -131,7 +128,7 @@ class TestNegativeCurvatureDirection:
         lam_min = float(np.linalg.eigvalsh(dense)[0])
         eps_h = 0.05
         nu = min_valid_nu(op.norm_bound, eps_h) + 1e-9
-        res = probe_extreme(op, rng_seed=3)
+        res = probe_extreme(op)
         assert res.converged
-        assert res.rayleigh == pytest.approx(lam_min, abs=1e-6 * op.norm_bound)
+        assert abs(res.rayleigh - lam_min) <= 1e-12 * op.norm_bound
         assert (res.rayleigh <= -nu * eps_h) == (lam_min <= -nu * eps_h)

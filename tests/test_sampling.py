@@ -312,6 +312,11 @@ class TestMaterializedOperator:
             v = rng.standard_normal(7)
             reference = rows.T @ (weights * (rows @ v))
             assert np.linalg.norm(op.apply(v) - reference) <= 1e-12 * scale * np.linalg.norm(v)
+        # A d x k block is applied column by column, as the probe and the
+        # sub-problem reduction rely on.
+        block = rng.standard_normal((7, 3))
+        columns = np.column_stack([op.apply(v) for v in block.T])
+        assert np.linalg.norm(op.apply(block) - columns) <= 1e-12 * scale * np.linalg.norm(block)
 
     def test_unapplied_operator_forms_no_gram(self, monkeypatch):
         # ARC's eps = 0.5 bootstrap (a partial sample here) only resolves nu

@@ -51,3 +51,5 @@ def test_traced_solves_match_untraced(monkeypatch):
                  "trust_region.iterations", "cubic_reg.iterations",
                  "subproblem.cond5_checked"):
         assert tracer.counts[name] > 0, name
+    # perfbench/tracing.py counts a probe whose ``converged`` is False.
+    assert tracer.counts["curvature.unconverged"] == 0
