@@ -82,9 +82,11 @@ def operator_from_dense(matrix: Array, norm_bound: float | None = None,
 
 def densify(op: HessianOperator) -> Array:
     """The operator's d x d matrix, symmetrized, from one block apply; for a
-    Gram-form or dense operator this is exactly its matrix."""
+    Gram-form or dense operator this is exactly its matrix. Halves are added,
+    not the sum halved, so entries near the float maximum do not overflow;
+    symmetric pairs are kept as they are, so no subnormal loses its last bit."""
     dense = op.apply(np.eye(op.dim))
-    return 0.5 * (dense + dense.T)
+    return np.where(dense == dense.T, dense, 0.5 * dense + 0.5 * dense.T)
 
 
 def symmetry_defect(op: HessianOperator, rng: np.random.Generator,

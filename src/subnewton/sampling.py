@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,18 +153,15 @@ def _draw_indices(problem: FiniteSumProblem, scheme: SampleScheme,
     size = scheme.resolved_size
     if scheme.mode == "uniform_with_replacement":
         idx = rng.integers(0, n, size=size)
-        p_sel = np.full(size, 1.0 / n)
     elif scheme.mode == "uniform_without_replacement":
         if size > n:
             raise ConfigurationError(
                 "sampling without replacement needs resolved_size <= n")
         idx = rng.choice(n, size=size, replace=False)
-        p_sel = np.full(size, 1.0 / n)
     else:
-        idx = rng.choice(n, size=size, replace=True, p=p)
-        p_sel = p[idx]
-    order = np.argsort(idx, kind="stable")
-    return idx[order], p_sel[order]
+        idx = np.sort(rng.choice(n, size=size, replace=True, p=p))
+        return idx, p[idx]
+    return np.sort(idx), np.full(size, 1.0 / n)
 
 
 def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
@@ -176,28 +173,26 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
     Uniform weights collapse to the plain average of per-sample Hessians, so
     the spectral bound K_max holds deterministically; non-uniform weighting
     carries the bound K_hat + eps. A full sample drawn without replacement
-    reproduces the exact Hessian, and is recorded as exact (accuracy 0); its
-    sorted indices are 0..n-1, so it uses the rows in place instead of a copy.
-    Rows are gathered and the matrix formed on first apply (``gram_operator``).
+    reproduces the exact Hessian: it is the exact operator at x, sharing its
+    Gram with ``problem.dense_hessian(x)``, recorded as exact (accuracy 0)
+    with the uniform bound K_max. Other samples' rows are gathered and their
+    matrix formed on first apply (``gram_operator``).
     """
     rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
            else np.random.default_rng(rng_seed))
     p = (None if scheme.mode.startswith("uniform")
          else nonuniform_distribution(problem, x))
     idx, p_sel = _draw_indices(problem, scheme, p, rng)
-    second = problem.second_derivatives(x)
     size = idx.shape[0]
-    weights = second[idx] / (problem.n * size * p_sel)
-    exact_full = (scheme.mode == "uniform_without_replacement"
-                  and size == problem.n)
     if scheme.mode.startswith("uniform"):
         norm_bound = problem.k_max
     else:
         norm_bound = problem.k_hat + scheme.epsilon
-    accuracy = 0.0 if exact_full else scheme.epsilon
-    return gram_operator(problem.rows, None if exact_full else idx, weights,
-                         norm_bound=norm_bound, accuracy=accuracy,
-                         sample_size=size)
+    if scheme.mode == "uniform_without_replacement" and size == problem.n:
+        return replace(problem.exact_hessian_operator(x), norm_bound=norm_bound)
+    weights = problem.second_derivatives(x)[idx] / (problem.n * size * p_sel)
+    return gram_operator(problem.rows, idx, weights, norm_bound=norm_bound,
+                         accuracy=scheme.epsilon, sample_size=size)
 
 
 def verify_concentration(problem: FiniteSumProblem, x: Array,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,25 @@ class TestOperators:
         assert np.allclose(densify(dense_operator(h)), h, atol=1e-12)
         # One block apply of the identity returns the wrapped matrix exactly.
         assert np.array_equal(densify(operator_from_dense(h)), h)
+
+    def test_densify_neither_overflows_nor_rounds(self):
+        # A symmetric matrix comes back bit for bit, entries near the float
+        # maximum and subnormals included; an asymmetric one is averaged
+        # without overflow.
+        tiny = 5e-324
+        h = np.array([[1.5e308, -1.7e308, 3 * tiny],
+                      [-1.7e308, -1.5e308, tiny],
+                      [3 * tiny, tiny, 1.0]])
+        lopsided = h.copy()
+        lopsided[0, 1] = 1.7e308
+        lopsided[1, 2] = 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert densify(operator_from_dense(h, norm_bound=0.0)).tobytes() == h.tobytes()
+            averaged = densify(operator_from_dense(lopsided, norm_bound=0.0))
+        assert np.array_equal(averaged, averaged.T)
+        assert averaged[0, 1] == 0.0 and averaged[1, 2] == 1.5
+        assert np.array_equal(averaged[[0, 1, 2], [0, 1, 2]], np.diag(h))
 
     def test_norm_bound_default_is_spectral_norm(self, rng):
         h = random_symmetric(rng, 7)

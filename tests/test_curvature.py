@@ -70,12 +70,14 @@ class TestLanczosExtreme:
         assert res.rayleigh == pytest.approx(-1.0, abs=1e-15)
 
     def test_huge_entries_give_the_exact_bottom_pair(self):
-        op = dense_operator(np.diag([1e307, -1e307]), norm_bound=1e308)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = probe_extreme(op)
-        assert res.rayleigh == -1e307
-        assert abs(res.direction[1]) == 1.0 and res.direction[0] == 0.0
+        # 1.5e308 + 1.5e308 overflows, so densify must not add before halving.
+        for top in (1e307, 1.5e308):
+            op = dense_operator(np.diag([top, -top]), norm_bound=1.7e308)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = probe_extreme(op)
+            assert res.rayleigh == -top
+            assert abs(res.direction[1]) == 1.0 and res.direction[0] == 0.0
 
 
 class TestNegativeCurvatureDirection:

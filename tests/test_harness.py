@@ -171,24 +171,26 @@ class TestVerifyBounds:
 class TestCompare:
     def test_full_sample_reproduces_exact_trace_bitwise(self, tmp_path):
         # |S| = n without replacement builds the identical operator, so the
-        # paired runs must coincide record for record.
-        base = ("problem = biweight\nsolver = arc\nn = 150\nd = 8\n"
-                "k_max_target = 1.0\nmax_iters = 200\nseed = 11\n"
-                "eps_g = 1e-4\neps_h = 1e-2\n")
-        cfg_exact = parse_config_text(base + "hessian = exact\n")
-        cfg_sampled = parse_config_text(base + "hessian = uniform_wor\n")
-        problem = build_problem(cfg_exact)
-        res_exact = run_solver(cfg_exact, problem)
-        res_sampled = run_solver(cfg_sampled, problem)
-        assert res_exact.converged and res_sampled.converged
-        assert len(res_exact.records) == len(res_sampled.records)
-        for a, b in zip(res_exact.records, res_sampled.records):
-            assert a.f_value == b.f_value
-            assert a.grad_norm == b.grad_norm
-            assert a.rho == b.rho
-            assert a.step_norm == b.step_norm
-            assert a.radius_or_sigma == b.radius_or_sigma
-        assert np.array_equal(res_exact.x, res_sampled.x)
+        # paired runs must coincide record for record, on both sides of
+        # weighted_gram's GEMM/SYRK selection.
+        for d in (8, 80):
+            base = (f"problem = biweight\nsolver = arc\nn = 150\nd = {d}\n"
+                    "k_max_target = 1.0\nmax_iters = 200\nseed = 11\n"
+                    "eps_g = 1e-4\neps_h = 1e-2\n")
+            cfg_exact = parse_config_text(base + "hessian = exact\n")
+            cfg_sampled = parse_config_text(base + "hessian = uniform_wor\n")
+            problem = build_problem(cfg_exact)
+            res_exact = run_solver(cfg_exact, problem)
+            res_sampled = run_solver(cfg_sampled, problem)
+            assert res_exact.converged and res_sampled.converged
+            assert len(res_exact.records) == len(res_sampled.records)
+            for a, b in zip(res_exact.records, res_sampled.records):
+                assert a.f_value == b.f_value
+                assert a.grad_norm == b.grad_norm
+                assert a.rho == b.rho
+                assert a.step_norm == b.step_norm
+                assert a.radius_or_sigma == b.radius_or_sigma
+            assert np.array_equal(res_exact.x, res_sampled.x)
 
     def test_report_and_cost_proxy(self):
         text = ("problem = biweight\nsolver = tr\nhessian = uniform_wor\n"
@@ -298,10 +300,12 @@ class TestCLI:
 
 
 class TestTraceDeterminism:
-    def test_rerun_at_a_fixed_blas_thread_count_gives_the_same_bytes(self, tmp_path):
-        # Traces are byte-identical across reruns only at one BLAS thread
-        # count (the Gram GEMM's blocking follows it), so the count is set
-        # in each child's environment before numpy loads.
+    # Traces are byte-identical across reruns only at one BLAS thread count
+    # (the Gram kernels' blocking follows it), so the count is set in each
+    # child's environment before numpy loads.
+
+    @staticmethod
+    def rerun_traces(config, tmp_path):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(
@@ -311,8 +315,23 @@ class TestTraceDeterminism:
             out = tmp_path / f"trace{run}.csv"
             done = subprocess.run(
                 [sys.executable, "-m", "subnewton", "solve",
-                 "--config", "configs/biweight_tr.cfg", "--out", str(out)],
+                 "--config", str(config), "--out", str(out)],
                 cwd=root, env=env, capture_output=True, text=True, timeout=300)
             assert done.returncode == EXIT_OK, done.stderr
             traces.append(out.read_bytes())
-        assert traces[0] == traces[1]
+        return traces
+
+    def test_rerun_at_a_fixed_blas_thread_count_gives_the_same_bytes(self, tmp_path):
+        # d = 50: every Gram takes weighted_gram's GEMM path.
+        first, second = self.rerun_traces("configs/biweight_tr.cfg", tmp_path)
+        assert first == second
+
+    def test_rerun_on_the_syrk_side_gives_the_same_bytes(self, tmp_path):
+        # d = 80 with n > SYRK_BLOCK_ROWS: every Gram is formed by blocked
+        # SYRK updates, and capped samples share the exact one.
+        config = write_cfg(tmp_path, "problem = biweight\nsolver = arc\n"
+                           "hessian = uniform_wor\nn = 1500\nd = 80\n"
+                           "k_max_target = 1.0\nseed = 3\n")
+        first, second = self.rerun_traces(config, tmp_path)
+        assert "lambda_min_dense_final" in first.decode()
+        assert first == second

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from subnewton.core import densify
 from subnewton.harness import build_problem, format_trace, parse_config_text, run_solver
+from subnewton import problems
 from subnewton.problems import (BIWEIGHT, NLS_LOGISTIC, DatasetError,
                                 FiniteSumProblem, QuarticSaddle,
                                 biweight_scalar, exact_sum, generate_synthetic,
-                                load_dataset, nls_logistic_scalar, save_dataset)
+                                load_dataset, nls_logistic_scalar, save_dataset,
+                                weighted_gram)
 
 
 def central_diff(fn, z, b, h=1e-5):
@@ -147,6 +149,44 @@ class TestFiniteSumProblem:
         assert problem.k_hat == pytest.approx(np.mean(problem.k_i))
 
 
+class TestWeightedGram:
+    """sum_i w_i a_i a_i' by GEMM below d = 64 and by SYRK updates from there."""
+
+    WEIGHTS = {"mixed": lambda g, n: g.standard_normal(n),
+               "positive": lambda g, n: g.random(n),
+               "negative": lambda g, n: -g.random(n),
+               "zero": lambda g, n: np.zeros(n)}
+
+    @pytest.mark.parametrize("d", [7, 64, 80])
+    @pytest.mark.parametrize("n", [1, 2500])
+    @pytest.mark.parametrize("kind", list(WEIGHTS))
+    def test_symmetric_and_within_rounding_of_the_gemm(self, rng, kind, n, d):
+        # n = 2500 spans three SYRK blocks, the last one partial.
+        rows = rng.standard_normal((n, d))
+        w = self.WEIGHTS[kind](rng, n)
+        gram = weighted_gram(rows, w)
+        assert np.array_equal(gram, gram.T)
+        reference = (rows * w[:, None]).T @ rows
+        magnitude = np.abs(rows).T @ (np.abs(w)[:, None] * np.abs(rows))
+        assert (np.linalg.norm(gram - reference, 2)
+                <= 1e-13 * np.linalg.norm(magnitude, 2))
+
+    def test_gemm_below_64_columns_is_the_old_expression_bitwise(self, rng,
+                                                                 monkeypatch):
+        syrk_calls = []
+        syrk = problems.dsyrk
+        monkeypatch.setattr(problems, "dsyrk",
+                            lambda *a, **k: syrk_calls.append(1) or syrk(*a, **k))
+        for d in (1, 20, 63):
+            rows = rng.standard_normal((300, d))
+            w = rng.standard_normal(300)
+            m = (rows * w[:, None]).T @ rows
+            assert weighted_gram(rows, w).tobytes() == (0.5 * (m + m.T)).tobytes()
+        assert not syrk_calls
+        weighted_gram(rng.standard_normal((300, 64)), rng.standard_normal(300))
+        assert syrk_calls
+
+
 class TestGenerateSynthetic:
     def test_no_skew_ratio_is_order_one(self):
         problem = generate_synthetic("biweight", n=100, d=10, rng_seed=7)
@@ -279,7 +319,9 @@ class TestEvaluationRecord:
         problem = generate_synthetic("nls_logistic", n=50, d=4, rng_seed=13)
         _, grad = problem.value_grad(np.ones(4))
         second = problem.second_derivatives(np.ones(4))
-        for array in (grad, second):
+        # The dense Hessian is shared with the exact operator at the point.
+        dense = problem.dense_hessian(np.ones(4))
+        for array in (grad, second, dense):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0

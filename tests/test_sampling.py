@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,6 +261,38 @@ class TestBuildSubsampledHessian:
         assert np.array_equal(idx, again)
         assert np.all(np.diff(idx) >= 0)  # canonical sorted order
 
+    @pytest.mark.parametrize("mode, size", [("uniform_with_replacement", 60),
+                                            ("uniform_without_replacement", 25),
+                                            ("uniform_without_replacement", 30),
+                                            ("nonuniform", 60)])
+    def test_draws_equal_a_stable_argsort_reference(self, rng, mode, size):
+        # Sorting the draws and taking p afterwards gives, bit for bit, the
+        # stable argsort of the raw draws applied to indices and p alike;
+        # 60 draws from 30 rows with replacement repeat indices.
+        problem = generate_synthetic("nls_logistic", n=30, d=4, rng_seed=8)
+        x = rng.standard_normal(4)
+        scheme = SampleScheme(mode=mode, epsilon=0.5, delta=0.2,
+                              resolved_size=size)
+        p = nonuniform_distribution(problem, x)
+        for seed in range(5):
+            raw = np.random.default_rng(seed)
+            if mode == "uniform_with_replacement":
+                drawn = raw.integers(0, 30, size=size)
+                p_drawn = np.full(size, 1.0 / 30)
+            elif mode == "uniform_without_replacement":
+                drawn = raw.choice(30, size=size, replace=False)
+                p_drawn = np.full(size, 1.0 / 30)
+            else:
+                drawn = raw.choice(30, size=size, replace=True, p=p)
+                p_drawn = p[drawn]
+            order = np.argsort(drawn, kind="stable")
+            idx, p_sel = _draw_indices(problem, scheme, p,
+                                       np.random.default_rng(seed))
+            assert idx.tobytes() == drawn[order].tobytes()
+            assert p_sel.tobytes() == p_drawn[order].tobytes()
+            if mode != "uniform_without_replacement":
+                assert np.unique(idx).size < size
+
     def test_nonuniform_norm_bound_recorded(self, rng):
         problem = generate_synthetic("biweight", n=30, d=5, rng_seed=9)
         x = rng.standard_normal(5)
@@ -300,21 +333,25 @@ class TestMaterializedOperator:
         weights = second[idx] / (problem.n * idx.shape[0] * p_sel)
         return op, problem.rows[idx], weights
 
-    @pytest.mark.parametrize("case", list(MODES))
-    def test_matches_row_form(self, rng, case):
-        problem = generate_synthetic("biweight", n=120, d=7, rng_seed=21, skew=4.0)
-        x = rng.standard_normal(7)
+    # d = 7 takes weighted_gram's GEMM path, d = 80 its SYRK path.
+    @pytest.mark.parametrize("case, d", [pytest.param(case, 7, id=case)
+                                         for case in MODES]
+                             + [pytest.param(case, 80, id=f"{case}-d80")
+                                for case in MODES])
+    def test_matches_row_form(self, rng, case, d):
+        problem = generate_synthetic("biweight", n=120, d=d, rng_seed=21, skew=4.0)
+        x = rng.standard_normal(d)
         op, rows, weights = self.operator_and_rows(problem, x, case, seed=5)
-        matrix = np.column_stack([op.apply(e) for e in np.eye(7)])
+        matrix = np.column_stack([op.apply(e) for e in np.eye(d)])
         assert np.array_equal(matrix, matrix.T)
         scale = float(np.linalg.norm(matrix, 2))
         for _ in range(10):
-            v = rng.standard_normal(7)
+            v = rng.standard_normal(d)
             reference = rows.T @ (weights * (rows @ v))
             assert np.linalg.norm(op.apply(v) - reference) <= 1e-12 * scale * np.linalg.norm(v)
         # A d x k block is applied column by column, as the probe and the
         # sub-problem reduction rely on.
-        block = rng.standard_normal((7, 3))
+        block = rng.standard_normal((d, 3))
         columns = np.column_stack([op.apply(v) for v in block.T])
         assert np.linalg.norm(op.apply(block) - columns) <= 1e-12 * scale * np.linalg.norm(block)
 
@@ -351,6 +388,45 @@ class TestMaterializedOperator:
         assert all(op.sample_size == 2000 for op in ops[1:])
         assert len(grams) == len(ops) - 1
         assert grams == [2000] * len(grams)
+
+    def test_one_gram_per_applied_point_and_none_for_the_footer(self, monkeypatch):
+        # Capped at n, every sample is the exact Hessian at its point: a
+        # rebuild at a point and the trace footer's dense Hessian at the
+        # final point read the Gram formed there.
+        import subnewton.harness as harness
+        import subnewton.problems as problems
+        from subnewton.harness import (build_problem, format_trace,
+                                       parse_config_text, run_solver)
+
+        grams = []
+        applied = set()
+        gram = problems.weighted_gram
+        build = harness.build_subsampled_hessian
+
+        def counting_gram(rows, w):
+            grams.append(rows.shape[0])
+            return gram(rows, w)
+
+        def marking_build(problem, x, *args, **kwargs):
+            op = build(problem, x, *args, **kwargs)
+            key = np.asarray(x).tobytes()
+
+            def apply(v, _apply=op.apply):
+                applied.add(key)
+                return _apply(v)
+
+            return replace(op, apply=apply)
+
+        monkeypatch.setattr(problems, "weighted_gram", counting_gram)
+        monkeypatch.setattr(harness, "build_subsampled_hessian", marking_build)
+        config = parse_config_text(
+            "problem = biweight\nsolver = arc\nhessian = uniform_wor\n"
+            "n = 2000\nd = 8\nk_max_target = 1.0\nseed = 11\n")
+        problem = build_problem(config)
+        result = run_solver(config, problem)
+        assert result.converged and result.x.tobytes() in applied
+        assert "lambda_min_dense_final" in format_trace(result, problem=problem)
+        assert grams == [2000] * len(applied)
 
 
 class TestResolveScheme:
