@@ -89,21 +89,6 @@ def densify(op: HessianOperator) -> Array:
     return np.where(dense == dense.T, dense, 0.5 * dense + 0.5 * dense.T)
 
 
-def symmetry_defect(op: HessianOperator, rng: np.random.Generator,
-                    probes: int = 20) -> float:
-    """Largest relative asymmetry |<u,Hv> - <v,Hu>| over random probe pairs."""
-    worst = 0.0
-    scale = max(op.norm_bound, 1e-30)
-    for _ in range(probes):
-        u = rng.standard_normal(op.dim)
-        v = rng.standard_normal(op.dim)
-        lhs = float(u @ op.apply(v))
-        rhs = float(v @ op.apply(u))
-        denom = scale * float(np.linalg.norm(u)) * float(np.linalg.norm(v))
-        worst = max(worst, abs(lhs - rhs) / max(denom, 1e-30))
-    return worst
-
-
 @dataclass(frozen=True)
 class OptimalityTolerances:
     """Target accuracies: gradient norm <= eps_g, lambda_min >= -eps_H."""

@@ -96,6 +96,23 @@ class ExperimentConfig:
                                      "structure to sub-sample")
         if not (0.0 < self.eps_cap <= 1.0):
             raise ConfigurationError("eps_cap must lie in (0, 1]")
+        for key in ("trials", "verify_trials"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be at least 1, got {getattr(self, key)}")
+        for key in ("verify_eps", "verify_delta"):
+            _grid(self, key)
+
+
+def _grid(config: ExperimentConfig, key: str) -> list[float]:
+    """The comma-separated numbers of a grid key such as ``verify_eps``."""
+    text = getattr(config, key)
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigurationError(f"{key} must list numbers, got {text!r}") from None
+    if not values:
+        raise ConfigurationError(f"{key} must list at least one number")
+    return values
 
 
 # Field name -> its annotation as a string ("str", "str | None", "int",
@@ -300,8 +317,8 @@ def verify_bounds(config: ExperimentConfig) -> tuple[list[VerificationRow], bool
         raise ConfigurationError(
             f"d={problem.d} too large for dense verification (limit 500)")
     x = starting_point(config, problem)
-    eps_grid = [float(v) for v in config.verify_eps.split(",") if v.strip()]
-    delta_grid = [float(v) for v in config.verify_delta.split(",") if v.strip()]
+    eps_grid = _grid(config, "verify_eps")
+    delta_grid = _grid(config, "verify_delta")
     trials = config.verify_trials
     rows: list[VerificationRow] = []
     seed_stream = np.random.SeedSequence([config.seed & 0xFFFFFFFF, 771])

@@ -386,22 +386,6 @@ def load_dataset(path: str | Path, fmt: str = "csv",
     return FiniteSumProblem(rows=rows, targets=targets, loss=loss)
 
 
-def save_dataset(problem: FiniteSumProblem, path: str | Path,
-                 fmt: str = "csv") -> None:
-    path = Path(path)
-    lines = []
-    if fmt == "csv":
-        for row, target in zip(problem.rows, problem.targets):
-            lines.append(",".join(repr(float(v)) for v in row) + f",{float(target)!r}")
-    elif fmt == "svmlight":
-        for row, target in zip(problem.rows, problem.targets):
-            feats = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row))
-            lines.append(f"{float(target)!r} {feats}")
-    else:
-        raise ConfigurationError(f"unknown dataset format {fmt!r}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _read_csv(path: Path, text: str) -> tuple[Array, Array]:
     rows: list[list[float]] = []
     targets: list[float] = []

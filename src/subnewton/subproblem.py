@@ -28,9 +28,11 @@ from .core import Array, CertificateError, HessianOperator, NonFiniteError
 CERT_RTOL = 1e-9
 # Relative threshold below which a basis vector is dropped as dependent.
 BASIS_DROP_TOL = 1e-12
-# Secular iterations on the reduced problems run to this tolerance; the
-# reduced dimension is tiny, so robustness beats speed.
+# Secular iterations on the reduced problems run to this tolerance, relative
+# to the target step norm, and raise after this many steps; the reduced
+# dimension is tiny, so robustness beats speed.
 SECULAR_TOL = 1e-10
+SECULAR_MAX_ITERS = 400
 
 
 @dataclass(frozen=True)
@@ -42,13 +44,16 @@ class TRModel:
     radius: float
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0.0 and np.isfinite(self.radius)):
-            raise CertificateError(f"trust radius must be positive, got {self.radius}")
-        if not np.all(np.isfinite(self.grad)):
-            raise CertificateError("model gradient must be finite")
+        _check_model(self.grad, "trust radius", self.radius)
 
     def value(self, s: Array) -> float:
         return float(self.grad @ s + 0.5 * (s @ self.hessian.apply(s)))
+
+    def _solution(self, step: Array, **seed) -> SubproblemSolution:
+        """The step with its model value and recomputed certificates."""
+        return SubproblemSolution(step=step, model_value=self.value(step),
+                                  model_grad_norm=None,
+                                  certificates=tr_certificates(self, step, **seed))
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,7 @@ class CubicModel:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0.0 and np.isfinite(self.sigma)):
-            raise CertificateError(f"sigma must be positive, got {self.sigma}")
-        if not np.all(np.isfinite(self.grad)):
-            raise CertificateError("model gradient must be finite")
+        _check_model(self.grad, "sigma", self.sigma)
 
     def value(self, s: Array) -> float:
         sn = float(np.linalg.norm(s))
@@ -72,6 +74,21 @@ class CubicModel:
 
     def gradient(self, s: Array) -> Array:
         return self.grad + self.hessian.apply(s) + self.sigma * float(np.linalg.norm(s)) * s
+
+    def _solution(self, step: Array, **seed) -> SubproblemSolution:
+        """The step with its model value, model-gradient norm and recomputed
+        certificates."""
+        return SubproblemSolution(
+            step=step, model_value=self.value(step),
+            model_grad_norm=float(np.linalg.norm(self.gradient(step))),
+            certificates=arc_certificates(self, step, **seed))
+
+
+def _check_model(grad: Array, name: str, value: float) -> None:
+    if not (value > 0.0 and np.isfinite(value)):
+        raise CertificateError(f"{name} must be positive, got {value}")
+    if not np.all(np.isfinite(grad)):
+        raise CertificateError("model gradient must be finite")
 
 
 @dataclass(frozen=True)
@@ -154,11 +171,7 @@ def tr_cauchy_point(model: TRModel) -> SubproblemSolution:
         tau = 1.0
     else:
         tau = min(gn ** 3 / (model.radius * ghg), 1.0)
-    step = (-tau * model.radius / gn) * model.grad
-    value = model.value(step)
-    certs = tr_certificates(model, step)
-    return SubproblemSolution(step=step, model_value=value,
-                              model_grad_norm=None, certificates=certs)
+    return model._solution((-tau * model.radius / gn) * model.grad)
 
 
 def tr_eigen_point(model: TRModel, u: Array) -> SubproblemSolution:
@@ -177,11 +190,7 @@ def tr_eigen_point(model: TRModel, u: Array) -> SubproblemSolution:
             f"eigen direction must carry negative curvature, got <u,Hu>={curv}")
     sign = -1.0 if float(model.grad @ uhat) > 0.0 else 1.0
     step = sign * model.radius * uhat
-    value = model.value(step)
-    certs = tr_certificates(model, step, nu_hat=-curv,
-                            eigen_norm=float(np.linalg.norm(step)))
-    return SubproblemSolution(step=step, model_value=value,
-                              model_grad_norm=None, certificates=certs)
+    return model._solution(step, nu_hat=-curv, eigen_norm=float(np.linalg.norm(step)))
 
 
 def tr_subspace_solve(model: TRModel, basis: Sequence[Array],
@@ -191,18 +200,12 @@ def tr_subspace_solve(model: TRModel, basis: Sequence[Array],
 
     The basis is orthonormalized (near-dependent directions dropped at
     relative tolerance 1e-12) and the reduced problem is solved through the
-    secular equation on its eigendecomposition, hard case included. Because
-    minimization runs over a superset of the seed directions, the solution
-    dominates every seed in model value.
+    secular equation on its eigendecomposition (``_reduced_exact``), hard
+    case included. Because minimization runs over a superset of the seed
+    directions, the solution dominates every seed in model value.
     """
-    u_mat = _orthonormalize(basis, model.grad.shape[0])
-    reduced_h, reduced_g = _reduce(model.grad, model.hessian, u_mat)
-    v = _tr_reduced_exact(reduced_g, reduced_h, model.radius)
-    step = u_mat @ v
-    value = model.value(step)
-    certs = tr_certificates(model, step, nu_hat=nu_hat, eigen_norm=eigen_norm)
-    return SubproblemSolution(step=step, model_value=value,
-                              model_grad_norm=None, certificates=certs)
+    return _subspace_solve(model, _orthonormalize(basis, model.grad.shape[0]),
+                           nu_hat=nu_hat, eigen_norm=eigen_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +276,7 @@ def arc_cauchy_point(model: CubicModel) -> SubproblemSolution:
     gn = float(np.linalg.norm(model.grad))
     if gn == 0.0:
         raise ValueError("Cauchy point undefined for zero gradient")
-    step = -arc_cauchy_alpha(model) * model.grad
-    value = model.value(step)
-    certs = arc_certificates(model, step)
-    return SubproblemSolution(step=step, model_value=value,
-                              model_grad_norm=float(np.linalg.norm(model.gradient(step))),
-                              certificates=certs)
+    return model._solution(-arc_cauchy_alpha(model) * model.grad)
 
 
 def arc_eigen_point(model: CubicModel, u: Array) -> SubproblemSolution:
@@ -315,12 +313,7 @@ def arc_eigen_point(model: CubicModel, u: Array) -> SubproblemSolution:
         raise CertificateError("no stationary point found for the 1-D cubic")
     best = min(candidates, key=lambda a: (phi(a), float(b * a)))
     step = best * uhat
-    value = model.value(step)
-    certs = arc_certificates(model, step, nu_hat=-c,
-                             eigen_norm=float(np.linalg.norm(step)))
-    return SubproblemSolution(step=step, model_value=value,
-                              model_grad_norm=float(np.linalg.norm(model.gradient(step))),
-                              certificates=certs)
+    return model._solution(step, nu_hat=-c, eigen_norm=float(np.linalg.norm(step)))
 
 
 def _quad_roots(a2: float, a1: float, a0: float) -> list[float]:
@@ -345,18 +338,10 @@ def arc_subspace_solve(model: CubicModel, basis: Sequence[Array],
                        nu_hat: float | None = None,
                        eigen_norm: float | None = None,
                        zeta: float | None = None) -> SubproblemSolution:
-    """Exact cubic-model solve on the span of ``basis`` via the secular
-    equation on the reduced eigendecomposition, hard case included."""
-    u_mat = _orthonormalize(basis, model.grad.shape[0])
-    reduced_h, reduced_g = _reduce(model.grad, model.hessian, u_mat)
-    v = _arc_reduced_exact(reduced_g, reduced_h, model.sigma)
-    step = u_mat @ v
-    value = model.value(step)
-    certs = arc_certificates(model, step, nu_hat=nu_hat, eigen_norm=eigen_norm,
-                             zeta=zeta)
-    return SubproblemSolution(step=step, model_value=value,
-                              model_grad_norm=float(np.linalg.norm(model.gradient(step))),
-                              certificates=certs)
+    """Exact cubic-model solve on the span of ``basis``, as
+    ``tr_subspace_solve`` does for the trust-region model."""
+    return _subspace_solve(model, _orthonormalize(basis, model.grad.shape[0]),
+                           nu_hat=nu_hat, eigen_norm=eigen_norm, zeta=zeta)
 
 
 def arc_progressive_solve(model: CubicModel, seeds: Sequence[Array],
@@ -369,207 +354,162 @@ def arc_progressive_solve(model: CubicModel, seeds: Sequence[Array],
 
     holds, or the dimension cap min(d, 50) is reached (best solution so far
     is then returned flagged cond5_met=False). Seeds sit inside every search
-    space, so the Cauchy/Eigen decrease certificates hold throughout.
+    space, so the Cauchy/Eigen decrease certificates hold throughout. Each
+    Krylov vector is orthonormalized once, against the basis built so far.
     """
     if not (0.0 < zeta < 1.0):
         raise CertificateError(f"zeta must lie in (0, 1), got {zeta}")
     d = model.grad.shape[0]
-    max_dim = min(d, 50)
-    directions: list[Array] = [np.asarray(s, dtype=float) for s in seeds]
-    gn = float(np.linalg.norm(model.grad))
-    krylov = model.grad.copy() if gn > 0.0 else None
-    if krylov is not None:
-        directions.append(krylov)
-
+    krylov = model.grad
+    cols = _orthonormalize([*seeds, krylov], d)
     best: SubproblemSolution | None = None
     while True:
-        sol = arc_subspace_solve(model, directions, nu_hat=nu_hat,
-                                 eigen_norm=eigen_norm, zeta=zeta)
+        sol = _subspace_solve(model, cols, nu_hat=nu_hat, eigen_norm=eigen_norm,
+                              zeta=zeta)
         if best is None or sol.model_value < best.model_value:
             best = sol
         if sol.certificates.cond5_met:
             return sol
-        span_dim = _orthonormalize(directions, d).shape[1]
-        if span_dim >= max_dim:
-            break
-        if krylov is None:
-            break
+        if len(cols) >= min(d, 50):
+            return best
         krylov = model.hessian.apply(krylov)
         kn = float(np.linalg.norm(krylov))
         if kn == 0.0:
-            break
+            return best
         krylov = krylov / kn
-        directions.append(krylov)
-        if _orthonormalize(directions, d).shape[1] == span_dim:
-            break  # Krylov chain saturated; the span cannot grow further.
-    return best
+        if not _extend_basis(cols, krylov, d):
+            return best  # Krylov chain saturated; the span cannot grow further.
 
 
 # ---------------------------------------------------------------------------
-# Reduced exact solvers
+# Exact solve on a subspace
 # ---------------------------------------------------------------------------
 
-def _orthonormalize(basis: Sequence[Array], dim: int) -> Array:
-    """Modified Gram-Schmidt with a relative drop tolerance for dependents."""
+def _extend_basis(cols: list[Array], raw: Array, dim: int) -> bool:
+    """Append the unit part of ``raw`` orthogonal to ``cols`` (modified
+    Gram-Schmidt, two passes) unless it is dependent at relative tolerance
+    ``BASIS_DROP_TOL``; return whether it was appended."""
+    b = np.asarray(raw, dtype=float)
+    if b.shape != (dim,):
+        raise CertificateError(f"basis vector of shape {b.shape}, expected ({dim},)")
+    norm0 = float(np.linalg.norm(b))
+    if norm0 == 0.0:
+        return False
+    w = b.copy()
+    for _ in range(2):
+        for q in cols:
+            w -= (q @ w) * q
+    wn = float(np.linalg.norm(w))
+    if wn <= BASIS_DROP_TOL * norm0:
+        return False
+    cols.append(w / wn)
+    return True
+
+
+def _orthonormalize(basis: Sequence[Array], dim: int) -> list[Array]:
     cols: list[Array] = []
     for raw in basis:
-        b = np.asarray(raw, dtype=float)
-        if b.shape != (dim,):
-            raise CertificateError(f"basis vector of shape {b.shape}, expected ({dim},)")
-        norm0 = float(np.linalg.norm(b))
-        if norm0 == 0.0:
-            continue
-        w = b.copy()
-        for _ in range(2):
-            for q in cols:
-                w -= (q @ w) * q
-        wn = float(np.linalg.norm(w))
-        if wn <= BASIS_DROP_TOL * norm0:
-            continue
-        cols.append(w / wn)
+        _extend_basis(cols, raw, dim)
     if not cols:
         raise CertificateError("basis is empty after dropping dependent directions")
-    return np.column_stack(cols)
+    return cols
 
 
-def _reduce(grad: Array, hessian: HessianOperator, u_mat: Array) -> tuple[Array, Array]:
-    hu = hessian.apply(u_mat)
-    reduced_h = u_mat.T @ hu
-    reduced_h = 0.5 * (reduced_h + reduced_h.T)
-    return reduced_h, u_mat.T @ grad
+def _subspace_solve(model: TRModel | CubicModel, cols: list[Array],
+                    **seed) -> SubproblemSolution:
+    """Exact solve of ``model`` on the span of the orthonormal ``cols``:
+    reduce to the span, solve the reduced problem, lift the step back."""
+    u_mat = np.column_stack(cols)
+    reduced_h = u_mat.T @ model.hessian.apply(u_mat)
+    relation = ({"radius": model.radius} if isinstance(model, TRModel)
+                else {"sigma": model.sigma})
+    v = _reduced_exact(u_mat.T @ model.grad, 0.5 * (reduced_h + reduced_h.T),
+                       **relation)
+    return model._solution(u_mat @ v, **seed)
 
 
-def _tr_reduced_exact(g: Array, h: Array, radius: float) -> Array:
-    """min <g,v> + 0.5*<v,Hv> s.t. ||v|| <= radius, solved exactly."""
+def _reduced_exact(g: Array, h: Array, radius: float | None = None,
+                   sigma: float | None = None) -> Array:
+    """Global minimizer of <g,v> + 0.5*<v,Hv> on ||v|| <= radius, or of
+    <g,v> + 0.5*<v,Hv> + (sigma/3)*||v||^3, for a small dense H.
+
+    Both are v = -(H + lam*I)^+ g with H + lam*I psd; only the norm relation
+    differs: lam*(||v|| - radius) = 0 (More-Sorensen 1983) or lam = sigma*||v||
+    (Cartis-Gould-Toint 2011). The secular search runs over the shift
+    d = lam - lo past the pole lo = max(0, -lam_min), so each denominator is
+    (lam_i + lo) + d and the bottom one is exactly d. If the root lies within
+    eps of the pole (the hard case, g orthogonal or nearly orthogonal to the
+    bottom eigenspace), the step is the off-bottom part plus a fill along the
+    bottom eigenspace up to the target norm, signed against g.
+    """
     lam, q = np.linalg.eigh(h)
     gq = q.T @ g
-    if lam[0] > 0.0:
-        v = q @ (-gq / lam)
-        if float(np.linalg.norm(v)) <= radius * (1.0 + 1e-14):
-            return v
-
-    mu_lo = max(0.0, -lam[0])
+    gn = float(np.linalg.norm(gq))
+    # target(lam) is the step norm the relation asks for; at d = hi the step
+    # norm is at most gn / hi, half the target or less, so hi brackets.
+    if sigma is None:
+        target, hi = (lambda m: radius), 2.0 * gn / radius
+    else:
+        target, hi = (lambda m: m / sigma), 2.0 * math.sqrt(sigma * gn)
+    lo = max(0.0, -lam[0])
+    base = lam + lo  # >= 0, and exactly 0 at the bottom when lam[0] <= 0
     scale = max(1.0, float(np.max(np.abs(lam))))
-    bottom = lam <= lam[0] + 1e-12 * scale
 
-    def norm_at(mu: float) -> float:
-        denom = lam + mu
-        good = denom > 0.0
-        if not np.any(good):
-            return 0.0
-        return float(np.linalg.norm(gq[good] / denom[good]))
+    def gap(d: float) -> float:
+        return float(np.linalg.norm(gq / (base + d))) - target(lo + d)
 
-    # Potential hard case: gradient orthogonal to the bottom eigenspace.
-    if mu_lo > 0.0 and float(np.linalg.norm(gq[bottom])) <= 1e-12 * max(1.0, float(np.linalg.norm(gq))):
-        denom = lam + mu_lo
-        v = np.zeros_like(gq)
-        outside = ~bottom
-        v[outside] = -gq[outside] / denom[outside]
-        w = float(np.linalg.norm(v))
-        if w <= radius:
-            tau = math.sqrt(max(radius ** 2 - w ** 2, 0.0))
-            v[np.argmax(bottom)] += tau
-            return q @ v
-
-    # norm_at(mu) <= ||gq|| / (lam[0] + mu), so this hi always brackets.
-    hi = mu_lo + float(np.linalg.norm(gq)) / radius + 1e-3 * scale
-    mu = _secular_root(lambda m: norm_at(m) - radius, mu_lo, hi, radius, scale)
-    denom = lam + mu
-    v = np.where(np.abs(denom) > 0.0, -gq / np.where(denom == 0.0, 1.0, denom), 0.0)
+    # With H positive definite, d = 0 (lam = 0) is admissible; otherwise the
+    # search starts eps past the pole.
+    a = 0.0 if lam[0] > 0.0 else 1e-14 * scale
+    pinned = gap(a) <= 0.0
+    d = a if pinned else _secular_root(
+        gap, a, hi, lambda x: SECULAR_TOL * target(lo + x))
+    v = -gq / (base + d)
+    if pinned and lam[0] <= 0.0:
+        bottom = base <= 1e-12 * scale
+        v[bottom] = 0.0
+        fill = math.sqrt(max(target(lo + d) ** 2 - float(v @ v), 0.0))
+        gb = gq[bottom]
+        gbn = float(np.linalg.norm(gb))
+        if gbn > 0.0:
+            v[bottom] = -fill * (gb / gbn)
+        else:
+            v[0] = fill
     vn = float(np.linalg.norm(v))
-    if vn > radius:
+    if sigma is None and vn > radius:
         # The secular iteration stops within its tolerance, possibly a hair
         # outside the ball; project back so feasibility is unconditional.
         v *= radius / vn
     return q @ v
 
 
-def _arc_reduced_exact(g: Array, h: Array, sigma: float) -> Array:
-    """Global minimizer of <g,v> + 0.5*<v,Hv> + (sigma/3)||v||^3, exactly."""
-    lam, q = np.linalg.eigh(h)
-    gq = q.T @ g
-    r_lo = max(0.0, -lam[0] / sigma)
-    scale = max(1.0, float(np.max(np.abs(lam))) / sigma, r_lo)
-    bottom = lam <= lam[0] + 1e-12 * max(1.0, float(np.max(np.abs(lam))))
+def _secular_root(f, a: float, b: float, tol) -> float:
+    """Root of a decreasing secular function with f(a) > 0 >= f(b).
 
-    if float(np.linalg.norm(gq)) == 0.0 and lam[0] >= 0.0:
-        return np.zeros_like(gq)
-
-    def norm_at(r: float) -> float:
-        denom = lam + sigma * r
-        good = denom > 0.0
-        if not np.any(good):
-            return 0.0
-        return float(np.linalg.norm(gq[good] / denom[good]))
-
-    # Hard case: bottom eigenvalue negative and gradient orthogonal to its
-    # eigenspace, with the restricted solution inside the ball of radius r_lo.
-    if r_lo > 0.0 and float(np.linalg.norm(gq[bottom])) <= 1e-12 * max(1.0, float(np.linalg.norm(gq))):
-        denom = lam + sigma * r_lo
-        v = np.zeros_like(gq)
-        outside = ~bottom
-        v[outside] = -gq[outside] / denom[outside]
-        w = float(np.linalg.norm(v))
-        if w <= r_lo:
-            tau = math.sqrt(max(r_lo ** 2 - w ** 2, 0.0))
-            idx = int(np.argmax(bottom))
-            v_plus = v.copy()
-            v_plus[idx] += tau
-            v_minus = v.copy()
-            v_minus[idx] -= tau
-            val_plus = float(gq @ v_plus)
-            val_minus = float(gq @ v_minus)
-            return q @ (v_plus if val_plus <= val_minus else v_minus)
-
-    # ||v(r)|| <= ||gq|| / (sigma (r - r_lo)), so this hi always brackets.
-    hi = r_lo + math.sqrt(float(np.linalg.norm(gq)) / sigma) + 1e-3 * scale
-    r = _secular_root(lambda m: norm_at(m) - m, r_lo, hi, None, scale)
-    denom = lam + sigma * r
-    v = np.where(np.abs(denom) > 0.0, -gq / np.where(denom == 0.0, 1.0, denom), 0.0)
-    return q @ v
-
-
-def _secular_root(f, lo: float, hi: float, radius: float | None,
-                  scale: float) -> float:
-    """Safeguarded root search on a strictly decreasing secular function.
-
-    For the trust-region case f(mu) = ||v(mu)|| - radius on (lo, inf); for the
-    cubic case f(r) = ||v(r)|| - r. Either way f decreases and has exactly one
-    sign change right of lo. The left endpoint can sit next to a pole, so
-    regula-falsi steps are only accepted well inside the bracket and the
-    method falls back to bisection otherwise.
+    Regula falsi, accepted only well inside the bracket and only after a step
+    that halved it; otherwise bisection, so the bracket at least halves every
+    second step. Stops once |f(x)| <= tol(x) or no float is left inside the
+    bracket; raises ``CertificateError`` at the iteration cap.
     """
-    eps = 1e-14 * max(1.0, scale)
-    a = lo + eps
-    fa = f(a)
-    if fa <= 0.0:
-        # Root is pinned (numerically) at the left endpoint.
-        return a
-    b, fb = hi, f(hi)
-    grow = 0
-    while fb > 0.0 and grow < 300:
-        b = 2.0 * b + 1.0
-        fb = f(b)
-        grow += 1
-    if fb > 0.0:
-        raise CertificateError("secular bracketing failed to find a sign change")
-    best, best_val = b, abs(fb)
-    for _ in range(400):
+    fa, fb = f(a), f(b)
+    halved = True
+    for _ in range(SECULAR_MAX_ITERS):
+        width = b - a
         mid = 0.5 * (a + b)
-        if fb != fa:
+        if halved:
             sec = (a * fb - b * fa) / (fb - fa)
-            if a + 0.05 * (b - a) < sec < b - 0.05 * (b - a):
+            if a + 0.05 * width < sec < b - 0.05 * width:
                 mid = sec
+        if not a < mid < b:
+            return b
         fm = f(mid)
-        if abs(fm) < best_val:
-            best, best_val = mid, abs(fm)
-        # Tolerance relative to the boundary norm being matched.
-        tol_target = SECULAR_TOL * (radius if radius is not None
-                                    else max(abs(mid), 1e-30))
-        if abs(fm) <= tol_target or (b - a) <= 1e-15 * max(1.0, abs(b)):
+        if abs(fm) <= tol(mid):
             return mid
         if fm > 0.0:
             a, fa = mid, fm
         else:
             b, fb = mid, fm
-    return best
+        halved = b - a <= 0.5 * width
+    raise CertificateError(
+        f"secular iteration hit its cap of {SECULAR_MAX_ITERS} steps "
+        f"with bracket [{a!r}, {b!r}]")

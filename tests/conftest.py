@@ -19,6 +19,33 @@ def dense_operator(matrix, norm_bound=None):
     return operator_from_dense(np.asarray(matrix, dtype=float), norm_bound=norm_bound)
 
 
+def symmetry_defect(op, rng, probes=20):
+    """Largest relative asymmetry |<u,Hv> - <v,Hu>| over random probe pairs."""
+    worst = 0.0
+    scale = max(op.norm_bound, 1e-30)
+    for _ in range(probes):
+        u = rng.standard_normal(op.dim)
+        v = rng.standard_normal(op.dim)
+        lhs = float(u @ op.apply(v))
+        rhs = float(v @ op.apply(u))
+        denom = scale * float(np.linalg.norm(u)) * float(np.linalg.norm(v))
+        worst = max(worst, abs(lhs - rhs) / max(denom, 1e-30))
+    return worst
+
+
+def save_dataset(problem, path, fmt="csv"):
+    """Write ``problem``'s rows and targets in a format ``load_dataset`` reads,
+    with every float in its shortest round-trip form."""
+    lines = []
+    for row, target in zip(problem.rows, problem.targets):
+        if fmt == "csv":
+            lines.append(",".join(repr(float(v)) for v in row) + f",{float(target)!r}")
+        else:
+            feats = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row))
+            lines.append(f"{float(target)!r} {feats}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 class CountingSource:
     """A Hessian source that counts its builds."""
 

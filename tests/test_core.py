@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from subnewton.core import (CertificateError, ConfigurationError, NonFiniteError,
                             OptimalityTolerances, acceptance_ratio, densify,
-                            operator_from_dense, symmetry_defect)
+                            operator_from_dense)
 from subnewton.trust_region import TRConfig, run_tr
 
-from conftest import dense_operator, random_symmetric
+from conftest import dense_operator, random_symmetric, symmetry_defect
 
 
 class StaticOracle:

@@ -223,10 +223,26 @@ class TestCLI:
         assert out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "gama = 2.0\n")
-        code = main(["solve", "--config", str(cfg)])
-        assert code == EXIT_CONFIG_ERROR
-        assert "gama" in capsys.readouterr().err
+        # An unknown key, a trial count below 1 and an empty or non-numeric
+        # verification grid all exit 3 with a message naming the key, before
+        # any work is done.
+        base = "problem = biweight\nhessian = uniform_wor\nn = 50\nd = 4\n"
+        cases = [
+            (["solve"], "gama = 2.0\n", "gama"),
+            (["verify-sampling"], "verify_trials = 0\n", "verify_trials"),
+            (["verify-sampling"], "verify_trials = -1\n", "verify_trials"),
+            (["verify-sampling"], "verify_eps = abc\n", "verify_eps"),
+            (["verify-sampling"], "verify_eps = ,\n", "verify_eps"),
+            (["verify-sampling"], "verify_delta =\n", "verify_delta"),
+            (["compare"], "trials = 0\n", "trials"),
+            (["compare", "--trials", "0"], "", "trials"),
+        ]
+        for i, (command, text, key) in enumerate(cases):
+            cfg = write_cfg(tmp_path, base + text, f"case{i}.cfg")
+            code = main([command[0], "--config", str(cfg), *command[1:]])
+            err = capsys.readouterr().err
+            assert code == EXIT_CONFIG_ERROR, (command, text, err)
+            assert key in err, (command, text, err)
 
     def test_malformed_dataset_exit_code(self, tmp_path, capsys):
         # Bad dataset contents, unreadable data or config paths and an

@@ -11,8 +11,9 @@ from subnewton import problems
 from subnewton.problems import (BIWEIGHT, NLS_LOGISTIC, DatasetError,
                                 FiniteSumProblem, QuarticSaddle,
                                 biweight_scalar, exact_sum, generate_synthetic,
-                                load_dataset, nls_logistic_scalar, save_dataset,
-                                weighted_gram)
+                                load_dataset, nls_logistic_scalar, weighted_gram)
+
+from conftest import save_dataset
 
 
 def central_diff(fn, z, b, h=1e-5):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnewton.core import ConfigurationError, OptimalityTolerances, densify, symmetry_defect
+from subnewton.core import ConfigurationError, OptimalityTolerances, densify
 from subnewton.problems import BIWEIGHT, FiniteSumProblem, generate_synthetic
 from subnewton.sampling import (SampleScheme, _draw_indices,
                                 build_subsampled_hessian, intrinsic_dimension,
@@ -14,6 +14,8 @@ from subnewton.sampling import (SampleScheme, _draw_indices,
                                 nonuniform_sample_size, per_iteration_delta,
                                 resolve_scheme, uniform_sample_size,
                                 verify_concentration)
+
+from conftest import symmetry_defect
 
 
 class TestSampleSizes:

@@ -150,20 +150,37 @@ class TestTRSubspace:
             sol = tr_subspace_solve(model, basis)
             assert sol.model_value <= min(seeds) + 1e-9
 
-    def test_hard_case(self):
-        # Gradient orthogonal to the bottom eigenspace forces the boundary
-        # solution with an added eigenvector component.
-        h = np.diag([-2.0, 1.0])
-        g = np.array([0.0, 0.5])
-        model = tr_model(g, h, 1.0)
-        sol = tr_subspace_solve(model, [np.eye(2)[:, 0], np.eye(2)[:, 1]])
-        assert np.linalg.norm(sol.step) == pytest.approx(1.0, abs=1e-9)
-        grid = np.linspace(-1, 1, 2001)
-        xx, yy = np.meshgrid(grid, grid)
-        pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        pts = pts[np.linalg.norm(pts, axis=1) <= 1.0]
-        vals = pts @ g + 0.5 * np.einsum("ij,jk,ik->i", pts, h, pts)
-        assert sol.model_value <= float(vals.min()) + 1e-4
+    @pytest.mark.parametrize("lam, g, radius", [
+        ([-2.0, 1.0], [0.0, 0.5], 1.0),
+        # g nearly orthogonal to the bottom eigenvector: the secular root
+        # lies within 1e-14 * scale of the pole.
+        ([-200.0, 1.0], [5e-12, 1.0], 5.0),
+        # The root sits 2.4e-11 past a pole at 134.4: regula falsi alone
+        # crawls there, and a search in lam itself resolves the shift only
+        # to ulp(134.4).
+        ([-134.44235086, -132.87361116, -33.52718713, 75.72305914],
+         [3.95259918e-11, -0.231003614, -0.779978675, -0.0508674597], 1.6768),
+    ], ids=["orthogonal", "near_orthogonal", "near_pole"])
+    def test_hard_case(self, lam, g, radius):
+        # Gradient (nearly) orthogonal to the bottom eigenspace forces the
+        # boundary solution with an added eigenvector component, which beats
+        # the Eigen point and meets its certificate.
+        h, g = np.diag(lam), np.array(g)
+        model = tr_model(g, h, radius)
+        eigen = tr_eigen_point(model, np.eye(len(g))[:, 0])
+        sol = tr_subspace_solve(model, list(np.eye(len(g))),
+                                nu_hat=eigen.certificates.nu_hat,
+                                eigen_norm=eigen.certificates.eigen_norm)
+        assert np.linalg.norm(sol.step) == pytest.approx(radius, rel=1e-9)
+        assert sol.model_value <= eigen.model_value + 1e-9 * abs(eigen.model_value)
+        assert sol.certificates.eigen_met
+        if len(g) == 2:
+            grid = np.linspace(-radius, radius, 2001)
+            xx, yy = np.meshgrid(grid, grid)
+            pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
+            pts = pts[np.linalg.norm(pts, axis=1) <= radius]
+            vals = pts @ g + 0.5 * np.einsum("ij,jk,ik->i", pts, h, pts)
+            assert sol.model_value <= float(vals.min()) + 1e-4
 
     def test_rank_deficient_basis_dropped(self, rng):
         h = random_symmetric(rng, 3)
@@ -300,20 +317,79 @@ class TestARCSubspace:
             sol = arc_subspace_solve(model, basis)
             assert sol.model_value <= min(seeds) + 1e-9
 
-    def test_hard_case_zero_gradient_component(self):
-        # Pure negative-curvature reduced problem: g = 0 along the bottom
-        # eigenvector; the exact solve lands at ||v|| = |lambda|/sigma.
-        h = np.diag([-1.5, 2.0])
-        g = np.array([0.0, 1.0])
-        model = cubic_model(g, h, 0.5)
-        sol = arc_subspace_solve(model, [np.eye(2)[:, 0], np.eye(2)[:, 1]])
-        grid = np.linspace(-5.0, 5.0, 3000)
-        xx, yy = np.meshgrid(grid, grid)
-        pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        norms = np.linalg.norm(pts, axis=1)
-        vals = (pts @ g + 0.5 * np.einsum("ij,jk,ik->i", pts, h, pts)
-                + model.sigma / 3.0 * norms**3)
-        assert sol.model_value <= float(vals.min()) + 1e-3
+    @pytest.mark.parametrize("lam, g, sigma", [
+        ([-1.5, 2.0], [0.0, 1.0], 0.5),
+        # g nearly orthogonal to the bottom eigenvector: ||v|| = 400.
+        ([-200.0, 1.0], [5e-12, 1.0], 0.5),
+    ], ids=["orthogonal", "near_orthogonal"])
+    def test_hard_case_zero_gradient_component(self, lam, g, sigma):
+        # Pure negative-curvature reduced problem: g = 0 (or nearly so)
+        # along the bottom eigenvector; the exact solve lands at
+        # ||v|| = |lambda|/sigma, beats the Eigen point and meets its
+        # certificate.
+        h, g = np.diag(lam), np.array(g)
+        model = cubic_model(g, h, sigma)
+        eigen = arc_eigen_point(model, np.eye(2)[:, 0])
+        sol = arc_subspace_solve(model, [np.eye(2)[:, 0], np.eye(2)[:, 1]],
+                                 nu_hat=eigen.certificates.nu_hat,
+                                 eigen_norm=eigen.certificates.eigen_norm)
+        assert sol.model_value <= eigen.model_value + 1e-9 * abs(eigen.model_value)
+        assert sol.certificates.eigen_met
+        if abs(lam[0]) / sigma < 5.0:
+            grid = np.linspace(-5.0, 5.0, 3000)
+            xx, yy = np.meshgrid(grid, grid)
+            pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
+            norms = np.linalg.norm(pts, axis=1)
+            vals = (pts @ g + 0.5 * np.einsum("ij,jk,ik->i", pts, h, pts)
+                    + model.sigma / 3.0 * norms**3)
+            assert sol.model_value <= float(vals.min()) + 1e-3
+
+
+class TestSubspaceOptimality:
+    """Solved over the whole space, both relations give the global minimizer:
+    (H + lam*I) s = -g with H + lam*I psd, and lam*(||s|| - radius) = 0 with
+    ||s|| <= radius (TR) or lam = sigma*||s|| (ARC)."""
+
+    @pytest.mark.parametrize("g_bottom", [0.0, 1e-11, 1e-9])
+    @pytest.mark.parametrize("relation", ["tr", "arc"])
+    def test_optimality_conditions(self, relation, g_bottom):
+        rng = np.random.default_rng(8117)
+        d = 5
+        for trial in range(60):
+            # Bottom eigenvalue of multiplicity 1-3, negative in most trials;
+            # g's component in its eigenspace has norm g_bottom.
+            mult = 1 + trial % 3
+            scale = 10.0 ** rng.uniform(0.0, 3.0)
+            bottom = rng.uniform(-3.0, 1.0)
+            lam = scale * np.concatenate(
+                [np.full(mult, bottom), bottom + rng.uniform(0.2, 4.0, d - mult)])
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            h = (q * lam) @ q.T
+            h = 0.5 * (h + h.T)
+            gq = rng.standard_normal(d)
+            gq[:mult] *= g_bottom / np.linalg.norm(gq[:mult])
+            g = q @ gq
+            basis = list(np.eye(d))
+            if relation == "tr":
+                radius = float(rng.uniform(0.3, 3.0))
+                s = tr_subspace_solve(tr_model(g, h, radius), basis).step
+                sn = float(np.linalg.norm(s))
+                assert sn <= radius * (1 + 1e-12)
+                # On the boundary lam follows from s'(H + lam*I)s = -g's;
+                # inside it, complementarity demands lam = 0.
+                on_boundary = sn >= radius * (1 - 1e-8)
+                mult_lam = -float(g @ s + s @ h @ s) / sn**2 if on_boundary else 0.0
+                assert mult_lam >= -1e-10 * scale
+            else:
+                sigma = float(rng.uniform(0.1, 3.0))
+                s = arc_subspace_solve(cubic_model(g, h, sigma), basis).step
+                sn = float(np.linalg.norm(s))
+                mult_lam = sigma * sn
+            residual = np.linalg.norm(h @ s + mult_lam * s + g)
+            size = np.linalg.norm(g) + (scale * 4.0 + abs(mult_lam)) * sn
+            assert residual <= 1e-9 * size, (trial, residual, size)
+            # Both hold to the secular tolerance, 1e-10 of ||s||.
+            assert np.linalg.eigvalsh(h)[0] + mult_lam >= -1e-9 * size / sn, trial
 
 
 class TestARCProgressive:
