@@ -265,17 +265,30 @@ def format_trace(result: SolveResult, problem=None) -> str:
 
 
 def run_experiment(config: ExperimentConfig, out_path: str | Path | None = None) -> int:
-    """Run the configured solver and write the trace file. Returns exit code."""
+    """Run the configured solver and write the trace file. Returns exit code.
+
+    An aborted run writes its rows so far, with the reason in the footer and
+    no dense-Hessian line, before the error propagates."""
     problem = build_problem(config)
-    result = run_solver(config, problem)
     path = Path(out_path if out_path is not None else config.out)
     try:
-        path.write_text(format_trace(result, problem=problem))
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write trace {path}: {exc}") from None
+        result = run_solver(config, problem)
+    except (NonFiniteError, CertificateError, OverflowError) as exc:
+        partial = getattr(exc, "partial_result", None)
+        if partial is not None:
+            _write_trace(path, format_trace(partial))
+        raise
+    _write_trace(path, format_trace(result, problem=problem))
     print(f"wrote {path} ({len(result.records)} iterations, "
           f"converged={result.converged})")
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+
+
+def _write_trace(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write trace {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Array, ConfigurationError, HessianOperator, OptimalityTolerances
+from .core import (Array, ConfigurationError, HessianOperator, OptimalityTolerances,
+                   ensure_finite)
 from .problems import FiniteSumProblem, exact_sum, gram_operator, weighted_gram
 
 logger = logging.getLogger(__name__)
 
 MODES = ("uniform_with_replacement", "uniform_without_replacement",
          "nonuniform", "nonuniform_intrinsic")
+
+# verify_concentration eigensolves its draws in stacks of at most this size.
+EIG_STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -145,23 +149,38 @@ def resolve_scheme(problem: FiniteSumProblem, mode: str, epsilon: float,
                         resolved_size=size)
 
 
+def _sampling_cdf(p: Array) -> Array:
+    """``Generator.choice``'s CDF of p, after its checks on p."""
+    ensure_finite(p, "sampling probabilities")
+    cdf = p.cumsum()
+    if np.any(p < 0.0) or not abs(cdf[-1] - 1.0) <= 1.5e-8:
+        raise ValueError("sampling probabilities must be non-negative and sum to 1")
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _draw_indices(problem: FiniteSumProblem, scheme: SampleScheme,
-                  p: Array | None, rng: np.random.Generator) -> tuple[Array, Array]:
+                  p: Array | None, rng: np.random.Generator,
+                  cdf: Array | None = None) -> tuple[Array, Array]:
     """Sorted index multiset plus the per-draw selection probabilities
-    (non-uniform modes draw from ``p``, uniform modes ignore it)."""
+    (non-uniform modes draw from ``p``, or its ``cdf`` if given; uniform modes
+    ignore both), bit for bit the sorted draw of ``Generator.choice``. A draw
+    of all n rows without replacement takes nothing from ``rng``."""
     n = problem.n
     size = scheme.resolved_size
     if scheme.mode == "uniform_with_replacement":
-        idx = rng.integers(0, n, size=size)
+        idx = np.sort(rng.integers(0, n, size=size))
     elif scheme.mode == "uniform_without_replacement":
         if size > n:
             raise ConfigurationError(
                 "sampling without replacement needs resolved_size <= n")
-        idx = rng.choice(n, size=size, replace=False)
+        idx = (np.arange(n) if size == n
+               else np.sort(rng.choice(n, size=size, replace=False)))
     else:
-        idx = np.sort(rng.choice(n, size=size, replace=True, p=p))
+        cdf = _sampling_cdf(p) if cdf is None else cdf
+        idx = cdf.searchsorted(np.sort(rng.random(size)), side="right")
         return idx, p[idx]
-    return np.sort(idx), np.full(size, 1.0 / n)
+    return idx, np.full(size, 1.0 / n)
 
 
 def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
@@ -200,21 +219,32 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
                          rng_seed: int | np.random.Generator = 0) -> float:
     """Fraction of independent draws with ||H - grad^2 F(x)|| > eps.
 
-    Densifies every draw and measures the spectral norm of the difference by
-    a dense symmetric eigendecomposition; desk scale only.
+    Each draw's difference H_S - grad^2 F(x) goes into a stack of at most
+    ``EIG_STACK_BYTES``, whose spectra one batched dense eigensolve gives;
+    desk scale only. A full draw without replacement is the same every
+    trial, so its error is measured once and counted ``trials`` times.
     """
     rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
            else np.random.default_rng(rng_seed))
-    exact = problem.dense_hessian(x)
     second = problem.second_derivatives(x)
+    ensure_finite(second, "f'' at the verification point")
+    exact = problem.dense_hessian(x)
     p = (None if scheme.mode.startswith("uniform")
          else nonuniform_distribution(problem, x))
+    cdf = None if p is None else _sampling_cdf(p)
+    full = (scheme.mode == "uniform_without_replacement"
+            and scheme.resolved_size == problem.n)
+    draws = 1 if full else trials
+    d = problem.d
+    stack = np.empty((min(draws, max(EIG_STACK_BYTES // (8 * d * d), 1)), d, d))
     failures = 0
-    for _ in range(trials):
-        idx, p_sel = _draw_indices(problem, scheme, p, rng)
-        weights = second[idx] / (problem.n * idx.shape[0] * p_sel)
-        diff = weighted_gram(problem.rows[idx], weights) - exact
-        err = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
-        if err > scheme.epsilon:
-            failures += 1
-    return failures / trials
+    for start in range(0, draws, stack.shape[0]):
+        chunk = stack[:min(stack.shape[0], draws - start)]
+        for diff in chunk:
+            idx, p_sel = _draw_indices(problem, scheme, p, rng, cdf)
+            weights = second[idx] / (problem.n * idx.shape[0] * p_sel)
+            np.subtract(weighted_gram(problem.rows[idx], weights), exact, out=diff)
+        ensure_finite(chunk, "a sampled Hessian's difference from the exact one")
+        errs = np.max(np.abs(np.linalg.eigvalsh(chunk)), axis=1)
+        failures += int(np.count_nonzero(errs > scheme.epsilon))
+    return failures * (trials if full else 1) / trials

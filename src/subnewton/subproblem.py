@@ -15,6 +15,7 @@ nu_hat = -<u,Hu>/||u||^2, which is assertable exactly.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,6 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import Array, CertificateError, HessianOperator, NonFiniteError
+
+logger = logging.getLogger(__name__)
 
 # Inequalities count as met with this much slack allowance, relative to the
 # magnitude of the required decrease.
@@ -353,9 +356,10 @@ def arc_progressive_solve(model: CubicModel, seeds: Sequence[Array],
         ||grad m(s)|| <= zeta * max(||s||^2, min(1, ||s||) * ||grad||)
 
     holds, or the dimension cap min(d, 50) is reached (best solution so far
-    is then returned flagged cond5_met=False). Seeds sit inside every search
-    space, so the Cauchy/Eigen decrease certificates hold throughout. Each
-    Krylov vector is orthonormalized once, against the basis built so far.
+    is then returned flagged cond5_met=False, and a warning is logged). Seeds
+    sit inside every search space, so the Cauchy/Eigen decrease certificates
+    hold throughout. Each Krylov vector is orthonormalized once, against the
+    basis built so far.
     """
     if not (0.0 < zeta < 1.0):
         raise CertificateError(f"zeta must lie in (0, 1), got {zeta}")
@@ -371,14 +375,18 @@ def arc_progressive_solve(model: CubicModel, seeds: Sequence[Array],
         if sol.certificates.cond5_met:
             return sol
         if len(cols) >= min(d, 50):
-            return best
+            break
         krylov = model.hessian.apply(krylov)
         kn = float(np.linalg.norm(krylov))
         if kn == 0.0:
-            return best
+            break
         krylov = krylov / kn
         if not _extend_basis(cols, krylov, d):
-            return best  # Krylov chain saturated; the span cannot grow further.
+            break  # Krylov chain saturated; the span cannot grow further.
+    logger.warning("model-gradient test (cond5) unmet on a %d-dimensional search "
+                   "space; returning its best step, m(s) = %r",
+                   len(cols), best.model_value)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,17 @@ recorded accuracy still meets the shrunken tolerance.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
 
-from .core import (Array, ConfigurationError, HessianOperator, IterationRecord,
-                   Objective, OptimalityTolerances, SolveResult,
-                   acceptance_ratio, ensure_finite, iteration_rng)
+from .core import (Array, CertificateError, ConfigurationError, HessianOperator,
+                   IterationRecord, NonFiniteError, Objective,
+                   OptimalityTolerances, SolveResult, acceptance_ratio,
+                   ensure_finite, iteration_rng)
 from .curvature import default_nu, probe_extreme
 from .sampling import per_iteration_delta
 from .subproblem import (SubproblemSolution, TRModel, tr_eigen_point,
@@ -30,6 +32,8 @@ from .subproblem import (SubproblemSolution, TRModel, tr_eigen_point,
 HessianSource = Callable[[Array, float, float, np.random.Generator], HessianOperator]
 
 _HESSIAN_STREAM = 1
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,10 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: Any,
     - ``step(config, grad, grad_norm, hessian, direction, param)``: the
       sub-problem solution; ``direction`` is the probe's or None;
     - ``update(param, accepted)``: the next radius or sigma.
+
+    A ``NonFiniteError``, ``CertificateError`` or ``OverflowError`` raised
+    inside the loop propagates with the rows done so far attached as its
+    ``partial_result``, a not-converged ``SolveResult``.
     """
     x = np.asarray(x0, dtype=float).copy()
     ensure_finite(x, "starting point")
@@ -159,53 +167,63 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: Any,
     message = "max_iters exhausted"
     f = grad_norm = lam_est = eps_in_force = float("nan")
 
-    for t in range(config.max_iters):
-        f, grad = oracle.value_grad(x)
-        ensure_finite(f, f"objective value at iteration {t}")
-        ensure_finite(grad, f"gradient at iteration {t}")
-        grad_norm = float(np.linalg.norm(grad))
+    try:
+        for t in range(config.max_iters):
+            f, grad = oracle.value_grad(x)
+            ensure_finite(f, f"objective value at iteration {t}")
+            ensure_finite(grad, f"gradient at iteration {t}")
+            grad_norm = float(np.linalg.norm(grad))
 
-        if t == 0 and bootstrap_eps is not None:
-            bootstrap = hessian = hessian_source(
-                x, bootstrap_eps, delta_prob,
-                iteration_rng(rng_seed, _HESSIAN_STREAM, 0))
-            if config.nu is None:
-                config = replace(config, nu=default_nu(bootstrap.norm_bound, tol.eps_H))
+            if t == 0 and bootstrap_eps is not None:
+                bootstrap = hessian = hessian_source(
+                    x, bootstrap_eps, delta_prob,
+                    iteration_rng(rng_seed, _HESSIAN_STREAM, 0))
+                if config.nu is None:
+                    config = replace(config,
+                                     nu=default_nu(bootstrap.norm_bound, tol.eps_H))
 
-        eps_t = tolerance(config, bootstrap, param)
-        if hessian is None or hessian.accuracy > eps_t:
-            hessian = hessian_source(x, eps_t, delta_prob,
-                                     iteration_rng(rng_seed, _HESSIAN_STREAM, t))
-        eps_in_force = hessian.accuracy
+            eps_t = tolerance(config, bootstrap, param)
+            if hessian is None or hessian.accuracy > eps_t:
+                hessian = hessian_source(x, eps_t, delta_prob,
+                                         iteration_rng(rng_seed, _HESSIAN_STREAM, t))
+            eps_in_force = hessian.accuracy
 
-        probe = probe_extreme(hessian)
-        lam_est = probe.rayleigh
-        direction_found = probe.rayleigh <= -config.nu * tol.eps_H
+            probe = probe_extreme(hessian)
+            lam_est = probe.rayleigh
+            direction_found = probe.rayleigh <= -config.nu * tol.eps_H
 
-        # The optimality test: ||g|| <= eps_g (boundary inclusive), and an
-        # exact probe that found no sufficient negative curvature.
-        if grad_norm <= tol.eps_g and not direction_found:
-            converged = True
-            message = "optimality certified"
-            break
+            # The optimality test: ||g|| <= eps_g (boundary inclusive), and an
+            # exact probe that found no sufficient negative curvature.
+            if grad_norm <= tol.eps_g and not direction_found:
+                converged = True
+                message = "optimality certified"
+                break
 
-        solution = step(config, grad, grad_norm, hessian,
-                        probe.direction if direction_found else None, param)
-        f_trial, _ = oracle.value_grad(x + solution.step)
-        ensure_finite(f_trial, f"trial objective value at iteration {t}")
-        rho = acceptance_ratio(f, f_trial, -solution.model_value)
-        accepted = rho >= config.eta
+            solution = step(config, grad, grad_norm, hessian,
+                            probe.direction if direction_found else None, param)
+            f_trial, _ = oracle.value_grad(x + solution.step)
+            ensure_finite(f_trial, f"trial objective value at iteration {t}")
+            rho = acceptance_ratio(f, f_trial, -solution.model_value)
+            accepted = rho >= config.eta
 
-        records.append(IterationRecord(
-            t=t, f_value=f, grad_norm=grad_norm, lambda_min_estimate=lam_est,
-            radius_or_sigma=param, rho=rho, accepted=accepted,
-            sample_size=hessian.sample_size,
-            step_norm=float(np.linalg.norm(solution.step)), eps_t=eps_in_force))
+            records.append(IterationRecord(
+                t=t, f_value=f, grad_norm=grad_norm, lambda_min_estimate=lam_est,
+                radius_or_sigma=param, rho=rho, accepted=accepted,
+                sample_size=hessian.sample_size,
+                step_norm=float(np.linalg.norm(solution.step)), eps_t=eps_in_force))
+            logger.debug("%s: %s", tag, records[-1])
 
-        if accepted:
-            x = x + solution.step
-            hessian = None  # operator belongs to the previous iterate
-        param = update(param, accepted)
+            if accepted:
+                x = x + solution.step
+                hessian = None  # operator belongs to the previous iterate
+            param = update(param, accepted)
+    except (NonFiniteError, CertificateError, OverflowError) as exc:
+        # The rows done so far, for a trace of the aborted run.
+        exc.partial_result = SolveResult(
+            x=x, records=tuple(records), converged=False, f_final=f,
+            grad_norm_final=grad_norm, lambda_min_final=lam_est,
+            eps_final=eps_in_force, message=f"aborted: {exc}")
+        raise
 
     if not converged:
         # The last accepted step may have moved x after its stats were taken.

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from subnewton.core import operator_from_dense
+from subnewton.core import ConfigurationError, operator_from_dense
+from subnewton.problems import weighted_gram
+from subnewton.sampling import nonuniform_distribution
 
 # Deterministic example generation: the suite's outcomes should not depend
 # on the run's entropy.
@@ -44,6 +46,43 @@ def save_dataset(problem, path, fmt="csv"):
             feats = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row))
             lines.append(f"{float(target)!r} {feats}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def reference_draw_indices(problem, scheme, p, rng):
+    """The draw as ``Generator.choice`` makes it, one call per trial."""
+    n = problem.n
+    size = scheme.resolved_size
+    if scheme.mode == "uniform_with_replacement":
+        idx = rng.integers(0, n, size=size)
+    elif scheme.mode == "uniform_without_replacement":
+        if size > n:
+            raise ConfigurationError(
+                "sampling without replacement needs resolved_size <= n")
+        idx = rng.choice(n, size=size, replace=False)
+    else:
+        idx = np.sort(rng.choice(n, size=size, replace=True, p=p))
+        return idx, p[idx]
+    return np.sort(idx), np.full(size, 1.0 / n)
+
+
+def reference_verify_concentration(problem, x, scheme, trials, rng_seed=0):
+    """``sampling.verify_concentration`` as a plain per-trial loop: one draw,
+    one Gram and one eigensolve per trial."""
+    rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
+           else np.random.default_rng(rng_seed))
+    exact = problem.dense_hessian(x)
+    second = problem.second_derivatives(x)
+    p = (None if scheme.mode.startswith("uniform")
+         else nonuniform_distribution(problem, x))
+    failures = 0
+    for _ in range(trials):
+        idx, p_sel = reference_draw_indices(problem, scheme, p, rng)
+        weights = second[idx] / (problem.n * idx.shape[0] * p_sel)
+        diff = weighted_gram(problem.rows[idx], weights) - exact
+        err = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
+        if err > scheme.epsilon:
+            failures += 1
+    return failures / trials
 
 
 class CountingSource:

@@ -285,11 +285,32 @@ class TestCLI:
         ("solver = arc\nsigma0 = 1e300\nx0_scale = 1000\n", "non-finite"),
     ], ids=["tr_huge_radius", "arc_tiny_sigma", "arc_huge_sigma_far_start"])
     def test_solver_abort_exit_code(self, tmp_path, capsys, text, reason):
-        cfg = write_cfg(tmp_path, text + f"out = {tmp_path / 'abort.csv'}\n")
+        out = tmp_path / "abort.csv"
+        cfg = write_cfg(tmp_path, text + f"out = {out}\n")
         code = main(["solve", "--config", str(cfg)])
         assert code == EXIT_NOT_CONVERGED
         err = capsys.readouterr().err
         assert "solver aborted" in err and reason in err
+        # The aborted run still leaves its trace: the rows done so far and
+        # the reason in the footer.
+        assert out.exists()
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("t,F,")
+        assert "# converged: 0" in lines
+        message = err.strip().splitlines()[-1].removeprefix("solver aborted: ")
+        assert f"# message: aborted: {message}" in lines
+        rows = [line for line in lines[1:] if not line.startswith("#")]
+        assert f"# iterations: {len(rows)}" in lines
+
+    def test_verify_overflow_exit_code(self, tmp_path, capsys):
+        # f'' overflows at this point; the report stops with exit 2 naming
+        # the value, not with an eigensolver traceback.
+        cfg = write_cfg(tmp_path, "problem = biweight\nn = 200\nd = 5\n"
+                                  "x0_scale = 1e300\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["verify-sampling", "--config", str(cfg)])
+        assert code == EXIT_NOT_CONVERGED
+        assert "non-finite values encountered in f''" in capsys.readouterr().err
 
     def test_verification_failure_exit_code(self, tmp_path, monkeypatch):
         import subnewton.harness as harness

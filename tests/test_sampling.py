@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnewton.core import ConfigurationError, OptimalityTolerances, densify
+from subnewton.core import (ConfigurationError, NonFiniteError,
+                            OptimalityTolerances, densify)
 from subnewton.problems import BIWEIGHT, FiniteSumProblem, generate_synthetic
 from subnewton.sampling import (SampleScheme, _draw_indices,
                                 build_subsampled_hessian, intrinsic_dimension,
@@ -15,7 +16,7 @@ from subnewton.sampling import (SampleScheme, _draw_indices,
                                 resolve_scheme, uniform_sample_size,
                                 verify_concentration)
 
-from conftest import symmetry_defect
+from conftest import reference_verify_concentration, symmetry_defect
 
 
 class TestSampleSizes:
@@ -295,6 +296,44 @@ class TestBuildSubsampledHessian:
             if mode != "uniform_without_replacement":
                 assert np.unique(idx).size < size
 
+    @pytest.mark.parametrize("size", [1, 17, 30, 90])
+    def test_draws_equal_sorted_choice(self, size):
+        # The CDF search over sorted uniforms is, bit for bit, the sorted
+        # draw of Generator.choice, also where p has zero entries; a full
+        # draw without replacement is the sorted permutation.
+        problem = generate_synthetic("nls_logistic", n=30, d=4, rng_seed=8)
+        p = np.random.default_rng(3).random(30)
+        p[::4] = 0.0
+        p /= p.sum()
+        nonuniform = SampleScheme(mode="nonuniform", epsilon=0.5, delta=0.2,
+                                  resolved_size=size)
+        full = SampleScheme(mode="uniform_without_replacement", epsilon=0.5,
+                            delta=0.2, resolved_size=30)
+        for seed in range(5):
+            drawn = np.random.default_rng(seed).choice(30, size=size, replace=True, p=p)
+            idx, p_sel = _draw_indices(problem, nonuniform, p,
+                                       np.random.default_rng(seed))
+            assert idx.tobytes() == np.sort(drawn).tobytes()
+            assert p_sel.tobytes() == p[np.sort(drawn)].tobytes()
+            assert np.all(p_sel > 0.0)
+            perm = np.random.default_rng(seed).choice(30, size=30, replace=False)
+            idx, _ = _draw_indices(problem, full, None, np.random.default_rng(seed))
+            assert idx.tobytes() == np.sort(perm).tobytes()
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.nan, NonFiniteError), (np.inf, NonFiniteError), (-0.1, ValueError),
+        (0.5, ValueError),  # p then sums to about 1.47
+    ], ids=["nan", "inf", "negative", "sum_off"])
+    def test_invalid_probabilities_are_not_drawn_from(self, bad, error):
+        problem = generate_synthetic("nls_logistic", n=30, d=4, rng_seed=8)
+        p = np.full(30, 0.9 / 29)
+        p[0] = 0.1
+        p[7] = bad
+        scheme = SampleScheme(mode="nonuniform", epsilon=0.5, delta=0.2,
+                              resolved_size=10)
+        with pytest.raises(error):
+            _draw_indices(problem, scheme, p, np.random.default_rng(0))
+
     def test_nonuniform_norm_bound_recorded(self, rng):
         problem = generate_synthetic("biweight", n=30, d=5, rng_seed=9)
         x = rng.standard_normal(5)
@@ -475,3 +514,30 @@ class TestVerifyConcentration:
                               delta=0.2, resolved_size=1)
         rate = verify_concentration(problem, x, scheme, trials=100, rng_seed=3)
         assert rate > 0.5
+
+    # d = 7 forms the sampled Grams by GEMM, d = 80 by SYRK; 37 trials leave
+    # a partial last stack at both sizes.
+    @pytest.mark.parametrize("d", [7, 80])
+    @pytest.mark.parametrize("mode, size", [
+        ("uniform_with_replacement", 40), ("uniform_without_replacement", 40),
+        ("nonuniform", 40), ("nonuniform_intrinsic", 40),
+        ("uniform_without_replacement", 120)],
+        ids=["uniform", "uniform_wor", "nonuniform", "intrinsic", "full"])
+    def test_rates_equal_the_per_trial_reference(self, mode, size, d):
+        problem = generate_synthetic("biweight", n=120, d=d, rng_seed=21, skew=4.0)
+        x = np.random.default_rng(5).standard_normal(d)
+        # A full draw has error 0, so eps = -1 makes every trial fail.
+        grid = (0.3, -1.0) if size == problem.n else (0.05, 0.13, 0.18, 0.28)
+        rates = []
+        for eps in grid:
+            scheme = SampleScheme(mode=mode, epsilon=eps, delta=0.1,
+                                  resolved_size=size)
+            rate = verify_concentration(problem, x, scheme, trials=37, rng_seed=9)
+            expected = reference_verify_concentration(problem, x, scheme,
+                                                      trials=37, rng_seed=9)
+            assert rate.hex() == expected.hex(), eps
+            rates.append(rate)
+        if size == problem.n:
+            assert rates == [0.0, 1.0]
+        else:
+            assert any(0.0 < r < 1.0 for r in rates), rates

@@ -393,15 +393,17 @@ class TestSubspaceOptimality:
 
 
 class TestARCProgressive:
-    def test_exact_at_full_dimension(self, rng):
+    def test_exact_at_full_dimension(self, rng, caplog):
         for _ in range(5):
             h = random_symmetric(rng, 2)
             g = rng.standard_normal(2)
             model = cubic_model(g, h, 1.0)
             cauchy = arc_cauchy_point(model)
-            sol = arc_progressive_solve(model, [cauchy.step], zeta=1e-9)
+            with caplog.at_level("DEBUG", logger="subnewton.subproblem"):
+                sol = arc_progressive_solve(model, [cauchy.step], zeta=1e-9)
             assert sol.certificates.cond5_met
             assert sol.model_grad_norm <= 1e-8
+        assert caplog.records == []  # a met test logs nothing
 
     def test_terminates_early_on_quadratic_dominant(self, rng):
         d = 30
@@ -415,6 +417,21 @@ class TestARCProgressive:
         # Certificate inequality re-derived from scratch.
         fresh = arc_certificates(model, sol.step, zeta=0.4)
         assert fresh.cond5_met == sol.certificates.cond5_met
+
+    def test_unmet_test_is_logged(self, caplog):
+        # g = e2 is in the null space of H, so the Krylov chain stops at once;
+        # the hard-case step along e1 leaves a model gradient along H e1 = e3
+        # outside the span, and the returned best step misses cond5.
+        h = np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        model = cubic_model([0.0, 1.0, 0.0], h, 0.5)
+        eigen = arc_eigen_point(model, np.array([1.0, 0.0, 0.0]))
+        with caplog.at_level("WARNING", logger="subnewton.subproblem"):
+            sol = arc_progressive_solve(model, [eigen.step], zeta=0.1)
+        assert not sol.certificates.cond5_met
+        [record] = caplog.records
+        assert record.levelname == "WARNING"
+        assert "cond5" in record.getMessage()
+        assert repr(sol.model_value) in record.getMessage()
 
     def test_long_step_branch_arithmetic(self, rng):
         # For ||s|| >= 1 the bound reduces to zeta * ||s||^2.

@@ -99,6 +99,18 @@ class TestRunTRQuadratic:
         accepted_f = [r.f_value for r in result.records if r.accepted]
         assert all(b < a for a, b in zip(accepted_f, accepted_f[1:]))
 
+    def test_one_debug_line_per_iteration(self, caplog):
+        problem = StrongConvexQuadratic(4)
+        config = TRConfig(tol=QUAD_TOL, delta0=0.5, max_iters=100)
+        with caplog.at_level("DEBUG", logger="subnewton.trust_region"):
+            result = run_tr(problem, exact_hessian_source(problem), config,
+                            x0=np.full(4, 3.0), rng_seed=1)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "subnewton.trust_region"]
+        assert len(result.records) > 1
+        assert lines == [f"tr_optimal: {rec!r}" for rec in result.records]
+        assert all(r.levelname == "DEBUG" for r in caplog.records)
+
     def test_radius_identity(self):
         problem = StrongConvexQuadratic(4)
         config = TRConfig(tol=QUAD_TOL, delta0=0.5, max_iters=100)
