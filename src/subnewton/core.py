@@ -1,8 +1,8 @@
 """Shared domain types, error classes, and the step-acceptance ratio.
 
 Everything here is an immutable value and operator application is pure, so
-all types can be shared freely across threads. An ``apply`` may fill a
-write-once cache (``problems.gram_operator``); a race fills it twice, harmlessly.
+all types can be shared freely across threads. A Hessian operator's matrix
+is formed on first use into a cache; a race forms it twice, harmlessly.
 """
 
 from __future__ import annotations
@@ -43,7 +43,12 @@ class Objective(Protocol):
 class HessianOperator:
     """Symmetric linear map v -> Hv with a known spectral-norm bound.
 
-    ``apply`` takes a d-vector or a d x k block V and returns Hv or HV.
+    ``form`` returns H's d x d matrix, exactly symmetric and read-only, and
+    ``matrix`` reads it; constructors cache it, so it is formed on first use
+    and an unused operator forms nothing. ``apply`` maps a d-vector or d x k
+    block V to HV, by default ``matrix @ V``; it stays a field because
+    perfbench/tracing.py counts matvecs through a ``replace(op, apply=...)``
+    copy, which shares its original's form and so its matrix.
     ``accuracy`` records the spectral error bound (relative to the exact
     Hessian at the point the operator was built for) that the construction
     guarantees; 0.0 means the operator is exact. ``sample_size`` is the
@@ -51,42 +56,28 @@ class HessianOperator:
     does not apply).
     """
 
-    apply: Callable[[Array], Array]
-    dim: int
+    form: Callable[[], Array]
     norm_bound: float
     accuracy: float = 0.0
     sample_size: int = 0
+    apply: Callable[[Array], Array] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.dim <= 0:
-            raise ConfigurationError("operator dimension must be positive")
         if not np.isfinite(self.norm_bound) or self.norm_bound < 0:
             raise ConfigurationError("norm_bound must be a nonnegative real")
+        if self.apply is None:
+            # Bound to form, not to self: a cycle through the operator would
+            # keep its matrix alive until the cyclic collector runs.
+            form = self.form
+            object.__setattr__(self, "apply", lambda v: form() @ v)
+
+    @property
+    def matrix(self) -> Array:
+        return self.form()
 
     def quad(self, v: Array) -> float:
         """<v, Hv> as a float."""
         return float(v @ self.apply(v))
-
-
-def operator_from_dense(matrix: Array, norm_bound: float | None = None,
-                        accuracy: float = 0.0) -> HessianOperator:
-    """Wrap an explicit symmetric matrix; the default bound is its true norm."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigurationError("dense operator needs a square matrix")
-    if norm_bound is None:
-        norm_bound = float(np.max(np.abs(np.linalg.eigvalsh(m)))) if m.size else 0.0
-    return HessianOperator(apply=lambda v, _m=m: _m @ v, dim=m.shape[0],
-                           norm_bound=norm_bound, accuracy=accuracy)
-
-
-def densify(op: HessianOperator) -> Array:
-    """The operator's d x d matrix, symmetrized, from one block apply; for a
-    Gram-form or dense operator this is exactly its matrix. Halves are added,
-    not the sum halved, so entries near the float maximum do not overflow;
-    symmetric pairs are kept as they are, so no subnormal loses its last bit."""
-    dense = op.apply(np.eye(op.dim))
-    return np.where(dense == dense.T, dense, 0.5 * dense + 0.5 * dense.T)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 Algorithms 1 and 2 need a nu-approximate bottom eigenvector of the inexact
 Hessian H; the probe returns the exact one (the nu = 1 case) from one subset
-eigensolve of H's d x d matrix, which every operator the drivers build has
-already formed.
+eigensolve of the operator's d x d matrix.
 """
 
 from __future__ import annotations
@@ -12,16 +11,16 @@ from dataclasses import dataclass
 
 from scipy.linalg import eigh
 
-from .core import Array, ConfigurationError, HessianOperator, densify
+from .core import Array, ConfigurationError, HessianOperator
 
 
 @dataclass(frozen=True)
 class CurvatureResult:
-    """A unit direction u with its Rayleigh quotient <u, Hu>."""
+    """A unit direction u with its Rayleigh quotient <u, Hu>. ``converged``
+    is always true (the eigensolve is exact); perfbench/tracing.py reads it."""
 
     direction: Array
     rayleigh: float
-    # Not a field: the eigensolve is exact, and perfbench/tracing.py reads it.
     converged = True
 
 
@@ -31,7 +30,7 @@ def probe_extreme(hessian: HessianOperator) -> CurvatureResult:
     The driver loop gates on ``result.rayleigh <= -nu * eps_H`` itself, so
     the trace records the estimate even when no usable direction exists.
     """
-    _, vecs = eigh(densify(hessian), subset_by_index=[0, 0])
+    _, vecs = eigh(hessian.matrix, subset_by_index=[0, 0])
     u = vecs[:, 0]
     return CurvatureResult(direction=u, rayleigh=hessian.quad(u))
 

@@ -500,7 +500,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (NonFiniteError, CertificateError, OverflowError) as exc:
-        print(f"solver aborted: {exc}", file=sys.stderr)
+        what = args.command if args.command == "verify-sampling" else "solver"
+        print(f"{what} aborted: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 

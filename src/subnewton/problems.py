@@ -7,6 +7,7 @@ Hessian norm bounds K_i = sup|f''| * ||a_i||^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,8 +17,7 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.special import expit
 
-from .core import (Array, ConfigurationError, HessianOperator, ensure_finite,
-                   operator_from_dense)
+from .core import Array, ConfigurationError, HessianOperator, ensure_finite
 
 
 def biweight_scalar(z: Array, b: Array) -> tuple[Array, Array, Array]:
@@ -144,7 +144,7 @@ SYRK_BLOCK_ROWS = 1024
 
 
 def weighted_gram(rows: Array, w: Array) -> Array:
-    """sum_i w_i a_i a_i' over the n x d rows, exactly symmetric.
+    """sum_i w_i a_i a_i' over the n x d rows, exactly symmetric and read-only.
 
     Below ``SYRK_MIN_DIM`` columns: one GEMM of the weighted rows with the
     rows, 2 n d^2 flops, symmetrized. From there on: symmetric rank-k
@@ -161,7 +161,9 @@ def weighted_gram(rows: Array, w: Array) -> Array:
     n, d = rows.shape
     if d < SYRK_MIN_DIM:
         m = (rows * w[:, None]).T @ rows
-        return 0.5 * (m + m.T)
+        gram = 0.5 * (m + m.T)
+        gram.flags.writeable = False
+        return gram
     root = np.sqrt(np.abs(w))[:, None]
     negative = w < 0
     buffer = np.empty((min(n, SYRK_BLOCK_ROWS), d))
@@ -174,32 +176,9 @@ def weighted_gram(rows: Array, w: Array) -> Array:
             upper = dsyrk(-2.0, scaled[negative[lo:hi]].T, beta=1.0, c=upper,
                           overwrite_c=1)
         upper = dsyrk(1.0, scaled.T, beta=1.0, c=upper, overwrite_c=1)
-    return np.triu(upper) + np.triu(upper, 1).T
-
-
-def gram_operator(rows: Array, idx: Array | None, weights: Array,
-                  slot: list | None = None, **fields) -> HessianOperator:
-    """Operator of ``weighted_gram(rows[idx], weights)`` (idx None: all rows),
-    formed on the first apply into the write-once list ``slot`` (a new one by
-    default) and kept there, read-only: a matvec then costs d^2 flops, and an
-    unapplied operator only its construction. Threads racing on the first
-    apply each form the same matrix, which is harmless."""
-    slot = [] if slot is None else slot
-
-    def apply(v: Array) -> Array:
-        return _formed(slot, rows, idx, weights) @ v
-
-    return HessianOperator(apply=apply, dim=rows.shape[1], **fields)
-
-
-def _formed(slot: list, rows: Array, idx: Array | None, weights: Array) -> Array:
-    """The matrix in ``slot``, read-only; an empty slot first receives
-    ``weighted_gram(rows[idx], weights)`` (idx None: all rows)."""
-    if not slot:
-        gram = weighted_gram(rows if idx is None else rows[idx], weights)
-        gram.flags.writeable = False
-        slot.append(gram)
-    return slot[0]
+    gram = np.triu(upper) + np.triu(upper, 1).T
+    gram.flags.writeable = False
+    return gram
 
 
 @dataclass(eq=False)
@@ -219,9 +198,8 @@ class FiniteSumProblem:
     k_max: float = field(init=False)
     k_hat: float = field(init=False)
     row_sq_norms: Array = field(init=False)
-    # Up to two (key of x, (F, grad F, f'', Hessian slot)) entries, most
-    # recent first; the tuple is replaced whole so threads can share it. The
-    # slot is a write-once list for grad^2 F(x) (``gram_operator``).
+    # Up to two (key of x, (F, grad F, f'', cached form of grad^2 F)) entries,
+    # most recent first; the tuple is replaced whole so threads can share it.
     _last: tuple = field(init=False, default=(), repr=False)
 
     def __post_init__(self) -> None:
@@ -250,9 +228,9 @@ class FiniteSumProblem:
     def predictions(self, x: Array) -> Array:
         return self.rows @ x
 
-    def _evaluate(self, x: Array) -> tuple[float, Array, Array, list]:
-        """(F, grad F, f'', Hessian slot) at x, F exactly rounded, arrays
-        read-only."""
+    def _evaluate(self, x: Array) -> tuple[float, Array, Array, Callable]:
+        """(F, grad F, f'', the cached form of grad^2 F) at x, F exactly
+        rounded, arrays read-only."""
         x = np.asarray(x)
         key = (x.dtype.str, x.shape, x.tobytes())
         last = self._last
@@ -266,7 +244,11 @@ class FiniteSumProblem:
         grad = self.rows.T @ (first / self.n)
         grad.flags.writeable = False
         second.flags.writeable = False
-        evaluated = (f, grad, second, [])
+        # Closed over arrays, not self: a cycle through the record would keep
+        # every formed Hessian alive until the cyclic collector runs.
+        rows, n = self.rows, self.n
+        hessian = functools.cache(lambda: weighted_gram(rows, second / n))
+        evaluated = (f, grad, second, hessian)
         self._last = ((key, evaluated),) + last[:1]
         return evaluated
 
@@ -279,20 +261,17 @@ class FiniteSumProblem:
         return self._evaluate(x)[2]
 
     def exact_hessian_operator(self, x: Array) -> HessianOperator:
-        """grad^2 F, formed on first apply into x's record slot, or read from
-        it; bound tightened to the value at x."""
-        _, _, second, slot = self._evaluate(x)
-        weights = second / self.n
-        bound_at_x = float(np.sum(np.abs(weights) * self.row_sq_norms))
-        return gram_operator(self.rows, None, weights, slot=slot,
-                             sample_size=self.n,
-                             norm_bound=min(self.k_max, bound_at_x))
+        """grad^2 F with the form in x's record entry, shared with
+        ``dense_hessian(x)``; bound tightened to the value at x."""
+        _, _, second, hessian = self._evaluate(x)
+        bound_at_x = float(np.sum(np.abs(second / self.n) * self.row_sq_norms))
+        return HessianOperator(form=hessian, sample_size=self.n,
+                               norm_bound=min(self.k_max, bound_at_x))
 
     def dense_hessian(self, x: Array) -> Array:
         """Materialized grad^2 F(x), read-only: one ``weighted_gram`` over
         all rows, unless an exact operator at x already formed it."""
-        _, _, second, slot = self._evaluate(x)
-        return _formed(slot, self.rows, None, second / self.n)
+        return self._evaluate(x)[3]()
 
     def hessian_lipschitz_bound(self) -> float:
         """Global (hence path) Lipschitz bound for grad^2 F from sup|f'''|."""
@@ -317,8 +296,9 @@ class QuarticSaddle:
 
     def exact_hessian_operator(self, x: Array) -> HessianOperator:
         h = self.dense_hessian(x)
-        bound = float(np.max(np.abs(np.diag(h))))
-        return operator_from_dense(h, norm_bound=bound)
+        h.flags.writeable = False
+        return HessianOperator(form=lambda: h,
+                               norm_bound=float(np.max(np.abs(np.diag(h)))))
 
     def hessian_lipschitz_bound(self, box_radius: float) -> float:
         # |d/dx (3x^2 - 1)| = 6|x| on the box |x| <= box_radius.

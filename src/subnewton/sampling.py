@@ -11,6 +11,7 @@ relevant worst-case iteration count exponent.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -19,7 +20,7 @@ import numpy as np
 
 from .core import (Array, ConfigurationError, HessianOperator, OptimalityTolerances,
                    ensure_finite)
-from .problems import FiniteSumProblem, exact_sum, gram_operator, weighted_gram
+from .problems import FiniteSumProblem, exact_sum, weighted_gram
 
 logger = logging.getLogger(__name__)
 
@@ -54,18 +55,26 @@ def _check_tolerances(epsilon: float, delta: float) -> None:
         raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
 
 
+def _prescribed(numerator: float, epsilon: float) -> int:
+    """ceil(numerator / epsilon^2), refused when that is not finite."""
+    size = numerator / epsilon ** 2 if epsilon ** 2 else math.inf
+    if not math.isfinite(size):
+        raise ConfigurationError(f"epsilon={epsilon!r} prescribes an unbounded sample size")
+    return math.ceil(size)
+
+
 def uniform_sample_size(k_max: float, epsilon: float, delta: float, d: int) -> int:
     _check_tolerances(epsilon, delta)
     if k_max <= 0:
         raise ConfigurationError("k_max must be positive")
-    return math.ceil(16.0 * k_max ** 2 * math.log(2.0 * d / delta) / epsilon ** 2)
+    return _prescribed(16.0 * k_max ** 2 * math.log(2.0 * d / delta), epsilon)
 
 
 def nonuniform_sample_size(k_hat: float, epsilon: float, delta: float, d: int) -> int:
     _check_tolerances(epsilon, delta)
     if k_hat <= 0:
         raise ConfigurationError("k_hat must be positive")
-    return math.ceil(4.0 * k_hat ** 2 * math.log(2.0 * d / delta) / epsilon ** 2)
+    return _prescribed(4.0 * k_hat ** 2 * math.log(2.0 * d / delta), epsilon)
 
 
 def intrinsic_sample_size(k_hat: float, epsilon: float, delta: float,
@@ -78,8 +87,8 @@ def intrinsic_sample_size(k_hat: float, epsilon: float, delta: float,
         raise ConfigurationError("intrinsic dimension is at least 1")
     if k_hat <= 0:
         raise ConfigurationError("k_hat must be positive")
-    return math.ceil(16.0 * k_hat ** 2 / 3.0
-                     * math.log(8.0 * t_intrinsic / delta) / epsilon ** 2)
+    return _prescribed(16.0 * k_hat ** 2 / 3.0 * math.log(8.0 * t_intrinsic / delta),
+                       epsilon)
 
 
 def per_iteration_delta(delta_total: float, tol: OptimalityTolerances,
@@ -195,7 +204,7 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
     reproduces the exact Hessian: it is the exact operator at x, sharing its
     Gram with ``problem.dense_hessian(x)``, recorded as exact (accuracy 0)
     with the uniform bound K_max. Other samples' rows are gathered and their
-    matrix formed on first apply (``gram_operator``).
+    matrix formed on first use.
     """
     rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
            else np.random.default_rng(rng_seed))
@@ -209,9 +218,11 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
         norm_bound = problem.k_hat + scheme.epsilon
     if scheme.mode == "uniform_without_replacement" and size == problem.n:
         return replace(problem.exact_hessian_operator(x), norm_bound=norm_bound)
+    rows = problem.rows
     weights = problem.second_derivatives(x)[idx] / (problem.n * size * p_sel)
-    return gram_operator(problem.rows, idx, weights, norm_bound=norm_bound,
-                         accuracy=scheme.epsilon, sample_size=size)
+    form = functools.cache(lambda: weighted_gram(rows[idx], weights))
+    return HessianOperator(form=form, norm_bound=norm_bound,
+                           accuracy=scheme.epsilon, sample_size=size)
 
 
 def verify_concentration(problem: FiniteSumProblem, x: Array,

@@ -238,7 +238,11 @@ def arc_cauchy_required(model: CubicModel) -> float:
     alpha = arc_cauchy_alpha(model)
     sc_norm = alpha * gn
     surd = _sqrt_shift(k, 4.0 * model.sigma * gn)
-    bound_norm = sc_norm ** 2 / 12.0 * surd
+    try:
+        bound_norm = sc_norm ** 2 / 12.0 * surd
+    except OverflowError:
+        raise OverflowError(f"the ARC Cauchy decrease bound overflows: "
+                            f"||s_c||={sc_norm!r}, sigma={model.sigma!r}") from None
     lin = gn / k if k > 0.0 else math.inf
     bound_grad = gn / (2.0 * math.sqrt(3.0)) * min(lin, math.sqrt(gn / model.sigma))
     return max(bound_norm, bound_grad)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from subnewton.core import ConfigurationError, operator_from_dense
+from subnewton import problems, sampling
+from subnewton.core import ConfigurationError, HessianOperator
 from subnewton.problems import weighted_gram
 from subnewton.sampling import nonuniform_distribution
 
@@ -17,8 +18,16 @@ def random_symmetric(rng, d, scale=1.0):
     return scale * 0.5 * (m + m.T)
 
 
-def dense_operator(matrix, norm_bound=None):
-    return operator_from_dense(np.asarray(matrix, dtype=float), norm_bound=norm_bound)
+def operator_from_dense(matrix, norm_bound=None):
+    """An operator holding a read-only copy of an exactly symmetric matrix;
+    the default bound is its true norm."""
+    m = np.array(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ConfigurationError("dense operator needs a square matrix")
+    m.flags.writeable = False
+    if norm_bound is None:
+        norm_bound = float(np.max(np.abs(np.linalg.eigvalsh(m)))) if m.size else 0.0
+    return HessianOperator(form=lambda: m, norm_bound=norm_bound)
 
 
 def symmetry_defect(op, rng, probes=20):
@@ -26,8 +35,8 @@ def symmetry_defect(op, rng, probes=20):
     worst = 0.0
     scale = max(op.norm_bound, 1e-30)
     for _ in range(probes):
-        u = rng.standard_normal(op.dim)
-        v = rng.standard_normal(op.dim)
+        u = rng.standard_normal(op.matrix.shape[0])
+        v = rng.standard_normal(op.matrix.shape[0])
         lhs = float(u @ op.apply(v))
         rhs = float(v @ op.apply(u))
         denom = scale * float(np.linalg.norm(u)) * float(np.linalg.norm(v))
@@ -83,6 +92,20 @@ def reference_verify_concentration(problem, x, scheme, trials, rng_seed=0):
         if err > scheme.epsilon:
             failures += 1
     return failures / trials
+
+
+def count_grams(monkeypatch):
+    """Count the program's ``weighted_gram`` calls: the returned list gets
+    the row count of each."""
+    grams = []
+
+    def counting_gram(rows, w):
+        grams.append(rows.shape[0])
+        return weighted_gram(rows, w)
+
+    for module in (problems, sampling):
+        monkeypatch.setattr(module, "weighted_gram", counting_gram)
+    return grams
 
 
 class CountingSource:

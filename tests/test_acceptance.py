@@ -109,7 +109,7 @@ def test_criterion_1_descent_certificates():
 
 
 def _op(h, k_h=None):
-    from subnewton.core import operator_from_dense
+    from conftest import operator_from_dense
     return operator_from_dense(h, norm_bound=k_h)
 
 

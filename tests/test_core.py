@@ -1,4 +1,4 @@
-import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subnewton.core import (CertificateError, ConfigurationError, NonFiniteError,
-                            OptimalityTolerances, acceptance_ratio, densify,
-                            operator_from_dense)
+                            OptimalityTolerances, acceptance_ratio)
 from subnewton.trust_region import TRConfig, run_tr
 
-from conftest import dense_operator, random_symmetric, symmetry_defect
+from conftest import operator_from_dense, random_symmetric, symmetry_defect
 
 
 class StaticOracle:
@@ -36,24 +35,24 @@ class TestCheckFirstOrder:
 
     def test_zero_gradient(self):
         tol = OptimalityTolerances(eps_g=0.1, eps_H=0.1)
-        result = run_at(np.zeros(2), dense_operator(np.eye(2)), tol)
+        result = run_at(np.zeros(2), operator_from_dense(np.eye(2)), tol)
         assert result.converged and result.records == ()
 
     def test_boundary_inclusive(self):
         # 3-4-5 triangle: the norm is exactly 0.5.
         tol = OptimalityTolerances(eps_g=0.5, eps_H=0.1)
-        result = run_at(np.array([0.3, 0.4]), dense_operator(np.eye(2)), tol)
+        result = run_at(np.array([0.3, 0.4]), operator_from_dense(np.eye(2)), tol)
         assert result.converged and result.records == ()
 
     def test_large_gradient(self):
         tol = OptimalityTolerances(eps_g=0.5, eps_H=0.1)
-        result = run_at(np.array([1.0, 0.0]), dense_operator(np.eye(2)), tol)
+        result = run_at(np.array([1.0, 0.0]), operator_from_dense(np.eye(2)), tol)
         assert not result.converged and len(result.records) == 1
 
     def test_non_finite_rejected(self):
         tol = OptimalityTolerances(eps_g=0.5, eps_H=0.1)
         with pytest.raises(NonFiniteError):
-            run_at(np.array([np.nan, 0.0]), dense_operator(np.eye(2)), tol)
+            run_at(np.array([np.nan, 0.0]), operator_from_dense(np.eye(2)), tol)
 
 
 class TestCheckSecondOrder:
@@ -62,11 +61,11 @@ class TestCheckSecondOrder:
 
     def test_identity_is_optimal(self):
         tol = OptimalityTolerances(eps_g=0.1, eps_H=0.1)
-        assert run_at(np.zeros(3), dense_operator(np.eye(3)), tol).converged
+        assert run_at(np.zeros(3), operator_from_dense(np.eye(3)), tol).converged
 
     def test_explicit_negative_eigenvector(self):
         tol = OptimalityTolerances(eps_g=0.1, eps_H=0.5)
-        op = dense_operator(np.diag([1.0, -1.0]))
+        op = operator_from_dense(np.diag([1.0, -1.0]))
         result = run_at(np.zeros(2), op, tol)
         assert not result.converged
         assert result.records[0].lambda_min_estimate == pytest.approx(-1.0)
@@ -82,7 +81,7 @@ class TestCheckSecondOrder:
             if -tol.eps_H * 1.05 < lam_min < -tol.eps_H * 0.85:
                 continue
             expected = lam_min >= -tol.eps_H
-            assert run_at(np.zeros(10), dense_operator(h), tol).converged == expected
+            assert run_at(np.zeros(10), operator_from_dense(h), tol).converged == expected
             checked += 1
         assert checked >= 20
 
@@ -132,33 +131,20 @@ class TestAcceptanceRatio:
 class TestOperators:
     def test_symmetry_probe(self, rng):
         for _ in range(5):
-            op = dense_operator(random_symmetric(rng, 8))
+            op = operator_from_dense(random_symmetric(rng, 8))
             assert symmetry_defect(op, rng, probes=20) < 1e-10
 
-    def test_densify_roundtrip(self, rng):
+    def test_apply_defaults_to_the_matrix_product(self, rng):
         h = random_symmetric(rng, 6)
-        assert np.allclose(densify(dense_operator(h)), h, atol=1e-12)
-        # One block apply of the identity returns the wrapped matrix exactly.
-        assert np.array_equal(densify(operator_from_dense(h)), h)
-
-    def test_densify_neither_overflows_nor_rounds(self):
-        # A symmetric matrix comes back bit for bit, entries near the float
-        # maximum and subnormals included; an asymmetric one is averaged
-        # without overflow.
-        tiny = 5e-324
-        h = np.array([[1.5e308, -1.7e308, 3 * tiny],
-                      [-1.7e308, -1.5e308, tiny],
-                      [3 * tiny, tiny, 1.0]])
-        lopsided = h.copy()
-        lopsided[0, 1] = 1.7e308
-        lopsided[1, 2] = 3.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert densify(operator_from_dense(h, norm_bound=0.0)).tobytes() == h.tobytes()
-            averaged = densify(operator_from_dense(lopsided, norm_bound=0.0))
-        assert np.array_equal(averaged, averaged.T)
-        assert averaged[0, 1] == 0.0 and averaged[1, 2] == 1.5
-        assert np.array_equal(averaged[[0, 1, 2], [0, 1, 2]], np.diag(h))
+        op = operator_from_dense(h)
+        assert np.array_equal(op.matrix, h) and not op.matrix.flags.writeable
+        block = rng.standard_normal((6, 3))
+        assert np.array_equal(op.apply(block), h @ block)
+        assert op.quad(block[:, 0]) == float(block[:, 0] @ (h @ block[:, 0]))
+        # A replaced apply leaves the matrix, which the copy shares.
+        copy = replace(op, apply=lambda v: 2.0 * (op.matrix @ v))
+        assert copy.matrix is op.matrix
+        assert np.array_equal(copy.apply(block), 2.0 * (h @ block))
 
     def test_norm_bound_default_is_spectral_norm(self, rng):
         h = random_symmetric(rng, 7)

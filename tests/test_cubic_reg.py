@@ -7,7 +7,7 @@ from subnewton.problems import QuarticSaddle, generate_synthetic
 from subnewton.subproblem import CubicModel, arc_certificates
 from subnewton.trust_region import exact_hessian_source
 
-from conftest import CountingSource
+from conftest import CountingSource, operator_from_dense
 
 QUAD_TOL = OptimalityTolerances(eps_g=1e-6, eps_H=1e-3)
 
@@ -20,9 +20,7 @@ class StrongConvexQuadratic:
         return 0.5 * float(x @ x), x.copy()
 
     def exact_hessian_operator(self, x):
-        from subnewton.core import HessianOperator
-        return HessianOperator(apply=lambda v: v.copy(), dim=self.d,
-                               norm_bound=1.0)
+        return operator_from_dense(np.eye(self.d), norm_bound=1.0)
 
     def dense_hessian(self, x):
         return np.eye(self.d)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from subnewton.core import OptimalityTolerances, operator_from_dense
+from subnewton.core import OptimalityTolerances
 from subnewton.cubic_reg import ARCConfig, run_arc
 from subnewton.curvature import probe_extreme
 from subnewton.problems import BIWEIGHT, FiniteSumProblem, generate_synthetic
@@ -11,6 +11,8 @@ from subnewton.sampling import SampleScheme, build_subsampled_hessian
 from subnewton.subproblem import (CubicModel, TRModel, arc_subspace_solve,
                                   tr_subspace_solve)
 from subnewton.trust_region import TRConfig, exact_hessian_source, run_tr
+
+from conftest import operator_from_dense
 
 
 class TestOneDimensional:

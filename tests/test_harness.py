@@ -225,7 +225,9 @@ class TestCLI:
     def test_config_error_exit_code(self, tmp_path, capsys):
         # An unknown key, a trial count below 1 and an empty or non-numeric
         # verification grid all exit 3 with a message naming the key, before
-        # any work is done.
+        # any work is done. An epsilon so small that the prescribed sample
+        # size is not finite (epsilon**2 underflows to 0, or the quotient
+        # overflows) exits 3 naming epsilon.
         base = "problem = biweight\nhessian = uniform_wor\nn = 50\nd = 4\n"
         cases = [
             (["solve"], "gama = 2.0\n", "gama"),
@@ -236,6 +238,9 @@ class TestCLI:
             (["verify-sampling"], "verify_delta =\n", "verify_delta"),
             (["compare"], "trials = 0\n", "trials"),
             (["compare", "--trials", "0"], "", "trials"),
+            (["solve"], "eps_cap = 1e-300\n", "epsilon=1e-300"),
+            (["solve"], "eps_cap = 1e-160\n", "epsilon=1e-160"),
+            (["verify-sampling"], "verify_eps = 1e-300\n", "epsilon=1e-300"),
         ]
         for i, (command, text, key) in enumerate(cases):
             cfg = write_cfg(tmp_path, base + text, f"case{i}.cfg")
@@ -279,8 +284,9 @@ class TestCLI:
     @pytest.mark.parametrize("text, reason", [
         ("problem = quartic\nsolver = tr\nradius0 = 1e300\n",  # CertificateError
          "exceeds the radius"),
-        # OverflowError in the Eigen point; its text is the platform's
-        ("solver = arc\nsigma0 = 1e-300\n", "solver aborted"),
+        # OverflowError in the Cauchy decrease bound, naming ||s_c|| and sigma
+        ("solver = arc\nsigma0 = 1e-300\n",
+         "the ARC Cauchy decrease bound overflows: ||s_c||="),
         # NonFiniteError on a non-finite model value
         ("solver = arc\nsigma0 = 1e300\nx0_scale = 1000\n", "non-finite"),
     ], ids=["tr_huge_radius", "arc_tiny_sigma", "arc_huge_sigma_far_start"])
@@ -304,13 +310,16 @@ class TestCLI:
 
     def test_verify_overflow_exit_code(self, tmp_path, capsys):
         # f'' overflows at this point; the report stops with exit 2 naming
-        # the value, not with an eigensolver traceback.
+        # the command and the value, not with an eigensolver traceback.
         cfg = write_cfg(tmp_path, "problem = biweight\nn = 200\nd = 5\n"
                                   "x0_scale = 1e300\n")
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["verify-sampling", "--config", str(cfg)])
         assert code == EXIT_NOT_CONVERGED
-        assert "non-finite values encountered in f''" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("verify-sampling aborted: non-finite values "
+                              "encountered in f''")
+        assert "solver" not in err
 
     def test_verification_failure_exit_code(self, tmp_path, monkeypatch):
         import subnewton.harness as harness

@@ -1,19 +1,22 @@
+import gc
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnewton.core import densify
 from subnewton.harness import build_problem, format_trace, parse_config_text, run_solver
 from subnewton import problems
 from subnewton.problems import (BIWEIGHT, NLS_LOGISTIC, DatasetError,
                                 FiniteSumProblem, QuarticSaddle,
                                 biweight_scalar, exact_sum, generate_synthetic,
                                 load_dataset, nls_logistic_scalar, weighted_gram)
+from subnewton.sampling import SampleScheme, build_subsampled_hessian
 
-from conftest import save_dataset
+from conftest import count_grams, save_dataset
 
 
 def central_diff(fn, z, b, h=1e-5):
@@ -121,7 +124,7 @@ class TestFiniteSumProblem:
         for _ in range(10):
             v = rng.standard_normal(10)
             assert np.allclose(op.apply(v), dense @ v, atol=1e-12)
-        assert np.allclose(densify(op), dense, atol=1e-12)
+        assert np.array_equal(op.matrix, dense)
 
     def test_biweight_hessian_at_origin(self):
         rows = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
@@ -385,6 +388,37 @@ class TestEvaluationRecord:
 
         forgetful._evaluate = evaluate_afresh
         assert format_trace(run_solver(config, forgetful), problem=forgetful) == traced
+
+    def test_formed_matrices_are_freed_by_reference_counting(self, monkeypatch):
+        # No operator or record entry is part of a reference cycle, so with
+        # the cyclic collector off a formed matrix still goes as soon as the
+        # last operator and record entry that hold it do.
+        grams = count_grams(monkeypatch)
+        problem = generate_synthetic("biweight", n=200, d=6, rng_seed=15)
+        x, v = np.full(6, 0.3), np.ones(6)
+        scheme = SampleScheme(mode="uniform_with_replacement", epsilon=0.5,
+                              delta=0.1, resolved_size=20)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            partial = build_subsampled_hessian(problem, x, scheme, rng_seed=1)
+            exact = problem.exact_hessian_operator(x)
+            original = build_subsampled_hessian(problem, x, scheme, rng_seed=2)
+            copy = replace(original, apply=lambda v, inner=original.apply: inner(v))
+            partial.apply(v)
+            exact.apply(v)
+            before = len(grams)
+            copy.apply(v)
+            assert original.matrix is copy.matrix
+            assert len(grams) == before + 1
+            refs = [weakref.ref(op.matrix) for op in (partial, exact, copy)]
+            del partial, exact, original, copy
+            problem.value_grad(np.zeros(6))
+            problem.value_grad(np.ones(6))
+            assert [ref() is None for ref in refs] == [True, True, True]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestQuarticSaddle:

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnewton.core import (ConfigurationError, NonFiniteError,
-                            OptimalityTolerances, densify)
+from subnewton.core import ConfigurationError, NonFiniteError, OptimalityTolerances
 from subnewton.problems import BIWEIGHT, FiniteSumProblem, generate_synthetic
 from subnewton.sampling import (SampleScheme, _draw_indices,
                                 build_subsampled_hessian, intrinsic_dimension,
@@ -16,7 +15,7 @@ from subnewton.sampling import (SampleScheme, _draw_indices,
                                 resolve_scheme, uniform_sample_size,
                                 verify_concentration)
 
-from conftest import reference_verify_concentration, symmetry_defect
+from conftest import count_grams, reference_verify_concentration, symmetry_defect
 
 
 class TestSampleSizes:
@@ -164,7 +163,7 @@ class TestBuildSubsampledHessian:
                               delta=0.1, resolved_size=40)
         op = build_subsampled_hessian(problem, x, scheme, rng_seed=0)
         assert op.accuracy == 0.0
-        assert np.allclose(densify(op), problem.dense_hessian(x), atol=1e-14)
+        assert np.allclose(op.matrix, problem.dense_hessian(x), atol=1e-14)
         # Sorted full sample makes the apply bitwise identical to the exact one.
         v = rng.standard_normal(6)
         exact = problem.exact_hessian_operator(x)
@@ -177,7 +176,7 @@ class TestBuildSubsampledHessian:
         scheme = SampleScheme(mode="uniform_with_replacement", epsilon=0.9,
                               delta=0.5, resolved_size=1)
         op = build_subsampled_hessian(problem, x, scheme, rng_seed=1)
-        assert np.allclose(densify(op), problem.dense_hessian(x), atol=1e-14)
+        assert np.allclose(op.matrix, problem.dense_hessian(x), atol=1e-14)
 
     def test_unbiasedness_monte_carlo(self, rng):
         problem = generate_synthetic("biweight", n=50, d=6, rng_seed=5)
@@ -246,7 +245,7 @@ class TestBuildSubsampledHessian:
                               delta=0.5, resolved_size=3)
         for seed in range(25):
             op = build_subsampled_hessian(problem, x, scheme, rng_seed=seed)
-            norm = np.max(np.abs(np.linalg.eigvalsh(densify(op))))
+            norm = np.max(np.abs(np.linalg.eigvalsh(op.matrix)))
             assert norm <= problem.k_max * (1 + 1e-12)
             assert symmetry_defect(op, rng, probes=5) < 1e-10
 
@@ -257,7 +256,7 @@ class TestBuildSubsampledHessian:
                               resolved_size=7)
         a = build_subsampled_hessian(problem, x, scheme, rng_seed=99)
         b = build_subsampled_hessian(problem, x, scheme, rng_seed=99)
-        assert np.array_equal(densify(a), densify(b))
+        assert np.array_equal(a.matrix, b.matrix)
         p = nonuniform_distribution(problem, x)
         idx, _ = _draw_indices(problem, scheme, p, np.random.default_rng(99))
         again, _ = _draw_indices(problem, scheme, p, np.random.default_rng(99))
@@ -401,23 +400,16 @@ class TestMaterializedOperator:
         # and the fixed tolerance; it misses ARC's target, so it is rebuilt
         # at once, capped at n, and never applied.
         import subnewton.harness as harness
-        import subnewton.problems as problems
         from subnewton.harness import build_problem, parse_config_text, run_solver
 
-        grams = []
+        grams = count_grams(monkeypatch)
         ops = []
-        gram = problems.weighted_gram
         build = harness.build_subsampled_hessian
-
-        def counting_gram(rows, w):
-            grams.append(rows.shape[0])
-            return gram(rows, w)
 
         def counting_build(*args, **kwargs):
             ops.append(build(*args, **kwargs))
             return ops[-1]
 
-        monkeypatch.setattr(problems, "weighted_gram", counting_gram)
         monkeypatch.setattr(harness, "build_subsampled_hessian", counting_build)
         config = parse_config_text(
             "problem = biweight\nsolver = arc\nhessian = uniform_wor\n"
@@ -435,18 +427,12 @@ class TestMaterializedOperator:
         # rebuild at a point and the trace footer's dense Hessian at the
         # final point read the Gram formed there.
         import subnewton.harness as harness
-        import subnewton.problems as problems
         from subnewton.harness import (build_problem, format_trace,
                                        parse_config_text, run_solver)
 
-        grams = []
+        grams = count_grams(monkeypatch)
         applied = set()
-        gram = problems.weighted_gram
         build = harness.build_subsampled_hessian
-
-        def counting_gram(rows, w):
-            grams.append(rows.shape[0])
-            return gram(rows, w)
 
         def marking_build(problem, x, *args, **kwargs):
             op = build(problem, x, *args, **kwargs)
@@ -458,7 +444,6 @@ class TestMaterializedOperator:
 
             return replace(op, apply=apply)
 
-        monkeypatch.setattr(problems, "weighted_gram", counting_gram)
         monkeypatch.setattr(harness, "build_subsampled_hessian", marking_build)
         config = parse_config_text(
             "problem = biweight\nsolver = arc\nhessian = uniform_wor\n"

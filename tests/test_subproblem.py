@@ -11,18 +11,18 @@ from subnewton.subproblem import (Certificates, CubicModel, SubproblemSolution,
                                   tr_cauchy_point, tr_certificates,
                                   tr_eigen_point, tr_subspace_solve)
 
-from conftest import dense_operator, random_symmetric
+from conftest import operator_from_dense, random_symmetric
 
 
 def tr_model(g, h, radius, norm_bound=None):
     return TRModel(grad=np.asarray(g, dtype=float),
-                   hessian=dense_operator(h, norm_bound=norm_bound),
+                   hessian=operator_from_dense(h, norm_bound=norm_bound),
                    radius=radius)
 
 
 def cubic_model(g, h, sigma, norm_bound=None):
     return CubicModel(grad=np.asarray(g, dtype=float),
-                      hessian=dense_operator(h, norm_bound=norm_bound),
+                      hessian=operator_from_dense(h, norm_bound=norm_bound),
                       sigma=sigma)
 
 

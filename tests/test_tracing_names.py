@@ -8,6 +8,8 @@ from pathlib import Path
 
 from subnewton import harness
 
+from conftest import count_grams
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 SOLVES = (
@@ -35,13 +37,22 @@ def solve_text(text: str) -> str:
     return harness.format_trace(harness.run_solver(config, problem), problem=problem)
 
 
+def solve_counting_grams(text: str, grams: list) -> tuple[str, int]:
+    before = len(grams)
+    return solve_text(text), len(grams) - before
+
+
 def test_traced_solves_match_untraced(monkeypatch):
     tracing = load_tracing(monkeypatch)
-    untraced = [solve_text(text) for text in SOLVES]
+    grams = count_grams(monkeypatch)
+    untraced = [solve_counting_grams(text, grams) for text in SOLVES]
     tracer = tracing.Tracer()
     with tracer.installed():
-        traced = [solve_text(text) for text in SOLVES]
+        traced = [solve_counting_grams(text, grams) for text in SOLVES]
+    # Equal outputs, and equal Gram counts: the tracer's
+    # ``replace(op, apply=...)`` copy shares its original's matrix.
     assert traced == untraced
+    assert all(count > 0 for _, count in untraced)
     spans = {span[0] for span in tracer.spans}
     assert {"problems.generate", "problems.value_grad", "sampling.build",
             "curvature.probe", "subproblem.seed_point", "subproblem.solve",

@@ -7,7 +7,7 @@ from subnewton.sampling import build_subsampled_hessian, resolve_scheme
 from subnewton.trust_region import (TRConfig, exact_hessian_source, run_tr,
                                     tr_tolerance)
 
-from conftest import CountingSource
+from conftest import CountingSource, operator_from_dense
 
 
 class TrackedOracle:
@@ -53,9 +53,7 @@ class StrongConvexQuadratic:
         return 0.5 * float(x @ x), x.copy()
 
     def exact_hessian_operator(self, x):
-        from subnewton.core import HessianOperator
-        return HessianOperator(apply=lambda v: v.copy(), dim=self.d,
-                               norm_bound=1.0)
+        return operator_from_dense(np.eye(self.d), norm_bound=1.0)
 
     def dense_hessian(self, x):
         return np.eye(self.d)
