@@ -51,8 +51,8 @@ class ARCConfig:
             raise ConfigurationError(f"sigma0 must be positive, got {self.sigma0}")
         if not (0.0 < self.eta < 1.0):
             raise ConfigurationError(f"eta must lie in (0, 1), got {self.eta}")
-        if self.gamma <= 1.0:
-            raise ConfigurationError(f"gamma must exceed 1, got {self.gamma}")
+        if not (1.0 < self.gamma < math.inf):
+            raise ConfigurationError(f"gamma must be finite and exceed 1, got {self.gamma}")
         if self.nu is not None and not (0.0 < self.nu < 1.0):
             raise ConfigurationError(f"nu must lie in (0, 1), got {self.nu}")
         if self.mode not in ("standard", "optimal"):
@@ -60,12 +60,14 @@ class ARCConfig:
         if self.mode == "optimal" and not (0.0 < self.zeta < 0.5):
             raise ConfigurationError(
                 f"optimal mode needs zeta in (0, 1/2), got {self.zeta}")
-        if self.l_estimate <= 0:
-            raise ConfigurationError("l_estimate must be positive")
+        if not (0.0 < self.l_estimate < math.inf):
+            raise ConfigurationError(
+                f"l_estimate must be positive and finite, got {self.l_estimate}")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be at least 1")
-        if self.sigma_min < 0:
-            raise ConfigurationError("sigma_min must be nonnegative")
+        if not (0.0 <= self.sigma_min < math.inf):
+            raise ConfigurationError(
+                f"sigma_min must be nonnegative and finite, got {self.sigma_min}")
 
 
 def arc_epsilon(config: ARCConfig, k_h: float) -> float:

@@ -96,6 +96,8 @@ class ExperimentConfig:
                                      "structure to sub-sample")
         if not (0.0 < self.eps_cap <= 1.0):
             raise ConfigurationError("eps_cap must lie in (0, 1]")
+        if not np.isfinite(self.x0_scale):
+            raise ConfigurationError(f"x0_scale must be finite, got {self.x0_scale}")
         for key in ("trials", "verify_trials"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be at least 1, got {getattr(self, key)}")

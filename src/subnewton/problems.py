@@ -319,8 +319,12 @@ def generate_synthetic(loss: ScalarLoss | str, n: int, d: int, rng_seed: int = 0
         loss = LOSSES[loss]
     if n < 1 or d < 1:
         raise ConfigurationError(f"invalid problem size n={n}, d={d}")
-    if skew < 1.0:
-        raise ConfigurationError("skew must be >= 1")
+    if not (1.0 <= skew < math.inf):
+        raise ConfigurationError(f"skew must be finite and >= 1, got {skew}")
+    if k_max is not None and not (0.0 < k_max < math.inf):
+        raise ConfigurationError(f"k_max must be positive and finite, got {k_max}")
+    if not (0.0 <= noise < math.inf):
+        raise ConfigurationError(f"noise must be nonnegative and finite, got {noise}")
     rng = np.random.default_rng(rng_seed)
     rows = rng.standard_normal((n, d)) / math.sqrt(d)
     if skew > 1.0:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,12 +52,6 @@ class TRModel:
     def value(self, s: Array) -> float:
         return float(self.grad @ s + 0.5 * (s @ self.hessian.apply(s)))
 
-    def _solution(self, step: Array, **seed) -> SubproblemSolution:
-        """The step with its model value and recomputed certificates."""
-        return SubproblemSolution(step=step, model_value=self.value(step),
-                                  model_grad_norm=None,
-                                  certificates=tr_certificates(self, step, **seed))
-
 
 @dataclass(frozen=True)
 class CubicModel:
@@ -77,14 +71,6 @@ class CubicModel:
 
     def gradient(self, s: Array) -> Array:
         return self.grad + self.hessian.apply(s) + self.sigma * float(np.linalg.norm(s)) * s
-
-    def _solution(self, step: Array, **seed) -> SubproblemSolution:
-        """The step with its model value, model-gradient norm and recomputed
-        certificates."""
-        return SubproblemSolution(
-            step=step, model_value=self.value(step),
-            model_grad_norm=float(np.linalg.norm(self.gradient(step))),
-            certificates=arc_certificates(self, step, **seed))
 
 
 def _check_model(grad: Array, name: str, value: float) -> None:
@@ -117,18 +103,49 @@ class Certificates:
 class SubproblemSolution:
     step: Array
     model_value: float
-    model_grad_norm: float | None
     certificates: Certificates
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.model_value) and np.all(np.isfinite(self.step))):
-            raise NonFiniteError(
-                f"non-finite sub-problem solution: m(s)={self.model_value}, "
-                f"||s||={np.linalg.norm(self.step)}")
+        _check_finite(self.model_value, self.step)
         if not self.model_value < 0.0:
             raise CertificateError(
                 f"sub-problem solutions must strictly decrease the model, "
                 f"got m(s)={self.model_value}")
+
+
+def _check_finite(value: float, step: Array) -> None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(step))
+    if not (math.isfinite(value) and math.isfinite(norm)):
+        raise NonFiniteError(f"non-finite sub-problem solution: m(s)={value}, ||s||={norm}")
+
+
+def _solution(model: TRModel | CubicModel, step: Array, **seed) -> SubproblemSolution:
+    """The step with its model value and certificates; an overflowing m(s) or
+    ||s|| raises ``NonFiniteError`` first, not a RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = model.value(step)
+    _check_finite(value, step)
+    certify = tr_certificates if isinstance(model, TRModel) else arc_certificates
+    return SubproblemSolution(step, value, certify(model, step, **seed))
+
+
+def _eigen_point(model: TRModel | CubicModel, u: Array,
+                 along: Callable[[float, float], float]) -> SubproblemSolution:
+    """The step along(b, c) * uhat for a nonzero, negative-curvature u, with
+    uhat = u/||u||, b = <grad, uhat> and c = <uhat, H uhat> = -nu_hat."""
+    un = float(np.linalg.norm(u))
+    if un == 0.0:
+        raise CertificateError("eigen direction must be nonzero")
+    uhat = u / un
+    c = model.hessian.quad(uhat)
+    if c >= 0.0:
+        raise CertificateError(
+            f"eigen direction must carry negative curvature, got <u,Hu>={c}")
+    step = along(float(model.grad @ uhat), c) * uhat
+    with np.errstate(over="ignore", invalid="ignore"):
+        eigen_norm = float(np.linalg.norm(step))
+    return _solution(model, step, nu_hat=-c, eigen_norm=eigen_norm)
 
 
 def _met(achieved: float, required: float) -> tuple[bool, float]:
@@ -170,11 +187,8 @@ def tr_cauchy_point(model: TRModel) -> SubproblemSolution:
         raise ValueError("Cauchy point undefined for zero gradient; the driver "
                          "must test first-order optimality first")
     ghg = model.hessian.quad(model.grad)
-    if ghg <= 0.0:
-        tau = 1.0
-    else:
-        tau = min(gn ** 3 / (model.radius * ghg), 1.0)
-    return model._solution((-tau * model.radius / gn) * model.grad)
+    tau = 1.0 if ghg <= 0.0 else min(gn ** 3 / (model.radius * ghg), 1.0)
+    return _solution(model, (-tau * model.radius / gn) * model.grad)
 
 
 def tr_eigen_point(model: TRModel, u: Array) -> SubproblemSolution:
@@ -183,17 +197,7 @@ def tr_eigen_point(model: TRModel, u: Array) -> SubproblemSolution:
     The sign is chosen so <grad, s> <= 0; the certificate uses the realized
     curvature.
     """
-    un = float(np.linalg.norm(u))
-    if un == 0.0:
-        raise CertificateError("eigen direction must be nonzero")
-    uhat = u / un
-    curv = model.hessian.quad(uhat)
-    if curv >= 0.0:
-        raise CertificateError(
-            f"eigen direction must carry negative curvature, got <u,Hu>={curv}")
-    sign = -1.0 if float(model.grad @ uhat) > 0.0 else 1.0
-    step = sign * model.radius * uhat
-    return model._solution(step, nu_hat=-curv, eigen_norm=float(np.linalg.norm(step)))
+    return _eigen_point(model, u, lambda b, c: -model.radius if b > 0.0 else model.radius)
 
 
 def tr_subspace_solve(model: TRModel, basis: Sequence[Array],
@@ -268,8 +272,7 @@ def arc_certificates(model: CubicModel, step: Array, nu_hat: float | None = None
     if zeta is not None:
         grad_norm = float(np.linalg.norm(model.gradient(step)))
         sn = float(np.linalg.norm(step))
-        theta = min(1.0, sn)
-        bound = zeta * max(sn ** 2, theta * float(np.linalg.norm(model.grad)))
+        bound = zeta * max(sn ** 2, min(1.0, sn) * float(np.linalg.norm(model.grad)))
         cond5_slack = bound - grad_norm
         cond5_met = cond5_slack >= -CERT_RTOL * max(1.0, bound)
     return Certificates(cauchy_met=cauchy_met, cauchy_slack=cauchy_slack,
@@ -283,72 +286,34 @@ def arc_cauchy_point(model: CubicModel) -> SubproblemSolution:
     gn = float(np.linalg.norm(model.grad))
     if gn == 0.0:
         raise ValueError("Cauchy point undefined for zero gradient")
-    return model._solution(-arc_cauchy_alpha(model) * model.grad)
+    return _solution(model, -arc_cauchy_alpha(model) * model.grad)
 
 
 def arc_eigen_point(model: CubicModel, u: Array) -> SubproblemSolution:
     """Global minimizer of the 1-D cubic along a negative-curvature direction.
 
-    On each half-line the model is a cubic polynomial with closed-form
-    stationary points; the lower of the two branch minima wins, with ties
-    broken toward <grad, s> <= 0.
+    Along u/||u|| the model is b*a + (c/2)*a^2 + (sigma/3)*|a|^3 with c < 0.
+    Its global minimizer lies on the half-line opposite b, at
+    |a| = (sqrt(c^2 + 4*sigma*|b|) - c) / (2*sigma) (Cartis, Gould and Toint
+    2011), so <grad, s> <= 0; at b = 0 both half-lines tie and the step is
+    taken along +u.
     """
-    un = float(np.linalg.norm(u))
-    if un == 0.0:
-        raise CertificateError("eigen direction must be nonzero")
-    uhat = u / un
-    b = float(model.grad @ uhat)
-    c = model.hessian.quad(uhat)
-    if c >= 0.0:
-        raise CertificateError(
-            f"eigen direction must carry negative curvature, got <u,Hu>={c}")
-    sigma = model.sigma
-
-    def phi(a: float) -> float:
-        return b * a + 0.5 * c * a * a + sigma / 3.0 * abs(a) ** 3
-
-    candidates: list[float] = []
-    # alpha >= 0 branch: b + c*a + sigma*a^2 = 0
-    for root in _quad_roots(sigma, c, b):
-        if root >= 0.0:
-            candidates.append(root)
-    # alpha <= 0 branch: b + c*a - sigma*a^2 = 0
-    for root in _quad_roots(-sigma, c, b):
-        if root <= 0.0:
-            candidates.append(root)
-    if not candidates:
-        raise CertificateError("no stationary point found for the 1-D cubic")
-    best = min(candidates, key=lambda a: (phi(a), float(b * a)))
-    step = best * uhat
-    return model._solution(step, nu_hat=-c, eigen_norm=float(np.linalg.norm(step)))
+    return _eigen_point(model, u, lambda b, c: _arc_eigen_alpha(b, c, model.sigma))
 
 
-def _quad_roots(a2: float, a1: float, a0: float) -> list[float]:
-    """Real roots of a2*x^2 + a1*x + a0, stably."""
-    if a2 == 0.0:
-        return [-a0 / a1] if a1 != 0.0 else []
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    q = -0.5 * (a1 + math.copysign(sq, a1)) if a1 != 0.0 else 0.5 * sq
-    roots = []
-    if q != 0.0:
-        roots.append(q / a2)
-        roots.append(a0 / q)
-    else:
-        roots.extend([0.0, -a1 / a2])
-    return roots
+def _arc_eigen_alpha(b: float, c: float, sigma: float) -> float:
+    """Global minimizer of b*a + (c/2)*a^2 + (sigma/3)*|a|^3 for c < 0."""
+    q = 0.5 * (math.sqrt(c * c + 4.0 * sigma * abs(b)) - c)
+    return q / sigma if b <= 0.0 else q / -sigma
 
 
 def arc_subspace_solve(model: CubicModel, basis: Sequence[Array],
                        nu_hat: float | None = None,
-                       eigen_norm: float | None = None,
-                       zeta: float | None = None) -> SubproblemSolution:
+                       eigen_norm: float | None = None) -> SubproblemSolution:
     """Exact cubic-model solve on the span of ``basis``, as
     ``tr_subspace_solve`` does for the trust-region model."""
     return _subspace_solve(model, _orthonormalize(basis, model.grad.shape[0]),
-                           nu_hat=nu_hat, eigen_norm=eigen_norm, zeta=zeta)
+                           nu_hat=nu_hat, eigen_norm=eigen_norm)
 
 
 def arc_progressive_solve(model: CubicModel, seeds: Sequence[Array],
@@ -437,7 +402,7 @@ def _subspace_solve(model: TRModel | CubicModel, cols: list[Array],
                 else {"sigma": model.sigma})
     v = _reduced_exact(u_mat.T @ model.grad, 0.5 * (reduced_h + reduced_h.T),
                        **relation)
-    return model._solution(u_mat @ v, **seed)
+    return _solution(model, u_mat @ v, **seed)
 
 
 def _reduced_exact(g: Array, h: Array, radius: float | None = None,

@@ -62,8 +62,8 @@ class TRConfig:
             raise ConfigurationError(f"delta0 must be positive, got {self.delta0}")
         if not (0.0 < self.eta < 1.0):
             raise ConfigurationError(f"eta must lie in (0, 1), got {self.eta}")
-        if self.gamma <= 1.0:
-            raise ConfigurationError(f"gamma must exceed 1, got {self.gamma}")
+        if not (1.0 < self.gamma < math.inf):
+            raise ConfigurationError(f"gamma must be finite and exceed 1, got {self.gamma}")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.nu is not None and not (0.0 < self.nu < 1.0):

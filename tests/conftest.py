@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -92,6 +94,30 @@ def reference_verify_concentration(problem, x, scheme, trials, rng_seed=0):
         if err > scheme.epsilon:
             failures += 1
     return failures / trials
+
+
+def reference_arc_eigen_alpha(b, c, sigma):
+    """The ARC Eigen point's coefficient by candidate search: the stationary
+    points of b*a + (c/2)*a^2 + (sigma/3)*|a|^3 on each half-line, the lowest
+    model value winning and ties going toward b*a <= 0."""
+
+    def quad_roots(a2, a1, a0):
+        # Real roots of a2*x^2 + a1*x + a0, stably.
+        if a2 == 0.0:
+            return [-a0 / a1] if a1 != 0.0 else []
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if disc < 0.0:
+            return []
+        sq = math.sqrt(disc)
+        q = -0.5 * (a1 + math.copysign(sq, a1)) if a1 != 0.0 else 0.5 * sq
+        return [q / a2, a0 / q] if q != 0.0 else [0.0, -a1 / a2]
+
+    def phi(a):
+        return b * a + 0.5 * c * a * a + sigma / 3.0 * abs(a) ** 3
+
+    candidates = [r for r in quad_roots(sigma, c, b) if r >= 0.0]
+    candidates += [r for r in quad_roots(-sigma, c, b) if r <= 0.0]
+    return min(candidates, key=lambda a: (phi(a), float(b * a)))
 
 
 def count_grams(monkeypatch):

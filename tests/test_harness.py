@@ -227,7 +227,8 @@ class TestCLI:
         # verification grid all exit 3 with a message naming the key, before
         # any work is done. An epsilon so small that the prescribed sample
         # size is not finite (epsilon**2 underflows to 0, or the quotient
-        # overflows) exits 3 naming epsilon.
+        # overflows) exits 3 naming epsilon. A NaN, infinite or out-of-range
+        # data, step-size or regularization value exits 3 naming the value.
         base = "problem = biweight\nhessian = uniform_wor\nn = 50\nd = 4\n"
         cases = [
             (["solve"], "gama = 2.0\n", "gama"),
@@ -241,6 +242,17 @@ class TestCLI:
             (["solve"], "eps_cap = 1e-300\n", "epsilon=1e-300"),
             (["solve"], "eps_cap = 1e-160\n", "epsilon=1e-160"),
             (["verify-sampling"], "verify_eps = 1e-300\n", "epsilon=1e-300"),
+            (["solve"], "k_max_target = -1\n", "k_max"),
+            (["solve"], "k_max_target = 0\n", "k_max"),
+            (["solve"], "gamma = nan\n", "gamma"),
+            (["solve"], "solver = arc\ngamma = nan\n", "gamma"),
+            (["solve"], "solver = arc\nsigma_min = inf\n", "sigma_min"),
+            (["solve"], "solver = arc\nsigma_min = nan\n", "sigma_min"),
+            (["solve"], "skew = nan\n", "skew"),
+            (["solve"], "solver = arc\nhessian = exact\nl_estimate = inf\n",
+             "l_estimate"),
+            (["solve"], "noise = inf\n", "noise"),
+            (["solve"], "x0_scale = nan\n", "x0_scale"),
         ]
         for i, (command, text, key) in enumerate(cases):
             cfg = write_cfg(tmp_path, base + text, f"case{i}.cfg")
@@ -281,14 +293,18 @@ class TestCLI:
             assert code == EXIT_CONFIG_ERROR, (cfg, err)
             assert cause in err, (cfg, err)
 
+    # Each run overflows a sub-problem step or its model value: the TR Eigen
+    # step of length 1e300, or the ARC Cauchy step at an extreme sigma. The
+    # NonFiniteError is raised before any certificate is computed, and no
+    # RuntimeWarning is printed on the way.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("text, reason", [
-        ("problem = quartic\nsolver = tr\nradius0 = 1e300\n",  # CertificateError
-         "exceeds the radius"),
-        # OverflowError in the Cauchy decrease bound, naming ||s_c|| and sigma
+        ("problem = quartic\nsolver = tr\nradius0 = 1e300\n",
+         "non-finite sub-problem solution: m(s)=-inf, ||s||=inf"),
         ("solver = arc\nsigma0 = 1e-300\n",
-         "the ARC Cauchy decrease bound overflows: ||s_c||="),
-        # NonFiniteError on a non-finite model value
-        ("solver = arc\nsigma0 = 1e300\nx0_scale = 1000\n", "non-finite"),
+         "non-finite sub-problem solution: m(s)=nan, ||s||=inf"),
+        ("solver = arc\nsigma0 = 1e300\nx0_scale = 1000\n",
+         "non-finite sub-problem solution: m(s)=nan, ||s||=inf"),
     ], ids=["tr_huge_radius", "arc_tiny_sigma", "arc_huge_sigma_far_start"])
     def test_solver_abort_exit_code(self, tmp_path, capsys, text, reason):
         out = tmp_path / "abort.csv"

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +13,10 @@ from subnewton.subproblem import (Certificates, CubicModel, SubproblemSolution,
                                   arc_progressive_solve, arc_subspace_solve,
                                   tr_cauchy_point, tr_certificates,
                                   tr_eigen_point, tr_subspace_solve)
+from subnewton.subproblem import _arc_eigen_alpha
 
-from conftest import operator_from_dense, random_symmetric
+from conftest import (operator_from_dense, random_symmetric,
+                      reference_arc_eigen_alpha)
 
 
 def tr_model(g, h, radius, norm_bound=None):
@@ -275,6 +280,48 @@ class TestARCEigenPoint:
                     + model.sigma / 3.0 * np.abs(alphas) ** 3)
             assert sol.model_value <= float(vals.min()) + 1e-8
 
+    def test_closed_form_matches_candidate_search(self):
+        # The closed form is the candidate search's root, bit for bit,
+        # wherever the search picks the half-line opposite b and no
+        # intermediate is subnormal or infinite. Every finite nonzero step it
+        # gives lies on the half-line opposite b, so b*a <= 0.
+        def normal(x):
+            return sys.float_info.min <= abs(x) <= sys.float_info.max
+
+        mags = [0.0, 5e-324, 1e-300, 1e-16, 1.0, 1e150, 1e300]
+        grid = [(sb * m, -mc, s) for m in mags for sb in (1.0, -1.0)
+                for mc in mags[1:] for s in mags[1:]]
+        rng = np.random.default_rng(13)
+        count = 10**5
+        exps = rng.uniform(-50.0, 50.0, size=(count, 3))
+        signs = rng.choice([-1.0, 1.0], size=count)
+        randoms = [(float(sb * 10.0 ** eb), float(-(10.0 ** ec)), float(10.0 ** es))
+                   for sb, (eb, ec, es) in zip(signs, exps)]
+        compared = 0
+        for b, c, sigma in grid + randoms:
+            a = _arc_eigen_alpha(b, c, sigma)
+            if math.isfinite(a) and a != 0.0:
+                # On the half-line opposite b, or along +u at b = 0.
+                assert (a > 0.0) == (b <= 0.0), (b, c, sigma, a)
+            try:
+                ref = reference_arc_eigen_alpha(b, c, sigma)
+            except OverflowError:  # |a|**3 in the search's model value
+                continue
+            if ((ref > 0.0) == (b < 0.0) and normal(c * c)
+                    and normal(4.0 * sigma * abs(b)) and normal(ref)):
+                assert a == ref, (b, c, sigma, a, ref)
+                compared += 1
+        assert compared >= 0.99 * count
+
+    def test_near_tie_steps_against_the_gradient(self):
+        # |b|*sigma/c^2 ~ 5e-17: both half-lines give the same rounded model
+        # value, and a search by model value could pick <g, s> > 0.
+        b, c, sigma = -1.4520197206217343e-15, -1.693791227817804, 0.09514594829923427
+        model = cubic_model([b, 1.0], np.diag([c, 1.0]), sigma)
+        sol = arc_eigen_point(model, np.array([1.0, 0.0]))
+        assert float(model.grad @ sol.step) < 0.0
+        assert sol.certificates.eigen_met
+
 
 class TestARCSubspace:
     def test_gradient_span_with_psd_matches_cauchy(self, rng):
@@ -402,7 +449,7 @@ class TestARCProgressive:
             with caplog.at_level("DEBUG", logger="subnewton.subproblem"):
                 sol = arc_progressive_solve(model, [cauchy.step], zeta=1e-9)
             assert sol.certificates.cond5_met
-            assert sol.model_grad_norm <= 1e-8
+            assert np.linalg.norm(model.gradient(sol.step)) <= 1e-8
         assert caplog.records == []  # a met test logs nothing
 
     def test_terminates_early_on_quadratic_dominant(self, rng):
@@ -445,7 +492,7 @@ class TestARCProgressive:
         assert sn >= 1.0
         bound = 0.3 * max(sn**2, min(1.0, sn) * float(np.linalg.norm(g)))
         assert bound == pytest.approx(0.3 * sn**2)
-        assert sol.model_grad_norm <= bound * (1 + 1e-9)
+        assert np.linalg.norm(model.gradient(sol.step)) <= bound * (1 + 1e-9)
 
 
 class TestCertificateChecker:
@@ -465,6 +512,13 @@ class TestCertificateChecker:
             fresh2 = arc_certificates(arc, sol2.step)
             assert fresh2.cauchy_met == sol2.certificates.cauchy_met
 
+    def test_cauchy_bound_overflow_names_its_quantity(self):
+        # sigma = 1e-300 along negative curvature puts the Cauchy point at
+        # ||s_c|| = 1e300, whose square overflows; the step checked is small.
+        model = cubic_model([1.0, 0.0], -np.eye(2), 1e-300)
+        with pytest.raises(OverflowError, match=r"decrease bound overflows: \|\|s_c\|\|="):
+            arc_certificates(model, np.array([-1.0, 0.0]))
+
     @given(scale=st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)
     def test_cauchy_certificate_scales(self, scale):
@@ -483,10 +537,10 @@ class TestSubproblemSolution:
     def test_non_finite_solution_raises_non_finite(self, step, value):
         with pytest.raises(NonFiniteError, match="non-finite") as info:
             SubproblemSolution(step=np.array(step), model_value=value,
-                               model_grad_norm=None, certificates=Certificates())
+                               certificates=Certificates())
         assert f"m(s)={value}" in str(info.value)
 
     def test_finite_non_decrease_still_a_certificate_error(self):
         with pytest.raises(CertificateError):
             SubproblemSolution(step=np.array([1.0, 0.0]), model_value=0.0,
-                               model_grad_norm=None, certificates=Certificates())
+                               certificates=Certificates())
