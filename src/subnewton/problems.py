@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 from scipy.special import expit
 
 from .core import Array, ConfigurationError, HessianOperator, ensure_finite
@@ -136,27 +137,70 @@ def exact_sum(x: Array) -> float:
     return math.fsum(sums + r[r != 0].tolist())
 
 
-# The d from which weighted_gram uses SYRK updates (a measured crossover,
-# see its docstring), and the rows scaled per update: a block that stays in
-# cache yet is long enough for BLAS to run at speed.
+# Row blocks are dealt into this many stripes whatever the CPU count, and
+# stripe results are added in stripe order: no result depends on the workers.
+STRIPES = 4
+# Below this many matrix entries the stripes run inline: the pool's hand-offs
+# of the GIL cost more than a second CPU saves (the oracle broke even at 1.5
+# to 3 million entries on a 2-vCPU host).
+_POOL_MIN_ENTRIES = 1 << 21
+_pool: tuple = ()  # (pid that made it, the ThreadPoolExecutor)
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    """The process's stripe pool, made on first use and again after a fork."""
+    global _pool
+    with _pool_lock:
+        if not _pool or _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            _pool = (os.getpid(), ThreadPoolExecutor(min(STRIPES, cpus)))
+        return _pool[1]
+
+
+def _map_stripes(task: Callable[[int, int], object], rows: Array,
+                 block_rows: int) -> list:
+    """task(lo, hi) for each non-empty stripe of rows lo:hi, in stripe order.
+
+    The ceil(n / block_rows) row blocks are dealt into ``STRIPES`` contiguous
+    stripes. One stripe, or a small matrix, runs inline; otherwise the pool
+    runs one task per stripe. Tasks never wait on each other, and the first
+    stripe's exception, in stripe order, reaches the caller.
+    """
+    n = rows.shape[0]
+    blocks = -(-n // block_rows)
+    cuts = [min(n, k * blocks // STRIPES * block_rows) for k in range(STRIPES + 1)]
+    spans = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi] or [(0, n)]
+    if len(spans) == 1 or rows.size < _POOL_MIN_ENTRIES:
+        return [task(lo, hi) for lo, hi in spans]
+    return list(_executor().map(lambda span: task(*span), spans))
+
+
+# The d from which weighted_gram uses SYRK updates, the rows scaled per
+# update, and the rows per block of the oracle's pass (2048 x 100 doubles fit
+# a 4 MiB L2): blocks that stay in cache yet let BLAS run at speed.
 SYRK_MIN_DIM = 64
 SYRK_BLOCK_ROWS = 1024
+ORACLE_BLOCK_ROWS = 2048
 
 
 def weighted_gram(rows: Array, w: Array) -> Array:
     """sum_i w_i a_i a_i' over the n x d rows, exactly symmetric and read-only.
 
     Below ``SYRK_MIN_DIM`` columns: one GEMM of the weighted rows with the
-    rows, 2 n d^2 flops, symmetrized. From there on: symmetric rank-k
-    updates (BLAS ``dsyrk``), which form one triangle, of the rows scaled by
-    sqrt|w_i|, using sum_i w_i a_i a_i' = sum_i |w_i| a_i a_i'
-    - 2 sum_{w_i < 0} |w_i| a_i a_i'. Each block of ``SYRK_BLOCK_ROWS`` rows
-    is scaled into one reused buffer, then updated with alpha = -2 over its
-    negative-weight rows and alpha = +1 over all of them. That is
-    (n + n_neg) d^2 flops with no n x d copy; the upper triangle is then
-    mirrored. With BLAS at one thread on a 2-vCPU host and a quarter of the
-    weights negative, the SYRK/GEMM time ratio was 0.82 at d = 64 and 0.69
-    at d = 200 for n = 20,000, and 1.07 and 0.86 for n = 2,000.
+    rows, 2 n d^2 flops, symmetrized. From there on, (n + n_neg) d^2 flops
+    with no n x d copy: sum_i w_i a_i a_i' = sum_i |w_i| a_i a_i' -
+    2 sum_{w_i < 0} |w_i| a_i a_i'. Each stripe of ``_map_stripes`` keeps a
+    d x d sum and a ``SYRK_BLOCK_ROWS`` x d buffer. Per block it compresses
+    the negative-weight rows into the buffer, scales them by sqrt|w_i| and
+    subtracts twice their b'b, then scales all the rows into the buffer and
+    adds their b'b. numpy's ``b.T @ b`` is a SYRK that mirrors its triangle
+    and releases the GIL (scipy's ``dsyrk`` holds it), so every term is
+    exactly symmetric and the stripes run in parallel. On a 2-vCPU host with
+    BLAS at one thread and a quarter of the weights negative, the SYRK/GEMM
+    time ratio at n = 20,000 was about 0.65 at d = 64 and 0.47 at d = 200.
     """
     n, d = rows.shape
     if d < SYRK_MIN_DIM:
@@ -166,17 +210,24 @@ def weighted_gram(rows: Array, w: Array) -> Array:
         return gram
     root = np.sqrt(np.abs(w))[:, None]
     negative = w < 0
-    buffer = np.empty((min(n, SYRK_BLOCK_ROWS), d))
-    upper = np.zeros((d, d), order="F")
-    for lo in range(0, n, SYRK_BLOCK_ROWS):
-        hi = min(n, lo + SYRK_BLOCK_ROWS)
-        scaled = np.multiply(rows[lo:hi], root[lo:hi], out=buffer[:hi - lo])
-        # scaled.T is the Fortran-order d x k matrix, so BLAS copies nothing.
-        if negative[lo:hi].any():
-            upper = dsyrk(-2.0, scaled[negative[lo:hi]].T, beta=1.0, c=upper,
-                          overwrite_c=1)
-        upper = dsyrk(1.0, scaled.T, beta=1.0, c=upper, overwrite_c=1)
-    gram = np.triu(upper) + np.triu(upper, 1).T
+
+    def stripe(lo: int, hi: int) -> Array:
+        total, term = np.zeros((d, d)), np.empty((d, d))
+        buffer = np.empty((min(hi - lo, SYRK_BLOCK_ROWS), d))
+        for start in range(lo, hi, SYRK_BLOCK_ROWS):
+            end = min(hi, start + SYRK_BLOCK_ROWS)
+            neg = negative[start:end]
+            if neg.any():
+                b = np.compress(neg, rows[start:end], axis=0,
+                                out=buffer[:np.count_nonzero(neg)])
+                b *= root[start:end][neg]
+                total -= 2.0 * np.matmul(b.T, b, out=term)
+            b = np.multiply(rows[start:end], root[start:end],
+                            out=buffer[:end - start])
+            total += np.matmul(b.T, b, out=term)
+        return total
+
+    gram = functools.reduce(np.add, _map_stripes(stripe, rows, SYRK_BLOCK_ROWS))
     gram.flags.writeable = False
     return gram
 
@@ -239,14 +290,33 @@ class FiniteSumProblem:
                 if i:
                     self._last = (last[i], last[0])
                 return evaluated
-        values, first, second = self.loss.evaluate(self.predictions(x), self.targets)
-        f = exact_sum(values) / self.n
-        grad = self.rows.T @ (first / self.n)
-        grad.flags.writeable = False
-        second.flags.writeable = False
         # Closed over arrays, not self: a cycle through the record would keep
         # every formed Hessian alive until the cyclic collector runs.
-        rows, n = self.rows, self.n
+        rows, targets, loss, n = self.rows, self.targets, self.loss, self.n
+        values, second = np.empty(n), np.empty(n)
+
+        def stripe(lo: int, hi: int) -> Array:
+            # numpy's error state is per thread, so the pass sets its own: an
+            # overflow leaves inf or NaN for the callers' finiteness checks.
+            with np.errstate(over="ignore", invalid="ignore"):
+                grad = None
+                for start in range(lo, hi, ORACLE_BLOCK_ROWS):
+                    end = min(hi, start + ORACLE_BLOCK_ROWS)
+                    block = rows[start:end]
+                    # numpy takes a lone row's product by a dot, which rounds
+                    # unlike a GEMV; the GEMV over the block before keeps it.
+                    z = (block @ x if end - start > 1 or start == 0
+                         else (rows[start - ORACLE_BLOCK_ROWS:end] @ x)[-1:])
+                    value, first, curvature = loss.evaluate(z, targets[start:end])
+                    values[start:end], second[start:end] = value, curvature
+                    part = block.T @ (first / n)
+                    grad = part if grad is None else grad + part
+            return grad
+
+        grad = functools.reduce(np.add, _map_stripes(stripe, rows, ORACLE_BLOCK_ROWS))
+        f = exact_sum(values) / n
+        grad.flags.writeable = False
+        second.flags.writeable = False
         hessian = functools.cache(lambda: weighted_gram(rows, second / n))
         evaluated = (f, grad, second, hessian)
         self._last = ((key, evaluated),) + last[:1]

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from subnewton import problems
 from subnewton.core import ConfigurationError
 from subnewton.harness import (EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK,
                                EXIT_VERIFICATION_FAILURE, ExperimentConfig,
@@ -329,13 +330,32 @@ class TestCLI:
         # the command and the value, not with an eigensolver traceback.
         cfg = write_cfg(tmp_path, "problem = biweight\nn = 200\nd = 5\n"
                                   "x0_scale = 1e300\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["verify-sampling", "--config", str(cfg)])
+        code = main(["verify-sampling", "--config", str(cfg)])
         assert code == EXIT_NOT_CONVERGED
         err = capsys.readouterr().err
         assert err.startswith("verify-sampling aborted: non-finite values "
                               "encountered in f''")
         assert "solver" not in err
+
+    # The loss overflows at the start point. At n = 5000 it is evaluated on
+    # the stripe pool's threads (three oracle blocks, the size threshold
+    # lifted), and numpy's error state is per thread, so the pass itself must
+    # keep the overflow quiet.
+    @pytest.mark.parametrize("command, n, cause", [
+        ("solve", 200, "solver aborted: non-finite values encountered in "
+                       "objective value at iteration 0"),
+        ("solve", 5000, "solver aborted: non-finite values encountered in "
+                        "objective value at iteration 0"),
+        ("verify-sampling", 5000, "verify-sampling aborted: non-finite values "
+                                  "encountered in f''"),
+    ])
+    def test_start_point_overflow_exit_code(self, tmp_path, capsys, monkeypatch,
+                                            command, n, cause):
+        monkeypatch.setattr(problems, "_POOL_MIN_ENTRIES", 0)
+        cfg = write_cfg(tmp_path, f"problem = biweight\nn = {n}\nd = 5\n"
+                                  f"x0_scale = 1e300\nout = {tmp_path / 'o.csv'}\n")
+        assert main([command, "--config", str(cfg)]) == EXIT_NOT_CONVERGED
+        assert capsys.readouterr().err.startswith(cause)
 
     def test_verification_failure_exit_code(self, tmp_path, monkeypatch):
         import subnewton.harness as harness
@@ -364,19 +384,20 @@ class TestCLI:
 class TestTraceDeterminism:
     # Traces are byte-identical across reruns only at one BLAS thread count
     # (the Gram kernels' blocking follows it), so the count is set in each
-    # child's environment before numpy loads.
+    # child's environment before numpy loads. The stripe pool's worker count
+    # does not matter.
 
     @staticmethod
-    def rerun_traces(config, tmp_path):
+    def rerun_traces(config, tmp_path, launchers=(("-m", "subnewton"),) * 2):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
         traces = []
-        for run in range(2):
+        for run, launcher in enumerate(launchers):
             out = tmp_path / f"trace{run}.csv"
             done = subprocess.run(
-                [sys.executable, "-m", "subnewton", "solve",
+                [sys.executable, *launcher, "solve",
                  "--config", str(config), "--out", str(out)],
                 cwd=root, env=env, capture_output=True, text=True, timeout=300)
             assert done.returncode == EXIT_OK, done.stderr
@@ -395,5 +416,20 @@ class TestTraceDeterminism:
                            "hessian = uniform_wor\nn = 1500\nd = 80\n"
                            "k_max_target = 1.0\nseed = 3\n")
         first, second = self.rerun_traces(config, tmp_path)
+        assert "lambda_min_dense_final" in first.decode()
+        assert first == second
+
+    def test_one_cpu_and_all_cpus_give_the_same_bytes(self, tmp_path):
+        # 30000 x 80 is past the inline threshold, and spans 15 oracle blocks
+        # and 30 SYRK blocks, so both kernels run their stripes on the pool:
+        # one worker in the child pinned to one CPU, up to four unpinned.
+        config = write_cfg(tmp_path, "problem = biweight\nsolver = tr\n"
+                           "hessian = uniform_wor\nn = 30000\nd = 80\n"
+                           "k_max_target = 1.0\nseed = 3\n")
+        pinned = ("-c", "import os, runpy; "
+                  "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                  "runpy.run_module('subnewton', run_name='__main__')")
+        first, second = self.rerun_traces(config, tmp_path,
+                                          (pinned, ("-m", "subnewton")))
         assert "lambda_min_dense_final" in first.decode()
         assert first == second

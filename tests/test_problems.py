@@ -1,7 +1,13 @@
 import gc
 import math
+import os
+import subprocess
+import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,18 +183,206 @@ class TestWeightedGram:
 
     def test_gemm_below_64_columns_is_the_old_expression_bitwise(self, rng,
                                                                  monkeypatch):
-        syrk_calls = []
-        syrk = problems.dsyrk
-        monkeypatch.setattr(problems, "dsyrk",
-                            lambda *a, **k: syrk_calls.append(1) or syrk(*a, **k))
+        striped = []
+        map_stripes = problems._map_stripes
+        monkeypatch.setattr(problems, "_map_stripes",
+                            lambda task, rows, block: striped.append((rows.shape, block))
+                            or map_stripes(task, rows, block))
         for d in (1, 20, 63):
             rows = rng.standard_normal((300, d))
             w = rng.standard_normal(300)
             m = (rows * w[:, None]).T @ rows
             assert weighted_gram(rows, w).tobytes() == (0.5 * (m + m.T)).tobytes()
-        assert not syrk_calls
+        assert not striped
         weighted_gram(rng.standard_normal((300, 64)), rng.standard_normal(300))
-        assert syrk_calls
+        assert striped == [((300, 64), problems.SYRK_BLOCK_ROWS)]
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A stripe pool that counts the tasks it is given."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.tasks = 0
+
+    def submit(self, *args, **kwargs):
+        self.tasks += 1
+        return super().submit(*args, **kwargs)
+
+
+def use_pool(monkeypatch, pool):
+    """Run every multi-stripe pass on ``pool``, however small its matrix."""
+    monkeypatch.setattr(problems, "_pool", (os.getpid(), pool))
+    monkeypatch.setattr(problems, "_POOL_MIN_ENTRIES", 0)
+    return pool
+
+
+def count_loss_rows(problem):
+    """Make the problem's loss record the row count of each evaluation."""
+    evaluated = []
+    evaluate = problem.loss.evaluate
+
+    def counted(z, b):
+        evaluated.append(len(z))
+        return evaluate(z, b)
+
+    problem.loss = replace(problem.loss, evaluate=counted)
+    return evaluated
+
+
+def reference_mismatches():
+    """The (n, d, output) cases where the one-pass oracle's F or f'' differs
+    in a bit from the two-pass ``loss(rows @ x)``, or grad F by more than
+    1e-13 of its magnitude; bit for bit for grad F too up to one block."""
+    mismatches = []
+    for n in (1, 1023, 1025, 2049, 8193, 20000):
+        for d in (1, 5, 64, 200):
+            g = np.random.default_rng(n * 1000 + d)
+            rows = g.standard_normal((n, d)) / math.sqrt(d)
+            targets, x = g.standard_normal(n), g.standard_normal(d)
+            problem = FiniteSumProblem(rows=rows, targets=targets, loss=BIWEIGHT)
+            f, grad = problem.value_grad(x)
+            values, first, second = BIWEIGHT.evaluate(rows @ x, targets)
+            reference = rows.T @ (first / n)
+            magnitude = np.abs(rows).T @ np.abs(first / n)
+            checks = {
+                "F": _bits(f) == _bits(exact_sum(values) / n),
+                "f''": _bits(problem.second_derivatives(x)) == _bits(second),
+                "grad": (np.max(np.abs(grad - reference)) <= 1e-13 * np.max(magnitude)
+                         and (n > problems.ORACLE_BLOCK_ROWS
+                              or _bits(grad) == _bits(reference))),
+            }
+            mismatches += [(n, d, name) for name, ok in checks.items() if not ok]
+    return mismatches
+
+
+class TestStripes:
+    """The striped kernels give the same bytes at any worker count."""
+
+    @pytest.mark.parametrize("d", [1, 5, 64, 200])
+    @pytest.mark.parametrize("n", [1, 1023, 1025, 2049, 8193, 20000])
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, n, d):
+        g = np.random.default_rng(n * 1000 + d)
+        rows = g.standard_normal((n, d)) / math.sqrt(d)
+        targets, w = g.standard_normal(n), g.standard_normal(n)
+        x = g.standard_normal(d)
+        outputs = []
+        for workers in (1, 2, 3):
+            pool = use_pool(monkeypatch, CountingPool(workers))
+            problem = FiniteSumProblem(rows=rows, targets=targets, loss=BIWEIGHT)
+            f, grad = problem.value_grad(x)
+            outputs.append((_bits(f), _bits(grad), _bits(problem.second_derivatives(x)),
+                            _bits(weighted_gram(rows, w))))
+            pool.shutdown()
+            # The pool gets stripes once a kernel has two blocks: from
+            # n = 2049 for the oracle, from n = 1025 for a SYRK Gram.
+            blocks = (n > problems.ORACLE_BLOCK_ROWS) + (
+                d >= problems.SYRK_MIN_DIM and n > problems.SYRK_BLOCK_ROWS)
+            assert (pool.tasks > 0) == (blocks > 0)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_one_pass_matches_the_two_pass_reference(self):
+        # At one BLAS thread, where OpenBLAS keeps the whole-matrix GEMV on
+        # one thread: its split into threads groups and rounds rows as the
+        # 2048-row blocks do only when the split lands on a block boundary.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), str(root / "tests"),
+                        env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", "from test_problems import reference_mismatches;"
+             " print(reference_mismatches())"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_a_failing_stripe_reaches_the_caller_and_keeps_the_record(self, monkeypatch):
+        use_pool(monkeypatch, CountingPool(2))
+        problem = generate_synthetic("biweight", n=8193, d=5, rng_seed=16)
+        x, y = np.zeros(5), np.ones(5)
+        problem.value_grad(x)
+        record = problem._last
+        evaluate = problem.loss.evaluate
+
+        class StripeFailure(Exception):
+            pass
+
+        def failing(z, b):
+            if len(z) < problems.ORACLE_BLOCK_ROWS:  # the last block only
+                raise StripeFailure
+            return evaluate(z, b)
+
+        problem.loss = replace(problem.loss, evaluate=failing)
+        with pytest.raises(StripeFailure):
+            problem.value_grad(y)
+        assert problems._pool[1].tasks == 8
+        assert problem._last is record
+        problem.loss = replace(problem.loss, evaluate=evaluate)
+        fresh = generate_synthetic("biweight", n=8193, d=5, rng_seed=16)
+        assert _bits(problem.value_grad(y)[1]) == _bits(fresh.value_grad(y)[1])
+
+    def test_a_new_pid_gets_a_new_pool(self, monkeypatch):
+        inherited = CountingPool(1)
+        monkeypatch.setattr(problems, "_pool", (os.getpid() + 1, inherited))
+        pool = problems._executor()
+        assert pool is not inherited
+        assert problems._pool == (os.getpid(), pool)
+        assert problems._executor() is pool
+        pool.shutdown()
+        inherited.shutdown()
+
+    def test_a_single_stripe_starts_no_thread(self, monkeypatch, rng):
+        # However large the matrix: one oracle block, one SYRK block.
+        monkeypatch.setattr(problems, "_pool", ())
+        monkeypatch.setattr(problems, "_POOL_MIN_ENTRIES", 0)
+        threads = set(threading.enumerate())
+        problem = generate_synthetic("biweight", n=problems.ORACLE_BLOCK_ROWS,
+                                     d=problems.SYRK_MIN_DIM, rng_seed=17)
+        problem.value_grad(rng.standard_normal(problem.d))
+        weighted_gram(problem.rows[:problems.SYRK_BLOCK_ROWS],
+                      rng.standard_normal(problems.SYRK_BLOCK_ROWS))
+        assert problems._pool == ()
+        assert set(threading.enumerate()) <= threads
+
+    def test_a_small_matrix_runs_its_stripes_inline(self, monkeypatch, rng):
+        monkeypatch.setattr(problems, "_pool", ())
+        threads = set(threading.enumerate())
+        problem = generate_synthetic("biweight", n=4 * problems.ORACLE_BLOCK_ROWS,
+                                     d=problems.SYRK_MIN_DIM, rng_seed=18)
+        assert problem.rows.size < problems._POOL_MIN_ENTRIES
+        problem.value_grad(rng.standard_normal(problem.d))
+        weighted_gram(problem.rows, rng.standard_normal(problem.n))
+        assert problems._pool == ()
+        assert set(threading.enumerate()) <= threads
+
+    def test_concurrent_callers_share_a_problem(self, monkeypatch):
+        # More callers than CPUs, each waiting on stripes it handed to the
+        # shared pool, with frequent thread switches: none may deadlock, and
+        # each gets the bytes a lone caller gets.
+        use_pool(monkeypatch, CountingPool(2))
+        problem = generate_synthetic("biweight", n=8193, d=5, rng_seed=19)
+        points = [np.full(5, 0.1 * k) for k in range(6)]
+        expected = [_bits(generate_synthetic("biweight", n=8193, d=5, rng_seed=19)
+                          .value_grad(x)[1]) for x in points]
+        results = [None] * len(points)
+
+        def call(k):
+            for _ in range(5):
+                results[k] = _bits(problem.value_grad(points[k])[1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(6)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == expected
 
 
 class TestGenerateSynthetic:
@@ -333,47 +527,46 @@ class TestEvaluationRecord:
     def test_one_pass_per_distinct_point(self):
         # The record keeps the current point and the last trial, so the loop
         # head's query after a rejected trial reads it instead of passing
-        # over the rows again: each distinct point costs exactly one pass.
+        # over the rows again: each distinct point costs exactly one pass,
+        # in which the loss reads each of the n rows once.
         config = parse_config_text(self.TR_CFG)
         problem = build_problem(config)
+        evaluated = count_loss_rows(problem)
         queried: list[bytes] = []
         passes = []
         for name in ("value_grad", "second_derivatives"):
             method = getattr(problem, name)
 
             def wrapper(x, _method=method):
-                queried.append(np.asarray(x).tobytes())
-                return _method(x)
+                key = np.asarray(x).tobytes()
+                before = sum(evaluated)
+                out = _method(x)
+                queried.append(key)
+                if sum(evaluated) > before:
+                    passes.append((key, sum(evaluated) - before))
+                return out
 
             setattr(problem, name, wrapper)
-        predictions = problem.predictions
-
-        def counted_predictions(x):
-            passes.append(np.asarray(x).tobytes())
-            return predictions(x)
-
-        problem.predictions = counted_predictions
         result = run_solver(config, problem)
         format_trace(result, problem=problem)
         runs = [key for i, key in enumerate(queried) if i == 0 or key != queried[i - 1]]
         assert result.n_rejected >= 1
-        assert passes == list(dict.fromkeys(queried))
+        assert passes == [(key, problem.n) for key in dict.fromkeys(queried)]
+        assert sum(evaluated) == problem.n * len(passes)
         assert len(passes) < len(runs)
 
     def test_two_points_alternate_without_a_new_pass(self):
-        problem = generate_synthetic("biweight", n=100, d=4, rng_seed=14)
+        # n spans three oracle blocks, so the rows are read on the pool.
+        problem = generate_synthetic("biweight", n=5000, d=4, rng_seed=14)
+        evaluated = count_loss_rows(problem)
         passes = []
-        predictions = problem.predictions
-
-        def counted_predictions(x):
-            passes.append(np.asarray(x).tobytes())
-            return predictions(x)
-
-        problem.predictions = counted_predictions
         x_a, x_b, x_c = np.zeros(4), np.ones(4), np.full(4, 2.0)
         for x in (x_a, x_b, x_a, x_b, x_a, x_c, x_a, x_b):
+            before = sum(evaluated)
             problem.value_grad(x)
-        assert passes == [x.tobytes() for x in (x_a, x_b, x_c, x_b)]
+            if sum(evaluated) > before:
+                passes.append((x.tobytes(), sum(evaluated) - before))
+        assert passes == [(x.tobytes(), 5000) for x in (x_a, x_b, x_c, x_b)]
 
     def test_trace_matches_a_run_that_never_reuses(self):
         config = parse_config_text(self.TR_CFG)
