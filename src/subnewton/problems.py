@@ -59,6 +59,8 @@ class ScalarLoss:
     K_i = curvature_bound * ||a_i||^2. ``third_bound`` upper-bounds |f'''|
     and yields the Hessian-Lipschitz estimate used by the cubic solver.
     Custom losses must supply valid bounds themselves; they are not checked.
+    ``evaluate`` must be elementwise in z and b and safe to call from several
+    threads at once: the oracle calls it per row block, on the stripe pool.
     """
 
     name: str
@@ -140,10 +142,6 @@ def exact_sum(x: Array) -> float:
 # Row blocks are dealt into this many stripes whatever the CPU count, and
 # stripe results are added in stripe order: no result depends on the workers.
 STRIPES = 4
-# Below this many matrix entries the stripes run inline: the pool's hand-offs
-# of the GIL cost more than a second CPU saves (the oracle broke even at 1.5
-# to 3 million entries on a 2-vCPU host).
-_POOL_MIN_ENTRIES = 1 << 21
 _pool: tuple = ()  # (pid that made it, the ThreadPoolExecutor)
 _pool_lock = threading.Lock()
 
@@ -165,15 +163,15 @@ def _map_stripes(task: Callable[[int, int], object], rows: Array,
     """task(lo, hi) for each non-empty stripe of rows lo:hi, in stripe order.
 
     The ceil(n / block_rows) row blocks are dealt into ``STRIPES`` contiguous
-    stripes. One stripe, or a small matrix, runs inline; otherwise the pool
-    runs one task per stripe. Tasks never wait on each other, and the first
-    stripe's exception, in stripe order, reaches the caller.
+    stripes. One stripe runs inline; otherwise the pool runs one task per
+    stripe. Tasks never wait on each other, and the first stripe's
+    exception, in stripe order, reaches the caller.
     """
     n = rows.shape[0]
     blocks = -(-n // block_rows)
     cuts = [min(n, k * blocks // STRIPES * block_rows) for k in range(STRIPES + 1)]
     spans = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi] or [(0, n)]
-    if len(spans) == 1 or rows.size < _POOL_MIN_ENTRIES:
+    if len(spans) == 1:
         return [task(lo, hi) for lo, hi in spans]
     return list(_executor().map(lambda span: task(*span), spans))
 
@@ -303,11 +301,8 @@ class FiniteSumProblem:
                 for start in range(lo, hi, ORACLE_BLOCK_ROWS):
                     end = min(hi, start + ORACLE_BLOCK_ROWS)
                     block = rows[start:end]
-                    # numpy takes a lone row's product by a dot, which rounds
-                    # unlike a GEMV; the GEMV over the block before keeps it.
-                    z = (block @ x if end - start > 1 or start == 0
-                         else (rows[start - ORACLE_BLOCK_ROWS:end] @ x)[-1:])
-                    value, first, curvature = loss.evaluate(z, targets[start:end])
+                    value, first, curvature = loss.evaluate(block @ x,
+                                                            targets[start:end])
                     values[start:end], second[start:end] = value, curvature
                     part = block.T @ (first / n)
                     grad = part if grad is None else grad + part

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subnewton import problems
 from subnewton.core import ConfigurationError
 from subnewton.harness import (EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK,
                                EXIT_VERIFICATION_FAILURE, ExperimentConfig,
@@ -338,9 +337,8 @@ class TestCLI:
         assert "solver" not in err
 
     # The loss overflows at the start point. At n = 5000 it is evaluated on
-    # the stripe pool's threads (three oracle blocks, the size threshold
-    # lifted), and numpy's error state is per thread, so the pass itself must
-    # keep the overflow quiet.
+    # the stripe pool's threads (three oracle blocks), and numpy's error
+    # state is per thread, so the pass itself must keep the overflow quiet.
     @pytest.mark.parametrize("command, n, cause", [
         ("solve", 200, "solver aborted: non-finite values encountered in "
                        "objective value at iteration 0"),
@@ -349,9 +347,8 @@ class TestCLI:
         ("verify-sampling", 5000, "verify-sampling aborted: non-finite values "
                                   "encountered in f''"),
     ])
-    def test_start_point_overflow_exit_code(self, tmp_path, capsys, monkeypatch,
-                                            command, n, cause):
-        monkeypatch.setattr(problems, "_POOL_MIN_ENTRIES", 0)
+    def test_start_point_overflow_exit_code(self, tmp_path, capsys, command, n,
+                                            cause):
         cfg = write_cfg(tmp_path, f"problem = biweight\nn = {n}\nd = 5\n"
                                   f"x0_scale = 1e300\nout = {tmp_path / 'o.csv'}\n")
         assert main([command, "--config", str(cfg)]) == EXIT_NOT_CONVERGED
@@ -420,11 +417,11 @@ class TestTraceDeterminism:
         assert first == second
 
     def test_one_cpu_and_all_cpus_give_the_same_bytes(self, tmp_path):
-        # 30000 x 80 is past the inline threshold, and spans 15 oracle blocks
-        # and 30 SYRK blocks, so both kernels run their stripes on the pool:
-        # one worker in the child pinned to one CPU, up to four unpinned.
+        # 6000 x 80 spans 3 oracle blocks and 6 SYRK blocks, so both kernels
+        # run their stripes on the pool: one worker in the child pinned to
+        # one CPU, up to four unpinned.
         config = write_cfg(tmp_path, "problem = biweight\nsolver = tr\n"
-                           "hessian = uniform_wor\nn = 30000\nd = 80\n"
+                           "hessian = uniform_wor\nn = 6000\nd = 80\n"
                            "k_max_target = 1.0\nseed = 3\n")
         pinned = ("-c", "import os, runpy; "
                   "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "

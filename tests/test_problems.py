@@ -211,9 +211,8 @@ class CountingPool(ThreadPoolExecutor):
 
 
 def use_pool(monkeypatch, pool):
-    """Run every multi-stripe pass on ``pool``, however small its matrix."""
+    """Run every multi-stripe pass on ``pool``."""
     monkeypatch.setattr(problems, "_pool", (os.getpid(), pool))
-    monkeypatch.setattr(problems, "_POOL_MIN_ENTRIES", 0)
     return pool
 
 
@@ -232,7 +231,8 @@ def count_loss_rows(problem):
 
 def reference_mismatches():
     """The (n, d, output) cases where the one-pass oracle's F or f'' differs
-    in a bit from the two-pass ``loss(rows @ x)``, or grad F by more than
+    in a bit from the two-pass ``loss(rows @ x)`` (a lone last row's product
+    taken on its own, as its one-row block takes it), or grad F by more than
     1e-13 of its magnitude; bit for bit for grad F too up to one block."""
     mismatches = []
     for n in (1, 1023, 1025, 2049, 8193, 20000):
@@ -242,7 +242,12 @@ def reference_mismatches():
             targets, x = g.standard_normal(n), g.standard_normal(d)
             problem = FiniteSumProblem(rows=rows, targets=targets, loss=BIWEIGHT)
             f, grad = problem.value_grad(x)
-            values, first, second = BIWEIGHT.evaluate(rows @ x, targets)
+            z = rows @ x
+            if n % problems.ORACLE_BLOCK_ROWS == 1:
+                # A lone last row is a block of its own, whose product numpy
+                # takes by a dot; that can round unlike the whole GEMV's row.
+                z[-1:] = rows[-1:] @ x
+            values, first, second = BIWEIGHT.evaluate(z, targets)
             reference = rows.T @ (first / n)
             magnitude = np.abs(rows).T @ np.abs(first / n)
             checks = {
@@ -333,26 +338,14 @@ class TestStripes:
         inherited.shutdown()
 
     def test_a_single_stripe_starts_no_thread(self, monkeypatch, rng):
-        # However large the matrix: one oracle block, one SYRK block.
+        # One oracle block, one SYRK block.
         monkeypatch.setattr(problems, "_pool", ())
-        monkeypatch.setattr(problems, "_POOL_MIN_ENTRIES", 0)
         threads = set(threading.enumerate())
         problem = generate_synthetic("biweight", n=problems.ORACLE_BLOCK_ROWS,
                                      d=problems.SYRK_MIN_DIM, rng_seed=17)
         problem.value_grad(rng.standard_normal(problem.d))
         weighted_gram(problem.rows[:problems.SYRK_BLOCK_ROWS],
                       rng.standard_normal(problems.SYRK_BLOCK_ROWS))
-        assert problems._pool == ()
-        assert set(threading.enumerate()) <= threads
-
-    def test_a_small_matrix_runs_its_stripes_inline(self, monkeypatch, rng):
-        monkeypatch.setattr(problems, "_pool", ())
-        threads = set(threading.enumerate())
-        problem = generate_synthetic("biweight", n=4 * problems.ORACLE_BLOCK_ROWS,
-                                     d=problems.SYRK_MIN_DIM, rng_seed=18)
-        assert problem.rows.size < problems._POOL_MIN_ENTRIES
-        problem.value_grad(rng.standard_normal(problem.d))
-        weighted_gram(problem.rows, rng.standard_normal(problem.n))
         assert problems._pool == ()
         assert set(threading.enumerate()) <= threads
 
@@ -555,8 +548,9 @@ class TestEvaluationRecord:
         assert sum(evaluated) == problem.n * len(passes)
         assert len(passes) < len(runs)
 
-    def test_two_points_alternate_without_a_new_pass(self):
+    def test_two_points_alternate_without_a_new_pass(self, monkeypatch):
         # n spans three oracle blocks, so the rows are read on the pool.
+        pool = use_pool(monkeypatch, CountingPool(2))
         problem = generate_synthetic("biweight", n=5000, d=4, rng_seed=14)
         evaluated = count_loss_rows(problem)
         passes = []
@@ -567,6 +561,8 @@ class TestEvaluationRecord:
             if sum(evaluated) > before:
                 passes.append((x.tobytes(), sum(evaluated) - before))
         assert passes == [(x.tobytes(), 5000) for x in (x_a, x_b, x_c, x_b)]
+        assert pool.tasks == 3 * len(passes)
+        pool.shutdown()
 
     def test_trace_matches_a_run_that_never_reuses(self):
         config = parse_config_text(self.TR_CFG)
