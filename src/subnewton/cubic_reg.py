@@ -17,15 +17,15 @@ import math
 from dataclasses import dataclass
 
 from .core import (Array, ConfigurationError, HessianOperator, Objective,
-                   OptimalityTolerances, SolveResult)
-from .subproblem import (CubicModel, SubproblemSolution, arc_cauchy_point,
-                         arc_eigen_point, arc_progressive_solve,
-                         arc_subspace_solve)
-from .trust_region import HessianSource, iterate
+                   SolveResult)
+from .subproblem import (CubicModel, SubproblemSolution, _sqrt_shift,
+                         arc_cauchy_point, arc_eigen_point,
+                         arc_progressive_solve, arc_subspace_solve)
+from .trust_region import HessianSource, LoopConfig, iterate
 
 
 @dataclass(frozen=True)
-class ARCConfig:
+class ARCConfig(LoopConfig):
     """Hyper-parameters of the cubic-regularization driver.
 
     ``l_estimate`` enters the fixed Hessian-accuracy formula; supplying a
@@ -34,27 +34,16 @@ class ARCConfig:
     guards the regularizer against underflow on long success streaks.
     """
 
-    tol: OptimalityTolerances
     sigma0: float = 1.0
-    eta: float = 0.2
-    gamma: float = 2.0
-    nu: float | None = None
     zeta: float = 0.25
     l_estimate: float = 1.0
     mode: str = "standard"
-    max_iters: int = 200
-    delta_total: float = 0.1
     sigma_min: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (self.sigma0 > 0 and math.isfinite(self.sigma0)):
             raise ConfigurationError(f"sigma0 must be positive, got {self.sigma0}")
-        if not (0.0 < self.eta < 1.0):
-            raise ConfigurationError(f"eta must lie in (0, 1), got {self.eta}")
-        if not (1.0 < self.gamma < math.inf):
-            raise ConfigurationError(f"gamma must be finite and exceed 1, got {self.gamma}")
-        if self.nu is not None and not (0.0 < self.nu < 1.0):
-            raise ConfigurationError(f"nu must lie in (0, 1), got {self.nu}")
+        super().__post_init__()
         if self.mode not in ("standard", "optimal"):
             raise ConfigurationError(f"mode must be standard or optimal, got {self.mode!r}")
         if self.mode == "optimal" and not (0.0 < self.zeta < 0.5):
@@ -63,8 +52,6 @@ class ARCConfig:
         if not (0.0 < self.l_estimate < math.inf):
             raise ConfigurationError(
                 f"l_estimate must be positive and finite, got {self.l_estimate}")
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be at least 1")
         if not (0.0 <= self.sigma_min < math.inf):
             raise ConfigurationError(
                 f"sigma_min must be nonnegative and finite, got {self.sigma_min}")
@@ -82,9 +69,8 @@ def arc_epsilon(config: ARCConfig, k_h: float) -> float:
     if k_h < 0:
         raise ConfigurationError("k_h must be nonnegative")
     eta = config.eta
-    surd = 8.0 * config.l_estimate * config.tol.eps_g
-    branch_grad = min(1.0 / 12.0, (1.0 - eta) / 6.0) * (
-        surd / (math.sqrt(k_h * k_h + surd) + k_h))
+    branch_grad = min(1.0 / 12.0, (1.0 - eta) / 6.0) * _sqrt_shift(
+        k_h, 8.0 * config.l_estimate * config.tol.eps_g)
     branch_eig = min(1.0 / 6.0, (1.0 - eta) / 3.0) * config.nu * config.tol.eps_H
     eps = min(branch_grad, branch_eig)
     if config.mode == "optimal":
@@ -96,10 +82,9 @@ def run_arc(oracle: Objective, hessian_source: HessianSource, config: ARCConfig,
             x0: Array, rng_seed: int = 0) -> SolveResult:
     """Iterate Algorithm-style sigma updates until optimality of the inexact
     model is certified, or max_iters is hit (flagged not-converged)."""
-    mode_tag = "arc_optimal" if config.mode == "optimal" else "arc_standard"
     # The fixed tolerance comes from the bootstrap operator's norm bound.
     return iterate(oracle, hessian_source, config, x0, rng_seed,
-                   param=config.sigma0, tag=mode_tag, bootstrap_eps=0.5,
+                   param=config.sigma0, tag=f"arc_{config.mode}", bootstrap_eps=0.5,
                    tolerance=lambda cfg, bootstrap, sigma: arc_epsilon(
                        cfg, bootstrap.norm_bound),
                    step=_arc_step,

@@ -55,4 +55,9 @@ def min_valid_nu(norm_bound: float, eps_H: float) -> float:
 
 
 def default_nu(norm_bound: float, eps_H: float) -> float:
-    return max(min_valid_nu(norm_bound, eps_H), 0.5)
+    nu = max(min_valid_nu(norm_bound, eps_H), 0.5)
+    if not nu < 1.0:
+        raise ConfigurationError(
+            f"the default nu = 2K/(2K + eps_H) rounds to 1 at eps_H={eps_H!r}, "
+            f"K={norm_bound!r}; set nu below 1")
+    return nu

@@ -98,9 +98,10 @@ class ExperimentConfig:
             raise ConfigurationError("eps_cap must lie in (0, 1]")
         if not np.isfinite(self.x0_scale):
             raise ConfigurationError(f"x0_scale must be finite, got {self.x0_scale}")
-        for key in ("trials", "verify_trials"):
-            if getattr(self, key) < 1:
-                raise ConfigurationError(f"{key} must be at least 1, got {getattr(self, key)}")
+        for key, low in (("trials", 1), ("verify_trials", 1), ("data_seed", 0)):
+            if getattr(self, key) < low:
+                raise ConfigurationError(
+                    f"{key} must be at least {low}, got {getattr(self, key)}")
         for key in ("verify_eps", "verify_delta"):
             _grid(self, key)
 
@@ -196,40 +197,49 @@ def build_hessian_source(config: ExperimentConfig, problem):
 
 
 def starting_point(config: ExperimentConfig, problem) -> Array:
-    d = 2 if config.problem == "quartic" else problem.d
     if config.x0_scale == 0.0:
-        return np.zeros(d)
+        return np.zeros(problem.d)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0xFFFFFFFF, 105]))
-    return config.x0_scale * rng.standard_normal(d)
+    return config.x0_scale * rng.standard_normal(problem.d)
 
 
 def run_solver(config: ExperimentConfig, problem, seed: int | None = None) -> SolveResult:
     seed = config.seed if seed is None else seed
-    tol = OptimalityTolerances(eps_g=config.eps_g, eps_H=config.eps_h)
+    loop = dict(tol=OptimalityTolerances(eps_g=config.eps_g, eps_H=config.eps_h),
+                eta=config.eta, gamma=config.gamma, nu=config.nu,
+                max_iters=config.max_iters, delta_total=config.delta)
     source = build_hessian_source(config, problem)
     x0 = starting_point(config, problem)
     if config.solver == "tr":
-        tr_config = TRConfig(tol=tol, delta0=config.radius0, eta=config.eta,
-                             gamma=config.gamma, alpha=config.alpha, nu=config.nu,
-                             max_iters=config.max_iters, delta_total=config.delta)
+        tr_config = TRConfig(**loop, delta0=config.radius0, alpha=config.alpha)
         return run_tr(problem, source, tr_config, x0, rng_seed=seed)
     l_estimate = config.l_estimate
     if l_estimate is None:
-        l_estimate = _default_l_estimate(config, problem)
-    arc_config = ARCConfig(tol=tol, sigma0=config.sigma0, eta=config.eta,
-                           gamma=config.gamma, nu=config.nu, zeta=config.zeta,
+        l_estimate = problem.hessian_lipschitz_bound()
+    arc_config = ARCConfig(**loop, sigma0=config.sigma0, zeta=config.zeta,
                            l_estimate=l_estimate, mode=config.arc_mode,
-                           max_iters=config.max_iters, delta_total=config.delta,
                            sigma_min=config.sigma_min)
     return run_arc(problem, source, arc_config, x0, rng_seed=seed)
 
 
-def _default_l_estimate(config: ExperimentConfig, problem) -> float:
-    if isinstance(problem, FiniteSumProblem):
-        return problem.hessian_lipschitz_bound()
-    # Quartic: iterates with F <= F(0,0) stay inside |x| <= sqrt(2); pad the
-    # box for trial points.
-    return problem.hessian_lipschitz_bound(box_radius=4.0)
+# The largest dimension whose Hessian is eigensolved densely.
+DENSE_LIMIT = 500
+
+
+def _dense_finite_sum_problem(config: ExperimentConfig, command: str) -> FiniteSumProblem:
+    """The configured problem, if a finite sum small enough for dense eigensolves."""
+    problem = build_problem(config)
+    if not isinstance(problem, FiniteSumProblem):
+        raise ConfigurationError(f"{command} needs a finite-sum problem")
+    if problem.d > DENSE_LIMIT:
+        raise ConfigurationError(f"d={problem.d} too large for the dense "
+                                 f"eigensolves of {command} (limit {DENSE_LIMIT})")
+    return problem
+
+
+def lambda_min_dense(problem, x: Array) -> float:
+    """Smallest eigenvalue of the exact Hessian at x, from a dense eigensolve."""
+    return float(np.linalg.eigvalsh(problem.dense_hessian(x))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +264,8 @@ def format_trace(result: SolveResult, problem=None) -> str:
     lines.append(f"# iterations: {len(result.records)}")
     lines.append(f"# accepted: {result.n_accepted}")
     lines.append(f"# rejected: {result.n_rejected}")
-    if problem is not None and hasattr(problem, "dense_hessian"):
-        dim = result.x.shape[0]
-        if dim <= 500:
-            lam = float(np.linalg.eigvalsh(problem.dense_hessian(result.x))[0])
-            lines.append(f"# lambda_min_dense_final: {lam!r}")
+    if problem is not None and result.x.shape[0] <= DENSE_LIMIT:
+        lines.append(f"# lambda_min_dense_final: {lambda_min_dense(problem, result.x)!r}")
     eps_history = ",".join(repr(r.eps_t) for r in result.records)
     size_history = ",".join(str(r.sample_size) for r in result.records)
     lines.append(f"# eps_t_history: {eps_history}")
@@ -325,12 +332,7 @@ def verify_bounds(config: ExperimentConfig) -> tuple[list[VerificationRow], bool
     more often than delta. With only loose grid points no control is emitted:
     a quartered size can legitimately still concentrate there.
     """
-    problem = build_problem(config)
-    if not isinstance(problem, FiniteSumProblem):
-        raise ConfigurationError("verify-sampling needs a finite-sum problem")
-    if problem.d > 500:
-        raise ConfigurationError(
-            f"d={problem.d} too large for dense verification (limit 500)")
+    problem = _dense_finite_sum_problem(config, "verify-sampling")
     x = starting_point(config, problem)
     eps_grid = _grid(config, "verify_eps")
     delta_grid = _grid(config, "verify_delta")
@@ -399,17 +401,14 @@ class ComparisonRun:
     hessian_cost: int
 
     def optimal(self, eps_g: float, eps_h: float) -> bool:
-        eps = self.eps_final if np.isfinite(self.eps_final) else 0.0
         return (self.grad_norm_final <= eps_g
-                and self.lambda_min_dense >= -(eps + eps_h))
+                and self.lambda_min_dense >= -(self.eps_final + eps_h))
 
 
 def compare_exact_vs_sampled(config: ExperimentConfig) -> tuple[list[ComparisonRun], str]:
     """Paired runs over ``trials`` seeds; reports terminal optimality and the
     per-iteration Hessian cost proxy (scalar-Hessian evaluations)."""
-    problem = build_problem(config)
-    if not isinstance(problem, FiniteSumProblem):
-        raise ConfigurationError("compare needs a finite-sum problem")
+    problem = _dense_finite_sum_problem(config, "compare")
     if config.hessian == "exact":
         raise ConfigurationError("compare needs a sampled hessian mode to "
                                  "pair against the exact runs")
@@ -419,12 +418,12 @@ def compare_exact_vs_sampled(config: ExperimentConfig) -> tuple[list[ComparisonR
         for hessian_mode in ("exact", config.hessian):
             variant = replace(config, hessian=hessian_mode, seed=seed)
             result = run_solver(variant, problem, seed=seed)
-            lam = float(np.linalg.eigvalsh(problem.dense_hessian(result.x))[0])
             cost = sum(r.sample_size for r in result.records)
             runs.append(ComparisonRun(
                 seed=seed, hessian=hessian_mode, converged=result.converged,
                 iterations=len(result.records), f_final=result.f_final,
-                grad_norm_final=result.grad_norm_final, lambda_min_dense=lam,
+                grad_norm_final=result.grad_norm_final,
+                lambda_min_dense=lambda_min_dense(problem, result.x),
                 eps_final=result.eps_final if np.isfinite(result.eps_final) else 0.0,
                 hessian_cost=cost))
     report = _format_comparison(runs, config)

@@ -261,10 +261,14 @@ class FiniteSumProblem:
                 f"targets has shape {self.targets.shape}, expected ({self.rows.shape[0]},)")
         ensure_finite(self.rows, "problem rows")
         ensure_finite(self.targets, "problem targets")
-        self.row_sq_norms = np.einsum("ij,ij->i", self.rows, self.rows)
-        self.k_i = self.loss.curvature_bound * self.row_sq_norms
-        self.k_max = float(np.max(self.k_i)) if self.k_i.size else 0.0
-        self.k_hat = float(np.mean(self.k_i)) if self.k_i.size else 0.0
+        with np.errstate(over="ignore"):
+            self.row_sq_norms = np.einsum("ij,ij->i", self.rows, self.rows)
+            self.k_i = self.loss.curvature_bound * self.row_sq_norms
+            self.k_max = float(np.max(self.k_i)) if self.k_i.size else 0.0
+            self.k_hat = float(np.mean(self.k_i)) if self.k_i.size else 0.0
+        if not math.isfinite(self.k_hat):
+            raise ConfigurationError(f"the curvature bounds sup|f''| * ||a_i||^2 overflow "
+                                     f"(the largest at row {int(np.argmax(self.k_i))})")
 
     @property
     def n(self) -> int:
@@ -340,8 +344,12 @@ class FiniteSumProblem:
 
     def hessian_lipschitz_bound(self) -> float:
         """Global (hence path) Lipschitz bound for grad^2 F from sup|f'''|."""
-        row_cubes = self.row_sq_norms ** 1.5
-        return self.loss.third_bound * float(np.mean(row_cubes))
+        with np.errstate(over="ignore"):
+            bound = self.loss.third_bound * float(np.mean(self.row_sq_norms ** 1.5))
+        if not math.isfinite(bound):
+            raise ConfigurationError(
+                "the Hessian-Lipschitz bound sup|f'''| * mean ||a_i||^3 overflows")
+        return bound
 
 
 class QuarticSaddle:
@@ -352,8 +360,12 @@ class QuarticSaddle:
 
     def value_grad(self, x: Array) -> tuple[float, Array]:
         a, b = float(x[0]), float(x[1])
-        value = a ** 4 / 4.0 - a ** 2 / 2.0 + b ** 2 / 2.0
-        grad = np.array([a ** 3 - a, b])
+        try:
+            value = a ** 4 / 4.0 - a ** 2 / 2.0 + b ** 2 / 2.0
+            grad = np.array([a ** 3 - a, b])
+        except OverflowError:
+            raise OverflowError(f"the quartic objective overflows at "
+                                f"x=({a!r}, {b!r})") from None
         return value, grad
 
     def dense_hessian(self, x: Array) -> Array:
@@ -365,8 +377,10 @@ class QuarticSaddle:
         return HessianOperator(form=lambda: h,
                                norm_bound=float(np.max(np.abs(np.diag(h)))))
 
-    def hessian_lipschitz_bound(self, box_radius: float) -> float:
-        # |d/dx (3x^2 - 1)| = 6|x| on the box |x| <= box_radius.
+    def hessian_lipschitz_bound(self, box_radius: float = 4.0) -> float:
+        # |d/dx (3x^2 - 1)| = 6|x| on the box |x| <= box_radius. Iterates
+        # with F <= F(0,0) stay inside |x| <= sqrt(2); the default pads the
+        # box for trial points.
         return 6.0 * box_radius
 
 
@@ -412,14 +426,13 @@ class DatasetError(ValueError):
 
 
 def load_dataset(path: str | Path, fmt: str = "csv",
-                 loss: ScalarLoss | str = BIWEIGHT,
-                 d: int | None = None) -> FiniteSumProblem:
+                 loss: ScalarLoss | str = BIWEIGHT) -> FiniteSumProblem:
     """Read rows/targets from disk.
 
     csv: one sample per line, d feature columns then the target column;
     a header line is skipped when its first field is not numeric.
     svmlight: ``target idx:val idx:val ...`` with 1-based indices; the
-    dimension is max index seen unless ``d`` is given.
+    dimension is the largest index seen.
     """
     if isinstance(loss, str):
         loss = LOSSES[loss]
@@ -430,71 +443,60 @@ def load_dataset(path: str | Path, fmt: str = "csv",
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from None
-    rows, targets = (_read_csv(path, text) if fmt == "csv"
-                     else _read_svmlight(path, text, d))
-    return FiniteSumProblem(rows=rows, targets=targets, loss=loss)
-
-
-def _read_csv(path: Path, text: str) -> tuple[Array, Array]:
-    rows: list[list[float]] = []
+    csv = fmt == "csv"
     targets: list[float] = []
-    width = None
+    features: list[dict[int, float]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if lineno == 1 and not _is_number(fields[0]):
-            continue  # header
+        fields = line.split(",") if csv else line.split()
+        if not line.strip() or (csv and lineno == 1 and not _is_number(fields[0])):
+            continue  # a blank line, or the csv header
         try:
-            values = [float(f) for f in fields]
+            target, row = _csv_row(fields, features) if csv else _svmlight_row(fields)
         except ValueError as exc:
             raise DatasetError(f"{path}: line {lineno}: {exc}") from None
-        if len(values) < 2:
-            raise DatasetError(f"{path}: line {lineno}: need features plus target")
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise DatasetError(
-                f"{path}: line {lineno}: expected {width} fields, got {len(values)}")
-        rows.append(values[:-1])
-        targets.append(values[-1])
-    if not rows:
+        targets.append(target)
+        features.append(row)
+    if not targets:
         raise DatasetError(f"{path}: no data rows")
-    return np.asarray(rows), np.asarray(targets)
+    rows = np.zeros((len(features), max(max(row, default=0) for row in features)))
+    for i, row in enumerate(features):
+        rows[i, [idx - 1 for idx in row]] = list(row.values())
+    try:
+        return FiniteSumProblem(rows=rows, targets=np.asarray(targets), loss=loss)
+    except ConfigurationError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
-def _read_svmlight(path: Path, text: str, d: int | None) -> tuple[Array, Array]:
-    parsed: list[tuple[float, dict[int, float]]] = []
-    max_idx = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        try:
-            target = float(fields[0])
-            feats: dict[int, float] = {}
-            for token in fields[1:]:
-                idx_str, val_str = token.split(":")
-                idx = int(idx_str)
-                if idx < 1:
-                    raise ValueError(f"index {idx} is not 1-based")
-                feats[idx] = float(val_str)
-                max_idx = max(max_idx, idx)
-        except (ValueError, IndexError) as exc:
-            raise DatasetError(f"{path}: line {lineno}: {exc}") from None
-        parsed.append((target, feats))
-    if not parsed:
-        raise DatasetError(f"{path}: no data rows")
-    dim = d if d is not None else max_idx
-    if max_idx > dim:
-        raise DatasetError(f"{path}: feature index {max_idx} exceeds d={dim}")
-    rows = np.zeros((len(parsed), dim))
-    targets = np.zeros(len(parsed))
-    for i, (target, feats) in enumerate(parsed):
-        targets[i] = target
-        for idx, val in feats.items():
-            rows[i, idx - 1] = val
-    return rows, targets
+def _csv_row(fields: list[str], earlier: list[dict[int, float]]
+             ) -> tuple[float, dict[int, float]]:
+    values = [_finite_number(f) for f in fields]
+    if len(values) < 2:
+        raise ValueError("need features plus target")
+    if earlier and len(values) != len(earlier[0]) + 1:
+        raise ValueError(f"expected {len(earlier[0]) + 1} fields, got {len(values)}")
+    return values[-1], dict(enumerate(values[:-1], start=1))
+
+
+def _svmlight_row(fields: list[str]) -> tuple[float, dict[int, float]]:
+    target = _finite_number(fields[0])
+    row: dict[int, float] = {}
+    for token in fields[1:]:
+        idx_str, val_str = token.split(":")
+        idx = int(idx_str)
+        if idx < 1:
+            raise ValueError(f"index {idx} is not 1-based")
+        if idx in row:
+            raise ValueError(f"index {idx} repeated")
+        row[idx] = _finite_number(val_str)
+    return target, row
+
+
+def _finite_number(token: str) -> float:
+    """The value of a dataset field; NaN, infinities and overflow refused."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token.strip()!r}")
+    return value
 
 
 def _is_number(token: str) -> bool:

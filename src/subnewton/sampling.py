@@ -206,16 +206,13 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
     with the uniform bound K_max. Other samples' rows are gathered and their
     matrix formed on first use.
     """
-    rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
-           else np.random.default_rng(rng_seed))
+    rng = np.random.default_rng(rng_seed)
     p = (None if scheme.mode.startswith("uniform")
          else nonuniform_distribution(problem, x))
     idx, p_sel = _draw_indices(problem, scheme, p, rng)
     size = idx.shape[0]
-    if scheme.mode.startswith("uniform"):
-        norm_bound = problem.k_max
-    else:
-        norm_bound = problem.k_hat + scheme.epsilon
+    norm_bound = (problem.k_max if scheme.mode.startswith("uniform")
+                  else problem.k_hat + scheme.epsilon)
     if scheme.mode == "uniform_without_replacement" and size == problem.n:
         return replace(problem.exact_hessian_operator(x), norm_bound=norm_bound)
     rows = problem.rows
@@ -235,8 +232,7 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
     desk scale only. A full draw without replacement is the same every
     trial, so its error is measured once and counted ``trials`` times.
     """
-    rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
-           else np.random.default_rng(rng_seed))
+    rng = np.random.default_rng(rng_seed)
     second = problem.second_derivatives(x)
     ensure_finite(second, "f'' at the verification point")
     exact = problem.dense_hessian(x)

@@ -265,8 +265,12 @@ def arc_certificates(model: CubicModel, step: Array, nu_hat: float | None = None
     cauchy_met, cauchy_slack = _met(achieved, arc_cauchy_required(model))
     eigen_met = eigen_slack = None
     if nu_hat is not None and eigen_norm is not None:
-        required = nu_hat / 6.0 * max(eigen_norm ** 2,
-                                      nu_hat ** 2 / model.sigma ** 2)
+        try:
+            required = nu_hat / 6.0 * max(eigen_norm ** 2,
+                                          nu_hat ** 2 / model.sigma ** 2)
+        except OverflowError:
+            raise OverflowError(f"the ARC Eigen decrease bound overflows: "
+                                f"||s_e||={eigen_norm!r}, sigma={model.sigma!r}") from None
         eigen_met, eigen_slack = _met(achieved, required)
     cond5_met = cond5_slack = None
     if zeta is not None:

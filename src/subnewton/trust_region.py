@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -37,39 +37,50 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class TRConfig:
-    """Hyper-parameters of the trust-region driver.
+class LoopConfig:
+    """The fields ``iterate`` reads, shared by the TR and ARC configs.
 
-    ``delta0`` is the initial radius. ``nu=None`` resolves the curvature
-    quality from the first operator's norm bound. ``delta_total`` is the
-    total failure-probability budget split across iterations for the
-    sub-sampling. ``strict`` additionally enforces the theory-mode coupling
-    eps_H <= sqrt(eps_g).
+    ``nu=None`` resolves the curvature quality from the first operator's norm
+    bound. ``delta_total`` is the total failure-probability budget split
+    across iterations for the sub-sampling.
     """
 
     tol: OptimalityTolerances
-    delta0: float = 1.0
     eta: float = 0.2
     gamma: float = 2.0
-    alpha: float = 0.5
     nu: float | None = None
     max_iters: int = 200
     delta_total: float = 0.1
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.eta < 1.0):
+            raise ConfigurationError(f"eta must lie in (0, 1), got {self.eta}")
+        if not (1.0 < self.gamma < math.inf):
+            raise ConfigurationError(f"gamma must be finite and exceed 1, got {self.gamma}")
+        if self.nu is not None and not (0.0 < self.nu < 1.0):
+            raise ConfigurationError(f"nu must lie in (0, 1), got {self.nu}")
+        if self.max_iters < 1:
+            raise ConfigurationError("max_iters must be at least 1")
+
+
+@dataclass(frozen=True)
+class TRConfig(LoopConfig):
+    """Hyper-parameters of the trust-region driver.
+
+    ``delta0`` is the initial radius. ``strict`` additionally enforces the
+    theory-mode coupling eps_H <= sqrt(eps_g).
+    """
+
+    delta0: float = 1.0
+    alpha: float = 0.5
     strict: bool = False
 
     def __post_init__(self) -> None:
         if not (self.delta0 > 0 and math.isfinite(self.delta0)):
             raise ConfigurationError(f"delta0 must be positive, got {self.delta0}")
-        if not (0.0 < self.eta < 1.0):
-            raise ConfigurationError(f"eta must lie in (0, 1), got {self.eta}")
-        if not (1.0 < self.gamma < math.inf):
-            raise ConfigurationError(f"gamma must be finite and exceed 1, got {self.gamma}")
+        super().__post_init__()
         if not (0.0 < self.alpha < 1.0):
             raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.nu is not None and not (0.0 < self.nu < 1.0):
-            raise ConfigurationError(f"nu must lie in (0, 1), got {self.nu}")
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be at least 1")
         if self.strict:
             self.tol.require_tr_strict()
 
@@ -80,8 +91,12 @@ def tr_tolerance(config: TRConfig, delta_t: float) -> float:
         raise ConfigurationError("tr_tolerance needs a resolved nu")
     if delta_t <= 0:
         raise ConfigurationError("delta_t must be positive")
-    eps0 = config.alpha * (1.0 - config.eta) * config.nu * config.tol.eps_H
-    return max(eps0, delta_t)
+    return _tr_accuracy(config, config.nu, delta_t)
+
+
+def _tr_accuracy(config: TRConfig, nu: float, delta: float) -> float:
+    """max(alpha(1-eta)nu*eps_H, delta); at nu = 1 it bounds every resolved nu's."""
+    return max(config.alpha * (1.0 - config.eta) * nu * config.tol.eps_H, delta)
 
 
 def exact_hessian_source(problem) -> HessianSource:
@@ -98,7 +113,7 @@ def run_tr(oracle: Objective, hessian_source: HessianSource, config: TRConfig,
            x0: Array, rng_seed: int = 0) -> SolveResult:
     """Iterate until (eps_g, eps_H)-optimality of the inexact model is certified,
     or max_iters is hit (flagged not-converged)."""
-    bootstrap_eps = (_provisional_tolerance(config, config.delta0)
+    bootstrap_eps = (_tr_accuracy(config, 1.0, config.delta0)
                      if config.nu is None else None)
     return iterate(oracle, hessian_source, config, x0, rng_seed,
                    param=config.delta0, tag="tr_optimal",
@@ -125,24 +140,16 @@ def _tr_step(config: TRConfig, grad: Array, grad_norm: float,
     return tr_subspace_solve(model, seeds, nu_hat=nu_hat, eigen_norm=eigen_norm)
 
 
-def _provisional_tolerance(config: TRConfig, delta: float) -> float:
-    # nu <= 1, so this upper-bounds the resolved tolerance; used only for the
-    # very first build when nu is still unknown.
-    eps0 = config.alpha * (1.0 - config.eta) * config.tol.eps_H
-    return max(eps0, delta)
-
-
-def iterate(oracle: Objective, hessian_source: HessianSource, config: Any,
+def iterate(oracle: Objective, hessian_source: HessianSource, config: LoopConfig,
             x0: Array, rng_seed: int, *, param: float, tag: str,
             bootstrap_eps: float | None,
-            tolerance: Callable[[Any, HessianOperator | None, float], float],
+            tolerance: Callable[[LoopConfig, HessianOperator | None, float], float],
             step: Callable[..., SubproblemSolution],
             update: Callable[[float, bool], float]) -> SolveResult:
     """The loop shared by the TR and ARC drivers.
 
-    ``config`` supplies tol, eta, nu, max_iters and delta_total (which only
-    sizes the Hessian samples); ``param`` is the initial radius or sigma and
-    ``tag`` the failure-probability schedule. The driver-specific hooks:
+    ``param`` is the initial radius or sigma and ``tag`` the
+    failure-probability schedule. The driver-specific hooks:
 
     - ``bootstrap_eps``: accuracy of a build right after the first evaluation
       whose norm bound resolves a missing nu (None: no such build);

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subnewton.core import ConfigurationError
 from subnewton.harness import (EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK,
@@ -229,6 +233,9 @@ class TestCLI:
         # size is not finite (epsilon**2 underflows to 0, or the quotient
         # overflows) exits 3 naming epsilon. A NaN, infinite or out-of-range
         # data, step-size or regularization value exits 3 naming the value.
+        # A negative data seed, a compare run too wide for its dense
+        # eigensolves, an eps_h so small that the default nu rounds to 1 and
+        # rows whose Hessian-Lipschitz bound overflows exit 3 naming the cause.
         base = "problem = biweight\nhessian = uniform_wor\nn = 50\nd = 4\n"
         cases = [
             (["solve"], "gama = 2.0\n", "gama"),
@@ -253,6 +260,15 @@ class TestCLI:
              "l_estimate"),
             (["solve"], "noise = inf\n", "noise"),
             (["solve"], "x0_scale = nan\n", "x0_scale"),
+            (["solve"], "data_seed = -1\n", "data_seed"),
+            (["verify-sampling"], "data_seed = -1\n", "data_seed"),
+            (["compare"], "d = 501\ntrials = 1\n", "d=501 too large"),
+            (["solve"], "hessian = exact\neps_h = 1e-300\n",
+             "default nu = 2K/(2K + eps_H) rounds to 1"),
+            (["solve"], "solver = arc\nhessian = exact\neps_h = 1e-300\n",
+             "eps_H=1e-300"),
+            (["solve"], "solver = arc\nk_max_target = 1e300\n",
+             "Hessian-Lipschitz bound"),
         ]
         for i, (command, text, key) in enumerate(cases):
             cfg = write_cfg(tmp_path, base + text, f"case{i}.cfg")
@@ -263,7 +279,9 @@ class TestCLI:
 
     def test_malformed_dataset_exit_code(self, tmp_path, capsys):
         # Bad dataset contents, unreadable data or config paths and an
-        # unwritable trace path all exit 3 with a message naming the cause.
+        # unwritable trace path all exit 3 with a message naming the cause:
+        # for a non-finite or overflowing value or a repeated svmlight index,
+        # the file and line; for rows whose curvature bound overflows, the row.
         ragged = tmp_path / "ragged.csv"
         ragged.write_text("1.0,2.0,0.5\n3.0,4.0,1.5\n5.0,6.0\n")
         not_utf8 = tmp_path / "latin1.csv"
@@ -275,9 +293,15 @@ class TestCLI:
         missing = tmp_path / "missing.csv"
         no_dir_out = tmp_path / "no_such_dir" / "trace.csv"
 
-        def data_cfg(name, data, out=tmp_path / "trace.csv"):
+        def data_cfg(name, data, out=tmp_path / "trace.csv", fmt="csv"):
             return write_cfg(tmp_path, f"problem = biweight\ndata = {data}\n"
-                                       f"format = csv\nout = {out}\n", name)
+                                       f"format = {fmt}\nout = {out}\n", name)
+
+        def dataset(name, text):
+            path = tmp_path / name
+            path.write_text(text)
+            return data_cfg(f"{name}.cfg", path,
+                            fmt="svmlight" if name.endswith(".svm") else "csv")
 
         cases = [
             (data_cfg("ragged.cfg", ragged), "line 3: expected 3 fields, got 2"),
@@ -293,6 +317,34 @@ class TestCLI:
             assert code == EXIT_CONFIG_ERROR, (cfg, err)
             assert cause in err, (cfg, err)
 
+        # Bad values exit 3 from verify-sampling as well, before any solver.
+        cases = []
+        for name, value in (("nan", "nan"), ("inf", "-inf"), ("huge", "1e400")):
+            cases += [
+                (dataset(f"{name}.csv", f"1.0,2.0,0.5\n3.0,{value},1.5\n"),
+                 f"{name}.csv: line 2: non-finite value '{value}'"),
+                (dataset(f"{name}_target.svm", f"1 1:0.5\n{value} 2:1.0\n"),
+                 f"{name}_target.svm: line 2: non-finite value '{value}'"),
+                (dataset(f"{name}.svm", f"1 1:0.5\n0 1:1.0 2:{value}\n"),
+                 f"{name}.svm: line 2: non-finite value '{value}'"),
+            ]
+        cases += [
+            (dataset("repeat.svm", "1 2:0.5\n0 1:0.5 1:0.7\n"),
+             "repeat.svm: line 2: index 1 repeated"),
+            (dataset("overflow.csv", "1.0,2.0,0.5\n3.0,1e300,1.5\n"),
+             "overflow.csv: the curvature bounds sup|f''| * ||a_i||^2 overflow "
+             "(the largest at row 1)"),
+            (dataset("overflow.svm", "1 1:1e200\n0 2:1.0\n"),
+             "overflow.svm: the curvature bounds sup|f''| * ||a_i||^2 overflow "
+             "(the largest at row 0)"),
+        ]
+        for cfg, cause in cases:
+            for command in ("solve", "verify-sampling"):
+                code = main([command, "--config", str(cfg)])
+                err = capsys.readouterr().err
+                assert code == EXIT_CONFIG_ERROR, (command, cfg, err)
+                assert cause in err, (command, cfg, err)
+
     # Each run overflows a sub-problem step or its model value: the TR Eigen
     # step of length 1e300, or the ARC Cauchy step at an extreme sigma. The
     # NonFiniteError is raised before any certificate is computed, and no
@@ -305,7 +357,13 @@ class TestCLI:
          "non-finite sub-problem solution: m(s)=nan, ||s||=inf"),
         ("solver = arc\nsigma0 = 1e300\nx0_scale = 1000\n",
          "non-finite sub-problem solution: m(s)=nan, ||s||=inf"),
-    ], ids=["tr_huge_radius", "arc_tiny_sigma", "arc_huge_sigma_far_start"])
+        ("problem = biweight\nhessian = uniform_wor\nn = 50\nd = 4\n"
+         "solver = arc\nsigma0 = 1e300\n",
+         "the ARC Eigen decrease bound overflows: ||s_e||="),
+        ("problem = quartic\nx0_scale = 1e200\n",
+         "the quartic objective overflows at x=(2.2007"),
+    ], ids=["tr_huge_radius", "arc_tiny_sigma", "arc_huge_sigma_far_start",
+            "arc_huge_sigma_eigen_bound", "quartic_huge_start"])
     def test_solver_abort_exit_code(self, tmp_path, capsys, text, reason):
         out = tmp_path / "abort.csv"
         cfg = write_cfg(tmp_path, text + f"out = {out}\n")
@@ -430,3 +488,69 @@ class TestTraceDeterminism:
                                           (pinned, ("-m", "subnewton")))
         assert "lambda_min_dense_final" in first.decode()
         assert first == second
+
+
+# Values that have broken the exit-code contract or sit on a range's bound,
+# tried on every config key.
+HOSTILE_VALUES = ("nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-300",
+                  "0", "1", "-1", "")
+# Dataset fields: well-formed ones, ones whose squared row norms overflow, and
+# non-finite ones or ones that overflow on parsing.
+PLAIN_FIELDS = ("0", "0.5", "-2")
+HUGE_FIELDS = ("1e300", "-1e200", "1e160")
+NON_FINITE_FIELDS = ("nan", "-inf", "1e400")
+FUZZ_BASE = ("problem = biweight\nn = 30\nd = 3\nmax_iters = 20\ntrials = 2\n"
+             "verify_trials = 10\nverify_eps = 0.5\n")
+FUZZ_SETUPS = ("", "solver = arc\n", "solver = arc\narc_mode = optimal\n",
+               "hessian = uniform\n", "hessian = uniform_wor\n",
+               "hessian = nonuniform\n", "solver = arc\nhessian = intrinsic\n",
+               "problem = quartic\n", "problem = nls_logistic\nsolver = arc\n",
+               "n = 2\nhessian = uniform_wor\n")
+
+
+@st.composite
+def hostile_datasets(draw):
+    """(format, text) of a dataset of up to four lines of one to four fields
+    (target last in csv, first in svmlight), maybe ragged or empty, with
+    hostile fields; half of them have no non-finite field."""
+    pool = PLAIN_FIELDS + HUGE_FIELDS + draw(st.sampled_from(((), NON_FINITE_FIELDS)))
+    lines = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=4),
+                          max_size=4))
+    if draw(st.booleans()):
+        return "csv", "".join(",".join(line) + "\n" for line in lines)
+    # svmlight, with every index 1 on request (repeated from two features on).
+    repeat = draw(st.booleans())
+    return "svmlight", "".join(
+        line[0] + "".join(f" {1 if repeat else j}:{v}"
+                          for j, v in enumerate(line[1:], start=1)) + "\n"
+        for line in lines)
+
+
+class TestExitCodeContract:
+    # Hostile config values and dataset files: every command must return a
+    # contract exit code, never raise, and print no RuntimeWarning (the suite
+    # turns one into an error). Examples are fixed and bounded, so the test
+    # takes seconds.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(command=st.sampled_from(["solve", "verify-sampling", "compare"]),
+           setup=st.sampled_from(FUZZ_SETUPS),
+           overrides=st.lists(st.tuples(
+               st.sampled_from([f.name for f in fields(ExperimentConfig)
+                                if f.name not in ("data", "out")]),
+               st.sampled_from(HOSTILE_VALUES)), max_size=2),
+           data=st.none() | hostile_datasets())
+    def test_every_run_returns_a_contract_code(self, tmp_path_factory, command,
+                                               setup, overrides, data):
+        folder = tmp_path_factory.mktemp("fuzz")
+        text = FUZZ_BASE + setup + f"out = {folder / 'trace.csv'}\n"
+        if data is not None:
+            fmt, contents = data
+            (folder / "data.txt").write_text(contents)
+            text += f"data = {folder / 'data.txt'}\nformat = {fmt}\n"
+        text += "".join(f"{key} = {value}\n" for key, value in overrides)
+        (folder / "fuzz.cfg").write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(folder / "fuzz.cfg")])
+        assert code in (EXIT_OK, EXIT_NOT_CONVERGED, EXIT_CONFIG_ERROR,
+                        EXIT_VERIFICATION_FAILURE), text
