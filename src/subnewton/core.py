@@ -92,14 +92,6 @@ class OptimalityTolerances:
             if not (0.0 < value < 1.0):
                 raise ConfigurationError(f"{name} must lie in (0, 1), got {value}")
 
-    def require_tr_strict(self) -> None:
-        # Theory mode of the trust-region driver additionally needs
-        # eps_H <= sqrt(eps_g).
-        if self.eps_H > np.sqrt(self.eps_g) * (1.0 + 1e-12):
-            raise ConfigurationError(
-                f"strict mode needs eps_H <= sqrt(eps_g); got "
-                f"eps_H={self.eps_H}, sqrt(eps_g)={np.sqrt(self.eps_g)}")
-
 
 @dataclass(frozen=True)
 class IterationRecord:

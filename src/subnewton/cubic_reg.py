@@ -1,14 +1,14 @@
 """Adaptive cubic-regularization driver with a fixed a-priori Hessian tolerance.
 
 The accuracy the Hessian approximation must meet is computed from the
-target tolerances, a Hessian-Lipschitz estimate and the norm bound of a
-bootstrap operator built at eps = 1/2, and stays fixed for the whole run;
+target tolerances, a Hessian-Lipschitz estimate and the norm bound of the
+first operator, built at eps = 1/2, and stays fixed for the whole run;
 rejected steps therefore always reuse the previous operator. The iteration
-itself is ``trust_region.iterate``, shared with the trust-region driver; this
-module supplies the cubic model, the fixed tolerance and the sigma update.
-The ``standard`` mode solves the model on the small Cauchy/Eigen span, the
-``optimal`` mode keeps enlarging a Krylov space until the model-gradient
-inexactness test holds.
+itself is ``trust_region.iterate``, shared with the trust-region driver;
+``ARCConfig`` supplies its rules: the fixed tolerance, the cubic-model step
+and the sigma update. The ``standard`` mode solves the model on the small
+Cauchy/Eigen span, the ``optimal`` mode keeps enlarging a Krylov space until
+the model-gradient inexactness test holds.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .trust_region import HessianSource, LoopConfig, iterate
 
 @dataclass(frozen=True)
 class ARCConfig(LoopConfig):
-    """Hyper-parameters of the cubic-regularization driver.
+    """Hyper-parameters and rules of the cubic-regularization driver.
 
     ``l_estimate`` enters the fixed Hessian-accuracy formula; supplying a
     verified upper bound on the path Lipschitz constant keeps the
@@ -39,6 +39,8 @@ class ARCConfig(LoopConfig):
     l_estimate: float = 1.0
     mode: str = "standard"
     sigma_min: float = 1e-12
+
+    first_accuracy = 0.5
 
     def __post_init__(self) -> None:
         if not (self.sigma0 > 0 and math.isfinite(self.sigma0)):
@@ -55,6 +57,40 @@ class ARCConfig(LoopConfig):
         if not (0.0 <= self.sigma_min < math.inf):
             raise ConfigurationError(
                 f"sigma_min must be nonnegative and finite, got {self.sigma_min}")
+
+    @property
+    def schedule(self) -> str:
+        return f"arc_{self.mode}"
+
+    @property
+    def initial(self) -> float:
+        return self.sigma0
+
+    def accuracy(self, k_h: float, sigma: float) -> float:
+        return arc_epsilon(self, k_h)
+
+    def step(self, grad: Array, grad_norm: float, hessian: HessianOperator,
+             direction: Array | None, sigma: float) -> SubproblemSolution:
+        model = CubicModel(grad=grad, hessian=hessian, sigma=sigma)
+        seeds: list[Array] = [arc_cauchy_point(model).step] if grad_norm > 0.0 else []
+        seed = {}  # the Eigen seed's curvature and step length, for its certificate
+        if direction is not None:
+            # The eigen seed joins the basis whenever it exists (ties between
+            # the seed points resolve toward it, escaping saddles); the
+            # subspace solution dominates both seeds anyway.
+            eigen = arc_eigen_point(model, direction)
+            seeds.append(eigen.step)
+            seed = dict(nu_hat=eigen.certificates.nu_hat,
+                        eigen_norm=eigen.certificates.eigen_norm)
+        if self.mode == "optimal":
+            return arc_progressive_solve(model, seeds, zeta=self.zeta, **seed)
+        if grad_norm > 0.0:
+            seeds.append(hessian.apply(grad))
+        return arc_subspace_solve(model, seeds, **seed)
+
+    def update(self, sigma: float, accepted: bool) -> float:
+        return (max(sigma / self.gamma, self.sigma_min) if accepted
+                else self.gamma * sigma)
 
 
 def arc_epsilon(config: ARCConfig, k_h: float) -> float:
@@ -82,36 +118,4 @@ def run_arc(oracle: Objective, hessian_source: HessianSource, config: ARCConfig,
             x0: Array, rng_seed: int = 0) -> SolveResult:
     """Iterate Algorithm-style sigma updates until optimality of the inexact
     model is certified, or max_iters is hit (flagged not-converged)."""
-    # The fixed tolerance comes from the bootstrap operator's norm bound.
-    return iterate(oracle, hessian_source, config, x0, rng_seed,
-                   param=config.sigma0, tag=f"arc_{config.mode}", bootstrap_eps=0.5,
-                   tolerance=lambda cfg, bootstrap, sigma: arc_epsilon(
-                       cfg, bootstrap.norm_bound),
-                   step=_arc_step,
-                   update=lambda sigma, accepted: (
-                       max(sigma / config.gamma, config.sigma_min) if accepted
-                       else config.gamma * sigma))
-
-
-def _arc_step(config: ARCConfig, grad: Array, grad_norm: float,
-              hessian: HessianOperator, direction: Array | None,
-              sigma: float) -> SubproblemSolution:
-    model = CubicModel(grad=grad, hessian=hessian, sigma=sigma)
-    seeds: list[Array] = []
-    nu_hat = eigen_norm = None
-    if grad_norm > 0.0:
-        seeds.append(arc_cauchy_point(model).step)
-    if direction is not None:
-        # The eigen seed joins the basis whenever it exists (ties between
-        # the seed points resolve toward it, escaping saddles); the
-        # subspace solution dominates both seeds anyway.
-        eigen = arc_eigen_point(model, direction)
-        seeds.append(eigen.step)
-        nu_hat = eigen.certificates.nu_hat
-        eigen_norm = eigen.certificates.eigen_norm
-    if config.mode == "optimal":
-        return arc_progressive_solve(model, seeds, zeta=config.zeta,
-                                     nu_hat=nu_hat, eigen_norm=eigen_norm)
-    if grad_norm > 0.0:
-        seeds.append(hessian.apply(grad))
-    return arc_subspace_solve(model, seeds, nu_hat=nu_hat, eigen_norm=eigen_norm)
+    return iterate(oracle, hessian_source, config, x0, rng_seed)

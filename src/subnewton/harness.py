@@ -177,7 +177,7 @@ def build_problem(config: ExperimentConfig):
                               k_max=config.k_max_target, noise=config.noise)
 
 
-def build_hessian_source(config: ExperimentConfig, problem):
+def build_hessian_source(config: ExperimentConfig, problem, schedule: str):
     mode = _HESSIAN_MODES[config.hessian]
     if mode is None:
         return exact_hessian_source(problem)
@@ -189,6 +189,11 @@ def build_hessian_source(config: ExperimentConfig, problem):
 
     def source(x: Array, eps: float, delta: float,
                rng: np.random.Generator) -> HessianOperator:
+        if delta == 0.0:
+            raise ConfigurationError(
+                f"the per-iteration failure probability of the {schedule} "
+                f"schedule underflows to 0 at delta={config.delta!r}, "
+                f"eps_g={config.eps_g!r}, eps_h={config.eps_h!r}")
         eps_eff = min(eps, cap)
         scheme = resolve_scheme(problem, mode, eps_eff, delta, x=x)
         return build_subsampled_hessian(problem, x, scheme, rng_seed=rng)
@@ -203,23 +208,22 @@ def starting_point(config: ExperimentConfig, problem) -> Array:
     return config.x0_scale * rng.standard_normal(problem.d)
 
 
-def run_solver(config: ExperimentConfig, problem, seed: int | None = None) -> SolveResult:
-    seed = config.seed if seed is None else seed
+def run_solver(config: ExperimentConfig, problem) -> SolveResult:
     loop = dict(tol=OptimalityTolerances(eps_g=config.eps_g, eps_H=config.eps_h),
                 eta=config.eta, gamma=config.gamma, nu=config.nu,
                 max_iters=config.max_iters, delta_total=config.delta)
-    source = build_hessian_source(config, problem)
-    x0 = starting_point(config, problem)
     if config.solver == "tr":
-        tr_config = TRConfig(**loop, delta0=config.radius0, alpha=config.alpha)
-        return run_tr(problem, source, tr_config, x0, rng_seed=seed)
-    l_estimate = config.l_estimate
-    if l_estimate is None:
-        l_estimate = problem.hessian_lipschitz_bound()
-    arc_config = ARCConfig(**loop, sigma0=config.sigma0, zeta=config.zeta,
-                           l_estimate=l_estimate, mode=config.arc_mode,
-                           sigma_min=config.sigma_min)
-    return run_arc(problem, source, arc_config, x0, rng_seed=seed)
+        solver, run = TRConfig(**loop, delta0=config.radius0, alpha=config.alpha), run_tr
+    else:
+        l_estimate = config.l_estimate
+        if l_estimate is None:
+            l_estimate = problem.hessian_lipschitz_bound()
+        solver, run = ARCConfig(**loop, sigma0=config.sigma0, zeta=config.zeta,
+                                l_estimate=l_estimate, mode=config.arc_mode,
+                                sigma_min=config.sigma_min), run_arc
+    source = build_hessian_source(config, problem, solver.schedule)
+    return run(problem, source, solver, starting_point(config, problem),
+               rng_seed=config.seed)
 
 
 # The largest dimension whose Hessian is eigensolved densely.
@@ -416,8 +420,8 @@ def compare_exact_vs_sampled(config: ExperimentConfig) -> tuple[list[ComparisonR
     for trial in range(config.trials):
         seed = config.seed + trial
         for hessian_mode in ("exact", config.hessian):
-            variant = replace(config, hessian=hessian_mode, seed=seed)
-            result = run_solver(variant, problem, seed=seed)
+            result = run_solver(replace(config, hessian=hessian_mode, seed=seed),
+                                problem)
             cost = sum(r.sample_size for r in result.records)
             runs.append(ComparisonRun(
                 seed=seed, hessian=hessian_mode, converged=result.converged,

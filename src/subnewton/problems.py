@@ -432,7 +432,8 @@ def load_dataset(path: str | Path, fmt: str = "csv",
     csv: one sample per line, d feature columns then the target column;
     a header line is skipped when its first field is not numeric.
     svmlight: ``target idx:val idx:val ...`` with 1-based indices; the
-    dimension is the largest index seen.
+    dimension is the largest index seen, refused (with its line) when the
+    n x d rows or the d x d Hessian cannot be allocated.
     """
     if isinstance(loss, str):
         loss = LOSSES[loss]
@@ -446,6 +447,7 @@ def load_dataset(path: str | Path, fmt: str = "csv",
     csv = fmt == "csv"
     targets: list[float] = []
     features: list[dict[int, float]] = []
+    d = d_line = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split(",") if csv else line.split()
         if not line.strip() or (csv and lineno == 1 and not _is_number(fields[0])):
@@ -456,9 +458,16 @@ def load_dataset(path: str | Path, fmt: str = "csv",
             raise DatasetError(f"{path}: line {lineno}: {exc}") from None
         targets.append(target)
         features.append(row)
-    if not targets:
-        raise DatasetError(f"{path}: no data rows")
-    rows = np.zeros((len(features), max(max(row, default=0) for row in features)))
+        if max(row, default=0) > d:
+            d, d_line = max(row), lineno
+    if not d:
+        raise DatasetError(f"{path}: no {'features' if targets else 'data rows'}")
+    try:  # the larger of the n x d rows and the d x d Hessian
+        np.empty((max(len(features), d), d))
+    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+        raise DatasetError(f"{path}: line {d_line}: index {d} makes the rows or "
+                           f"the Hessian too large to allocate") from None
+    rows = np.zeros((len(features), d))
     for i, row in enumerate(features):
         rows[i, [idx - 1 for idx in row]] = list(row.values())
     try:

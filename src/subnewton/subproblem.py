@@ -7,10 +7,12 @@ along a certified negative-curvature direction (Eigen point), an exact solver
 on a small orthonormalized subspace, and (cubic only) a progressive Krylov
 solver that stops once the model-gradient inexactness test holds.
 
-Every returned solution carries certificates whose inequalities can be
-recomputed from (model, step) plus the recorded seed curvature alone; the
-Eigen certificates are stated with the realized curvature
-nu_hat = -<u,Hu>/||u||^2, which is assertable exactly.
+Each model owns its decrease bounds and Eigen step length and reads as a
+cubic model on a ball (sigma None, or radius inf), so the Eigen point, the
+subspace solve and ``certificates`` are written once. ``certificates``
+recomputes a solution's certificates from (model, step) plus the recorded
+seed curvature alone; the Eigen certificates are stated with the realized
+curvature nu_hat = -<u,Hu>/||u||^2, which is assertable exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,11 +42,14 @@ SECULAR_MAX_ITERS = 400
 
 @dataclass(frozen=True)
 class TRModel:
-    """Quadratic model <s,g> + 0.5*<s,Hs> trusted on the ball ||s|| <= radius."""
+    """Quadratic model <s,g> + 0.5*<s,Hs> trusted on the ball ||s|| <= radius,
+    with Algorithm 1's decrease bounds and Eigen step."""
 
     grad: Array
     hessian: HessianOperator
     radius: float
+
+    sigma = None  # no cubic term
 
     def __post_init__(self) -> None:
         _check_model(self.grad, "trust radius", self.radius)
@@ -52,14 +57,30 @@ class TRModel:
     def value(self, s: Array) -> float:
         return float(self.grad @ s + 0.5 * (s @ self.hessian.apply(s)))
 
+    def cauchy_required(self) -> float:
+        """Sufficient decrease demanded of the Cauchy point, with ||H|| relaxed
+        to its upper bound K_H (the inequality chain only loosens)."""
+        gn = float(np.linalg.norm(self.grad))
+        return 0.5 * gn * min(gn / (1.0 + self.hessian.norm_bound), self.radius)
+
+    def eigen_required(self, nu_hat: float, eigen_norm: float) -> float:
+        return 0.5 * nu_hat * self.radius ** 2
+
+    def eigen_length(self, b: float, c: float) -> float:
+        """The radius, signed so that <grad, s> <= 0."""
+        return -self.radius if b > 0.0 else self.radius
+
 
 @dataclass(frozen=True)
 class CubicModel:
-    """Cubic model <s,g> + 0.5*<s,Hs> + (sigma/3)*||s||^3."""
+    """Cubic model <s,g> + 0.5*<s,Hs> + (sigma/3)*||s||^3 on all of R^d,
+    with Algorithm 2's decrease bounds and Eigen step."""
 
     grad: Array
     hessian: HessianOperator
     sigma: float
+
+    radius = math.inf  # no trust region
 
     def __post_init__(self) -> None:
         _check_model(self.grad, "sigma", self.sigma)
@@ -71,6 +92,46 @@ class CubicModel:
 
     def gradient(self, s: Array) -> Array:
         return self.grad + self.hessian.apply(s) + self.sigma * float(np.linalg.norm(s)) * s
+
+    def cauchy_alpha(self) -> float:
+        """Nonnegative root of sigma*||g||^3*a^2 + <g,Hg>*a - ||g||^2 = 0, the
+        Cauchy step size; the conjugate form when <g,Hg> > 0 avoids cancellation."""
+        gn = float(np.linalg.norm(self.grad))
+        ghg = self.hessian.quad(self.grad)
+        disc = math.sqrt(ghg * ghg + 4.0 * self.sigma * gn ** 5)
+        if ghg > 0.0:
+            return 2.0 * gn * gn / (ghg + disc)
+        return (-ghg + disc) / (2.0 * self.sigma * gn ** 3)
+
+    def cauchy_required(self) -> float:
+        """Larger of the two Cauchy decrease bounds; the step-norm-dependent one
+        is evaluated at the Cauchy point itself (its norm is model-derivable)."""
+        gn = float(np.linalg.norm(self.grad))
+        if gn == 0.0:
+            return 0.0
+        k = self.hessian.norm_bound
+        sc_norm = self.cauchy_alpha() * gn
+        surd = _sqrt_shift(k, 4.0 * self.sigma * gn)
+        try:
+            bound_norm = sc_norm ** 2 / 12.0 * surd
+        except OverflowError:
+            raise OverflowError(f"the ARC Cauchy decrease bound overflows: "
+                                f"||s_c||={sc_norm!r}, sigma={self.sigma!r}") from None
+        lin = gn / k if k > 0.0 else math.inf
+        bound_grad = gn / (2.0 * math.sqrt(3.0)) * min(lin, math.sqrt(gn / self.sigma))
+        return max(bound_norm, bound_grad)
+
+    def eigen_required(self, nu_hat: float, eigen_norm: float) -> float:
+        try:
+            return nu_hat / 6.0 * max(eigen_norm ** 2, nu_hat ** 2 / self.sigma ** 2)
+        except OverflowError:
+            raise OverflowError(f"the ARC Eigen decrease bound overflows: "
+                                f"||s_e||={eigen_norm!r}, sigma={self.sigma!r}") from None
+
+    def eigen_length(self, b: float, c: float) -> float:
+        """Global minimizer of b*a + (c/2)*a^2 + (sigma/3)*|a|^3 for c < 0."""
+        q = 0.5 * (math.sqrt(c * c + 4.0 * self.sigma * abs(b)) - c)
+        return q / self.sigma if b <= 0.0 else q / -self.sigma
 
 
 def _check_model(grad: Array, name: str, value: float) -> None:
@@ -126,14 +187,38 @@ def _solution(model: TRModel | CubicModel, step: Array, **seed) -> SubproblemSol
     with np.errstate(over="ignore", invalid="ignore"):
         value = model.value(step)
     _check_finite(value, step)
-    certify = tr_certificates if isinstance(model, TRModel) else arc_certificates
-    return SubproblemSolution(step, value, certify(model, step, **seed))
+    return SubproblemSolution(step, value, certificates(model, step, **seed))
 
 
-def _eigen_point(model: TRModel | CubicModel, u: Array,
-                 along: Callable[[float, float], float]) -> SubproblemSolution:
-    """The step along(b, c) * uhat for a nonzero, negative-curvature u, with
-    uhat = u/||u||, b = <grad, uhat> and c = <uhat, H uhat> = -nu_hat."""
+def certificates(model: TRModel | CubicModel, step: Array,
+                 nu_hat: float | None = None, eigen_norm: float | None = None,
+                 zeta: float | None = None) -> Certificates:
+    """Recompute the descent certificates of an arbitrary step: the model's
+    Cauchy decrease; its Eigen decrease, given the seed's curvature and step
+    length; and, given zeta, the cubic model-gradient test (cond5)."""
+    if float(np.linalg.norm(step)) > model.radius * (1.0 + 1e-12):
+        raise CertificateError("trust-region step exceeds the radius")
+    achieved = -model.value(step)
+    cauchy_met, cauchy_slack = _met(achieved, model.cauchy_required())
+    eigen_met = eigen_slack = None
+    if nu_hat is not None:
+        eigen_met, eigen_slack = _met(achieved, model.eigen_required(nu_hat, eigen_norm))
+    cond5_met = cond5_slack = None
+    if zeta is not None:
+        grad_norm = float(np.linalg.norm(model.gradient(step)))
+        sn = float(np.linalg.norm(step))
+        bound = zeta * max(sn ** 2, min(1.0, sn) * float(np.linalg.norm(model.grad)))
+        cond5_slack = bound - grad_norm
+        cond5_met = cond5_slack >= -CERT_RTOL * max(1.0, bound)
+    return Certificates(cauchy_met=cauchy_met, cauchy_slack=cauchy_slack,
+                        eigen_met=eigen_met, eigen_slack=eigen_slack,
+                        cond5_met=cond5_met, cond5_slack=cond5_slack,
+                        nu_hat=nu_hat, eigen_norm=eigen_norm)
+
+
+def _eigen_point(model: TRModel | CubicModel, u: Array) -> SubproblemSolution:
+    """The step model.eigen_length(b, c) * uhat for a nonzero, negative-curvature
+    u, with uhat = u/||u||, b = <grad, uhat> and c = <uhat, H uhat> = -nu_hat."""
     un = float(np.linalg.norm(u))
     if un == 0.0:
         raise CertificateError("eigen direction must be nonzero")
@@ -142,7 +227,7 @@ def _eigen_point(model: TRModel | CubicModel, u: Array,
     if c >= 0.0:
         raise CertificateError(
             f"eigen direction must carry negative curvature, got <u,Hu>={c}")
-    step = along(float(model.grad @ uhat), c) * uhat
+    step = model.eigen_length(float(model.grad @ uhat), c) * uhat
     with np.errstate(over="ignore", invalid="ignore"):
         eigen_norm = float(np.linalg.norm(step))
     return _solution(model, step, nu_hat=-c, eigen_norm=eigen_norm)
@@ -156,29 +241,6 @@ def _met(achieved: float, required: float) -> tuple[bool, float]:
 # ---------------------------------------------------------------------------
 # Trust-region family
 # ---------------------------------------------------------------------------
-
-def tr_cauchy_required(model: TRModel) -> float:
-    """Sufficient decrease demanded of the Cauchy point, with ||H|| relaxed
-    to its upper bound K_H (the inequality chain only loosens)."""
-    gn = float(np.linalg.norm(model.grad))
-    return 0.5 * gn * min(gn / (1.0 + model.hessian.norm_bound), model.radius)
-
-
-def tr_certificates(model: TRModel, step: Array, nu_hat: float | None = None,
-                    eigen_norm: float | None = None) -> Certificates:
-    """Recompute the trust-region descent certificates for an arbitrary step."""
-    if float(np.linalg.norm(step)) > model.radius * (1.0 + 1e-12):
-        raise CertificateError("trust-region step exceeds the radius")
-    achieved = -model.value(step)
-    cauchy_met, cauchy_slack = _met(achieved, tr_cauchy_required(model))
-    eigen_met = eigen_slack = None
-    if nu_hat is not None:
-        required = 0.5 * nu_hat * model.radius ** 2
-        eigen_met, eigen_slack = _met(achieved, required)
-    return Certificates(cauchy_met=cauchy_met, cauchy_slack=cauchy_slack,
-                        eigen_met=eigen_met, eigen_slack=eigen_slack,
-                        nu_hat=nu_hat, eigen_norm=eigen_norm)
-
 
 def tr_cauchy_point(model: TRModel) -> SubproblemSolution:
     """Exact minimizer of the quadratic model along -grad within the ball."""
@@ -197,7 +259,7 @@ def tr_eigen_point(model: TRModel, u: Array) -> SubproblemSolution:
     The sign is chosen so <grad, s> <= 0; the certificate uses the realized
     curvature.
     """
-    return _eigen_point(model, u, lambda b, c: -model.radius if b > 0.0 else model.radius)
+    return _eigen_point(model, u)
 
 
 def tr_subspace_solve(model: TRModel, basis: Sequence[Array],
@@ -219,70 +281,9 @@ def tr_subspace_solve(model: TRModel, basis: Sequence[Array],
 # Cubic-regularization family
 # ---------------------------------------------------------------------------
 
-def arc_cauchy_alpha(model: CubicModel) -> float:
-    """Nonnegative root of sigma*||g||^3*a^2 + <g,Hg>*a - ||g||^2 = 0.
-
-    Uses the conjugate form when <g,Hg> > 0 to avoid cancellation.
-    """
-    gn = float(np.linalg.norm(model.grad))
-    ghg = model.hessian.quad(model.grad)
-    disc = math.sqrt(ghg * ghg + 4.0 * model.sigma * gn ** 5)
-    if ghg > 0.0:
-        return 2.0 * gn * gn / (ghg + disc)
-    return (-ghg + disc) / (2.0 * model.sigma * gn ** 3)
-
-
-def arc_cauchy_required(model: CubicModel) -> float:
-    """Larger of the two Cauchy decrease bounds; the step-norm-dependent one
-    is evaluated at the Cauchy point itself (its norm is model-derivable)."""
-    gn = float(np.linalg.norm(model.grad))
-    if gn == 0.0:
-        return 0.0
-    k = model.hessian.norm_bound
-    alpha = arc_cauchy_alpha(model)
-    sc_norm = alpha * gn
-    surd = _sqrt_shift(k, 4.0 * model.sigma * gn)
-    try:
-        bound_norm = sc_norm ** 2 / 12.0 * surd
-    except OverflowError:
-        raise OverflowError(f"the ARC Cauchy decrease bound overflows: "
-                            f"||s_c||={sc_norm!r}, sigma={model.sigma!r}") from None
-    lin = gn / k if k > 0.0 else math.inf
-    bound_grad = gn / (2.0 * math.sqrt(3.0)) * min(lin, math.sqrt(gn / model.sigma))
-    return max(bound_norm, bound_grad)
-
-
 def _sqrt_shift(k: float, x: float) -> float:
     """sqrt(k^2 + x) - k without cancellation for k >= 0, x >= 0."""
     return x / (math.sqrt(k * k + x) + k)
-
-
-def arc_certificates(model: CubicModel, step: Array, nu_hat: float | None = None,
-                     eigen_norm: float | None = None,
-                     zeta: float | None = None) -> Certificates:
-    """Recompute the cubic-model certificates for an arbitrary step."""
-    achieved = -model.value(step)
-    cauchy_met, cauchy_slack = _met(achieved, arc_cauchy_required(model))
-    eigen_met = eigen_slack = None
-    if nu_hat is not None and eigen_norm is not None:
-        try:
-            required = nu_hat / 6.0 * max(eigen_norm ** 2,
-                                          nu_hat ** 2 / model.sigma ** 2)
-        except OverflowError:
-            raise OverflowError(f"the ARC Eigen decrease bound overflows: "
-                                f"||s_e||={eigen_norm!r}, sigma={model.sigma!r}") from None
-        eigen_met, eigen_slack = _met(achieved, required)
-    cond5_met = cond5_slack = None
-    if zeta is not None:
-        grad_norm = float(np.linalg.norm(model.gradient(step)))
-        sn = float(np.linalg.norm(step))
-        bound = zeta * max(sn ** 2, min(1.0, sn) * float(np.linalg.norm(model.grad)))
-        cond5_slack = bound - grad_norm
-        cond5_met = cond5_slack >= -CERT_RTOL * max(1.0, bound)
-    return Certificates(cauchy_met=cauchy_met, cauchy_slack=cauchy_slack,
-                        eigen_met=eigen_met, eigen_slack=eigen_slack,
-                        cond5_met=cond5_met, cond5_slack=cond5_slack,
-                        nu_hat=nu_hat, eigen_norm=eigen_norm)
 
 
 def arc_cauchy_point(model: CubicModel) -> SubproblemSolution:
@@ -290,7 +291,7 @@ def arc_cauchy_point(model: CubicModel) -> SubproblemSolution:
     gn = float(np.linalg.norm(model.grad))
     if gn == 0.0:
         raise ValueError("Cauchy point undefined for zero gradient")
-    return _solution(model, -arc_cauchy_alpha(model) * model.grad)
+    return _solution(model, -model.cauchy_alpha() * model.grad)
 
 
 def arc_eigen_point(model: CubicModel, u: Array) -> SubproblemSolution:
@@ -302,13 +303,7 @@ def arc_eigen_point(model: CubicModel, u: Array) -> SubproblemSolution:
     2011), so <grad, s> <= 0; at b = 0 both half-lines tie and the step is
     taken along +u.
     """
-    return _eigen_point(model, u, lambda b, c: _arc_eigen_alpha(b, c, model.sigma))
-
-
-def _arc_eigen_alpha(b: float, c: float, sigma: float) -> float:
-    """Global minimizer of b*a + (c/2)*a^2 + (sigma/3)*|a|^3 for c < 0."""
-    q = 0.5 * (math.sqrt(c * c + 4.0 * sigma * abs(b)) - c)
-    return q / sigma if b <= 0.0 else q / -sigma
+    return _eigen_point(model, u)
 
 
 def arc_subspace_solve(model: CubicModel, basis: Sequence[Array],
@@ -402,17 +397,15 @@ def _subspace_solve(model: TRModel | CubicModel, cols: list[Array],
     reduce to the span, solve the reduced problem, lift the step back."""
     u_mat = np.column_stack(cols)
     reduced_h = u_mat.T @ model.hessian.apply(u_mat)
-    relation = ({"radius": model.radius} if isinstance(model, TRModel)
-                else {"sigma": model.sigma})
     v = _reduced_exact(u_mat.T @ model.grad, 0.5 * (reduced_h + reduced_h.T),
-                       **relation)
+                       model.radius, model.sigma)
     return _solution(model, u_mat @ v, **seed)
 
 
-def _reduced_exact(g: Array, h: Array, radius: float | None = None,
-                   sigma: float | None = None) -> Array:
+def _reduced_exact(g: Array, h: Array, radius: float,
+                   sigma: float | None) -> Array:
     """Global minimizer of <g,v> + 0.5*<v,Hv> on ||v|| <= radius, or of
-    <g,v> + 0.5*<v,Hv> + (sigma/3)*||v||^3, for a small dense H.
+    <g,v> + 0.5*<v,Hv> + (sigma/3)*||v||^3 (radius inf), for a small dense H.
 
     Both are v = -(H + lam*I)^+ g with H + lam*I psd; only the norm relation
     differs: lam*(||v|| - radius) = 0 (More-Sorensen 1983) or lam = sigma*||v||
@@ -457,7 +450,7 @@ def _reduced_exact(g: Array, h: Array, radius: float | None = None,
         else:
             v[0] = fill
     vn = float(np.linalg.norm(v))
-    if sigma is None and vn > radius:
+    if vn > radius:
         # The secular iteration stops within its tolerance, possibly a hair
         # outside the ball; project back so feasibility is unconditional.
         v *= radius / vn

@@ -4,11 +4,12 @@ cubic-regularization driver.
 ``iterate`` runs the skeleton of the paper's Algorithms 1 and 2: evaluate,
 build or reuse an inexact Hessian, probe for negative curvature, test
 (eps_g, eps_H)-optimality, solve the sub-problem, and accept or reject the
-step. It holds the only optimality test. The trust-region driver plugs in the
-adaptive tolerance eps_t = max(eps0, Delta_t), the ball-constrained model
-solved on the span of g, Hg and the Eigen seed, and the multiplicative radius
-update. On rejected steps the previous operator is reused whenever its
-recorded accuracy still meets the shrunken tolerance.
+step. It holds the only optimality test; the rules in which the algorithms
+differ are their configs'. ``TRConfig``'s are the adaptive tolerance
+eps_t = max(eps0, Delta_t), the ball-constrained model solved on the span of
+g, Hg and the Eigen seed, and the multiplicative radius update. On rejected
+steps the previous operator is reused whenever its recorded accuracy still
+meets the shrunken tolerance.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ class LoopConfig:
     ``nu=None`` resolves the curvature quality from the first operator's norm
     bound. ``delta_total`` is the total failure-probability budget split
     across iterations for the sub-sampling.
+
+    ``TRConfig`` and ``ARCConfig`` add the rules ``iterate`` calls: the
+    ``schedule``, the ``initial`` radius or sigma (param), the t = 0 build's
+    ``first_accuracy``, ``accuracy(k_h, param)`` with k_h that build's norm
+    bound, ``step(grad, grad_norm, hessian, direction, param)`` and
+    ``update(param, accepted)``.
     """
 
     tol: OptimalityTolerances
@@ -65,7 +72,7 @@ class LoopConfig:
 
 @dataclass(frozen=True)
 class TRConfig(LoopConfig):
-    """Hyper-parameters of the trust-region driver.
+    """Hyper-parameters and rules of the trust-region driver.
 
     ``delta0`` is the initial radius. ``strict`` additionally enforces the
     theory-mode coupling eps_H <= sqrt(eps_g).
@@ -75,14 +82,42 @@ class TRConfig(LoopConfig):
     alpha: float = 0.5
     strict: bool = False
 
+    schedule = "tr_optimal"
+
     def __post_init__(self) -> None:
         if not (self.delta0 > 0 and math.isfinite(self.delta0)):
             raise ConfigurationError(f"delta0 must be positive, got {self.delta0}")
         super().__post_init__()
         if not (0.0 < self.alpha < 1.0):
             raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.strict:
-            self.tol.require_tr_strict()
+        if self.strict and self.tol.eps_H > np.sqrt(self.tol.eps_g) * (1.0 + 1e-12):
+            raise ConfigurationError(f"strict mode needs eps_H <= sqrt(eps_g); got eps_H="
+                                     f"{self.tol.eps_H}, sqrt(eps_g)={np.sqrt(self.tol.eps_g)}")
+
+    @property
+    def initial(self) -> float:
+        return self.delta0
+
+    @property
+    def first_accuracy(self) -> float:
+        return _tr_accuracy(self, 1.0 if self.nu is None else self.nu, self.delta0)
+
+    def accuracy(self, k_h: float, delta: float) -> float:
+        return tr_tolerance(self, delta)
+
+    def step(self, grad: Array, grad_norm: float, hessian: HessianOperator,
+             direction: Array | None, delta: float) -> SubproblemSolution:
+        model = TRModel(grad=grad, hessian=hessian, radius=delta)
+        seeds: list[Array] = [grad, hessian.apply(grad)] if grad_norm > 0.0 else []
+        seed = {}  # the Eigen seed's curvature and step length, for its certificate
+        if direction is not None:
+            certs = tr_eigen_point(model, direction).certificates
+            seeds.append(direction)
+            seed = dict(nu_hat=certs.nu_hat, eigen_norm=certs.eigen_norm)
+        return tr_subspace_solve(model, seeds, **seed)
+
+    def update(self, delta: float, accepted: bool) -> float:
+        return delta * self.gamma if accepted else delta / self.gamma
 
 
 def tr_tolerance(config: TRConfig, delta_t: float) -> float:
@@ -113,51 +148,12 @@ def run_tr(oracle: Objective, hessian_source: HessianSource, config: TRConfig,
            x0: Array, rng_seed: int = 0) -> SolveResult:
     """Iterate until (eps_g, eps_H)-optimality of the inexact model is certified,
     or max_iters is hit (flagged not-converged)."""
-    bootstrap_eps = (_tr_accuracy(config, 1.0, config.delta0)
-                     if config.nu is None else None)
-    return iterate(oracle, hessian_source, config, x0, rng_seed,
-                   param=config.delta0, tag="tr_optimal",
-                   bootstrap_eps=bootstrap_eps,
-                   tolerance=lambda cfg, bootstrap, delta: tr_tolerance(cfg, delta),
-                   step=_tr_step,
-                   update=lambda delta, accepted: (delta * config.gamma if accepted
-                                                   else delta / config.gamma))
-
-
-def _tr_step(config: TRConfig, grad: Array, grad_norm: float,
-             hessian: HessianOperator, direction: Array | None,
-             delta: float) -> SubproblemSolution:
-    model = TRModel(grad=grad, hessian=hessian, radius=delta)
-    seeds: list[Array] = []
-    nu_hat = eigen_norm = None
-    if grad_norm > 0.0:
-        seeds.extend([grad, hessian.apply(grad)])
-    if direction is not None:
-        eigen = tr_eigen_point(model, direction)
-        seeds.append(direction)
-        nu_hat = eigen.certificates.nu_hat
-        eigen_norm = eigen.certificates.eigen_norm
-    return tr_subspace_solve(model, seeds, nu_hat=nu_hat, eigen_norm=eigen_norm)
+    return iterate(oracle, hessian_source, config, x0, rng_seed)
 
 
 def iterate(oracle: Objective, hessian_source: HessianSource, config: LoopConfig,
-            x0: Array, rng_seed: int, *, param: float, tag: str,
-            bootstrap_eps: float | None,
-            tolerance: Callable[[LoopConfig, HessianOperator | None, float], float],
-            step: Callable[..., SubproblemSolution],
-            update: Callable[[float, bool], float]) -> SolveResult:
-    """The loop shared by the TR and ARC drivers.
-
-    ``param`` is the initial radius or sigma and ``tag`` the
-    failure-probability schedule. The driver-specific hooks:
-
-    - ``bootstrap_eps``: accuracy of a build right after the first evaluation
-      whose norm bound resolves a missing nu (None: no such build);
-    - ``tolerance(config, bootstrap, param)``: the accuracy an operator must
-      meet; one is rebuilt when there is none or its accuracy exceeds this;
-    - ``step(config, grad, grad_norm, hessian, direction, param)``: the
-      sub-problem solution; ``direction`` is the probe's or None;
-    - ``update(param, accepted)``: the next radius or sigma.
+            x0: Array, rng_seed: int) -> SolveResult:
+    """The loop shared by the TR and ARC drivers, under ``config``'s rules.
 
     A ``NonFiniteError``, ``CertificateError`` or ``OverflowError`` raised
     inside the loop propagates with the rows done so far attached as its
@@ -166,10 +162,9 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: LoopConfig
     x = np.asarray(x0, dtype=float).copy()
     ensure_finite(x, "starting point")
     tol = config.tol
-    delta_prob = per_iteration_delta(config.delta_total, tol, tag)
+    delta_prob = per_iteration_delta(config.delta_total, tol, config.schedule)
+    param = config.initial
     records: list[IterationRecord] = []
-    hessian: HessianOperator | None = None
-    bootstrap: HessianOperator | None = None
     converged = False
     message = "max_iters exhausted"
     f = grad_norm = lam_est = eps_in_force = float("nan")
@@ -181,15 +176,14 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: LoopConfig
             ensure_finite(grad, f"gradient at iteration {t}")
             grad_norm = float(np.linalg.norm(grad))
 
-            if t == 0 and bootstrap_eps is not None:
-                bootstrap = hessian = hessian_source(
-                    x, bootstrap_eps, delta_prob,
-                    iteration_rng(rng_seed, _HESSIAN_STREAM, 0))
+            if t == 0:  # k_h resolves a missing nu and ARC's fixed accuracy
+                hessian = hessian_source(x, config.first_accuracy, delta_prob,
+                                         iteration_rng(rng_seed, _HESSIAN_STREAM, 0))
+                k_h = hessian.norm_bound
                 if config.nu is None:
-                    config = replace(config,
-                                     nu=default_nu(bootstrap.norm_bound, tol.eps_H))
+                    config = replace(config, nu=default_nu(k_h, tol.eps_H))
 
-            eps_t = tolerance(config, bootstrap, param)
+            eps_t = config.accuracy(k_h, param)
             if hessian is None or hessian.accuracy > eps_t:
                 hessian = hessian_source(x, eps_t, delta_prob,
                                          iteration_rng(rng_seed, _HESSIAN_STREAM, t))
@@ -206,8 +200,8 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: LoopConfig
                 message = "optimality certified"
                 break
 
-            solution = step(config, grad, grad_norm, hessian,
-                            probe.direction if direction_found else None, param)
+            solution = config.step(grad, grad_norm, hessian,
+                                   probe.direction if direction_found else None, param)
             f_trial, _ = oracle.value_grad(x + solution.step)
             ensure_finite(f_trial, f"trial objective value at iteration {t}")
             rho = acceptance_ratio(f, f_trial, -solution.model_value)
@@ -218,12 +212,12 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: LoopConfig
                 radius_or_sigma=param, rho=rho, accepted=accepted,
                 sample_size=hessian.sample_size,
                 step_norm=float(np.linalg.norm(solution.step)), eps_t=eps_in_force))
-            logger.debug("%s: %s", tag, records[-1])
+            logger.debug("%s: %s", config.schedule, records[-1])
 
             if accepted:
                 x = x + solution.step
                 hessian = None  # operator belongs to the previous iterate
-            param = update(param, accepted)
+            param = config.update(param, accepted)
     except (NonFiniteError, CertificateError, OverflowError) as exc:
         # The rows done so far, for a trace of the aborted run.
         exc.partial_result = SolveResult(

@@ -18,8 +18,8 @@ from subnewton.problems import (BIWEIGHT, NLS_LOGISTIC, QuarticSaddle,
 from subnewton.sampling import (SampleScheme, build_subsampled_hessian,
                                 resolve_scheme, verify_concentration)
 from subnewton.subproblem import (CubicModel, TRModel, arc_cauchy_point,
-                                  arc_certificates, arc_eigen_point,
-                                  arc_progressive_solve, arc_subspace_solve,
+                                  arc_eigen_point, arc_progressive_solve,
+                                  arc_subspace_solve, certificates,
                                   tr_cauchy_point, tr_eigen_point,
                                   tr_subspace_solve)
 from subnewton.trust_region import TRConfig, exact_hessian_source, run_tr
@@ -444,7 +444,7 @@ def test_criterion_8_model_gradient_certificates():
             model = CubicModel(grad=grad,
                                hessian=problem.exact_hessian_operator(x_t),
                                sigma=rec.radius_or_sigma)
-            certs = arc_certificates(model, step, zeta=zeta)
+            certs = certificates(model, step, zeta=zeta)
             assert certs.cond5_met, (loss, t, certs.cond5_slack)
             accepted_checked += 1
 

@@ -167,6 +167,6 @@ class TestTolerances:
             OptimalityTolerances(eps_g=0.1, eps_H=1.5)
 
     def test_strict_coupling(self):
-        OptimalityTolerances(eps_g=1e-4, eps_H=1e-2).require_tr_strict()
+        TRConfig(tol=OptimalityTolerances(eps_g=1e-4, eps_H=1e-2), strict=True)
         with pytest.raises(ConfigurationError):
-            OptimalityTolerances(eps_g=1e-4, eps_H=0.5).require_tr_strict()
+            TRConfig(tol=OptimalityTolerances(eps_g=1e-4, eps_H=0.5), strict=True)

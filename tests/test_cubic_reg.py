@@ -4,7 +4,7 @@ import pytest
 from subnewton.core import ConfigurationError, OptimalityTolerances
 from subnewton.cubic_reg import ARCConfig, arc_epsilon, run_arc
 from subnewton.problems import QuarticSaddle, generate_synthetic
-from subnewton.subproblem import CubicModel, arc_certificates
+from subnewton.subproblem import CubicModel, certificates
 from subnewton.trust_region import exact_hessian_source
 
 from conftest import CountingSource, operator_from_dense
@@ -217,7 +217,7 @@ class TestRunArcOptimalMode:
             model = CubicModel(grad=grad,
                                hessian=problem.exact_hessian_operator(x_t),
                                sigma=rec.radius_or_sigma)
-            certs = arc_certificates(model, step, zeta=config.zeta)
+            certs = certificates(model, step, zeta=config.zeta)
             if rec.accepted:
                 assert certs.cond5_met
                 checked += 1

@@ -345,6 +345,39 @@ class TestCLI:
                 assert code == EXIT_CONFIG_ERROR, (command, cfg, err)
                 assert cause in err, (command, cfg, err)
 
+    def test_svmlight_dimension_exit_code(self, tmp_path, capsys):
+        # An index whose rows or Hessian cannot be allocated exits 3 naming
+        # the index and its line, before any array of that size is made; a
+        # file with no index at all exits 3 too.
+        for name, text, cause in (
+                ("huge.svm", "1 1:0.5\n0 10000000:1\n",
+                 "huge.svm: line 2: index 10000000 makes the rows or the Hessian too large"),
+                ("bare.svm", "1\n0\n", "bare.svm: no features")):
+            data = tmp_path / name
+            data.write_text(text)
+            cfg = write_cfg(tmp_path, f"problem = biweight\ndata = {data}\n"
+                                      f"format = svmlight\nout = {tmp_path / 'o.csv'}\n")
+            for command in ("solve", "verify-sampling"):
+                assert main([command, "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+                err = capsys.readouterr().err
+                assert cause in err, err
+
+    def test_underflowing_failure_budget_exit_code(self, tmp_path, capsys):
+        # eps_h**3 underflows, so the per-iteration failure probability is 0.
+        # A sampled source refuses it, naming the schedule and the tolerances
+        # behind it; an exact source never uses it and converges.
+        base = (f"problem = biweight\nn = 50\nd = 4\neps_h = 1e-300\nnu = 0.5\n"
+                f"out = {tmp_path / 'o.csv'}\n")
+        for solver, schedule in (("tr", "tr_optimal"), ("arc", "arc_standard")):
+            cfg = write_cfg(tmp_path, base + f"solver = {solver}\nhessian = uniform_wor\n")
+            assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+            err = capsys.readouterr().err
+            for part in ("per-iteration failure probability", f"{schedule} schedule",
+                         "delta=0.1", "eps_g=0.0001", "eps_h=1e-300"):
+                assert part in err, err
+        cfg = write_cfg(tmp_path, base + "hessian = exact\n")
+        assert main(["solve", "--config", str(cfg)]) == EXIT_OK
+
     # Each run overflows a sub-problem step or its model value: the TR Eigen
     # step of length 1e300, or the ARC Cauchy step at an extreme sigma. The
     # NonFiniteError is raised before any certificate is computed, and no
@@ -499,6 +532,8 @@ HOSTILE_VALUES = ("nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-300",
 PLAIN_FIELDS = ("0", "0.5", "-2")
 HUGE_FIELDS = ("1e300", "-1e200", "1e160")
 NON_FINITE_FIELDS = ("nan", "-inf", "1e400")
+# svmlight indices whose dimension's rows or Hessian cannot be allocated.
+HUGE_INDICES = ("10000000", "1000000000000")
 FUZZ_BASE = ("problem = biweight\nn = 30\nd = 3\nmax_iters = 20\ntrials = 2\n"
              "verify_trials = 10\nverify_eps = 0.5\n")
 FUZZ_SETUPS = ("", "solver = arc\n", "solver = arc\narc_mode = optimal\n",
@@ -518,10 +553,17 @@ def hostile_datasets(draw):
                           max_size=4))
     if draw(st.booleans()):
         return "csv", "".join(",".join(line) + "\n" for line in lines)
-    # svmlight, with every index 1 on request (repeated from two features on).
-    repeat = draw(st.booleans())
+    # svmlight, on request with every index 1 (repeated from two features
+    # on) or with each line's last index one of HUGE_INDICES.
+    indexing = draw(st.sampled_from(("plain", "repeat", *HUGE_INDICES)))
+
+    def index(j, last):
+        if indexing == "repeat":
+            return 1
+        return indexing if indexing != "plain" and j == last else j
+
     return "svmlight", "".join(
-        line[0] + "".join(f" {1 if repeat else j}:{v}"
+        line[0] + "".join(f" {index(j, len(line) - 1)}:{v}"
                           for j, v in enumerate(line[1:], start=1)) + "\n"
         for line in lines)
 

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,10 @@ from hypothesis import strategies as st
 
 from subnewton.core import CertificateError, NonFiniteError
 from subnewton.subproblem import (Certificates, CubicModel, SubproblemSolution,
-                                  TRModel, arc_cauchy_point,
-                                  arc_certificates, arc_eigen_point,
+                                  TRModel, arc_cauchy_point, arc_eigen_point,
                                   arc_progressive_solve, arc_subspace_solve,
-                                  tr_cauchy_point, tr_certificates,
+                                  certificates, tr_cauchy_point,
                                   tr_eigen_point, tr_subspace_solve)
-from subnewton.subproblem import _arc_eigen_alpha
 
 from conftest import (operator_from_dense, random_symmetric,
                       reference_arc_eigen_alpha)
@@ -298,8 +297,9 @@ class TestARCEigenPoint:
         randoms = [(float(sb * 10.0 ** eb), float(-(10.0 ** ec)), float(10.0 ** es))
                    for sb, (eb, ec, es) in zip(signs, exps)]
         compared = 0
+        model = cubic_model([1.0], [[-1.0]], 1.0)
         for b, c, sigma in grid + randoms:
-            a = _arc_eigen_alpha(b, c, sigma)
+            a = replace(model, sigma=sigma).eigen_length(b, c)
             if math.isfinite(a) and a != 0.0:
                 # On the half-line opposite b, or along +u at b = 0.
                 assert (a > 0.0) == (b <= 0.0), (b, c, sigma, a)
@@ -462,7 +462,7 @@ class TestARCProgressive:
         sol = arc_progressive_solve(model, [cauchy.step], zeta=0.4)
         assert sol.certificates.cond5_met
         # Certificate inequality re-derived from scratch.
-        fresh = arc_certificates(model, sol.step, zeta=0.4)
+        fresh = certificates(model, sol.step, zeta=0.4)
         assert fresh.cond5_met == sol.certificates.cond5_met
 
     def test_unmet_test_is_logged(self, caplog):
@@ -503,13 +503,13 @@ class TestCertificateChecker:
             g = rng.standard_normal(d)
             tr = tr_model(g, h, float(rng.uniform(0.2, 2.0)))
             sol = tr_cauchy_point(tr)
-            fresh = tr_certificates(tr, sol.step)
+            fresh = certificates(tr, sol.step)
             assert fresh.cauchy_met == sol.certificates.cauchy_met
             assert fresh.cauchy_slack == pytest.approx(sol.certificates.cauchy_slack,
                                                        abs=1e-12)
             arc = cubic_model(g, h, float(rng.uniform(0.1, 2.0)))
             sol2 = arc_cauchy_point(arc)
-            fresh2 = arc_certificates(arc, sol2.step)
+            fresh2 = certificates(arc, sol2.step)
             assert fresh2.cauchy_met == sol2.certificates.cauchy_met
 
     def test_cauchy_bound_overflow_names_its_quantity(self):
@@ -517,7 +517,7 @@ class TestCertificateChecker:
         # ||s_c|| = 1e300, whose square overflows; the step checked is small.
         model = cubic_model([1.0, 0.0], -np.eye(2), 1e-300)
         with pytest.raises(OverflowError, match=r"decrease bound overflows: \|\|s_c\|\|="):
-            arc_certificates(model, np.array([-1.0, 0.0]))
+            certificates(model, np.array([-1.0, 0.0]))
 
     @given(scale=st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)
