@@ -30,6 +30,10 @@ SOLVES = {f"{name}_{hessian}": ExperimentConfig(**BASE, **solver, hessian=hessia
 SOLVES["tr_nu_syrk"] = ExperimentConfig(
     problem="nls_logistic", n=3000, d=64, data_seed=4, seed=6, x0_scale=1.0,
     hessian="uniform", nu=0.9, max_iters=100)
+# ARC at d = 64, where its Grams take the SYRK path.
+SOLVES["arc_optimal_syrk"] = ExperimentConfig(
+    problem="nls_logistic", n=3000, d=64, data_seed=4, seed=6, x0_scale=1.0,
+    hessian="uniform", solver="arc", arc_mode="optimal", max_iters=100)
 SOLVES["tr_quartic"] = ExperimentConfig(problem="quartic", solver="tr",
                                         eps_g=1e-6, eps_h=1e-3)
 SOLVES["arc_quartic"] = ExperimentConfig(problem="quartic", solver="arc",

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .core import (Array, ConfigurationError, HessianOperator, Objective,
                    SolveResult)
 from .subproblem import (CubicModel, SubproblemSolution, _sqrt_shift,
-                         arc_cauchy_point, arc_eigen_point,
-                         arc_progressive_solve, arc_subspace_solve)
+                         arc_progressive_solve, cauchy_point, eigen_point,
+                         subspace_solve)
 from .trust_region import HessianSource, LoopConfig, iterate
 
 
@@ -62,6 +62,13 @@ class ARCConfig(LoopConfig):
     def schedule(self) -> str:
         return f"arc_{self.mode}"
 
+    def per_iteration_delta(self) -> float:
+        """The total failure budget shrunk by the worst-case iteration count:
+        delta_total * min(eps_g^2, eps_H^3), with eps_g^1.5 in optimal mode."""
+        eg, eh = self.tol.eps_g, self.tol.eps_H
+        eg_term = eg ** 2 if self.mode == "standard" else eg ** 1.5
+        return self.delta_total * min(eg_term, eh ** 3)
+
     @property
     def initial(self) -> float:
         return self.sigma0
@@ -72,21 +79,21 @@ class ARCConfig(LoopConfig):
     def step(self, grad: Array, grad_norm: float, hessian: HessianOperator,
              direction: Array | None, sigma: float) -> SubproblemSolution:
         model = CubicModel(grad=grad, hessian=hessian, sigma=sigma)
-        seeds: list[Array] = [arc_cauchy_point(model).step] if grad_norm > 0.0 else []
+        seeds: list[Array] = [cauchy_point(model).step] if grad_norm > 0.0 else []
         seed = {}  # the Eigen seed's curvature and step length, for its certificate
         if direction is not None:
             # The eigen seed joins the basis whenever it exists (ties between
             # the seed points resolve toward it, escaping saddles); the
             # subspace solution dominates both seeds anyway.
-            eigen = arc_eigen_point(model, direction)
+            eigen = eigen_point(model, direction)
             seeds.append(eigen.step)
             seed = dict(nu_hat=eigen.certificates.nu_hat,
                         eigen_norm=eigen.certificates.eigen_norm)
         if self.mode == "optimal":
             return arc_progressive_solve(model, seeds, zeta=self.zeta, **seed)
         if grad_norm > 0.0:
-            seeds.append(hessian.apply(grad))
-        return arc_subspace_solve(model, seeds, **seed)
+            seeds.append(model.hg)
+        return subspace_solve(model, seeds, **seed)
 
     def update(self, sigma: float, accepted: bool) -> float:
         return (max(sigma / self.gamma, self.sigma_min) if accepted

@@ -1,12 +1,12 @@
 """Randomized Hessian sub-sampling: size prescriptions, operator construction,
-failure-probability scheduling, and Monte-Carlo concentration checks.
+and Monte-Carlo concentration checks.
 
 Sample sizes follow the matrix-Bernstein prescriptions
     uniform      |S| >= 16 K_max^2 log(2d/delta) / eps^2
     non-uniform  |S| >=  4 K_hat^2 log(2d/delta) / eps^2
     intrinsic    |S| >= (16/3) K_hat^2 log(8t/delta) / eps^2
-and the per-iteration failure probability is the total budget shrunk by the
-relevant worst-case iteration count exponent.
+for a per-iteration failure probability delta, which each driver config
+shrinks from its total budget.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (Array, ConfigurationError, HessianOperator, OptimalityTolerances,
-                   ensure_finite)
+from .core import Array, ConfigurationError, HessianOperator, ensure_finite
 from .problems import FiniteSumProblem, exact_sum, weighted_gram
 
 logger = logging.getLogger(__name__)
@@ -89,21 +88,6 @@ def intrinsic_sample_size(k_hat: float, epsilon: float, delta: float,
         raise ConfigurationError("k_hat must be positive")
     return _prescribed(16.0 * k_hat ** 2 / 3.0 * math.log(8.0 * t_intrinsic / delta),
                        epsilon)
-
-
-def per_iteration_delta(delta_total: float, tol: OptimalityTolerances,
-                        schedule: str) -> float:
-    """Shrink the total failure budget to a per-iteration one."""
-    if not (0.0 < delta_total < 1.0):
-        raise ConfigurationError(f"delta_total must lie in (0, 1), got {delta_total}")
-    eg, eh = tol.eps_g, tol.eps_H
-    if schedule == "tr_optimal":
-        return delta_total * min(eg ** 2 * eh, eh ** 3)
-    if schedule == "arc_standard":
-        return delta_total * min(eg ** 2, eh ** 3)
-    if schedule == "arc_optimal":
-        return delta_total * min(eg ** 1.5, eh ** 3)
-    raise ConfigurationError(f"unknown schedule {schedule!r}")
 
 
 def nonuniform_distribution(problem: FiniteSumProblem, x: Array) -> Array:

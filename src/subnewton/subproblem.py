@@ -1,18 +1,16 @@
 """Sub-problem solvers with machine-checkable descent certificates.
 
-Two model families: the trust-region quadratic restricted to a ball, and the
-cubic-regularized quadratic on all of R^d. For each we provide the exact 1-D
-minimizer along the negative gradient (Cauchy point), the exact 1-D minimizer
-along a certified negative-curvature direction (Eigen point), an exact solver
-on a small orthonormalized subspace, and (cubic only) a progressive Krylov
-solver that stops once the model-gradient inexactness test holds.
-
-Each model owns its decrease bounds and Eigen step length and reads as a
-cubic model on a ball (sigma None, or radius inf), so the Eigen point, the
-subspace solve and ``certificates`` are written once. ``certificates``
-recomputes a solution's certificates from (model, step) plus the recorded
-seed curvature alone; the Eigen certificates are stated with the realized
-curvature nu_hat = -<u,Hu>/||u||^2, which is assertable exactly.
+Two models: the trust-region quadratic restricted to a ball, and the
+cubic-regularized quadratic on all of R^d. Each owns its decrease bounds and
+Eigen step length, reads as a cubic model on a ball (sigma None, or radius
+inf) and computes ||g||, Hg, <g,Hg> and its Cauchy step and bound once. So one
+Cauchy point (the exact 1-D minimizer along -g), one Eigen point (along a
+certified negative-curvature direction), one exact solve on a small subspace
+and one ``certificates`` serve both; the cubic model adds a progressive
+Krylov solver that stops once the model-gradient inexactness test holds.
+``certificates`` recomputes a solution's certificates from (model, step) plus
+the recorded seed curvature alone; the Eigen certificates are stated with the
+realized curvature nu_hat = -<u,Hu>/||u||^2, which is assertable exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -41,12 +40,34 @@ SECULAR_MAX_ITERS = 400
 
 
 @dataclass(frozen=True)
-class TRModel:
-    """Quadratic model <s,g> + 0.5*<s,Hs> trusted on the ball ||s|| <= radius,
-    with Algorithm 1's decrease bounds and Eigen step."""
+class _Model:
+    """The gradient g and Hessian H both models share, with the quantities
+    of g that the seeds and certificates read, each computed once."""
 
     grad: Array
     hessian: HessianOperator
+
+    def value(self, s: Array) -> float:
+        return float(self.grad @ s + 0.5 * (s @ self.hessian.apply(s)))
+
+    @cached_property
+    def grad_norm(self) -> float:
+        return float(np.linalg.norm(self.grad))
+
+    @cached_property
+    def hg(self) -> Array:
+        return self.hessian.apply(self.grad)
+
+    @cached_property
+    def ghg(self) -> float:
+        return float(self.grad @ self.hg)
+
+
+@dataclass(frozen=True)
+class TRModel(_Model):
+    """Quadratic model <s,g> + 0.5*<s,Hs> trusted on the ball ||s|| <= radius,
+    with Algorithm 1's decrease bounds and Eigen step."""
+
     radius: float
 
     sigma = None  # no cubic term
@@ -54,13 +75,19 @@ class TRModel:
     def __post_init__(self) -> None:
         _check_model(self.grad, "trust radius", self.radius)
 
-    def value(self, s: Array) -> float:
-        return float(self.grad @ s + 0.5 * (s @ self.hessian.apply(s)))
+    @cached_property
+    def cauchy_alpha(self) -> float:
+        """tau*radius/||g||: -alpha*g minimizes the model along -g within the
+        ball, at tau = 1 unless <g,Hg> > 0 puts the minimizer inside."""
+        gn, ghg = self.grad_norm, self.ghg
+        tau = 1.0 if ghg <= 0.0 else min(gn ** 3 / (self.radius * ghg), 1.0)
+        return tau * self.radius / gn
 
+    @cached_property
     def cauchy_required(self) -> float:
         """Sufficient decrease demanded of the Cauchy point, with ||H|| relaxed
         to its upper bound K_H (the inequality chain only loosens)."""
-        gn = float(np.linalg.norm(self.grad))
+        gn = self.grad_norm
         return 0.5 * gn * min(gn / (1.0 + self.hessian.norm_bound), self.radius)
 
     def eigen_required(self, nu_hat: float, eigen_norm: float) -> float:
@@ -72,12 +99,10 @@ class TRModel:
 
 
 @dataclass(frozen=True)
-class CubicModel:
+class CubicModel(_Model):
     """Cubic model <s,g> + 0.5*<s,Hs> + (sigma/3)*||s||^3 on all of R^d,
     with Algorithm 2's decrease bounds and Eigen step."""
 
-    grad: Array
-    hessian: HessianOperator
     sigma: float
 
     radius = math.inf  # no trust region
@@ -86,31 +111,30 @@ class CubicModel:
         _check_model(self.grad, "sigma", self.sigma)
 
     def value(self, s: Array) -> float:
-        sn = float(np.linalg.norm(s))
-        return float(self.grad @ s + 0.5 * (s @ self.hessian.apply(s))
-                     + self.sigma / 3.0 * sn ** 3)
+        return super().value(s) + self.sigma / 3.0 * float(np.linalg.norm(s)) ** 3
 
     def gradient(self, s: Array) -> Array:
         return self.grad + self.hessian.apply(s) + self.sigma * float(np.linalg.norm(s)) * s
 
+    @cached_property
     def cauchy_alpha(self) -> float:
         """Nonnegative root of sigma*||g||^3*a^2 + <g,Hg>*a - ||g||^2 = 0, the
         Cauchy step size; the conjugate form when <g,Hg> > 0 avoids cancellation."""
-        gn = float(np.linalg.norm(self.grad))
-        ghg = self.hessian.quad(self.grad)
+        gn, ghg = self.grad_norm, self.ghg
         disc = math.sqrt(ghg * ghg + 4.0 * self.sigma * gn ** 5)
         if ghg > 0.0:
             return 2.0 * gn * gn / (ghg + disc)
         return (-ghg + disc) / (2.0 * self.sigma * gn ** 3)
 
+    @cached_property
     def cauchy_required(self) -> float:
         """Larger of the two Cauchy decrease bounds; the step-norm-dependent one
         is evaluated at the Cauchy point itself (its norm is model-derivable)."""
-        gn = float(np.linalg.norm(self.grad))
+        gn = self.grad_norm
         if gn == 0.0:
             return 0.0
         k = self.hessian.norm_bound
-        sc_norm = self.cauchy_alpha() * gn
+        sc_norm = self.cauchy_alpha * gn
         surd = _sqrt_shift(k, 4.0 * self.sigma * gn)
         try:
             bound_norm = sc_norm ** 2 / 12.0 * surd
@@ -129,7 +153,9 @@ class CubicModel:
                                 f"||s_e||={eigen_norm!r}, sigma={self.sigma!r}") from None
 
     def eigen_length(self, b: float, c: float) -> float:
-        """Global minimizer of b*a + (c/2)*a^2 + (sigma/3)*|a|^3 for c < 0."""
+        """Global minimizer of b*a + (c/2)*a^2 + (sigma/3)*|a|^3 for c < 0, on
+        the half-line opposite b (a > 0 at the tie b = 0), at |a| =
+        (sqrt(c^2 + 4*sigma*|b|) - c) / (2*sigma) (Cartis, Gould and Toint 2011)."""
         q = 0.5 * (math.sqrt(c * c + 4.0 * self.sigma * abs(b)) - c)
         return q / self.sigma if b <= 0.0 else q / -self.sigma
 
@@ -139,6 +165,11 @@ def _check_model(grad: Array, name: str, value: float) -> None:
         raise CertificateError(f"{name} must be positive, got {value}")
     if not np.all(np.isfinite(grad)):
         raise CertificateError("model gradient must be finite")
+
+
+def _sqrt_shift(k: float, x: float) -> float:
+    """sqrt(k^2 + x) - k without cancellation for k >= 0, x >= 0."""
+    return x / (math.sqrt(k * k + x) + k) if x > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -187,7 +218,7 @@ def _solution(model: TRModel | CubicModel, step: Array, **seed) -> SubproblemSol
     with np.errstate(over="ignore", invalid="ignore"):
         value = model.value(step)
     _check_finite(value, step)
-    return SubproblemSolution(step, value, certificates(model, step, **seed))
+    return SubproblemSolution(step, value, _certificates(model, step, value, **seed))
 
 
 def certificates(model: TRModel | CubicModel, step: Array,
@@ -196,10 +227,16 @@ def certificates(model: TRModel | CubicModel, step: Array,
     """Recompute the descent certificates of an arbitrary step: the model's
     Cauchy decrease; its Eigen decrease, given the seed's curvature and step
     length; and, given zeta, the cubic model-gradient test (cond5)."""
+    return _certificates(model, step, model.value(step), nu_hat, eigen_norm, zeta)
+
+
+def _certificates(model: TRModel | CubicModel, step: Array, value: float,
+                  nu_hat=None, eigen_norm=None, zeta=None) -> Certificates:
+    """``certificates``, given the step's model value m(s)."""
     if float(np.linalg.norm(step)) > model.radius * (1.0 + 1e-12):
         raise CertificateError("trust-region step exceeds the radius")
-    achieved = -model.value(step)
-    cauchy_met, cauchy_slack = _met(achieved, model.cauchy_required())
+    achieved = -value
+    cauchy_met, cauchy_slack = _met(achieved, model.cauchy_required)
     eigen_met = eigen_slack = None
     if nu_hat is not None:
         eigen_met, eigen_slack = _met(achieved, model.eigen_required(nu_hat, eigen_norm))
@@ -207,7 +244,7 @@ def certificates(model: TRModel | CubicModel, step: Array,
     if zeta is not None:
         grad_norm = float(np.linalg.norm(model.gradient(step)))
         sn = float(np.linalg.norm(step))
-        bound = zeta * max(sn ** 2, min(1.0, sn) * float(np.linalg.norm(model.grad)))
+        bound = zeta * max(sn ** 2, min(1.0, sn) * model.grad_norm)
         cond5_slack = bound - grad_norm
         cond5_met = cond5_slack >= -CERT_RTOL * max(1.0, bound)
     return Certificates(cauchy_met=cauchy_met, cauchy_slack=cauchy_slack,
@@ -216,9 +253,26 @@ def certificates(model: TRModel | CubicModel, step: Array,
                         nu_hat=nu_hat, eigen_norm=eigen_norm)
 
 
-def _eigen_point(model: TRModel | CubicModel, u: Array) -> SubproblemSolution:
-    """The step model.eigen_length(b, c) * uhat for a nonzero, negative-curvature
-    u, with uhat = u/||u||, b = <grad, uhat> and c = <uhat, H uhat> = -nu_hat."""
+def _met(achieved: float, required: float) -> tuple[bool, float]:
+    slack = achieved - required
+    return slack >= -CERT_RTOL * max(1.0, abs(required)), slack
+
+
+def cauchy_point(model: TRModel | CubicModel) -> SubproblemSolution:
+    """Exact minimizer of the model along -grad: within the ball, or along
+    the whole ray for the cubic model."""
+    if model.grad_norm == 0.0:
+        raise ValueError("Cauchy point undefined for zero gradient; the driver "
+                         "must test first-order optimality first")
+    return _solution(model, -model.cauchy_alpha * model.grad)
+
+
+def eigen_point(model: TRModel | CubicModel, u: Array) -> SubproblemSolution:
+    """The step model.eigen_length(b, c) * uhat along a nonzero,
+    negative-curvature u, with uhat = u/||u||, b = <grad, uhat> and
+    c = <uhat, H uhat> = -nu_hat: the radius for the trust-region model, the
+    1-D cubic's global minimizer for the cubic one, signed so <grad, s> <= 0.
+    The certificate uses the realized curvature."""
     un = float(np.linalg.norm(u))
     if un == 0.0:
         raise CertificateError("eigen direction must be nonzero")
@@ -233,39 +287,10 @@ def _eigen_point(model: TRModel | CubicModel, u: Array) -> SubproblemSolution:
     return _solution(model, step, nu_hat=-c, eigen_norm=eigen_norm)
 
 
-def _met(achieved: float, required: float) -> tuple[bool, float]:
-    slack = achieved - required
-    return slack >= -CERT_RTOL * max(1.0, abs(required)), slack
-
-
-# ---------------------------------------------------------------------------
-# Trust-region family
-# ---------------------------------------------------------------------------
-
-def tr_cauchy_point(model: TRModel) -> SubproblemSolution:
-    """Exact minimizer of the quadratic model along -grad within the ball."""
-    gn = float(np.linalg.norm(model.grad))
-    if gn == 0.0:
-        raise ValueError("Cauchy point undefined for zero gradient; the driver "
-                         "must test first-order optimality first")
-    ghg = model.hessian.quad(model.grad)
-    tau = 1.0 if ghg <= 0.0 else min(gn ** 3 / (model.radius * ghg), 1.0)
-    return _solution(model, (-tau * model.radius / gn) * model.grad)
-
-
-def tr_eigen_point(model: TRModel, u: Array) -> SubproblemSolution:
-    """Step of length radius along a certified negative-curvature direction.
-
-    The sign is chosen so <grad, s> <= 0; the certificate uses the realized
-    curvature.
-    """
-    return _eigen_point(model, u)
-
-
-def tr_subspace_solve(model: TRModel, basis: Sequence[Array],
-                      nu_hat: float | None = None,
-                      eigen_norm: float | None = None) -> SubproblemSolution:
-    """Exact trust-region solve on the span of ``basis``.
+def subspace_solve(model: TRModel | CubicModel, basis: Sequence[Array],
+                   nu_hat: float | None = None,
+                   eigen_norm: float | None = None) -> SubproblemSolution:
+    """Exact solve of the model on the span of ``basis``.
 
     The basis is orthonormalized (near-dependent directions dropped at
     relative tolerance 1e-12) and the reduced problem is solved through the
@@ -273,46 +298,14 @@ def tr_subspace_solve(model: TRModel, basis: Sequence[Array],
     case included. Because minimization runs over a superset of the seed
     directions, the solution dominates every seed in model value.
     """
-    return _subspace_solve(model, _orthonormalize(basis, model.grad.shape[0]),
-                           nu_hat=nu_hat, eigen_norm=eigen_norm)
+    return _span_solve(model, _orthonormalize(basis, model.grad.shape[0]),
+                       nu_hat=nu_hat, eigen_norm=eigen_norm)
 
 
-# ---------------------------------------------------------------------------
-# Cubic-regularization family
-# ---------------------------------------------------------------------------
-
-def _sqrt_shift(k: float, x: float) -> float:
-    """sqrt(k^2 + x) - k without cancellation for k >= 0, x >= 0."""
-    return x / (math.sqrt(k * k + x) + k)
-
-
-def arc_cauchy_point(model: CubicModel) -> SubproblemSolution:
-    """Exact minimizer of the cubic model along the negative gradient ray."""
-    gn = float(np.linalg.norm(model.grad))
-    if gn == 0.0:
-        raise ValueError("Cauchy point undefined for zero gradient")
-    return _solution(model, -model.cauchy_alpha() * model.grad)
-
-
-def arc_eigen_point(model: CubicModel, u: Array) -> SubproblemSolution:
-    """Global minimizer of the 1-D cubic along a negative-curvature direction.
-
-    Along u/||u|| the model is b*a + (c/2)*a^2 + (sigma/3)*|a|^3 with c < 0.
-    Its global minimizer lies on the half-line opposite b, at
-    |a| = (sqrt(c^2 + 4*sigma*|b|) - c) / (2*sigma) (Cartis, Gould and Toint
-    2011), so <grad, s> <= 0; at b = 0 both half-lines tie and the step is
-    taken along +u.
-    """
-    return _eigen_point(model, u)
-
-
-def arc_subspace_solve(model: CubicModel, basis: Sequence[Array],
-                       nu_hat: float | None = None,
-                       eigen_norm: float | None = None) -> SubproblemSolution:
-    """Exact cubic-model solve on the span of ``basis``, as
-    ``tr_subspace_solve`` does for the trust-region model."""
-    return _subspace_solve(model, _orthonormalize(basis, model.grad.shape[0]),
-                           nu_hat=nu_hat, eigen_norm=eigen_norm)
+# The per-model names perfbench/tracing.py wraps.
+tr_cauchy_point = arc_cauchy_point = cauchy_point
+tr_eigen_point = arc_eigen_point = eigen_point
+tr_subspace_solve = arc_subspace_solve = subspace_solve
 
 
 def arc_progressive_solve(model: CubicModel, seeds: Sequence[Array],
@@ -336,15 +329,14 @@ def arc_progressive_solve(model: CubicModel, seeds: Sequence[Array],
     cols = _orthonormalize([*seeds, krylov], d)
     best: SubproblemSolution | None = None
     while True:
-        sol = _subspace_solve(model, cols, nu_hat=nu_hat, eigen_norm=eigen_norm,
-                              zeta=zeta)
+        sol = _span_solve(model, cols, nu_hat=nu_hat, eigen_norm=eigen_norm, zeta=zeta)
         if best is None or sol.model_value < best.model_value:
             best = sol
         if sol.certificates.cond5_met:
             return sol
         if len(cols) >= min(d, 50):
             break
-        krylov = model.hessian.apply(krylov)
+        krylov = model.hg if krylov is model.grad else model.hessian.apply(krylov)
         kn = float(np.linalg.norm(krylov))
         if kn == 0.0:
             break
@@ -391,8 +383,8 @@ def _orthonormalize(basis: Sequence[Array], dim: int) -> list[Array]:
     return cols
 
 
-def _subspace_solve(model: TRModel | CubicModel, cols: list[Array],
-                    **seed) -> SubproblemSolution:
+def _span_solve(model: TRModel | CubicModel, cols: list[Array],
+                **seed) -> SubproblemSolution:
     """Exact solve of ``model`` on the span of the orthonormal ``cols``:
     reduce to the span, solve the reduced problem, lift the step back."""
     u_mat = np.column_stack(cols)

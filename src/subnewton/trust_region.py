@@ -26,9 +26,7 @@ from .core import (Array, CertificateError, ConfigurationError, HessianOperator,
                    OptimalityTolerances, SolveResult, acceptance_ratio,
                    ensure_finite, iteration_rng)
 from .curvature import default_nu, probe_extreme
-from .sampling import per_iteration_delta
-from .subproblem import (SubproblemSolution, TRModel, tr_eigen_point,
-                         tr_subspace_solve)
+from .subproblem import SubproblemSolution, TRModel, eigen_point, subspace_solve
 
 HessianSource = Callable[[Array, float, float, np.random.Generator], HessianOperator]
 
@@ -46,7 +44,8 @@ class LoopConfig:
     across iterations for the sub-sampling.
 
     ``TRConfig`` and ``ARCConfig`` add the rules ``iterate`` calls: the
-    ``schedule``, the ``initial`` radius or sigma (param), the t = 0 build's
+    ``per_iteration_delta()`` failure budget, labelled by ``schedule``, the
+    ``initial`` radius or sigma (param), the t = 0 build's
     ``first_accuracy``, ``accuracy(k_h, param)`` with k_h that build's norm
     bound, ``step(grad, grad_norm, hessian, direction, param)`` and
     ``update(param, accepted)``.
@@ -68,6 +67,9 @@ class LoopConfig:
             raise ConfigurationError(f"nu must lie in (0, 1), got {self.nu}")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be at least 1")
+        if not (0.0 < self.delta_total < 1.0):
+            raise ConfigurationError(
+                f"delta_total must lie in (0, 1), got {self.delta_total}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,12 @@ class TRConfig(LoopConfig):
             raise ConfigurationError(f"strict mode needs eps_H <= sqrt(eps_g); got eps_H="
                                      f"{self.tol.eps_H}, sqrt(eps_g)={np.sqrt(self.tol.eps_g)}")
 
+    def per_iteration_delta(self) -> float:
+        """The total failure budget shrunk by the worst-case iteration count:
+        delta_total * min(eps_g^2 * eps_H, eps_H^3)."""
+        eg, eh = self.tol.eps_g, self.tol.eps_H
+        return self.delta_total * min(eg ** 2 * eh, eh ** 3)
+
     @property
     def initial(self) -> float:
         return self.delta0
@@ -108,13 +116,13 @@ class TRConfig(LoopConfig):
     def step(self, grad: Array, grad_norm: float, hessian: HessianOperator,
              direction: Array | None, delta: float) -> SubproblemSolution:
         model = TRModel(grad=grad, hessian=hessian, radius=delta)
-        seeds: list[Array] = [grad, hessian.apply(grad)] if grad_norm > 0.0 else []
+        seeds: list[Array] = [grad, model.hg] if grad_norm > 0.0 else []
         seed = {}  # the Eigen seed's curvature and step length, for its certificate
         if direction is not None:
-            certs = tr_eigen_point(model, direction).certificates
+            certs = eigen_point(model, direction).certificates
             seeds.append(direction)
             seed = dict(nu_hat=certs.nu_hat, eigen_norm=certs.eigen_norm)
-        return tr_subspace_solve(model, seeds, **seed)
+        return subspace_solve(model, seeds, **seed)
 
     def update(self, delta: float, accepted: bool) -> float:
         return delta * self.gamma if accepted else delta / self.gamma
@@ -162,7 +170,7 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: LoopConfig
     x = np.asarray(x0, dtype=float).copy()
     ensure_finite(x, "starting point")
     tol = config.tol
-    delta_prob = per_iteration_delta(config.delta_total, tol, config.schedule)
+    delta_prob = config.per_iteration_delta()
     param = config.initial
     records: list[IterationRecord] = []
     converged = False

@@ -378,6 +378,17 @@ class TestCLI:
         cfg = write_cfg(tmp_path, base + "hessian = exact\n")
         assert main(["solve", "--config", str(cfg)]) == EXIT_OK
 
+    def test_underflowing_accuracy_exit_code(self, tmp_path, capsys):
+        # Every row saturates at this start, so K_H = 0, and 8*L*eps_g
+        # underflows to 0 in ARC's fixed accuracy, whose surd
+        # sqrt(K_H^2 + 8*L*eps_g) - K_H is then 0, not 0/0.
+        out = tmp_path / "o.csv"
+        cfg = write_cfg(tmp_path, "problem = nls_logistic\nsolver = arc\n"
+                                  "hessian = exact\nn = 20\nd = 3\nx0_scale = 1e12\n"
+                                  f"l_estimate = 1e-300\neps_g = 1e-30\nout = {out}\n")
+        assert main(["solve", "--config", str(cfg)]) == EXIT_OK
+        assert "# message: optimality certified" in out.read_text().splitlines()
+
     # Each run overflows a sub-problem step or its model value: the TR Eigen
     # step of length 1e300, or the ARC Cauchy step at an extreme sigma. The
     # NonFiniteError is raised before any certificate is computed, and no

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subnewton.core import ConfigurationError, NonFiniteError, OptimalityTolerances
+from subnewton.cubic_reg import ARCConfig
 from subnewton.problems import BIWEIGHT, FiniteSumProblem, generate_synthetic
 from subnewton.sampling import (SampleScheme, _draw_indices,
                                 build_subsampled_hessian, intrinsic_dimension,
                                 intrinsic_sample_size, nonuniform_distribution,
-                                nonuniform_sample_size, per_iteration_delta,
-                                resolve_scheme, uniform_sample_size,
-                                verify_concentration)
+                                nonuniform_sample_size, resolve_scheme,
+                                uniform_sample_size, verify_concentration)
+from subnewton.trust_region import TRConfig
 
 from conftest import count_grams, reference_verify_concentration, symmetry_defect
 
@@ -67,28 +68,39 @@ class TestSampleSizes:
 
 
 class TestPerIterationDelta:
+    # Each driver config shrinks its total failure budget by its own schedule.
     def test_tr_optimal_reference(self):
         tol = OptimalityTolerances(eps_g=0.1, eps_H=0.1)
-        assert per_iteration_delta(0.1, tol, "tr_optimal") == pytest.approx(1e-4)
+        config = TRConfig(tol=tol, delta_total=0.1)
+        assert config.schedule == "tr_optimal"
+        assert config.per_iteration_delta() == pytest.approx(1e-4)
 
     def test_arc_standard_reference(self):
         tol = OptimalityTolerances(eps_g=0.01, eps_H=0.1)
-        assert per_iteration_delta(0.1, tol, "arc_standard") == pytest.approx(1e-5)
+        config = ARCConfig(tol=tol, delta_total=0.1)
+        assert config.schedule == "arc_standard"
+        assert config.per_iteration_delta() == pytest.approx(1e-5)
 
     def test_arc_optimal_exponent(self):
         tol = OptimalityTolerances(eps_g=0.04, eps_H=0.5)
+        config = ARCConfig(tol=tol, delta_total=0.2, mode="optimal")
+        assert config.schedule == "arc_optimal"
         expected = 0.2 * min(0.04 ** 1.5, 0.5 ** 3)
-        assert per_iteration_delta(0.2, tol, "arc_optimal") == pytest.approx(expected)
+        assert config.per_iteration_delta() == pytest.approx(expected)
 
     def test_near_unit_tolerances_leave_delta(self):
         tol = OptimalityTolerances(eps_g=1 - 1e-12, eps_H=1 - 1e-12)
-        for mode in ("tr_optimal", "arc_standard", "arc_optimal"):
-            assert per_iteration_delta(0.3, tol, mode) == pytest.approx(0.3)
+        for config in (TRConfig(tol=tol, delta_total=0.3),
+                       ARCConfig(tol=tol, delta_total=0.3),
+                       ARCConfig(tol=tol, delta_total=0.3, mode="optimal")):
+            assert config.per_iteration_delta() == pytest.approx(0.3)
 
-    def test_unknown_mode(self):
+    @pytest.mark.parametrize("delta_total", [0.0, 1.0, float("nan")])
+    def test_budget_outside_unit_interval(self, delta_total):
         tol = OptimalityTolerances(eps_g=0.1, eps_H=0.1)
-        with pytest.raises(ConfigurationError):
-            per_iteration_delta(0.1, tol, "bogus")
+        for make in (TRConfig, ARCConfig):
+            with pytest.raises(ConfigurationError, match="delta_total must lie in"):
+                make(tol=tol, delta_total=delta_total)
 
 
 class TestNonuniformDistribution:

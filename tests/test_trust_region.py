@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from subnewton.core import ConfigurationError, NonFiniteError, OptimalityTolerances
+from subnewton.cubic_reg import ARCConfig, run_arc
 from subnewton.problems import QuarticSaddle, generate_synthetic
 from subnewton.sampling import build_subsampled_hessian, resolve_scheme
 from subnewton.trust_region import (TRConfig, exact_hessian_source, run_tr,
@@ -249,3 +252,57 @@ class TestRunTRGuards:
     def test_strict_mode_validates_coupling(self):
         with pytest.raises(ConfigurationError):
             TRConfig(tol=OptimalityTolerances(eps_g=1e-6, eps_H=0.5), strict=True)
+
+
+class TestHessianApplies:
+    """Each model quantity is computed once, so the H applies per iteration
+    are fixed: TR makes 4 (the probe's <u,Hu>, Hg, the reduced block and the
+    step's m(s)) and ARC's standard mode 5 (the same plus the Cauchy point's
+    m(s)). An Eigen seed adds 2 (<u,Hu> along it and its m(s)), and the
+    terminating probe adds 1."""
+
+    @staticmethod
+    def counting_source(problem):
+        calls = []
+        exact = exact_hessian_source(problem)
+
+        def source(x, eps, delta, rng):
+            op = exact(x, eps, delta, rng)
+
+            def apply(v, original=op.apply):
+                calls.append(v.shape)
+                return original(v)
+
+            return replace(op, apply=apply)
+
+        return source, calls
+
+    @pytest.mark.parametrize("solver, per_iteration, case, applies, iterations", [
+        ("tr", 4, "biweight", 17, 4),
+        ("arc", 5, "biweight", 46, 9),
+        ("tr", 4, "saddle", 15, 3),
+        ("arc", 5, "saddle", 23, 4),
+    ])
+    def test_applies_per_iteration(self, solver, per_iteration, case, applies,
+                                   iterations):
+        tol = OptimalityTolerances(eps_g=1e-6, eps_H=1e-3)
+        if case == "biweight":
+            problem = generate_synthetic("biweight", 500, 10, rng_seed=3, k_max=1.0)
+            x0, nu = np.zeros(10), None
+        else:  # starts next to the saddle, where the probe finds an Eigen seed
+            problem = QuarticSaddle()
+            x0, nu = np.array([0.01, 0.2]), 0.5
+        if solver == "tr":
+            config, run = TRConfig(tol=tol, nu=nu), run_tr
+        else:
+            config, run = ARCConfig(tol=tol, nu=nu,
+                                    l_estimate=problem.hessian_lipschitz_bound()), run_arc
+        source, calls = self.counting_source(problem)
+        result = run(problem, source, config, x0=x0, rng_seed=0)
+        assert result.converged
+        assert len(result.records) == iterations
+        eigen_seeds = sum(rec.lambda_min_estimate <= -0.5 * tol.eps_H
+                          for rec in result.records)
+        assert eigen_seeds == (case == "saddle")
+        assert len(calls) == applies
+        assert applies == per_iteration * iterations + 2 * eigen_seeds + 1
