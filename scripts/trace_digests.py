@@ -9,13 +9,28 @@ byte-identical only at a fixed BLAS thread count):
     diff <(PYTHONPATH=old/src python old/scripts/trace_digests.py) \\
          <(PYTHONPATH=src python scripts/trace_digests.py)
 
-Usage: python scripts/trace_digests.py
+With ``--counts`` each solve job prints its decisions instead: iterations,
+accepted steps, Eigen seeds (steps handed a negative-curvature direction)
+and ``bound`` rows (iterations whose curvature floor made the probe
+unnecessary). The script reads nothing newer than the records and the
+configs' ``step`` rule, so it runs against older checkouts too, whose rows
+all read as probe rows; a change that must keep every decision is checked
+with
+
+    diff <(PYTHONPATH=old/src python scripts/trace_digests.py --counts | cut -d' ' -f1-4) \\
+         <(PYTHONPATH=src python scripts/trace_digests.py --counts | cut -d' ' -f1-4)
+
+Usage: python scripts/trace_digests.py [--counts]
 """
 
+import argparse
 import hashlib
+from contextlib import contextmanager
 
+from subnewton.cubic_reg import ARCConfig
 from subnewton.harness import (ExperimentConfig, build_problem, format_trace,
                                format_verification, run_solver, verify_bounds)
+from subnewton.trust_region import TRConfig
 
 BASE = dict(problem="biweight", n=3000, d=8, k_max_target=1.0, data_seed=3, seed=5,
             x0_scale=1.0, max_iters=100)
@@ -34,6 +49,10 @@ SOLVES["tr_nu_syrk"] = ExperimentConfig(
 SOLVES["arc_optimal_syrk"] = ExperimentConfig(
     problem="nls_logistic", n=3000, d=64, data_seed=4, seed=6, x0_scale=1.0,
     hessian="uniform", solver="arc", arc_mode="optimal", max_iters=100)
+# A small zeta, so the progressive solve grows its Krylov space to 5 columns.
+SOLVES["arc_optimal_krylov"] = ExperimentConfig(
+    problem="nls_logistic", n=3000, d=20, data_seed=3, seed=5, x0_scale=1.0,
+    hessian="uniform", solver="arc", arc_mode="optimal", zeta=1e-4, max_iters=100)
 SOLVES["tr_quartic"] = ExperimentConfig(problem="quartic", solver="tr",
                                         eps_g=1e-6, eps_h=1e-3)
 SOLVES["arc_quartic"] = ExperimentConfig(problem="quartic", solver="arc",
@@ -46,13 +65,50 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def main():
+@contextmanager
+def eigen_seed_log():
+    """A list that gets, per step taken, whether it had an Eigen seed."""
+    log, originals = [], {cls: cls.step for cls in (TRConfig, ARCConfig)}
+
+    def logged(step):
+        def wrapper(self, grad, grad_norm, hessian, direction, param):
+            log.append(direction is not None)
+            return step(self, grad, grad_norm, hessian, direction, param)
+        return wrapper
+
+    try:
+        for cls, step in originals.items():
+            cls.step = logged(step)
+        yield log
+    finally:
+        for cls, step in originals.items():
+            cls.step = step
+
+
+def decisions(config: ExperimentConfig) -> str:
+    with eigen_seed_log() as seeds:
+        result = run_solver(config, build_problem(config))
+    bound = sum(getattr(r, "lambda_source", "probe") == "bound"
+                for r in result.records)
+    return (f"iterations={len(result.records)} accepted={result.n_accepted} "
+            f"eigen_seeds={sum(seeds)} bound_rows={bound}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--counts", action="store_true",
+                        help="print each solve job's decisions, not digests")
+    args = parser.parse_args(argv)
     for name, config in SOLVES.items():
+        if args.counts:
+            print(name, decisions(config), flush=True)
+            continue
         problem = build_problem(config)
         result = run_solver(config, problem)
         print(name, digest(format_trace(result, problem=problem)), flush=True)
-    rows, all_ok = verify_bounds(VERIFY)
-    print("verify_sampling", digest(f"{format_verification(rows)}\n{all_ok}\n"))
+    if not args.counts:
+        rows, all_ok = verify_bounds(VERIFY)
+        print("verify_sampling", digest(f"{format_verification(rows)}\n{all_ok}\n"))
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ is formed on first use into a cache; a race forms it twice, harmlessly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
@@ -46,14 +47,18 @@ class HessianOperator:
     ``form`` returns H's d x d matrix, exactly symmetric and read-only, and
     ``matrix`` reads it; constructors cache it, so it is formed on first use
     and an unused operator forms nothing. ``apply`` maps a d-vector or d x k
-    block V to HV, by default ``matrix @ V``; it stays a field because
-    perfbench/tracing.py counts matvecs through a ``replace(op, apply=...)``
-    copy, which shares its original's form and so its matrix.
-    ``accuracy`` records the spectral error bound (relative to the exact
-    Hessian at the point the operator was built for) that the construction
-    guarantees; 0.0 means the operator is exact. ``sample_size`` is the
-    number of per-sample Hessians behind the operator (0 when that notion
-    does not apply).
+    block V to HV. It defaults to ``matrix @ V``; the finite-sum operators
+    pass one striped row pass A'(w * AV) instead, which never reads the
+    matrix, so an apply costs the same whether or not the matrix was formed.
+    It stays a field because perfbench/tracing.py counts matvecs through a
+    ``replace(op, apply=...)`` copy, which shares its original's form and so
+    its matrix. ``accuracy`` records the spectral error bound (relative to
+    the exact Hessian at the point the operator was built for) that the
+    construction guarantees; 0.0 means the operator is exact. ``sample_size``
+    is the number of per-sample Hessians behind the operator (0 when that
+    notion does not apply). ``lambda_floor`` is a certified lower bound on
+    the smallest eigenvalue of both ``matrix`` and every Rayleigh quotient
+    ``apply`` gives, rounding included; -inf when nothing is known.
     """
 
     form: Callable[[], Array]
@@ -61,6 +66,7 @@ class HessianOperator:
     accuracy: float = 0.0
     sample_size: int = 0
     apply: Callable[[Array], Array] = None  # type: ignore[assignment]
+    lambda_floor: float = -math.inf
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.norm_bound) or self.norm_bound < 0:
@@ -100,6 +106,9 @@ class IterationRecord:
     ``f_value``/``grad_norm`` are taken at the start of the iteration,
     ``radius_or_sigma`` is the value in force when the step was computed,
     and ``eps_t`` is the realized Hessian accuracy of the operator used.
+    ``lambda_source`` says where ``lambda_min_estimate`` came from: "probe",
+    the bottom eigenpair's Rayleigh quotient, or "bound", the operator's
+    ``lambda_floor``, which certified that no probe was needed.
     """
 
     t: int
@@ -112,16 +121,17 @@ class IterationRecord:
     sample_size: int
     step_norm: float
     eps_t: float
+    lambda_source: str
 
 
 @dataclass(frozen=True)
 class SolveResult:
     """Terminal state of a driver run plus its full iteration trace.
 
-    ``lambda_min_final`` is the curvature-probe estimate from the last
-    completed iteration (for runs stopped by the iteration cap it refers to
-    the iterate before the final step); ``eps_final`` is the Hessian accuracy
-    in force at that point.
+    ``lambda_min_final`` is the curvature estimate (probe or floor) from the
+    last completed iteration (for runs stopped by the iteration cap it refers
+    to the iterate before the final step); ``eps_final`` is the Hessian
+    accuracy in force at that point.
     """
 
     x: Array

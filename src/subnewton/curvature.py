@@ -1,8 +1,11 @@
 """Bottom eigenpairs: the curvature probe, and the curvature quality nu.
 
 Algorithms 1 and 2 need a nu-approximate bottom eigenvector of the inexact
-Hessian H; the probe returns the exact one (the nu = 1 case) from one subset
-eigensolve of the operator's d x d matrix.
+Hessian H only when H has curvature below -nu*eps_H. The driver loop first
+reads the operator's ``lambda_floor``, which certifies the absence of such
+curvature without forming H; only when it cannot does it call the probe,
+which returns the exact bottom eigenvector (the nu = 1 case) from one subset
+eigensolve of the operator's d x d matrix, forming it if need be.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ def probe_extreme(hessian: HessianOperator) -> CurvatureResult:
 
     The driver loop gates on ``result.rayleigh <= -nu * eps_H`` itself, so
     the trace records the estimate even when no usable direction exists.
+    The quotient comes from ``hessian.apply``, a row pass for the
+    finite-sum operators, not from the matrix the eigensolve read.
     """
     _, vecs = eigh(hessian.matrix, subset_by_index=[0, 0])
     u = vecs[:, 0]

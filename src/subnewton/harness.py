@@ -33,7 +33,8 @@ EXIT_CONFIG_ERROR = 3
 EXIT_VERIFICATION_FAILURE = 4
 
 TRACE_COLUMNS = ("t", "F", "grad_norm", "lambda_min_est", "radius_or_sigma",
-                 "rho", "accepted", "sample_size", "step_norm", "eps_t")
+                 "rho", "accepted", "sample_size", "step_norm", "eps_t",
+                 "lambda_source")
 
 _HESSIAN_MODES = {
     "exact": None,
@@ -258,7 +259,7 @@ def format_trace(result: SolveResult, problem=None) -> str:
             str(r.t), repr(r.f_value), repr(r.grad_norm),
             repr(r.lambda_min_estimate), repr(r.radius_or_sigma), repr(r.rho),
             "1" if r.accepted else "0", str(r.sample_size), repr(r.step_norm),
-            repr(r.eps_t))))
+            repr(r.eps_t), r.lambda_source)))
     lines.append(f"# converged: {int(result.converged)}")
     lines.append(f"# message: {result.message}")
     lines.append(f"# f_final: {result.f_final!r}")

@@ -159,19 +159,20 @@ def _executor():
 
 
 def _map_stripes(task: Callable[[int, int], object], rows: Array,
-                 block_rows: int) -> list:
+                 block_rows: int, threads: bool = True) -> list:
     """task(lo, hi) for each non-empty stripe of rows lo:hi, in stripe order.
 
     The ceil(n / block_rows) row blocks are dealt into ``STRIPES`` contiguous
-    stripes. One stripe runs inline; otherwise the pool runs one task per
-    stripe. Tasks never wait on each other, and the first stripe's
-    exception, in stripe order, reaches the caller.
+    stripes. One stripe, or ``threads=False``, runs inline, on the calling
+    thread; otherwise the pool runs one task per stripe. Tasks never wait on
+    each other, and the first stripe's exception, in stripe order, reaches
+    the caller.
     """
     n = rows.shape[0]
     blocks = -(-n // block_rows)
     cuts = [min(n, k * blocks // STRIPES * block_rows) for k in range(STRIPES + 1)]
     spans = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi] or [(0, n)]
-    if len(spans) == 1:
+    if len(spans) == 1 or not threads:
         return [task(lo, hi) for lo, hi in spans]
     return list(_executor().map(lambda span: task(*span), spans))
 
@@ -228,6 +229,72 @@ def weighted_gram(rows: Array, w: Array) -> Array:
     gram = functools.reduce(np.add, _map_stripes(stripe, rows, SYRK_BLOCK_ROWS))
     gram.flags.writeable = False
     return gram
+
+
+def row_pass(rows: Array, weights: Array,
+             index: Array | None = None) -> Callable[[Array], Array]:
+    """The apply V -> sum_i w_i a_i (a_i' V) = A'(w * AV) over the rows, or
+    over rows[index] with weights[j] for row index[j], as one pass of
+    ``SYRK_BLOCK_ROWS``-row blocks on the stripes of ``_map_stripes``: never
+    the d x d matrix, and bit-identical at any worker count. The stripes run
+    inline: a pass takes a few ms, so handing it to the pool makes its time
+    hang on how soon the other CPU takes the task. On a 2-vCPU host with BLAS
+    at one thread, a pass at n = 20,000, d = 200 took 3.1-4.1 ms (quartiles)
+    on the pool against 4.2-4.8 ms inline, and 2.9-5.2 ms against 4.9-5.3 ms
+    beside a process that took the CPU in random 1-20 ms bursts. A sample's rows
+    are gathered one block at a time inside its stripe, so no |S| x d copy
+    is held. Each stripe ignores overflow, as the oracle's pass does: an inf
+    or NaN reaches the callers' finiteness checks.
+    """
+
+    def apply(v: Array) -> Array:
+        v = np.asarray(v, dtype=float)
+        w = weights if v.ndim == 1 else weights[:, None]
+
+        def stripe(lo: int, hi: int) -> Array:
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = None
+                for start in range(lo, hi, SYRK_BLOCK_ROWS):
+                    end = min(hi, start + SYRK_BLOCK_ROWS)
+                    block = rows[start:end] if index is None else rows[index[start:end]]
+                    part = block.T @ ((block @ v) * w[start:end])
+                    total = part if total is None else total + part
+            return total
+
+        return functools.reduce(np.add, _map_stripes(stripe, w, SYRK_BLOCK_ROWS,
+                                                     threads=False))
+
+    return apply
+
+
+# The floor's rounding allowance, in units of (m + d^2) times u * sum_i
+# |w_i| ||a_i||^2 plus d smallest subnormals, with m the rows summed.
+FLOOR_ROUNDING = 8.0
+
+
+def weyl_floor(weights: Array, sq_norms: Array, d: int) -> tuple[float, float]:
+    """(floor, T): a certified lower bound on the smallest eigenvalue of
+    H = sum_i w_i a_i a_i', and T = sum_i |w_i| ||a_i||^2, in O(m).
+
+    With N = sum_{w_i < 0} |w_i| a_i a_i' (PSD), H + N is PSD, so Weyl's
+    inequality gives lambda_min(H) >= -lambda_max(N) >= -tr N =
+    -sum_{w_i < 0} |w_i| ||a_i||^2. The floor subtracts a rounding margin
+    ``FLOOR_ROUNDING`` * (m + d^2) * (u T + d * 2^-1074), u = 2^-53: it
+    covers the sum itself, the Gram's backward error (at most 3 (m + 2) u T
+    in norm on either of ``weighted_gram``'s paths), the eigensolve's
+    (a modest multiple of d u ||H||, ||H|| <= T), the row pass's Rayleigh
+    quotient (about (m + 2d) u T) and underflow, so the floor stays below
+    both the formed matrix's computed bottom eigenvalue and the probe's
+    Rayleigh quotient. A floor that is not finite is -inf, with no warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.abs(weights) * sq_norms
+        total = float(np.sum(terms))
+        negative = float(np.sum(terms[weights < 0]))
+        count = weights.shape[0] + d * d
+        floor = -(negative + FLOOR_ROUNDING * count
+                  * (2.0 ** -53 * total + d * 2.0 ** -1074))
+    return (floor if math.isfinite(floor) else -math.inf), total
 
 
 @dataclass(eq=False)
@@ -331,11 +398,15 @@ class FiniteSumProblem:
 
     def exact_hessian_operator(self, x: Array) -> HessianOperator:
         """grad^2 F with the form in x's record entry, shared with
-        ``dense_hessian(x)``; bound tightened to the value at x."""
+        ``dense_hessian(x)``, applied by a row pass over all n rows; bound
+        tightened to the value at x, and floored by ``weyl_floor``."""
         _, _, second, hessian = self._evaluate(x)
-        bound_at_x = float(np.sum(np.abs(second / self.n) * self.row_sq_norms))
+        weights = second / self.n
+        floor, bound_at_x = weyl_floor(weights, self.row_sq_norms, self.d)
         return HessianOperator(form=hessian, sample_size=self.n,
-                               norm_bound=min(self.k_max, bound_at_x))
+                               norm_bound=min(self.k_max, bound_at_x),
+                               apply=row_pass(self.rows, weights),
+                               lambda_floor=floor)
 
     def dense_hessian(self, x: Array) -> Array:
         """Materialized grad^2 F(x), read-only: one ``weighted_gram`` over

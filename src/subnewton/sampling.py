@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Array, ConfigurationError, HessianOperator, ensure_finite
-from .problems import FiniteSumProblem, exact_sum, weighted_gram
+from .problems import (FiniteSumProblem, exact_sum, row_pass, weighted_gram,
+                       weyl_floor)
 
 logger = logging.getLogger(__name__)
 
@@ -187,8 +188,9 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
     carries the bound K_hat + eps. A full sample drawn without replacement
     reproduces the exact Hessian: it is the exact operator at x, sharing its
     Gram with ``problem.dense_hessian(x)``, recorded as exact (accuracy 0)
-    with the uniform bound K_max. Other samples' rows are gathered and their
-    matrix formed on first use.
+    with the uniform bound K_max. Other samples' matrix is formed from their
+    gathered rows on first use. Every sample applies by a row pass over its
+    rows and carries the ``weyl_floor`` of its weights, both O(|S|) in rows.
     """
     rng = np.random.default_rng(rng_seed)
     p = (None if scheme.mode.startswith("uniform")
@@ -202,8 +204,10 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
     rows = problem.rows
     weights = problem.second_derivatives(x)[idx] / (problem.n * size * p_sel)
     form = functools.cache(lambda: weighted_gram(rows[idx], weights))
+    floor, _ = weyl_floor(weights, problem.row_sq_norms[idx], problem.d)
     return HessianOperator(form=form, norm_bound=norm_bound,
-                           accuracy=scheme.epsilon, sample_size=size)
+                           accuracy=scheme.epsilon, sample_size=size,
+                           apply=row_pass(rows, weights, idx), lambda_floor=floor)
 
 
 def verify_concentration(problem: FiniteSumProblem, x: Array,

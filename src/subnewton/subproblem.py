@@ -8,7 +8,9 @@ Cauchy point (the exact 1-D minimizer along -g), one Eigen point (along a
 certified negative-curvature direction), one exact solve on a small subspace
 and one ``certificates`` serve both; the cubic model adds a progressive
 Krylov solver that stops once the model-gradient inexactness test holds.
-``certificates`` recomputes a solution's certificates from (model, step) plus
+A step's m(s) and model gradient read Hs from a product already made: the
+Cauchy point's -alpha*Hg, the Eigen point's a*H(uhat), a subspace step's
+(HU)v. ``certificates`` recomputes a solution's certificates from (model, step) plus
 the recorded seed curvature alone; the Eigen certificates are stated with the
 realized curvature nu_hat = -<u,Hu>/||u||^2, which is assertable exactly.
 """
@@ -47,8 +49,9 @@ class _Model:
     grad: Array
     hessian: HessianOperator
 
-    def value(self, s: Array) -> float:
-        return float(self.grad @ s + 0.5 * (s @ self.hessian.apply(s)))
+    def value(self, s: Array, hs: Array) -> float:
+        """m(s), given the product hs = Hs the caller already holds."""
+        return float(self.grad @ s + 0.5 * (s @ hs))
 
     @cached_property
     def grad_norm(self) -> float:
@@ -110,11 +113,13 @@ class CubicModel(_Model):
     def __post_init__(self) -> None:
         _check_model(self.grad, "sigma", self.sigma)
 
-    def value(self, s: Array) -> float:
-        return super().value(s) + self.sigma / 3.0 * float(np.linalg.norm(s)) ** 3
+    def value(self, s: Array, hs: Array) -> float:
+        return super().value(s, hs) + self.sigma / 3.0 * float(np.linalg.norm(s)) ** 3
 
-    def gradient(self, s: Array) -> Array:
-        return self.grad + self.hessian.apply(s) + self.sigma * float(np.linalg.norm(s)) * s
+    def gradient(self, s: Array, hs: Array | None = None) -> Array:
+        """grad m(s) = g + Hs + sigma*||s||*s, given Hs when already held."""
+        hs = self.hessian.apply(s) if hs is None else hs
+        return self.grad + hs + self.sigma * float(np.linalg.norm(s)) * s
 
     @cached_property
     def cauchy_alpha(self) -> float:
@@ -212,13 +217,16 @@ def _check_finite(value: float, step: Array) -> None:
         raise NonFiniteError(f"non-finite sub-problem solution: m(s)={value}, ||s||={norm}")
 
 
-def _solution(model: TRModel | CubicModel, step: Array, **seed) -> SubproblemSolution:
-    """The step with its model value and certificates; an overflowing m(s) or
-    ||s|| raises ``NonFiniteError`` first, not a RuntimeWarning."""
+def _solution(model: TRModel | CubicModel, step: Array, hs: Array,
+              **seed) -> SubproblemSolution:
+    """The step with its model value and certificates, from the step's Hs;
+    an overflowing m(s) or ||s|| raises ``NonFiniteError`` first, not a
+    RuntimeWarning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value = model.value(step)
+        value = model.value(step, hs)
     _check_finite(value, step)
-    return SubproblemSolution(step, value, _certificates(model, step, value, **seed))
+    return SubproblemSolution(step, value,
+                              _certificates(model, step, value, hs, **seed))
 
 
 def certificates(model: TRModel | CubicModel, step: Array,
@@ -227,12 +235,15 @@ def certificates(model: TRModel | CubicModel, step: Array,
     """Recompute the descent certificates of an arbitrary step: the model's
     Cauchy decrease; its Eigen decrease, given the seed's curvature and step
     length; and, given zeta, the cubic model-gradient test (cond5)."""
-    return _certificates(model, step, model.value(step), nu_hat, eigen_norm, zeta)
+    hs = model.hessian.apply(step)
+    return _certificates(model, step, model.value(step, hs), hs, nu_hat,
+                         eigen_norm, zeta)
 
 
 def _certificates(model: TRModel | CubicModel, step: Array, value: float,
-                  nu_hat=None, eigen_norm=None, zeta=None) -> Certificates:
-    """``certificates``, given the step's model value m(s)."""
+                  hs: Array, nu_hat=None, eigen_norm=None,
+                  zeta=None) -> Certificates:
+    """``certificates``, given the step's model value m(s) and its Hs."""
     if float(np.linalg.norm(step)) > model.radius * (1.0 + 1e-12):
         raise CertificateError("trust-region step exceeds the radius")
     achieved = -value
@@ -242,7 +253,7 @@ def _certificates(model: TRModel | CubicModel, step: Array, value: float,
         eigen_met, eigen_slack = _met(achieved, model.eigen_required(nu_hat, eigen_norm))
     cond5_met = cond5_slack = None
     if zeta is not None:
-        grad_norm = float(np.linalg.norm(model.gradient(step)))
+        grad_norm = float(np.linalg.norm(model.gradient(step, hs)))
         sn = float(np.linalg.norm(step))
         bound = zeta * max(sn ** 2, min(1.0, sn) * model.grad_norm)
         cond5_slack = bound - grad_norm
@@ -264,27 +275,40 @@ def cauchy_point(model: TRModel | CubicModel) -> SubproblemSolution:
     if model.grad_norm == 0.0:
         raise ValueError("Cauchy point undefined for zero gradient; the driver "
                          "must test first-order optimality first")
-    return _solution(model, -model.cauchy_alpha * model.grad)
+    alpha = model.cauchy_alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        step, hs = -alpha * model.grad, -alpha * model.hg
+    return _solution(model, step, hs)
 
 
-def eigen_point(model: TRModel | CubicModel, u: Array) -> SubproblemSolution:
-    """The step model.eigen_length(b, c) * uhat along a nonzero,
-    negative-curvature u, with uhat = u/||u||, b = <grad, uhat> and
-    c = <uhat, H uhat> = -nu_hat: the radius for the trust-region model, the
-    1-D cubic's global minimizer for the cubic one, signed so <grad, s> <= 0.
-    The certificate uses the realized curvature."""
+def unit_curvature(hessian: HessianOperator, u: Array) -> tuple[Array, Array, float]:
+    """uhat = u/||u||, H uhat and c = <uhat, H uhat> = -nu_hat, for a nonzero
+    u along which H has negative curvature; one apply."""
     un = float(np.linalg.norm(u))
     if un == 0.0:
         raise CertificateError("eigen direction must be nonzero")
     uhat = u / un
-    c = model.hessian.quad(uhat)
+    hu = hessian.apply(uhat)
+    c = float(uhat @ hu)
     if c >= 0.0:
         raise CertificateError(
             f"eigen direction must carry negative curvature, got <u,Hu>={c}")
-    step = model.eigen_length(float(model.grad @ uhat), c) * uhat
+    return uhat, hu, c
+
+
+def eigen_point(model: TRModel | CubicModel, u: Array) -> SubproblemSolution:
+    """The step a * uhat, a = model.eigen_length(b, c), along a nonzero,
+    negative-curvature u, with uhat, H uhat and c from ``unit_curvature`` and
+    b = <grad, uhat>: the radius for the trust-region model, the 1-D cubic's
+    global minimizer for the cubic one, signed so <grad, s> <= 0. Its m(s)
+    reads Hs = a * H uhat, and the certificate uses the realized curvature."""
+    uhat, hu, c = unit_curvature(model.hessian, u)
+    a = model.eigen_length(float(model.grad @ uhat), c)
+    step = a * uhat
     with np.errstate(over="ignore", invalid="ignore"):
         eigen_norm = float(np.linalg.norm(step))
-    return _solution(model, step, nu_hat=-c, eigen_norm=eigen_norm)
+        hs = a * hu
+    return _solution(model, step, hs, nu_hat=-c, eigen_norm=eigen_norm)
 
 
 def subspace_solve(model: TRModel | CubicModel, basis: Sequence[Array],
@@ -386,12 +410,16 @@ def _orthonormalize(basis: Sequence[Array], dim: int) -> list[Array]:
 def _span_solve(model: TRModel | CubicModel, cols: list[Array],
                 **seed) -> SubproblemSolution:
     """Exact solve of ``model`` on the span of the orthonormal ``cols``:
-    reduce to the span, solve the reduced problem, lift the step back."""
+    reduce to the span with one apply HU, solve the reduced problem, lift
+    the step s = Uv back; its m(s) and cond5 test read Hs = (HU)v."""
     u_mat = np.column_stack(cols)
-    reduced_h = u_mat.T @ model.hessian.apply(u_mat)
+    hu = model.hessian.apply(u_mat)
+    reduced_h = u_mat.T @ hu
     v = _reduced_exact(u_mat.T @ model.grad, 0.5 * (reduced_h + reduced_h.T),
                        model.radius, model.sigma)
-    return _solution(model, u_mat @ v, **seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step, hs = u_mat @ v, hu @ v
+    return _solution(model, step, hs, **seed)
 
 
 def _reduced_exact(g: Array, h: Array, radius: float,
@@ -434,17 +462,23 @@ def _reduced_exact(g: Array, h: Array, radius: float,
     if pinned and lam[0] <= 0.0:
         bottom = base <= 1e-12 * scale
         v[bottom] = 0.0
-        fill = math.sqrt(max(target(lo + d) ** 2 - float(v @ v), 0.0))
+        # sqrt(t^2 - ||v||^2) as t * sqrt(1 - r^2), r = ||v||/t: t^2 itself
+        # overflows for t near 1e300, and r <= 1 up to rounding when pinned.
+        t = target(lo + d)
+        r = min(float(np.linalg.norm(v)) / t, 1.0)
+        fill = t * math.sqrt(1.0 - r * r)
         gb = gq[bottom]
         gbn = float(np.linalg.norm(gb))
         if gbn > 0.0:
             v[bottom] = -fill * (gb / gbn)
         else:
             v[0] = fill
-    vn = float(np.linalg.norm(v))
-    if vn > radius:
+    with np.errstate(over="ignore"):
+        vn = float(np.linalg.norm(v))
+    if radius < vn < math.inf:
         # The secular iteration stops within its tolerance, possibly a hair
-        # outside the ball; project back so feasibility is unconditional.
+        # outside the ball; project back so feasibility is unconditional. A
+        # norm that overflows is left for the solution's finiteness check.
         v *= radius / vn
     return q @ v
 

@@ -2,7 +2,8 @@
 cubic-regularization driver.
 
 ``iterate`` runs the skeleton of the paper's Algorithms 1 and 2: evaluate,
-build or reuse an inexact Hessian, probe for negative curvature, test
+build or reuse an inexact Hessian, probe for negative curvature unless the
+operator's ``lambda_floor`` already rules it out, test
 (eps_g, eps_H)-optimality, solve the sub-problem, and accept or reject the
 step. It holds the only optimality test; the rules in which the algorithms
 differ are their configs'. ``TRConfig``'s are the adaptive tolerance
@@ -26,7 +27,7 @@ from .core import (Array, CertificateError, ConfigurationError, HessianOperator,
                    OptimalityTolerances, SolveResult, acceptance_ratio,
                    ensure_finite, iteration_rng)
 from .curvature import default_nu, probe_extreme
-from .subproblem import SubproblemSolution, TRModel, eigen_point, subspace_solve
+from .subproblem import SubproblemSolution, TRModel, subspace_solve, unit_curvature
 
 HessianSource = Callable[[Array, float, float, np.random.Generator], HessianOperator]
 
@@ -119,9 +120,11 @@ class TRConfig(LoopConfig):
         seeds: list[Array] = [grad, model.hg] if grad_norm > 0.0 else []
         seed = {}  # the Eigen seed's curvature and step length, for its certificate
         if direction is not None:
-            certs = eigen_point(model, direction).certificates
+            # The Eigen step is the radius along uhat; only its curvature
+            # enters the certificate, so the step itself is never formed.
             seeds.append(direction)
-            seed = dict(nu_hat=certs.nu_hat, eigen_norm=certs.eigen_norm)
+            seed = dict(nu_hat=-unit_curvature(hessian, direction)[2],
+                        eigen_norm=delta)
         return subspace_solve(model, seeds, **seed)
 
     def update(self, delta: float, accepted: bool) -> float:
@@ -197,19 +200,26 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: LoopConfig
                                          iteration_rng(rng_seed, _HESSIAN_STREAM, t))
             eps_in_force = hessian.accuracy
 
-            probe = probe_extreme(hessian)
-            lam_est = probe.rayleigh
-            direction_found = probe.rayleigh <= -config.nu * tol.eps_H
+            # A floor above the threshold certifies what the probe would
+            # find, no sufficient negative curvature, without forming H.
+            threshold = -config.nu * tol.eps_H
+            direction = None
+            if hessian.lambda_floor > threshold:
+                lam_est, lam_source = hessian.lambda_floor, "bound"
+            else:
+                probe = probe_extreme(hessian)
+                lam_est, lam_source = probe.rayleigh, "probe"
+                if probe.rayleigh <= threshold:
+                    direction = probe.direction
 
             # The optimality test: ||g|| <= eps_g (boundary inclusive), and an
-            # exact probe that found no sufficient negative curvature.
-            if grad_norm <= tol.eps_g and not direction_found:
+            # exact probe or a floor that found no sufficient negative curvature.
+            if grad_norm <= tol.eps_g and direction is None:
                 converged = True
                 message = "optimality certified"
                 break
 
-            solution = config.step(grad, grad_norm, hessian,
-                                   probe.direction if direction_found else None, param)
+            solution = config.step(grad, grad_norm, hessian, direction, param)
             f_trial, _ = oracle.value_grad(x + solution.step)
             ensure_finite(f_trial, f"trial objective value at iteration {t}")
             rho = acceptance_ratio(f, f_trial, -solution.model_value)
@@ -219,7 +229,8 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: LoopConfig
                 t=t, f_value=f, grad_norm=grad_norm, lambda_min_estimate=lam_est,
                 radius_or_sigma=param, rho=rho, accepted=accepted,
                 sample_size=hessian.sample_size,
-                step_norm=float(np.linalg.norm(solution.step)), eps_t=eps_in_force))
+                step_norm=float(np.linalg.norm(solution.step)), eps_t=eps_in_force,
+                lambda_source=lam_source))
             logger.debug("%s: %s", config.schedule, records[-1])
 
             if accepted:

@@ -89,7 +89,10 @@ class TestRunExperiment:
         text = out.read_text()
         lines = text.splitlines()
         assert lines[0] == ("t,F,grad_norm,lambda_min_est,radius_or_sigma,rho,"
-                            "accepted,sample_size,step_norm,eps_t")
+                            "accepted,sample_size,step_norm,eps_t,lambda_source")
+        # The quartic operator has no floor, so every row is probed.
+        assert all(line.endswith(",probe") for line in lines[1:]
+                   if not line.startswith("#"))
         footer = {line.split(":")[0][2:]: line.split(": ", 1)[1]
                   for line in lines if line.startswith("# ") and ": " in line}
         assert footer["converged"] == "1"

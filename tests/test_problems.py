@@ -1,4 +1,5 @@
 import gc
+import inspect
 import math
 import os
 import subprocess
@@ -19,7 +20,8 @@ from subnewton import problems
 from subnewton.problems import (BIWEIGHT, NLS_LOGISTIC, DatasetError,
                                 FiniteSumProblem, QuarticSaddle,
                                 biweight_scalar, exact_sum, generate_synthetic,
-                                load_dataset, nls_logistic_scalar, weighted_gram)
+                                load_dataset, nls_logistic_scalar, row_pass,
+                                weighted_gram)
 from subnewton.sampling import SampleScheme, build_subsampled_hessian
 
 from conftest import count_grams, save_dataset
@@ -349,6 +351,27 @@ class TestStripes:
         assert problems._pool == ()
         assert set(threading.enumerate()) <= threads
 
+    # The row pass runs its stripes inline: no worker count reaches it.
+    @pytest.mark.parametrize("d", [1, 5, 64, 200])
+    @pytest.mark.parametrize("n", [1, 1023, 1025, 3073, 20000])
+    def test_row_pass_does_not_depend_on_the_worker_count(self, monkeypatch, n, d):
+        g = np.random.default_rng(n * 1000 + d + 1)
+        rows = g.standard_normal((n, d)) / math.sqrt(d)
+        w = g.standard_normal(n)
+        index = np.sort(g.integers(0, n, size=n))  # a draw with replacement
+        v, block = g.standard_normal(d), g.standard_normal((d, 2))
+        outputs = []
+        for workers in (1, 2, 3):
+            pool = use_pool(monkeypatch, CountingPool(workers))
+            outputs.append([_bits(row_pass(rows, w, idx)(x))
+                            for idx in (None, index) for x in (v, block)])
+            # The sample's pass is the full pass over its gathered rows.
+            assert outputs[-1][2:] == [_bits(row_pass(rows[index], w)(x))
+                                       for x in (v, block)]
+            pool.shutdown()
+            assert pool.tasks == 0
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_concurrent_callers_share_a_problem(self, monkeypatch):
         # More callers than CPUs, each waiting on stripes it handed to the
         # shared pool, with frequent thread switches: none may deadlock, and
@@ -602,6 +625,37 @@ class TestEvaluationRecord:
             assert len(grams) == before + 1
             refs = [weakref.ref(op.matrix) for op in (partial, exact, copy)]
             del partial, exact, original, copy
+            problem.value_grad(np.zeros(6))
+            problem.value_grad(np.ones(6))
+            assert [ref() is None for ref in refs] == [True, True, True]
+        finally:
+            if enabled:
+                gc.enable()
+
+
+    def test_row_pass_arrays_are_freed_by_reference_counting(self):
+        # An operator's apply holds its weights (and a sample's index) in a
+        # closure that refers to no operator or record entry, so with the
+        # cyclic collector off they go with the last operator that holds
+        # them and the record entry of their point.
+        problem = generate_synthetic("biweight", n=200, d=6, rng_seed=15)
+        x = np.full(6, 0.3)
+        scheme = SampleScheme(mode="uniform_with_replacement", epsilon=0.5,
+                              delta=0.1, resolved_size=20)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ops = [problem.exact_hessian_operator(x),
+                   build_subsampled_hessian(problem, x, scheme, rng_seed=1)]
+            ops.append(replace(ops[1], apply=lambda v, inner=ops[1].apply: inner(v)))
+            for op in ops:
+                op.apply(np.ones(6))
+                op.apply(np.ones((6, 2)))
+                assert op.matrix is op.matrix
+            held = [inspect.getclosurevars(op.apply).nonlocals for op in ops[:2]]
+            refs = [weakref.ref(held[0]["weights"]), weakref.ref(held[1]["weights"]),
+                    weakref.ref(held[1]["index"])]
+            del ops, op, held
             problem.value_grad(np.zeros(6))
             problem.value_grad(np.ones(6))
             assert [ref() is None for ref in refs] == [True, True, True]

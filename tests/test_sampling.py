@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnewton.core import ConfigurationError, NonFiniteError, OptimalityTolerances
+from subnewton.core import (ConfigurationError, HessianOperator, NonFiniteError,
+                            OptimalityTolerances)
 from subnewton.cubic_reg import ARCConfig
-from subnewton.problems import BIWEIGHT, FiniteSumProblem, generate_synthetic
+from subnewton.curvature import probe_extreme
+from subnewton.problems import (BIWEIGHT, FiniteSumProblem, generate_synthetic,
+                                row_pass, weighted_gram, weyl_floor)
 from subnewton.sampling import (SampleScheme, _draw_indices,
                                 build_subsampled_hessian, intrinsic_dimension,
                                 intrinsic_sample_size, nonuniform_distribution,
@@ -356,7 +359,8 @@ class TestBuildSubsampledHessian:
 
 
 class TestMaterializedOperator:
-    """The operators apply a d x d matrix formed once from the weighted rows."""
+    """The operators apply by a row pass over the weighted rows, and form
+    their d x d matrix once, only when it is read."""
 
     MODES = {
         "exact": None,
@@ -394,9 +398,14 @@ class TestMaterializedOperator:
         problem = generate_synthetic("biweight", n=120, d=d, rng_seed=21, skew=4.0)
         x = rng.standard_normal(d)
         op, rows, weights = self.operator_and_rows(problem, x, case, seed=5)
-        matrix = np.column_stack([op.apply(e) for e in np.eye(d)])
+        applied = np.column_stack([op.apply(e) for e in np.eye(d)])
+        scale = float(np.linalg.norm(applied, 2))
+        # The formed matrix is exactly symmetric and agrees with the applies;
+        # forming it changes no apply, which never reads it.
+        matrix = op.matrix
         assert np.array_equal(matrix, matrix.T)
-        scale = float(np.linalg.norm(matrix, 2))
+        assert np.linalg.norm(matrix - applied, 2) <= 1e-12 * scale
+        assert np.array_equal(np.column_stack([op.apply(e) for e in np.eye(d)]), applied)
         for _ in range(10):
             v = rng.standard_normal(d)
             reference = rows.T @ (weights * (rows @ v))
@@ -410,7 +419,8 @@ class TestMaterializedOperator:
     def test_unapplied_operator_forms_no_gram(self, monkeypatch):
         # ARC's eps = 0.5 bootstrap (a partial sample here) only resolves nu
         # and the fixed tolerance; it misses ARC's target, so it is rebuilt
-        # at once, capped at n, and never applied.
+        # at once, capped at n. Only the probe forms a Gram, and on this run
+        # every operator's floor certifies its curvature, so none is formed.
         import subnewton.harness as harness
         from subnewton.harness import build_problem, parse_config_text, run_solver
 
@@ -431,40 +441,122 @@ class TestMaterializedOperator:
         assert len(ops) >= 3
         assert ops[0].sample_size < 2000
         assert all(op.sample_size == 2000 for op in ops[1:])
-        assert len(grams) == len(ops) - 1
-        assert grams == [2000] * len(grams)
+        assert {r.lambda_source for r in result.records} == {"bound"}
+        assert grams == []
 
-    def test_one_gram_per_applied_point_and_none_for_the_footer(self, monkeypatch):
-        # Capped at n, every sample is the exact Hessian at its point: a
-        # rebuild at a point and the trace footer's dense Hessian at the
-        # final point read the Gram formed there.
+    def test_one_gram_per_probed_point_plus_the_footer(self, monkeypatch):
+        # Capped at n, every sample is the exact Hessian at its point: the
+        # probes at a point and the trace footer's dense Hessian at the final
+        # point read the one Gram formed there. Applies form none.
         import subnewton.harness as harness
+        import subnewton.trust_region as trust_region
         from subnewton.harness import (build_problem, format_trace,
                                        parse_config_text, run_solver)
 
         grams = count_grams(monkeypatch)
-        applied = set()
-        build = harness.build_subsampled_hessian
+        points = {}  # each built operator's form -> the bytes of its point
+        probed = set()
+        build, probe = harness.build_subsampled_hessian, trust_region.probe_extreme
 
         def marking_build(problem, x, *args, **kwargs):
             op = build(problem, x, *args, **kwargs)
-            key = np.asarray(x).tobytes()
+            points[op.form] = np.asarray(x).tobytes()
+            return op
 
-            def apply(v, _apply=op.apply):
-                applied.add(key)
-                return _apply(v)
-
-            return replace(op, apply=apply)
+        def marking_probe(op):
+            probed.add(points[op.form])
+            return probe(op)
 
         monkeypatch.setattr(harness, "build_subsampled_hessian", marking_build)
+        monkeypatch.setattr(trust_region, "probe_extreme", marking_probe)
         config = parse_config_text(
             "problem = biweight\nsolver = arc\nhessian = uniform_wor\n"
-            "n = 2000\nd = 8\nk_max_target = 1.0\nseed = 11\n")
+            "n = 2000\nd = 8\nk_max_target = 1.0\nseed = 11\nx0_scale = 3.0\n")
         problem = build_problem(config)
         result = run_solver(config, problem)
-        assert result.converged and result.x.tobytes() in applied
+        sources = [r.lambda_source for r in result.records]
+        assert result.converged and "probe" in sources and "bound" in sources
+        assert len(grams) == len(probed)
         assert "lambda_min_dense_final" in format_trace(result, problem=problem)
-        assert grams == [2000] * len(applied)
+        assert grams == [2000] * len(probed | {result.x.tobytes()})
+
+
+def scaled_problem(d: int, scale: float, row_scale: float = 1.0) -> FiniteSumProblem:
+    """A bi-weight problem whose loss, and so every weight, is multiplied by
+    ``scale``; the curvature bound is left at the bi-weight's, so that the
+    norm bounds stay finite at any scale."""
+
+    def evaluate(z, b):
+        value, first, second = BIWEIGHT.evaluate(z, b)
+        with np.errstate(over="ignore"):
+            return value * scale, first * scale, second * scale
+
+    base = generate_synthetic("biweight", n=120, d=d, rng_seed=21, skew=4.0)
+    loss = replace(BIWEIGHT, name="scaled", evaluate=evaluate)
+    return FiniteSumProblem(rows=base.rows * row_scale, targets=base.targets, loss=loss)
+
+
+class TestLambdaFloor:
+    """``lambda_floor`` is a certified lower bound on lambda_min, rounding
+    included, for every finite-sum operator."""
+
+    SCALES = (1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300)
+
+    # d = 7 takes weighted_gram's GEMM path, d = 80 its SYRK path.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("d", [7, 80])
+    @pytest.mark.parametrize("case", list(TestMaterializedOperator.MODES))
+    def test_floor_is_below_the_bottom_eigenvalue_and_the_probe(self, rng, case,
+                                                                d, scale):
+        problem = scaled_problem(d, scale)
+        x = rng.standard_normal(d)
+        op, rows, weights = TestMaterializedOperator.operator_and_rows(
+            problem, x, case, seed=5)
+        floor = op.lambda_floor
+        lam_min = float(np.linalg.eigvalsh(op.matrix)[0])
+        assert floor <= lam_min
+        assert floor <= probe_extreme(op).rayleigh
+        # Not vacuous: within rounding of -tr N, the sum over the
+        # negative-weight rows, and above -inf.
+        terms = np.abs(weights) * np.einsum("ij,ij->i", rows, rows)
+        negative = float(np.sum(terms[weights < 0]))
+        assert -negative - 1e-6 * float(np.sum(terms)) <= floor <= -negative
+        assert negative > 0.0
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("n", [1, 3, 1500])
+    @pytest.mark.parametrize("d", [7, 80])
+    def test_floor_holds_where_the_bound_is_tight(self, d, n, scale):
+        # n copies of one row a, all weights negative: H = (sum w) a a' and
+        # lambda_min = -tr N exactly, so only the margin keeps the floor below
+        # the computed eigenvalue and Rayleigh quotient.
+        g = np.random.default_rng(d * 10 + n)
+        rows = np.repeat(g.standard_normal((1, d)), n, axis=0)
+        weights = -scale * g.random(n)
+        floor, total = weyl_floor(weights, np.einsum("ij,ij->i", rows, rows), d)
+        op = HessianOperator(form=lambda: weighted_gram(rows, weights),
+                             norm_bound=1.0, apply=row_pass(rows, weights),
+                             lambda_floor=floor)
+        assert floor <= float(np.linalg.eigvalsh(op.matrix)[0])
+        assert floor <= probe_extreme(op).rayleigh
+        assert floor >= -total * (1.0 + 1e-6)
+
+    # The non-uniform modes' own distribution overflows before any floor.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["exact", "uniform", "uniform_wor_partial",
+                                      "uniform_wor_full"])
+    def test_an_overflowing_floor_is_minus_infinity(self, case):
+        # Every weight is finite, but sum_i |w_i| ||a_i||^2 overflows.
+        problem = scaled_problem(7, 1e306, row_scale=30.0)
+        op, _, weights = TestMaterializedOperator.operator_and_rows(
+            problem, np.zeros(7), case, seed=5)
+        assert np.all(np.isfinite(weights))
+        assert op.lambda_floor == -math.inf
+
+    def test_non_operators_of_a_finite_sum_have_no_floor(self):
+        from subnewton.problems import QuarticSaddle
+        assert QuarticSaddle().exact_hessian_operator(np.zeros(2)).lambda_floor == -math.inf
 
 
 class TestResolveScheme:

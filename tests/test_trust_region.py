@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from subnewton import trust_region
 from subnewton.core import ConfigurationError, NonFiniteError, OptimalityTolerances
 from subnewton.cubic_reg import ARCConfig, run_arc
 from subnewton.problems import QuarticSaddle, generate_synthetic
@@ -255,11 +256,13 @@ class TestRunTRGuards:
 
 
 class TestHessianApplies:
-    """Each model quantity is computed once, so the H applies per iteration
-    are fixed: TR makes 4 (the probe's <u,Hu>, Hg, the reduced block and the
-    step's m(s)) and ARC's standard mode 5 (the same plus the Cauchy point's
-    m(s)). An Eigen seed adds 2 (<u,Hu> along it and its m(s)), and the
-    terminating probe adds 1."""
+    """Each model quantity is computed once, and each step's Hs comes from a
+    product already made: the Cauchy point's from Hg, a subspace step's from
+    the reduced block's HU. So an iteration makes 2 applies (Hg and the
+    reduced block), plus 1 when it probes (<u,Hu>) and 1 per Eigen seed
+    (H uhat); the terminating check adds 1 when it probes. A floor that
+    certifies the curvature skips the probe: on the biweight cases every
+    row reads "bound"; the quartic operator has no floor."""
 
     @staticmethod
     def counting_source(problem):
@@ -277,13 +280,13 @@ class TestHessianApplies:
 
         return source, calls
 
-    @pytest.mark.parametrize("solver, per_iteration, case, applies, iterations", [
-        ("tr", 4, "biweight", 17, 4),
-        ("arc", 5, "biweight", 46, 9),
-        ("tr", 4, "saddle", 15, 3),
-        ("arc", 5, "saddle", 23, 4),
+    @pytest.mark.parametrize("solver, case, applies, iterations", [
+        ("tr", "biweight", 8, 4),
+        ("arc", "biweight", 18, 9),
+        ("tr", "saddle", 11, 3),
+        ("arc", "saddle", 14, 4),
     ])
-    def test_applies_per_iteration(self, solver, per_iteration, case, applies,
+    def test_applies_per_iteration(self, monkeypatch, solver, case, applies,
                                    iterations):
         tol = OptimalityTolerances(eps_g=1e-6, eps_H=1e-3)
         if case == "biweight":
@@ -297,12 +300,54 @@ class TestHessianApplies:
         else:
             config, run = ARCConfig(tol=tol, nu=nu,
                                     l_estimate=problem.hessian_lipschitz_bound()), run_arc
+        probes = []
+        probe = trust_region.probe_extreme
+        monkeypatch.setattr(trust_region, "probe_extreme",
+                            lambda op: probes.append(op) or probe(op))
         source, calls = self.counting_source(problem)
         result = run(problem, source, config, x0=x0, rng_seed=0)
         assert result.converged
         assert len(result.records) == iterations
-        eigen_seeds = sum(rec.lambda_min_estimate <= -0.5 * tol.eps_H
-                          for rec in result.records)
+        probed = [rec for rec in result.records if rec.lambda_source == "probe"]
+        assert len(probed) == (iterations if case == "saddle" else 0)
+        eigen_seeds = sum(rec.lambda_min_estimate <= -0.5 * tol.eps_H for rec in probed)
         assert eigen_seeds == (case == "saddle")
+        terminal = len(probes) - len(probed)
+        assert terminal == (case == "saddle")
         assert len(calls) == applies
-        assert applies == per_iteration * iterations + 2 * eigen_seeds + 1
+        assert applies == 2 * iterations + len(probed) + eigen_seeds + terminal
+
+
+class TestCurvatureFloor:
+    """A floor above -nu*eps_H skips the probe and changes no decision."""
+
+    @pytest.mark.parametrize("solver", ["tr", "arc"])
+    @pytest.mark.parametrize("hessian", ["exact", "uniform_wor", "nonuniform"])
+    def test_floor_changes_no_decision(self, solver, hessian):
+        from subnewton.harness import build_hessian_source, build_problem, parse_config_text
+        config = parse_config_text(f"problem = biweight\nsolver = {solver}\n"
+                                   f"hessian = {hessian}\nn = 600\nd = 12\n"
+                                   f"k_max_target = 1.0\n")
+        problem = build_problem(config)
+        tol = OptimalityTolerances(eps_g=config.eps_g, eps_H=config.eps_h)
+        if solver == "tr":
+            loop, run = TRConfig(tol=tol), run_tr
+        else:
+            loop, run = ARCConfig(tol=tol, l_estimate=problem.hessian_lipschitz_bound()), run_arc
+        floored = build_hessian_source(config, problem, loop.schedule)
+
+        def unfloored(*args):
+            return replace(floored(*args), lambda_floor=-np.inf)
+
+        results = [run(problem, source, loop, x0=np.full(12, 0.5), rng_seed=7)
+                   for source in (floored, unfloored)]
+        assert results[0].converged and results[1].converged
+        with_floor, probed = results[0].records, results[1].records
+        assert [(r.accepted, r.sample_size) for r in with_floor] == [
+            (r.accepted, r.sample_size) for r in probed]
+        assert {r.lambda_source for r in probed} == {"probe"}
+        bound = [(f, p) for f, p in zip(with_floor, probed) if f.lambda_source == "bound"]
+        assert bound
+        for f, p in bound:
+            assert f.lambda_min_estimate <= p.lambda_min_estimate
+            assert p.lambda_min_estimate > -0.5 * tol.eps_H
