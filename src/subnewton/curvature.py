@@ -4,7 +4,7 @@ Algorithms 1 and 2 need a nu-approximate bottom eigenvector of the inexact
 Hessian H only when H has curvature below -nu*eps_H. The driver loop first
 reads the operator's ``lambda_floor``, which certifies the absence of such
 curvature without forming H; only when it cannot does it call the probe,
-which returns the exact bottom eigenvector (the nu = 1 case) from one subset
+which returns the exact bottom eigenvector (the nu = 1 case) from one
 eigensolve of the operator's d x d matrix, forming it if need be.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.linalg import eigh
+import numpy as np
 
 from .core import Array, ConfigurationError, HessianOperator
 
@@ -35,8 +35,7 @@ def probe_extreme(hessian: HessianOperator) -> CurvatureResult:
     The quotient comes from ``hessian.apply``, a row pass for the
     finite-sum operators, not from the matrix the eigensolve read.
     """
-    _, vecs = eigh(hessian.matrix, subset_by_index=[0, 0])
-    u = vecs[:, 0]
+    u = np.linalg.eigh(hessian.matrix)[1][:, 0]
     return CurvatureResult(direction=u, rayleigh=hessian.quad(u))
 
 

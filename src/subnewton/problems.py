@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .core import Array, ConfigurationError, HessianOperator, ensure_finite
 
@@ -34,13 +33,20 @@ def biweight_scalar(z: Array, b: Array) -> tuple[Array, Array, Array]:
     return value, first, second
 
 
+def sigmoid(z: Array) -> Array:
+    """1/(1 + e^-z) without overflow: with e = e^-|z| <= 1, it is 1/(1 + e)
+    for z >= 0 and e/(1 + e) below, each within a few ulp of the true value."""
+    z = np.asarray(z, dtype=float)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
 def nls_logistic_scalar(z: Array, b: Array) -> tuple[Array, Array, Array]:
     """Least-squares loss (sigmoid(z) - b)^2 with the exact second derivative.
 
-    second = 2*s'^2 + 2*(s-b)*s'' where s', s'' are the sigmoid derivatives;
-    the sigmoid is evaluated overflow-safely.
+    second = 2*s'^2 + 2*(s-b)*s'' where s', s'' are the sigmoid derivatives.
     """
-    s = expit(np.asarray(z, dtype=float))
+    s = sigmoid(z)
     b = np.asarray(b, dtype=float)
     sp = s * (1.0 - s)
     spp = sp * (1.0 - 2.0 * s)
@@ -455,6 +461,16 @@ class QuarticSaddle:
         return 6.0 * box_radius
 
 
+def _check_allocatable(n: int, d: int) -> None:
+    """Refuse, before any is drawn or read, n x d rows or a d x d Hessian
+    that cannot be allocated."""
+    try:  # the larger of the two
+        np.empty((max(n, d), d))
+    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+        raise ConfigurationError(f"n={n}, d={d} makes the rows or the Hessian "
+                                 f"too large to allocate") from None
+
+
 def generate_synthetic(loss: ScalarLoss | str, n: int, d: int, rng_seed: int = 0,
                        skew: float = 1.0, k_max: float | None = None,
                        noise: float = 0.1) -> FiniteSumProblem:
@@ -475,6 +491,7 @@ def generate_synthetic(loss: ScalarLoss | str, n: int, d: int, rng_seed: int = 0
         raise ConfigurationError(f"k_max must be positive and finite, got {k_max}")
     if not (0.0 <= noise < math.inf):
         raise ConfigurationError(f"noise must be nonnegative and finite, got {noise}")
+    _check_allocatable(n, d)
     rng = np.random.default_rng(rng_seed)
     rows = rng.standard_normal((n, d)) / math.sqrt(d)
     if skew > 1.0:
@@ -486,7 +503,7 @@ def generate_synthetic(loss: ScalarLoss | str, n: int, d: int, rng_seed: int = 0
     planted = rng.standard_normal(d)
     z = rows @ planted
     if loss.name == "nls_logistic":
-        targets = (rng.random(n) < expit(z)).astype(float)
+        targets = (rng.random(n) < sigmoid(z)).astype(float)
     else:
         targets = z + noise * rng.standard_normal(n)
     return FiniteSumProblem(rows=rows, targets=targets, loss=loss)
@@ -533,9 +550,9 @@ def load_dataset(path: str | Path, fmt: str = "csv",
             d, d_line = max(row), lineno
     if not d:
         raise DatasetError(f"{path}: no {'features' if targets else 'data rows'}")
-    try:  # the larger of the n x d rows and the d x d Hessian
-        np.empty((max(len(features), d), d))
-    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+    try:
+        _check_allocatable(len(features), d)
+    except ConfigurationError:
         raise DatasetError(f"{path}: line {d_line}: index {d} makes the rows or "
                            f"the Hessian too large to allocate") from None
     rows = np.zeros((len(features), d))

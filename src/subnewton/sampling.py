@@ -215,9 +215,11 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
                          rng_seed: int | np.random.Generator = 0) -> float:
     """Fraction of independent draws with ||H - grad^2 F(x)|| > eps.
 
-    Each draw's difference H_S - grad^2 F(x) goes into a stack of at most
-    ``EIG_STACK_BYTES``, whose spectra one batched dense eigensolve gives;
-    desk scale only. A full draw without replacement is the same every
+    Each draw's rows are gathered into one buffer that every draw reuses (a
+    fresh |S| x d copy per draw made the allocator trim and re-fault its heap
+    each time), and its difference H_S - grad^2 F(x) goes into a stack of at
+    most ``EIG_STACK_BYTES``, whose spectra one batched dense eigensolve
+    gives; desk scale only. A full draw without replacement is the same every
     trial, so its error is measured once and counted ``trials`` times.
     """
     rng = np.random.default_rng(rng_seed)
@@ -232,13 +234,17 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
     draws = 1 if full else trials
     d = problem.d
     stack = np.empty((min(draws, max(EIG_STACK_BYTES // (8 * d * d), 1)), d, d))
+    gathered = np.empty((scheme.resolved_size, d))
     failures = 0
     for start in range(0, draws, stack.shape[0]):
         chunk = stack[:min(stack.shape[0], draws - start)]
         for diff in chunk:
             idx, p_sel = _draw_indices(problem, scheme, p, rng, cdf)
             weights = second[idx] / (problem.n * idx.shape[0] * p_sel)
-            np.subtract(weighted_gram(problem.rows[idx], weights), exact, out=diff)
+            # idx lies in [0, n); the default mode="raise" would gather
+            # through a temporary copy before filling the buffer.
+            np.take(problem.rows, idx, axis=0, out=gathered, mode="clip")
+            np.subtract(weighted_gram(gathered, weights), exact, out=diff)
         ensure_finite(chunk, "a sampled Hessian's difference from the exact one")
         errs = np.max(np.abs(np.linalg.eigvalsh(chunk)), axis=1)
         failures += int(np.count_nonzero(errs > scheme.epsilon))

@@ -237,8 +237,10 @@ class TestCLI:
         # overflows) exits 3 naming epsilon. A NaN, infinite or out-of-range
         # data, step-size or regularization value exits 3 naming the value.
         # A negative data seed, a compare run too wide for its dense
-        # eigensolves, an eps_h so small that the default nu rounds to 1 and
-        # rows whose Hessian-Lipschitz bound overflows exit 3 naming the cause.
+        # eigensolves, an eps_h so small that the default nu rounds to 1,
+        # rows whose Hessian-Lipschitz bound overflows and a synthetic problem
+        # too large to allocate (numpy refuses both shapes without allocating)
+        # exit 3 naming the cause.
         base = "problem = biweight\nhessian = uniform_wor\nn = 50\nd = 4\n"
         cases = [
             (["solve"], "gama = 2.0\n", "gama"),
@@ -272,6 +274,9 @@ class TestCLI:
              "eps_H=1e-300"),
             (["solve"], "solver = arc\nk_max_target = 1e300\n",
              "Hessian-Lipschitz bound"),
+            (["solve"], "n = 1000000000000\nd = 10000000\n",
+             "n=1000000000000, d=10000000"),
+            (["verify-sampling"], f"n = {10 ** 30}\nd = 5\n", f"n={10 ** 30}, d=5"),
         ]
         for i, (command, text, key) in enumerate(cases):
             cfg = write_cfg(tmp_path, base + text, f"case{i}.cfg")
@@ -279,6 +284,40 @@ class TestCLI:
             err = capsys.readouterr().err
             assert code == EXIT_CONFIG_ERROR, (command, text, err)
             assert key in err, (command, text, err)
+
+    def test_the_cli_loads_no_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: importing the CLI, and
+        # running both solvers on both losses and a verification, loads no
+        # scipy module (and no second BLAS build with it).
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        configs = [write_cfg(tmp_path, "n = 200\nd = 5\nmax_iters = 20\n"
+                             f"verify_trials = 10\nout = {tmp_path / 'trace.csv'}\n"
+                             + text, f"run{i}.cfg")
+                   for i, text in enumerate(("problem = biweight\nhessian = uniform_wor\n",
+                                             "problem = nls_logistic\nsolver = arc\n"))]
+        script = ("import sys\n"
+                  "def scipy():\n"
+                  "    return sorted(m for m in sys.modules\n"
+                  "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+                  "import subnewton.harness\n"
+                  "print(scipy())\n"
+                  "codes = [subnewton.harness.main([command, '--config', cfg])\n"
+                  f"         for cfg in {[str(c) for c in configs]!r}\n"
+                  "         for command in ('solve', 'verify-sampling')]\n"
+                  "print(scipy(), *codes)\n")
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "[]"
+        loaded, *codes = lines[-1].split(" ")
+        assert loaded == "[]"
+        # Every run finishes: a verification may report an unmet expectation.
+        assert codes[0::2] == [str(EXIT_OK)] * 2
+        assert set(codes[1::2]) <= {str(EXIT_OK), str(EXIT_VERIFICATION_FAILURE)}
 
     def test_malformed_dataset_exit_code(self, tmp_path, capsys):
         # Bad dataset contents, unreadable data or config paths and an

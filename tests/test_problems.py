@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -21,7 +22,7 @@ from subnewton.problems import (BIWEIGHT, NLS_LOGISTIC, DatasetError,
                                 FiniteSumProblem, QuarticSaddle,
                                 biweight_scalar, exact_sum, generate_synthetic,
                                 load_dataset, nls_logistic_scalar, row_pass,
-                                weighted_gram)
+                                sigmoid, weighted_gram)
 from subnewton.sampling import SampleScheme, build_subsampled_hessian
 
 from conftest import count_grams, save_dataset
@@ -89,6 +90,34 @@ class TestLogisticScalar:
         fd1, fd2 = central_diff(nls_logistic_scalar, z, b)
         assert d1[0] == pytest.approx(fd1, rel=1e-6, abs=1e-6)
         assert d2[0] == pytest.approx(fd2, rel=1e-4, abs=1e-4)
+
+
+class TestSigmoid:
+    # Zero, the subnormal and overflow edges of exp, and both infinities.
+    POSITIVE = np.array([0.0, 1e-300, 1.0, 36.0, 709.0, 745.0, 1e300, math.inf])
+    Z = np.concatenate([POSITIVE, -POSITIVE[1:]])
+
+    @staticmethod
+    def reference(z):
+        # The stable form for each sign, evaluated by the math module.
+        if z >= 0:
+            return 1.0 / (1.0 + math.exp(-z))
+        e = math.exp(z)
+        return e / (1.0 + e)
+
+    def test_edges_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = sigmoid(self.Z)
+        assert (s[0], s[7], s[-1]) == (0.5, 1.0, 0.0)
+        for z, value in zip(self.Z, s):
+            expected = self.reference(z)
+            assert abs(value - expected) <= 1e-15 * expected, z
+
+    def test_tails_add_up_to_one(self):
+        # Catches forms such as 0.5 + 0.5 tanh(z/2) whose lower tail cancels.
+        total = sigmoid(self.Z) + sigmoid(-self.Z)
+        assert np.all(np.abs(total - 1.0) <= 2 * math.ulp(1.0))
 
 
 class TestFiniteSumProblem:
