@@ -9,6 +9,10 @@ byte-identical only at a fixed BLAS thread count):
     diff <(PYTHONPATH=old/src python old/scripts/trace_digests.py) \\
          <(PYTHONPATH=src python scripts/trace_digests.py)
 
+The CPU count changes no line either: ``arc_striped`` is the job whose row
+passes span several blocks and so run on the stripe helpers, and a run
+under ``taskset -c 0`` (one CPU, no helper) prints what an unpinned run does.
+
 With ``--counts`` each solve job prints its decisions instead: iterations,
 accepted steps, Eigen seeds (steps handed a negative-curvature direction)
 and ``bound`` rows (iterations whose curvature floor made the probe
@@ -53,6 +57,12 @@ SOLVES["arc_optimal_syrk"] = ExperimentConfig(
 SOLVES["arc_optimal_krylov"] = ExperimentConfig(
     problem="nls_logistic", n=3000, d=20, data_seed=3, seed=5, x0_scale=1.0,
     hessian="uniform", solver="arc", arc_mode="optimal", zeta=1e-4, max_iters=100)
+# ARC at d = 200, where n = 4,500 spans five 1,024-row blocks: the oracle,
+# the row pass and the Gram run their stripes with helpers when the
+# process may use two or more CPUs. Every other job fits in one block.
+SOLVES["arc_striped"] = ExperimentConfig(
+    problem="nls_logistic", n=4500, d=200, data_seed=4, seed=6, x0_scale=0.5,
+    hessian="uniform_wor", solver="arc", max_iters=100)
 SOLVES["tr_quartic"] = ExperimentConfig(problem="quartic", solver="tr",
                                         eps_g=1e-6, eps_h=1e-3)
 SOLVES["arc_quartic"] = ExperimentConfig(problem="quartic", solver="arc",

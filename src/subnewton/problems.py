@@ -7,6 +7,7 @@ Hessian norm bounds K_i = sup|f''| * ||a_i||^2.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
@@ -66,7 +67,7 @@ class ScalarLoss:
     and yields the Hessian-Lipschitz estimate used by the cubic solver.
     Custom losses must supply valid bounds themselves; they are not checked.
     ``evaluate`` must be elementwise in z and b and safe to call from several
-    threads at once: the oracle calls it per row block, on the stripe pool.
+    threads at once: the oracle calls it per row block, on its stripes.
     """
 
     name: str
@@ -148,47 +149,78 @@ def exact_sum(x: Array) -> float:
 # Row blocks are dealt into this many stripes whatever the CPU count, and
 # stripe results are added in stripe order: no result depends on the workers.
 STRIPES = 4
-_pool: tuple = ()  # (pid that made it, the ThreadPoolExecutor)
+# Bytes of rows per block of a pass: 2,048 rows at d = 100, 1,024 at d = 200.
+# A block and its products stay in a core's 2 MiB L2 yet let BLAS run at speed.
+BLOCK_BYTES = 1_638_400
+_pool: tuple = ()  # (pid that made it, the helper pool or None, its helper count)
 _pool_lock = threading.Lock()
 
 
-def _executor():
-    """The process's stripe pool, made on first use and again after a fork."""
+def _executor() -> tuple:
+    """(pool, helpers): the process's pool of min(STRIPES, CPUs) - 1 helper
+    threads, made on first use and again after a fork; (None, 0) on one CPU."""
     global _pool
     with _pool_lock:
         if not _pool or _pool[0] != os.getpid():
             from concurrent.futures import ThreadPoolExecutor
             cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
-            _pool = (os.getpid(), ThreadPoolExecutor(min(STRIPES, cpus)))
-        return _pool[1]
+            helpers = min(STRIPES, cpus) - 1
+            _pool = (os.getpid(), ThreadPoolExecutor(helpers) if helpers else None,
+                     helpers)
+        return _pool[1:]
 
 
-def _map_stripes(task: Callable[[int, int], object], rows: Array,
-                 block_rows: int, threads: bool = True) -> list:
-    """task(lo, hi) for each non-empty stripe of rows lo:hi, in stripe order.
+def _map_stripes(task: Callable[[int, int, int], object], n: int, d: int) -> list:
+    """task(lo, hi, step) for each non-empty stripe lo:hi of n rows of d
+    doubles, in stripe order; step = max(1, BLOCK_BYTES // 8d) rows a block.
 
-    The ceil(n / block_rows) row blocks are dealt into ``STRIPES`` contiguous
-    stripes. One stripe, or ``threads=False``, runs inline, on the calling
-    thread; otherwise the pool runs one task per stripe. Tasks never wait on
-    each other, and the first stripe's exception, in stripe order, reaches
-    the caller.
+    The ceil(n / step) row blocks are dealt into ``STRIPES`` contiguous
+    stripes. The calling thread and up to len(stripes) - 1 of ``_executor``'s
+    helpers claim stripes from one shared queue, and the caller then waits
+    only for stripes a running helper has claimed: a helper slow to wake
+    leaves the caller more stripes, never a pass slower than inline. One
+    stripe, or one CPU, starts no thread. Every stripe runs, and the first
+    exception in stripe order reaches the caller.
     """
-    n = rows.shape[0]
-    blocks = -(-n // block_rows)
-    cuts = [min(n, k * blocks // STRIPES * block_rows) for k in range(STRIPES + 1)]
+    step = max(1, BLOCK_BYTES // (8 * d))
+    blocks = -(-n // step)
+    cuts = [min(n, k * blocks // STRIPES * step) for k in range(STRIPES + 1)]
     spans = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi] or [(0, n)]
-    if len(spans) == 1 or not threads:
-        return [task(lo, hi) for lo, hi in spans]
-    return list(_executor().map(lambda span: task(*span), spans))
+    if len(spans) == 1:
+        return [task(*spans[0], step)]
+    results, failures = [None] * len(spans), [None] * len(spans)
+    done = [threading.Lock() for _ in spans]
+    for lock in done:
+        lock.acquire()  # released once its stripe has run
+    unclaimed = collections.deque(range(len(spans)))  # popleft is thread-safe
+
+    def work() -> None:
+        while True:
+            try:
+                k = unclaimed.popleft()
+            except IndexError:  # every stripe is claimed
+                return
+            try:
+                results[k] = task(*spans[k], step)
+            except BaseException as exc:  # recorded; raised on the caller below
+                failures[k] = exc
+            finally:
+                done[k].release()
+
+    pool, helpers = _executor()
+    for _ in range(min(helpers, len(spans) - 1)):
+        pool.submit(work)
+    work()
+    for lock in done:
+        lock.acquire()
+    for failure in filter(None, failures):
+        raise failure
+    return results
 
 
-# The d from which weighted_gram uses SYRK updates, the rows scaled per
-# update, and the rows per block of the oracle's pass (2048 x 100 doubles fit
-# a 4 MiB L2): blocks that stay in cache yet let BLAS run at speed.
+# The d from which weighted_gram uses SYRK updates.
 SYRK_MIN_DIM = 64
-SYRK_BLOCK_ROWS = 1024
-ORACLE_BLOCK_ROWS = 2048
 
 
 def weighted_gram(rows: Array, w: Array) -> Array:
@@ -198,7 +230,7 @@ def weighted_gram(rows: Array, w: Array) -> Array:
     rows, 2 n d^2 flops, symmetrized. From there on, (n + n_neg) d^2 flops
     with no n x d copy: sum_i w_i a_i a_i' = sum_i |w_i| a_i a_i' -
     2 sum_{w_i < 0} |w_i| a_i a_i'. Each stripe of ``_map_stripes`` keeps a
-    d x d sum and a ``SYRK_BLOCK_ROWS`` x d buffer. Per block it compresses
+    d x d sum and a block-sized buffer. Per block it compresses
     the negative-weight rows into the buffer, scales them by sqrt|w_i| and
     subtracts twice their b'b, then scales all the rows into the buffer and
     adds their b'b. numpy's ``b.T @ b`` is a SYRK that mirrors its triangle
@@ -216,11 +248,11 @@ def weighted_gram(rows: Array, w: Array) -> Array:
     root = np.sqrt(np.abs(w))[:, None]
     negative = w < 0
 
-    def stripe(lo: int, hi: int) -> Array:
+    def stripe(lo: int, hi: int, step: int) -> Array:
         total, term = np.zeros((d, d)), np.empty((d, d))
-        buffer = np.empty((min(hi - lo, SYRK_BLOCK_ROWS), d))
-        for start in range(lo, hi, SYRK_BLOCK_ROWS):
-            end = min(hi, start + SYRK_BLOCK_ROWS)
+        buffer = np.empty((min(hi - lo, step), d))
+        for start in range(lo, hi, step):
+            end = min(hi, start + step)
             neg = negative[start:end]
             if neg.any():
                 b = np.compress(neg, rows[start:end], axis=0,
@@ -232,7 +264,7 @@ def weighted_gram(rows: Array, w: Array) -> Array:
             total += np.matmul(b.T, b, out=term)
         return total
 
-    gram = functools.reduce(np.add, _map_stripes(stripe, rows, SYRK_BLOCK_ROWS))
+    gram = functools.reduce(np.add, _map_stripes(stripe, n, d))
     gram.flags.writeable = False
     return gram
 
@@ -241,34 +273,28 @@ def row_pass(rows: Array, weights: Array,
              index: Array | None = None) -> Callable[[Array], Array]:
     """The apply V -> sum_i w_i a_i (a_i' V) = A'(w * AV) over the rows, or
     over rows[index] with weights[j] for row index[j], as one pass of
-    ``SYRK_BLOCK_ROWS``-row blocks on the stripes of ``_map_stripes``: never
-    the d x d matrix, and bit-identical at any worker count. The stripes run
-    inline: a pass takes a few ms, so handing it to the pool makes its time
-    hang on how soon the other CPU takes the task. On a 2-vCPU host with BLAS
-    at one thread, a pass at n = 20,000, d = 200 took 3.1-4.1 ms (quartiles)
-    on the pool against 4.2-4.8 ms inline, and 2.9-5.2 ms against 4.9-5.3 ms
-    beside a process that took the CPU in random 1-20 ms bursts. A sample's rows
-    are gathered one block at a time inside its stripe, so no |S| x d copy
-    is held. Each stripe ignores overflow, as the oracle's pass does: an inf
-    or NaN reaches the callers' finiteness checks.
+    ``BLOCK_BYTES`` blocks on the stripes of ``_map_stripes``: never the
+    d x d matrix, and bit-identical at any worker count. A sample's rows are
+    gathered one block at a time inside its stripe, so no |S| x d copy is
+    held. Each stripe ignores overflow, as the oracle's pass does: an inf or
+    NaN reaches the callers' finiteness checks.
     """
 
     def apply(v: Array) -> Array:
         v = np.asarray(v, dtype=float)
         w = weights if v.ndim == 1 else weights[:, None]
 
-        def stripe(lo: int, hi: int) -> Array:
+        def stripe(lo: int, hi: int, step: int) -> Array:
             with np.errstate(over="ignore", invalid="ignore"):
                 total = None
-                for start in range(lo, hi, SYRK_BLOCK_ROWS):
-                    end = min(hi, start + SYRK_BLOCK_ROWS)
+                for start in range(lo, hi, step):
+                    end = min(hi, start + step)
                     block = rows[start:end] if index is None else rows[index[start:end]]
                     part = block.T @ ((block @ v) * w[start:end])
                     total = part if total is None else total + part
             return total
 
-        return functools.reduce(np.add, _map_stripes(stripe, w, SYRK_BLOCK_ROWS,
-                                                     threads=False))
+        return functools.reduce(np.add, _map_stripes(stripe, len(weights), rows.shape[1]))
 
     return apply
 
@@ -370,13 +396,13 @@ class FiniteSumProblem:
         rows, targets, loss, n = self.rows, self.targets, self.loss, self.n
         values, second = np.empty(n), np.empty(n)
 
-        def stripe(lo: int, hi: int) -> Array:
+        def stripe(lo: int, hi: int, step: int) -> Array:
             # numpy's error state is per thread, so the pass sets its own: an
             # overflow leaves inf or NaN for the callers' finiteness checks.
             with np.errstate(over="ignore", invalid="ignore"):
                 grad = None
-                for start in range(lo, hi, ORACLE_BLOCK_ROWS):
-                    end = min(hi, start + ORACLE_BLOCK_ROWS)
+                for start in range(lo, hi, step):
+                    end = min(hi, start + step)
                     block = rows[start:end]
                     value, first, curvature = loss.evaluate(block @ x,
                                                             targets[start:end])
@@ -385,7 +411,7 @@ class FiniteSumProblem:
                     grad = part if grad is None else grad + part
             return grad
 
-        grad = functools.reduce(np.add, _map_stripes(stripe, rows, ORACLE_BLOCK_ROWS))
+        grad = functools.reduce(np.add, _map_stripes(stripe, n, self.d))
         f = exact_sum(values) / n
         grad.flags.writeable = False
         second.flags.writeable = False

@@ -480,20 +480,20 @@ class TestCLI:
                               "encountered in f''")
         assert "solver" not in err
 
-    # The loss overflows at the start point. At n = 5000 it is evaluated on
-    # the stripe pool's threads (three oracle blocks), and numpy's error
-    # state is per thread, so the pass itself must keep the overflow quiet.
-    @pytest.mark.parametrize("command, n, cause", [
-        ("solve", 200, "solver aborted: non-finite values encountered in "
-                       "objective value at iteration 0"),
-        ("solve", 5000, "solver aborted: non-finite values encountered in "
-                        "objective value at iteration 0"),
-        ("verify-sampling", 5000, "verify-sampling aborted: non-finite values "
-                                  "encountered in f''"),
+    # The loss overflows at the start point. At 5000 x 200 it is evaluated
+    # on the stripe helpers' threads too (five oracle blocks), and numpy's
+    # error state is per thread, so the pass itself must keep the overflow quiet.
+    @pytest.mark.parametrize("command, n, d, cause", [
+        ("solve", 200, 5, "solver aborted: non-finite values encountered in "
+                          "objective value at iteration 0"),
+        ("solve", 5000, 200, "solver aborted: non-finite values encountered in "
+                             "objective value at iteration 0"),
+        ("verify-sampling", 5000, 200, "verify-sampling aborted: non-finite "
+                                       "values encountered in f''"),
     ])
     def test_start_point_overflow_exit_code(self, tmp_path, capsys, command, n,
-                                            cause):
-        cfg = write_cfg(tmp_path, f"problem = biweight\nn = {n}\nd = 5\n"
+                                            d, cause):
+        cfg = write_cfg(tmp_path, f"problem = biweight\nn = {n}\nd = {d}\n"
                                   f"x0_scale = 1e300\nout = {tmp_path / 'o.csv'}\n")
         assert main([command, "--config", str(cfg)]) == EXIT_NOT_CONVERGED
         assert capsys.readouterr().err.startswith(cause)
@@ -551,8 +551,8 @@ class TestTraceDeterminism:
         assert first == second
 
     def test_rerun_on_the_syrk_side_gives_the_same_bytes(self, tmp_path):
-        # d = 80 with n > SYRK_BLOCK_ROWS: every Gram is formed by blocked
-        # SYRK updates, and capped samples share the exact one.
+        # d = 80: every Gram is formed by SYRK updates, and capped samples
+        # share the exact one.
         config = write_cfg(tmp_path, "problem = biweight\nsolver = arc\n"
                            "hessian = uniform_wor\nn = 1500\nd = 80\n"
                            "k_max_target = 1.0\nseed = 3\n")
@@ -561,9 +561,9 @@ class TestTraceDeterminism:
         assert first == second
 
     def test_one_cpu_and_all_cpus_give_the_same_bytes(self, tmp_path):
-        # 6000 x 80 spans 3 oracle blocks and 6 SYRK blocks, so both kernels
-        # run their stripes on the pool: one worker in the child pinned to
-        # one CPU, up to four unpinned.
+        # 6000 x 80 spans three blocks, so the oracle, the row pass and the
+        # SYRK Gram run their stripes with helpers: none in the child pinned
+        # to one CPU, up to three unpinned.
         config = write_cfg(tmp_path, "problem = biweight\nsolver = tr\n"
                            "hessian = uniform_wor\nn = 6000\nd = 80\n"
                            "k_max_target = 1.0\nseed = 3\n")

@@ -199,10 +199,11 @@ class TestWeightedGram:
                "zero": lambda g, n: np.zeros(n)}
 
     @pytest.mark.parametrize("d", [7, 64, 80])
-    @pytest.mark.parametrize("n", [1, 2500])
+    @pytest.mark.parametrize("n", [1, 14000])
     @pytest.mark.parametrize("kind", list(WEIGHTS))
     def test_symmetric_and_within_rounding_of_the_gemm(self, rng, kind, n, d):
-        # n = 2500 spans three SYRK blocks, the last one partial.
+        # n = 14000 spans five SYRK blocks at d = 64 and six at d = 80, the
+        # last one partial, so some stripe sums two blocks.
         rows = rng.standard_normal((n, d))
         w = self.WEIGHTS[kind](rng, n)
         gram = weighted_gram(rows, w)
@@ -216,9 +217,12 @@ class TestWeightedGram:
                                                                  monkeypatch):
         striped = []
         map_stripes = problems._map_stripes
-        monkeypatch.setattr(problems, "_map_stripes",
-                            lambda task, rows, block: striped.append((rows.shape, block))
-                            or map_stripes(task, rows, block))
+
+        def recorded(task, n, d):
+            return map_stripes(lambda lo, hi, step: striped.append((lo, hi, step))
+                               or task(lo, hi, step), n, d)
+
+        monkeypatch.setattr(problems, "_map_stripes", recorded)
         for d in (1, 20, 63):
             rows = rng.standard_normal((300, d))
             w = rng.standard_normal(300)
@@ -226,25 +230,59 @@ class TestWeightedGram:
             assert weighted_gram(rows, w).tobytes() == (0.5 * (m + m.T)).tobytes()
         assert not striped
         weighted_gram(rng.standard_normal((300, 64)), rng.standard_normal(300))
-        assert striped == [((300, 64), problems.SYRK_BLOCK_ROWS)]
+        # From d = 64: one stripe of blocks that each fit BLOCK_BYTES.
+        assert striped == [(0, 300, block_rows(64))]
 
 
 class CountingPool(ThreadPoolExecutor):
-    """A stripe pool that counts the tasks it is given."""
+    """A pool of stripe helpers that counts the tasks it is given."""
 
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.tasks = 0
+    def __init__(self, helpers):
+        super().__init__(helpers)
+        self.helpers, self.tasks = helpers, 0
 
     def submit(self, *args, **kwargs):
         self.tasks += 1
         return super().submit(*args, **kwargs)
 
 
+class StalledPool:
+    """A pool whose helpers never start: it counts its tasks and drops them."""
+
+    helpers = 3
+
+    def __init__(self):
+        self.tasks = 0
+
+    def submit(self, fn):
+        self.tasks += 1
+
+    def shutdown(self):
+        pass
+
+
+class EagerPool(StalledPool):
+    """A pool whose helper runs on a thread of its own, claiming every
+    stripe, before ``submit`` returns: the caller runs none."""
+
+    helpers = 1
+
+    def submit(self, fn):
+        super().submit(fn)
+        helper = threading.Thread(target=fn)
+        helper.start()
+        helper.join()
+
+
 def use_pool(monkeypatch, pool):
-    """Run every multi-stripe pass on ``pool``."""
-    monkeypatch.setattr(problems, "_pool", (os.getpid(), pool))
+    """Run every multi-stripe pass with ``pool``'s helpers."""
+    monkeypatch.setattr(problems, "_pool", (os.getpid(), pool, pool.helpers))
     return pool
+
+
+def block_rows(d):
+    """Rows per block of a pass over rows of d doubles."""
+    return max(1, problems.BLOCK_BYTES // (8 * d))
 
 
 def count_loss_rows(problem):
@@ -274,7 +312,8 @@ def reference_mismatches():
             problem = FiniteSumProblem(rows=rows, targets=targets, loss=BIWEIGHT)
             f, grad = problem.value_grad(x)
             z = rows @ x
-            if n % problems.ORACLE_BLOCK_ROWS == 1:
+            block = block_rows(d)
+            if n % block == 1:
                 # A lone last row is a block of its own, whose product numpy
                 # takes by a dot; that can round unlike the whole GEMV's row.
                 z[-1:] = rows[-1:] @ x
@@ -285,8 +324,7 @@ def reference_mismatches():
                 "F": _bits(f) == _bits(exact_sum(values) / n),
                 "f''": _bits(problem.second_derivatives(x)) == _bits(second),
                 "grad": (np.max(np.abs(grad - reference)) <= 1e-13 * np.max(magnitude)
-                         and (n > problems.ORACLE_BLOCK_ROWS
-                              or _bits(grad) == _bits(reference))),
+                         and (n > block or _bits(grad) == _bits(reference))),
             }
             mismatches += [(n, d, name) for name, ok in checks.items() if not ok]
     return mismatches
@@ -295,6 +333,10 @@ def reference_mismatches():
 class TestStripes:
     """The striped kernels give the same bytes at any worker count."""
 
+    # Pools of 1, 2 and 3 helpers beside the caller, and helpers that never run.
+    POOLS = (lambda: CountingPool(1), lambda: CountingPool(2),
+             lambda: CountingPool(3), StalledPool)
+
     @pytest.mark.parametrize("d", [1, 5, 64, 200])
     @pytest.mark.parametrize("n", [1, 1023, 1025, 2049, 8193, 20000])
     def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, n, d):
@@ -302,25 +344,26 @@ class TestStripes:
         rows = g.standard_normal((n, d)) / math.sqrt(d)
         targets, w = g.standard_normal(n), g.standard_normal(n)
         x = g.standard_normal(d)
+        # A kernel passes over its stripes with helpers once it has two
+        # blocks: the oracle always, a Gram from d = 64 (SYRK updates).
+        passes = (n > block_rows(d)) * (1 + (d >= problems.SYRK_MIN_DIM))
         outputs = []
-        for workers in (1, 2, 3):
-            pool = use_pool(monkeypatch, CountingPool(workers))
+        for make in self.POOLS:
+            pool = use_pool(monkeypatch, make())
             problem = FiniteSumProblem(rows=rows, targets=targets, loss=BIWEIGHT)
             f, grad = problem.value_grad(x)
             outputs.append((_bits(f), _bits(grad), _bits(problem.second_derivatives(x)),
                             _bits(weighted_gram(rows, w))))
             pool.shutdown()
-            # The pool gets stripes once a kernel has two blocks: from
-            # n = 2049 for the oracle, from n = 1025 for a SYRK Gram.
-            blocks = (n > problems.ORACLE_BLOCK_ROWS) + (
-                d >= problems.SYRK_MIN_DIM and n > problems.SYRK_BLOCK_ROWS)
-            assert (pool.tasks > 0) == (blocks > 0)
-        assert outputs[0] == outputs[1] == outputs[2]
+            # At most one task per helper, and one fewer than the stripes.
+            assert (pool.tasks > 0) == (passes > 0)
+            assert pool.tasks <= passes * min(pool.helpers, problems.STRIPES - 1)
+        assert outputs[1:] == outputs[:1] * 3
 
     def test_one_pass_matches_the_two_pass_reference(self):
         # At one BLAS thread, where OpenBLAS keeps the whole-matrix GEMV on
         # one thread: its split into threads groups and rounds rows as the
-        # 2048-row blocks do only when the split lands on a block boundary.
+        # row blocks do only when the split lands on a block boundary.
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(
@@ -334,9 +377,11 @@ class TestStripes:
         assert done.stdout.strip() == "[]"
 
     def test_a_failing_stripe_reaches_the_caller_and_keeps_the_record(self, monkeypatch):
+        # 8193 rows at d = 200 are nine blocks, the last of one row, in four
+        # stripes: each pass gives the two helpers one task each.
         use_pool(monkeypatch, CountingPool(2))
-        problem = generate_synthetic("biweight", n=8193, d=5, rng_seed=16)
-        x, y = np.zeros(5), np.ones(5)
+        problem = generate_synthetic("biweight", n=8193, d=200, rng_seed=16)
+        x, y = np.zeros(200), np.full(200, 0.01)
         problem.value_grad(x)
         record = problem._last
         evaluate = problem.loss.evaluate
@@ -345,42 +390,93 @@ class TestStripes:
             pass
 
         def failing(z, b):
-            if len(z) < problems.ORACLE_BLOCK_ROWS:  # the last block only
+            if len(z) == 1:  # the last block only
                 raise StripeFailure
             return evaluate(z, b)
 
         problem.loss = replace(problem.loss, evaluate=failing)
         with pytest.raises(StripeFailure):
             problem.value_grad(y)
-        assert problems._pool[1].tasks == 8
+        assert problems._pool[1].tasks == 2 * 2
         assert problem._last is record
         problem.loss = replace(problem.loss, evaluate=evaluate)
-        fresh = generate_synthetic("biweight", n=8193, d=5, rng_seed=16)
+        fresh = generate_synthetic("biweight", n=8193, d=200, rng_seed=16)
         assert _bits(problem.value_grad(y)[1]) == _bits(fresh.value_grad(y)[1])
+
+    def test_a_helpers_first_failure_in_stripe_order_reaches_the_caller(self,
+                                                                        monkeypatch):
+        use_pool(monkeypatch, EagerPool())
+        ran_on = {}
+
+        class StripeFailure(Exception):
+            pass
+
+        def task(lo, hi, step):
+            ran_on[lo] = threading.get_ident()
+            if lo:  # every stripe but the first
+                raise StripeFailure(lo)
+            return hi
+
+        with pytest.raises(StripeFailure) as failure:  # four 1,024-row stripes
+            problems._map_stripes(task, 4096, 200)
+        assert failure.value.args == (1024,)
+        assert sorted(ran_on) == [0, 1024, 2048, 3072]
+        assert threading.get_ident() not in ran_on.values()
+
+    def test_a_pool_whose_helpers_never_start_finishes_every_pass(self, monkeypatch):
+        # 20,000 x 200 is twenty blocks: every pass is offered a helper,
+        # none ever runs, and the caller's bytes are those of one CPU.
+        g = np.random.default_rng(18)
+        rows = g.standard_normal((20000, 200)) / math.sqrt(200)
+        targets, w = g.standard_normal(20000), g.standard_normal(20000)
+        x, v = g.standard_normal(200), g.standard_normal((200, 3))
+        index = np.sort(g.integers(0, 20000, size=5000))
+        stalled, outputs = StalledPool(), []
+        for pool, helpers in ((stalled, 3), (None, 0)):
+            monkeypatch.setattr(problems, "_pool", (os.getpid(), pool, helpers))
+            problem = FiniteSumProblem(rows=rows, targets=targets, loss=BIWEIGHT)
+            outputs.append([_bits(part) for part in problem._evaluate(x)[:3]]
+                           + [_bits(weighted_gram(rows, w)),
+                              _bits(row_pass(rows, w)(v)),
+                              _bits(row_pass(rows, w[index], index)(v))])
+        assert outputs[0] == outputs[1]
+        assert stalled.tasks == 4 * 3  # four passes, each offered three helpers
 
     def test_a_new_pid_gets_a_new_pool(self, monkeypatch):
         inherited = CountingPool(1)
-        monkeypatch.setattr(problems, "_pool", (os.getpid() + 1, inherited))
-        pool = problems._executor()
+        monkeypatch.setattr(problems, "_pool", (os.getpid() + 1, inherited, 1))
+        pool, helpers = problems._executor()
         assert pool is not inherited
-        assert problems._pool == (os.getpid(), pool)
-        assert problems._executor() is pool
-        pool.shutdown()
+        assert helpers == min(problems.STRIPES, len(os.sched_getaffinity(0))) - 1
+        assert (pool is None) == (helpers == 0)
+        assert problems._pool == (os.getpid(), pool, helpers)
+        assert problems._executor()[0] is pool
+        if pool is not None:
+            pool.shutdown()
         inherited.shutdown()
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch, rng):
+        monkeypatch.setattr(problems, "_pool", ())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        threads = set(threading.enumerate())
+        problem = generate_synthetic("biweight", n=5000, d=200, rng_seed=17)
+        problem.value_grad(rng.standard_normal(problem.d))
+        assert problems._pool == (os.getpid(), None, 0)
+        assert set(threading.enumerate()) <= threads
 
     def test_a_single_stripe_starts_no_thread(self, monkeypatch, rng):
         # One oracle block, one SYRK block.
         monkeypatch.setattr(problems, "_pool", ())
         threads = set(threading.enumerate())
-        problem = generate_synthetic("biweight", n=problems.ORACLE_BLOCK_ROWS,
-                                     d=problems.SYRK_MIN_DIM, rng_seed=17)
-        problem.value_grad(rng.standard_normal(problem.d))
-        weighted_gram(problem.rows[:problems.SYRK_BLOCK_ROWS],
-                      rng.standard_normal(problems.SYRK_BLOCK_ROWS))
+        d = problems.SYRK_MIN_DIM
+        block = block_rows(d)
+        problem = generate_synthetic("biweight", n=block, d=d, rng_seed=17)
+        problem.value_grad(rng.standard_normal(d))
+        weighted_gram(problem.rows, rng.standard_normal(block))
+        row_pass(problem.rows, rng.standard_normal(block))(np.ones(d))
         assert problems._pool == ()
         assert set(threading.enumerate()) <= threads
 
-    # The row pass runs its stripes inline: no worker count reaches it.
     @pytest.mark.parametrize("d", [1, 5, 64, 200])
     @pytest.mark.parametrize("n", [1, 1023, 1025, 3073, 20000])
     def test_row_pass_does_not_depend_on_the_worker_count(self, monkeypatch, n, d):
@@ -390,25 +486,26 @@ class TestStripes:
         index = np.sort(g.integers(0, n, size=n))  # a draw with replacement
         v, block = g.standard_normal(d), g.standard_normal((d, 2))
         outputs = []
-        for workers in (1, 2, 3):
-            pool = use_pool(monkeypatch, CountingPool(workers))
+        for make in self.POOLS:
+            pool = use_pool(monkeypatch, make())
             outputs.append([_bits(row_pass(rows, w, idx)(x))
                             for idx in (None, index) for x in (v, block)])
             # The sample's pass is the full pass over its gathered rows.
             assert outputs[-1][2:] == [_bits(row_pass(rows[index], w)(x))
                                        for x in (v, block)]
             pool.shutdown()
-            assert pool.tasks == 0
-        assert outputs[0] == outputs[1] == outputs[2]
+            # The row pass takes helpers as the oracle does, from two blocks.
+            assert (pool.tasks > 0) == (n > block_rows(d))
+        assert outputs[1:] == outputs[:1] * 3
 
     def test_concurrent_callers_share_a_problem(self, monkeypatch):
-        # More callers than CPUs, each waiting on stripes it handed to the
-        # shared pool, with frequent thread switches: none may deadlock, and
-        # each gets the bytes a lone caller gets.
+        # More callers than CPUs, each working on its own stripes beside the
+        # shared helpers, with frequent thread switches: none may deadlock,
+        # and each gets the bytes a lone caller gets.
         use_pool(monkeypatch, CountingPool(2))
-        problem = generate_synthetic("biweight", n=8193, d=5, rng_seed=19)
-        points = [np.full(5, 0.1 * k) for k in range(6)]
-        expected = [_bits(generate_synthetic("biweight", n=8193, d=5, rng_seed=19)
+        problem = generate_synthetic("biweight", n=8193, d=200, rng_seed=19)
+        points = [np.full(200, 0.01 * k) for k in range(6)]
+        expected = [_bits(generate_synthetic("biweight", n=8193, d=200, rng_seed=19)
                           .value_grad(x)[1]) for x in points]
         results = [None] * len(points)
 
@@ -601,19 +698,20 @@ class TestEvaluationRecord:
         assert len(passes) < len(runs)
 
     def test_two_points_alternate_without_a_new_pass(self, monkeypatch):
-        # n spans three oracle blocks, so the rows are read on the pool.
+        # n spans five oracle blocks in four stripes at d = 200, so each
+        # pass gives both helpers a task.
         pool = use_pool(monkeypatch, CountingPool(2))
-        problem = generate_synthetic("biweight", n=5000, d=4, rng_seed=14)
+        problem = generate_synthetic("biweight", n=5000, d=200, rng_seed=14)
         evaluated = count_loss_rows(problem)
         passes = []
-        x_a, x_b, x_c = np.zeros(4), np.ones(4), np.full(4, 2.0)
+        x_a, x_b, x_c = np.zeros(200), np.full(200, 0.01), np.full(200, 0.02)
         for x in (x_a, x_b, x_a, x_b, x_a, x_c, x_a, x_b):
             before = sum(evaluated)
             problem.value_grad(x)
             if sum(evaluated) > before:
                 passes.append((x.tobytes(), sum(evaluated) - before))
         assert passes == [(x.tobytes(), 5000) for x in (x_a, x_b, x_c, x_b)]
-        assert pool.tasks == 3 * len(passes)
+        assert pool.tasks == 2 * len(passes)
         pool.shutdown()
 
     def test_trace_matches_a_run_that_never_reuses(self):
