@@ -16,13 +16,17 @@ under ``taskset -c 0`` (one CPU, no helper) prints what an unpinned run does.
 With ``--counts`` each solve job prints its decisions instead: iterations,
 accepted steps, Eigen seeds (steps handed a negative-curvature direction)
 and ``bound`` rows (iterations whose curvature floor made the probe
-unnecessary). The script reads nothing newer than the records and the
-configs' ``step`` rule, so it runs against older checkouts too, whose rows
-all read as probe rows; a change that must keep every decision is checked
-with
+unnecessary), then its work: Hessian apply calls and the columns they
+applied, counted by wrapping each operator's ``apply`` as the operator is
+built. The script reads nothing newer than the records, the configs'
+``step`` rule and ``HessianOperator``'s construction, so it runs against
+older checkouts too, whose rows all read as probe rows; a change that must
+keep every decision is checked with
 
     diff <(PYTHONPATH=old/src python scripts/trace_digests.py --counts | cut -d' ' -f1-4) \\
          <(PYTHONPATH=src python scripts/trace_digests.py --counts | cut -d' ' -f1-4)
+
+and the same diff of the whole lines shows where the work changed.
 
 Usage: python scripts/trace_digests.py [--counts]
 """
@@ -31,6 +35,9 @@ import argparse
 import hashlib
 from contextlib import contextmanager
 
+import numpy as np
+
+from subnewton.core import HessianOperator
 from subnewton.cubic_reg import ARCConfig
 from subnewton.harness import (ExperimentConfig, build_problem, format_trace,
                                format_verification, run_solver, verify_bounds)
@@ -95,13 +102,42 @@ def eigen_seed_log():
             cls.step = step
 
 
+@contextmanager
+def apply_log():
+    """A list that gets the column count of every Hessian apply. Each
+    operator's ``apply`` is wrapped as the operator is built; a
+    ``replace`` copy of an operator shares its wrapped ``apply``, so an
+    apply counts once."""
+    log, post_init = [], HessianOperator.__post_init__
+
+    def logged_post_init(self):
+        post_init(self)
+        apply = self.apply
+        if getattr(apply, "logged", False):
+            return
+
+        def logged(v):
+            log.append(1 if np.ndim(v) == 1 else np.shape(v)[1])
+            return apply(v)
+
+        logged.logged = True
+        object.__setattr__(self, "apply", logged)
+
+    try:
+        HessianOperator.__post_init__ = logged_post_init
+        yield log
+    finally:
+        HessianOperator.__post_init__ = post_init
+
+
 def decisions(config: ExperimentConfig) -> str:
-    with eigen_seed_log() as seeds:
+    with eigen_seed_log() as seeds, apply_log() as applies:
         result = run_solver(config, build_problem(config))
     bound = sum(getattr(r, "lambda_source", "probe") == "bound"
                 for r in result.records)
     return (f"iterations={len(result.records)} accepted={result.n_accepted} "
-            f"eigen_seeds={sum(seeds)} bound_rows={bound}")
+            f"eigen_seeds={sum(seeds)} bound_rows={bound} "
+            f"applies={len(applies)} columns={sum(applies)}")
 
 
 def main(argv=None):

@@ -6,9 +6,9 @@ first operator, built at eps = 1/2, and stays fixed for the whole run;
 rejected steps therefore always reuse the previous operator. The iteration
 itself is ``trust_region.iterate``, shared with the trust-region driver;
 ``ARCConfig`` supplies its rules: the fixed tolerance, the cubic-model step
-and the sigma update. The ``standard`` mode solves the model on the small
-Cauchy/Eigen span, the ``optimal`` mode keeps enlarging a Krylov space until
-the model-gradient inexactness test holds.
+and the sigma update. Both modes make one ``subspace_solve`` call on the
+Cauchy and Eigen seeds: ``standard`` adds Hg to the span, ``optimal`` grows
+a Krylov space until the model-gradient inexactness test holds.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from .core import (Array, ConfigurationError, HessianOperator, Objective,
                    SolveResult)
 from .subproblem import (CubicModel, SubproblemSolution, _sqrt_shift,
-                         arc_progressive_solve, cauchy_point, eigen_point,
-                         subspace_solve)
+                         cauchy_point, eigen_point, subspace_solve)
 from .trust_region import HessianSource, LoopConfig, iterate
 
 
@@ -79,21 +78,23 @@ class ARCConfig(LoopConfig):
     def step(self, grad: Array, grad_norm: float, hessian: HessianOperator,
              direction: Array | None, sigma: float) -> SubproblemSolution:
         model = CubicModel(grad=grad, hessian=hessian, sigma=sigma)
-        seeds: list[Array] = [cauchy_point(model).step] if grad_norm > 0.0 else []
+        points = [cauchy_point(model)] if grad_norm > 0.0 else []
         seed = {}  # the Eigen seed's curvature and step length, for its certificate
         if direction is not None:
             # The eigen seed joins the basis whenever it exists (ties between
             # the seed points resolve toward it, escaping saddles); the
             # subspace solution dominates both seeds anyway.
             eigen = eigen_point(model, direction)
-            seeds.append(eigen.step)
+            points.append(eigen)
             seed = dict(nu_hat=eigen.certificates.nu_hat,
                         eigen_norm=eigen.certificates.eigen_norm)
-        if self.mode == "optimal":
-            return arc_progressive_solve(model, seeds, zeta=self.zeta, **seed)
-        if grad_norm > 0.0:
+        seeds, images = [p.step for p in points], [p.hs for p in points]
+        optimal = self.mode == "optimal"
+        if grad_norm > 0.0 and not optimal:
             seeds.append(model.hg)
-        return subspace_solve(model, seeds, **seed)
+            images.append(None)
+        return subspace_solve(model, seeds, images,
+                              zeta=self.zeta if optimal else None, **seed)
 
     def update(self, sigma: float, accepted: bool) -> float:
         return (max(sigma / self.gamma, self.sigma_min) if accepted

@@ -5,12 +5,13 @@ cubic-regularized quadratic on all of R^d. Each owns its decrease bounds and
 Eigen step length, reads as a cubic model on a ball (sigma None, or radius
 inf) and computes ||g||, Hg, <g,Hg> and its Cauchy step and bound once. So one
 Cauchy point (the exact 1-D minimizer along -g), one Eigen point (along a
-certified negative-curvature direction), one exact solve on a small subspace
-and one ``certificates`` serve both; the cubic model adds a progressive
-Krylov solver that stops once the model-gradient inexactness test holds.
-A step's m(s) and model gradient read Hs from a product already made: the
-Cauchy point's -alpha*Hg, the Eigen point's a*H(uhat), a subspace step's
-(HU)v. ``certificates`` recomputes a solution's certificates from (model, step) plus
+certified negative-curvature direction), one ``subspace_solve`` and one
+``certificates`` serve both. ``subspace_solve`` solves exactly on the span of
+its seeds and, given zeta, grows a Krylov space until the model-gradient
+inexactness test holds. Each basis vector carries its H-image, built from
+its seed's when held (g's Hg, the Cauchy point's -alpha*Hg, the Eigen
+point's a*H(uhat)), so a step's m(s) and model gradient read Hs = (HU)v.
+``certificates`` recomputes a solution's certificates from (model, step) plus
 the recorded seed curvature alone; the Eigen certificates are stated with the
 realized curvature nu_hat = -<u,Hu>/||u||^2, which is assertable exactly.
 """
@@ -34,6 +35,9 @@ logger = logging.getLogger(__name__)
 CERT_RTOL = 1e-9
 # Relative threshold below which a basis vector is dropped as dependent.
 BASIS_DROP_TOL = 1e-12
+# A held image gives its basis vector's image by differences that lose about
+# log10(||raw|| / ||w||) digits; below this ratio H is applied instead.
+HELD_IMAGE_MIN_RESIDUAL = 1e-4
 # Secular iterations on the reduced problems run to this tolerance, relative
 # to the target step norm, and raise after this many steps; the reduced
 # dimension is tiny, so robustness beats speed.
@@ -201,6 +205,7 @@ class SubproblemSolution:
     step: Array
     model_value: float
     certificates: Certificates
+    hs: Array | None = None  # H step, which m(s) read
 
     def __post_init__(self) -> None:
         _check_finite(self.model_value, self.step)
@@ -226,7 +231,7 @@ def _solution(model: TRModel | CubicModel, step: Array, hs: Array,
         value = model.value(step, hs)
     _check_finite(value, step)
     return SubproblemSolution(step, value,
-                              _certificates(model, step, value, hs, **seed))
+                              _certificates(model, step, value, hs, **seed), hs)
 
 
 def certificates(model: TRModel | CubicModel, step: Array,
@@ -311,76 +316,85 @@ def eigen_point(model: TRModel | CubicModel, u: Array) -> SubproblemSolution:
     return _solution(model, step, hs, nu_hat=-c, eigen_norm=eigen_norm)
 
 
-def subspace_solve(model: TRModel | CubicModel, basis: Sequence[Array],
-                   nu_hat: float | None = None,
-                   eigen_norm: float | None = None) -> SubproblemSolution:
-    """Exact solve of the model on the span of ``basis``.
+def subspace_solve(model: TRModel | CubicModel, seeds: Sequence[Array],
+                   images: Sequence[Array | None] | None = None,
+                   nu_hat: float | None = None, eigen_norm: float | None = None,
+                   zeta: float | None = None) -> SubproblemSolution:
+    """Exact solve of the model on the span of ``seeds``, where ``images[i]``
+    is H seeds[i], or None when it is not held (all None by default).
 
-    The basis is orthonormalized (near-dependent directions dropped at
-    relative tolerance 1e-12) and the reduced problem is solved through the
-    secular equation on its eigendecomposition (``_reduced_exact``), hard
+    The seeds are orthonormalized (near-dependent directions dropped at
+    relative tolerance 1e-12), each basis vector's H-image is built from
+    its seed's (``_extend_basis``), and the reduced problem is solved through
+    the secular equation on its eigendecomposition (``_reduced_exact``), hard
     case included. Because minimization runs over a superset of the seed
     directions, the solution dominates every seed in model value.
+
+    Given ``zeta``, the span grows and is re-solved until the
+    model-gradient test
+
+        ||grad m(s)|| <= zeta * max(||s||^2, min(1, ||s||) * ||grad||)
+
+    holds, or the dimension cap min(d, 50) is reached; then the solution on
+    the last span, which contains every earlier one, is returned flagged
+    cond5_met=False, and a warning is logged. The span grows first by Hg,
+    then by the image of its newest column, one one-column apply each: the
+    Krylov space {g, Hg, H^2 g, ...} over seeds along g or along
+    eigenvectors of H, as the Cauchy and Eigen seeds are.
     """
-    return _span_solve(model, _orthonormalize(basis, model.grad.shape[0]),
-                       nu_hat=nu_hat, eigen_norm=eigen_norm)
+    if zeta is not None and not (0.0 < zeta < 1.0):
+        raise CertificateError(f"zeta must lie in (0, 1), got {zeta}")
+    cols: list[Array] = []
+    hcols: list[Array] = []
+    for raw, image in zip(seeds, images or [None] * len(seeds), strict=True):
+        _extend_basis(model, cols, hcols, raw, image)
+    krylov = None  # what the span grows by next
+    if zeta is not None and model.grad_norm > 0.0:
+        _extend_basis(model, cols, hcols, model.grad, model.hg)
+        krylov = model.hg
+    if not cols:
+        raise CertificateError("basis is empty after dropping dependent directions")
+    while True:
+        # Reduce by U and HU, solve, and lift s = Uv back, with Hs = (HU)v.
+        u_mat, hu = np.column_stack(cols), np.column_stack(hcols)
+        reduced_h = u_mat.T @ hu
+        v = _reduced_exact(u_mat.T @ model.grad, 0.5 * (reduced_h + reduced_h.T),
+                           model.radius, model.sigma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step, hs = u_mat @ v, hu @ v
+        sol = _solution(model, step, hs, nu_hat=nu_hat, eigen_norm=eigen_norm, zeta=zeta)
+        if zeta is None or sol.certificates.cond5_met:
+            return sol
+        if krylov is None or len(cols) >= min(model.grad.shape[0], 50):
+            break
+        if not _extend_basis(model, cols, hcols, krylov, None):
+            break  # Krylov chain saturated; the span cannot grow further.
+        krylov = hcols[-1]
+    logger.warning("model-gradient test (cond5) unmet on a %d-dimensional search "
+                   "space; returning its best step, m(s) = %r",
+                   len(cols), sol.model_value)
+    return sol
 
 
 # The per-model names perfbench/tracing.py wraps.
 tr_cauchy_point = arc_cauchy_point = cauchy_point
 tr_eigen_point = arc_eigen_point = eigen_point
-tr_subspace_solve = arc_subspace_solve = subspace_solve
-
-
-def arc_progressive_solve(model: CubicModel, seeds: Sequence[Array],
-                          zeta: float, nu_hat: float | None = None,
-                          eigen_norm: float | None = None) -> SubproblemSolution:
-    """Grow a Krylov space {g, Hg, H^2 g, ...} over the seed directions and
-    re-solve until the model-gradient test
-
-        ||grad m(s)|| <= zeta * max(||s||^2, min(1, ||s||) * ||grad||)
-
-    holds, or the dimension cap min(d, 50) is reached (best solution so far
-    is then returned flagged cond5_met=False, and a warning is logged). Seeds
-    sit inside every search space, so the Cauchy/Eigen decrease certificates
-    hold throughout. Each Krylov vector is orthonormalized once, against the
-    basis built so far.
-    """
-    if not (0.0 < zeta < 1.0):
-        raise CertificateError(f"zeta must lie in (0, 1), got {zeta}")
-    d = model.grad.shape[0]
-    krylov = model.grad
-    cols = _orthonormalize([*seeds, krylov], d)
-    best: SubproblemSolution | None = None
-    while True:
-        sol = _span_solve(model, cols, nu_hat=nu_hat, eigen_norm=eigen_norm, zeta=zeta)
-        if best is None or sol.model_value < best.model_value:
-            best = sol
-        if sol.certificates.cond5_met:
-            return sol
-        if len(cols) >= min(d, 50):
-            break
-        krylov = model.hg if krylov is model.grad else model.hessian.apply(krylov)
-        kn = float(np.linalg.norm(krylov))
-        if kn == 0.0:
-            break
-        krylov = krylov / kn
-        if not _extend_basis(cols, krylov, d):
-            break  # Krylov chain saturated; the span cannot grow further.
-    logger.warning("model-gradient test (cond5) unmet on a %d-dimensional search "
-                   "space; returning its best step, m(s) = %r",
-                   len(cols), best.model_value)
-    return best
+tr_subspace_solve = arc_subspace_solve = arc_progressive_solve = subspace_solve
 
 
 # ---------------------------------------------------------------------------
 # Exact solve on a subspace
 # ---------------------------------------------------------------------------
 
-def _extend_basis(cols: list[Array], raw: Array, dim: int) -> bool:
-    """Append the unit part of ``raw`` orthogonal to ``cols`` (modified
-    Gram-Schmidt, two passes) unless it is dependent at relative tolerance
-    ``BASIS_DROP_TOL``; return whether it was appended."""
+def _extend_basis(model: TRModel | CubicModel, cols: list[Array],
+                  hcols: list[Array], raw: Array, image: Array | None) -> bool:
+    """Append the unit part q of ``raw`` orthogonal to ``cols`` (modified
+    Gram-Schmidt, two passes) to ``cols``, and Hq to ``hcols``, unless raw
+    is dependent at relative tolerance ``BASIS_DROP_TOL``; return whether it
+    was appended. Given ``image`` = H raw, Hq is formed from it and
+    ``hcols`` by the same steps, unless raw's residual is below
+    ``HELD_IMAGE_MIN_RESIDUAL`` of its norm; otherwise it is one apply."""
+    dim = model.grad.shape[0]
     b = np.asarray(raw, dtype=float)
     if b.shape != (dim,):
         raise CertificateError(f"basis vector of shape {b.shape}, expected ({dim},)")
@@ -388,38 +402,20 @@ def _extend_basis(cols: list[Array], raw: Array, dim: int) -> bool:
     if norm0 == 0.0:
         return False
     w = b.copy()
+    hw = None if image is None else np.array(image, dtype=float)
     for _ in range(2):
-        for q in cols:
-            w -= (q @ w) * q
+        for q, hq in zip(cols, hcols):
+            c = q @ w
+            w -= c * q
+            if hw is not None:
+                hw -= c * hq
     wn = float(np.linalg.norm(w))
     if wn <= BASIS_DROP_TOL * norm0:
         return False
     cols.append(w / wn)
+    held = hw is not None and wn >= HELD_IMAGE_MIN_RESIDUAL * norm0
+    hcols.append(hw / wn if held else model.hessian.apply(cols[-1]))
     return True
-
-
-def _orthonormalize(basis: Sequence[Array], dim: int) -> list[Array]:
-    cols: list[Array] = []
-    for raw in basis:
-        _extend_basis(cols, raw, dim)
-    if not cols:
-        raise CertificateError("basis is empty after dropping dependent directions")
-    return cols
-
-
-def _span_solve(model: TRModel | CubicModel, cols: list[Array],
-                **seed) -> SubproblemSolution:
-    """Exact solve of ``model`` on the span of the orthonormal ``cols``:
-    reduce to the span with one apply HU, solve the reduced problem, lift
-    the step s = Uv back; its m(s) and cond5 test read Hs = (HU)v."""
-    u_mat = np.column_stack(cols)
-    hu = model.hessian.apply(u_mat)
-    reduced_h = u_mat.T @ hu
-    v = _reduced_exact(u_mat.T @ model.grad, 0.5 * (reduced_h + reduced_h.T),
-                       model.radius, model.sigma)
-    with np.errstate(over="ignore", invalid="ignore"):
-        step, hs = u_mat @ v, hu @ v
-    return _solution(model, step, hs, **seed)
 
 
 def _reduced_exact(g: Array, h: Array, radius: float,

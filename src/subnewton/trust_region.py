@@ -118,14 +118,16 @@ class TRConfig(LoopConfig):
              direction: Array | None, delta: float) -> SubproblemSolution:
         model = TRModel(grad=grad, hessian=hessian, radius=delta)
         seeds: list[Array] = [grad, model.hg] if grad_norm > 0.0 else []
+        images = [model.hg, None] if grad_norm > 0.0 else []
         seed = {}  # the Eigen seed's curvature and step length, for its certificate
         if direction is not None:
             # The Eigen step is the radius along uhat; only its curvature
             # enters the certificate, so the step itself is never formed.
-            seeds.append(direction)
-            seed = dict(nu_hat=-unit_curvature(hessian, direction)[2],
-                        eigen_norm=delta)
-        return subspace_solve(model, seeds, **seed)
+            uhat, hu, c = unit_curvature(hessian, direction)
+            seeds.append(uhat)
+            images.append(hu)
+            seed = dict(nu_hat=-c, eigen_norm=delta)
+        return subspace_solve(model, seeds, images, **seed)
 
     def update(self, delta: float, accepted: bool) -> float:
         return delta * self.gamma if accepted else delta / self.gamma

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subnewton import subproblem
 from subnewton.core import CertificateError, NonFiniteError
 from subnewton.subproblem import (Certificates, CubicModel, SubproblemSolution,
                                   TRModel, arc_cauchy_point, arc_eigen_point,
                                   arc_progressive_solve, arc_subspace_solve,
-                                  certificates, tr_cauchy_point,
+                                  certificates, subspace_solve, tr_cauchy_point,
                                   tr_eigen_point, tr_subspace_solve)
 
 from conftest import (operator_from_dense, random_symmetric,
@@ -493,6 +494,92 @@ class TestARCProgressive:
         bound = 0.3 * max(sn**2, min(1.0, sn) * float(np.linalg.norm(g)))
         assert bound == pytest.approx(0.3 * sn**2)
         assert np.linalg.norm(model.gradient(sol.step)) <= bound * (1 + 1e-9)
+
+
+class TestBasisImages:
+    """The solver builds each basis vector's H-image from its seed's, so HU
+    is built, not applied: H is applied once to each kept seed with no held
+    image and once to each Krylov vector, and never to a dependent seed."""
+
+    @pytest.fixture
+    def bases(self, monkeypatch):
+        """The basis and image lists of every ``_extend_basis`` call; after a
+        solve, the last entry holds its final U and HU."""
+        bases = []
+        extend = subproblem._extend_basis
+
+        def capture(model, cols, hcols, raw, image):
+            bases.append((cols, hcols))
+            return extend(model, cols, hcols, raw, image)
+
+        monkeypatch.setattr(subproblem, "_extend_basis", capture)
+        return bases
+
+    @staticmethod
+    def counting(h):
+        """An operator on ``h``, and the shapes of the blocks it is applied to."""
+        applies = []
+        op = operator_from_dense(h)
+        return replace(op, apply=lambda v: applies.append(np.shape(v)) or op.apply(v)), applies
+
+    @pytest.mark.parametrize("relation", ["tr", "arc"])
+    def test_built_images_match_applies(self, rng, bases, relation):
+        for trial in range(40):
+            d = int(rng.integers(1, 9))
+            h = random_symmetric(rng, d)
+            op, applies = self.counting(h)
+            g = rng.standard_normal(d)
+            model = (TRModel(grad=g, hessian=op, radius=1.0) if relation == "tr"
+                     else CubicModel(grad=g, hessian=op, sigma=1.0))
+            model.hg  # the cubic model's Cauchy bound reads Hg
+            del applies[:]
+            k = int(rng.integers(1, d + 1))
+            seeds = list(rng.standard_normal((k, d)))
+            held = rng.random(k) < 0.5
+            images = [h @ s if hold else None for s, hold in zip(seeds, held)]
+            # Dependent seeds, with and without an image, cost no apply.
+            dependent = seeds[0] - 2.0 * seeds[-1]
+            seeds += [dependent, dependent, np.zeros(d)]
+            images += [h @ dependent, None, None]
+            sol = subspace_solve(model, seeds, images)
+            u, hu = (np.column_stack(b) for b in bases[-1])
+            assert u.shape == (d, k)
+            assert np.max(np.abs(u.T @ u - np.eye(k))) <= 1e-12
+            assert np.max(np.abs(hu - op.form() @ u)) <= 1e-12 * np.linalg.norm(h, 2), trial
+            assert len(applies) == k - int(held.sum())
+            assert all(shape == (d,) for shape in applies)
+            assert np.allclose(sol.hs, h @ sol.step, rtol=0.0,
+                               atol=1e-12 * np.linalg.norm(h, 2) * np.linalg.norm(sol.step))
+
+    def test_nearly_dependent_held_seed_is_applied(self, rng, bases):
+        # u lies 1e-10 off the span of g: built from its held image, its
+        # basis vector's image would keep only about six digits.
+        d = 8
+        h = random_symmetric(rng, d)
+        op, applies = self.counting(h)
+        g = rng.standard_normal(d)
+        u = g / np.linalg.norm(g) + 1e-10 * rng.standard_normal(d)
+        subspace_solve(TRModel(grad=g, hessian=op, radius=1.0), [g, u], [h @ g, h @ u])
+        u_mat, hu = (np.column_stack(b) for b in bases[-1])
+        assert u_mat.shape == (d, 2)
+        assert applies == [(d,)]
+        assert np.max(np.abs(hu - h @ u_mat)) <= 1e-12 * np.linalg.norm(h, 2)
+
+    def test_krylov_vector_costs_one_apply(self, rng, bases):
+        for _ in range(10):
+            d = 8
+            h = random_symmetric(rng, d)
+            op, applies = self.counting(h)
+            model = CubicModel(grad=rng.standard_normal(d), hessian=op, sigma=1.0)
+            cauchy = arc_cauchy_point(model)  # applies H to g
+            del applies[:]
+            arc_progressive_solve(model, [cauchy.step], [cauchy.hs], zeta=1e-9)
+            # The Cauchy seed's column costs nothing, g is dropped and Hg is
+            # held, so each Krylov column costs one one-column apply.
+            u, hu = (np.column_stack(b) for b in bases[-1])
+            assert u.shape[1] > 1
+            assert applies == [(d,)] * (u.shape[1] - 1)
+            assert np.max(np.abs(hu - h @ u)) <= 1e-12 * np.linalg.norm(h, 2)
 
 
 class TestCertificateChecker:

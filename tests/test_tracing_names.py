@@ -64,3 +64,9 @@ def test_traced_solves_match_untraced(monkeypatch):
         assert tracer.counts[name] > 0, name
     # perfbench/tracing.py counts a probe whose ``converged`` is False.
     assert tracer.counts["curvature.unconverged"] == 0
+    # One solve per step, one step per trace row, though ``subspace_solve``
+    # is reached through three wrapped alias names.
+    steps = sum(len([line for line in text.splitlines()[1:] if not line.startswith("#")])
+                for text, _ in traced)
+    assert steps > 0
+    assert tracer.counts["subproblem.solves"] == steps

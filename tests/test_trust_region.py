@@ -256,13 +256,18 @@ class TestRunTRGuards:
 
 
 class TestHessianApplies:
-    """Each model quantity is computed once, and each step's Hs comes from a
-    product already made: the Cauchy point's from Hg, a subspace step's from
-    the reduced block's HU. So an iteration makes 2 applies (Hg and the
-    reduced block), plus 1 when it probes (<u,Hu>) and 1 per Eigen seed
-    (H uhat); the terminating check adds 1 when it probes. A floor that
-    certifies the curvature skips the probe: on the biweight cases every
-    row reads "bound"; the quartic operator has no floor."""
+    """Each model quantity is computed once, each basis vector of the
+    sub-problem's span carries its H-image, and each step's Hs comes from a
+    product already made. Every apply is one column. An iteration applies H
+    to g; the sub-problem then applies H once per column it grows the span
+    by without a held image ("grown"): in TR and ARC standard that is Hg,
+    skipped when Hg lies in the span of the seeds before it (on the saddle,
+    once g is an eigenvector, or once a Cauchy and an Eigen seed span the
+    plane); in ARC optimal it is each Krylov vector, none when cond5 holds on
+    the seeds' span. A probe adds 1 (<u,Hu>) and an Eigen seed 1 (H uhat);
+    the terminating check adds 1 when it probes. A floor that certifies the
+    curvature skips the probe: on the biweight cases every row reads
+    "bound"; the quartic operator has no floor."""
 
     @staticmethod
     def counting_source(problem):
@@ -280,14 +285,16 @@ class TestHessianApplies:
 
         return source, calls
 
-    @pytest.mark.parametrize("solver, case, applies, iterations", [
-        ("tr", "biweight", 8, 4),
-        ("arc", "biweight", 18, 9),
-        ("tr", "saddle", 11, 3),
-        ("arc", "saddle", 14, 4),
+    @pytest.mark.parametrize("solver, case, applies, grown, iterations", [
+        ("tr", "biweight", 8, 4, 4),
+        ("arc", "biweight", 18, 9, 9),
+        ("arc_optimal", "biweight", 13, 4, 9),
+        ("tr", "saddle", 10, 2, 3),
+        ("arc", "saddle", 13, 3, 4),
+        ("arc_optimal", "saddle", 13, 3, 4),
     ])
     def test_applies_per_iteration(self, monkeypatch, solver, case, applies,
-                                   iterations):
+                                   grown, iterations):
         tol = OptimalityTolerances(eps_g=1e-6, eps_H=1e-3)
         if case == "biweight":
             problem = generate_synthetic("biweight", 500, 10, rng_seed=3, k_max=1.0)
@@ -298,7 +305,8 @@ class TestHessianApplies:
         if solver == "tr":
             config, run = TRConfig(tol=tol, nu=nu), run_tr
         else:
-            config, run = ARCConfig(tol=tol, nu=nu,
+            mode = "optimal" if solver == "arc_optimal" else "standard"
+            config, run = ARCConfig(tol=tol, nu=nu, mode=mode,
                                     l_estimate=problem.hessian_lipschitz_bound()), run_arc
         probes = []
         probe = trust_region.probe_extreme
@@ -315,7 +323,9 @@ class TestHessianApplies:
         terminal = len(probes) - len(probed)
         assert terminal == (case == "saddle")
         assert len(calls) == applies
-        assert applies == 2 * iterations + len(probed) + eigen_seeds + terminal
+        columns = sum(1 if len(shape) == 1 else shape[1] for shape in calls)
+        assert columns == applies
+        assert applies == iterations + grown + len(probed) + eigen_seeds + terminal
 
 
 class TestCurvatureFloor:
