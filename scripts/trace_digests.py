@@ -74,6 +74,10 @@ SOLVES["tr_quartic"] = ExperimentConfig(problem="quartic", solver="tr",
                                         eps_g=1e-6, eps_h=1e-3)
 SOLVES["arc_quartic"] = ExperimentConfig(problem="quartic", solver="arc",
                                          eps_g=1e-6, eps_h=1e-3)
+# Far from the minimizer, where the probe hands several steps an Eigen seed.
+EIGEN = dict(BASE, x0_scale=5.0, eps_h=1e-3, hessian="uniform")
+SOLVES["tr_eigen"] = ExperimentConfig(**EIGEN, solver="tr")
+SOLVES["arc_eigen"] = ExperimentConfig(**EIGEN, solver="arc")
 VERIFY = ExperimentConfig(problem="biweight", n=2000, d=20, k_max_target=1.0,
                           data_seed=3, verify_eps="0.5,0.3", verify_trials=50)
 
@@ -88,9 +92,11 @@ def eigen_seed_log():
     log, originals = [], {cls: cls.step for cls in (TRConfig, ARCConfig)}
 
     def logged(step):
-        def wrapper(self, grad, grad_norm, hessian, direction, param):
-            log.append(direction is not None)
-            return step(self, grad, grad_norm, hessian, direction, param)
+        # The direction is the second-to-last argument in every checkout,
+        # with or without the older grad_norm argument.
+        def wrapper(self, *args):
+            log.append(args[-2] is not None)
+            return step(self, *args)
         return wrapper
 
     try:

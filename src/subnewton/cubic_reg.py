@@ -6,9 +6,10 @@ first operator, built at eps = 1/2, and stays fixed for the whole run;
 rejected steps therefore always reuse the previous operator. The iteration
 itself is ``trust_region.iterate``, shared with the trust-region driver;
 ``ARCConfig`` supplies its rules: the fixed tolerance, the cubic-model step
-and the sigma update. Both modes make one ``subspace_solve`` call on the
-Cauchy and Eigen seeds: ``standard`` adds Hg to the span, ``optimal`` grows
-a Krylov space until the model-gradient inexactness test holds.
+and the sigma update. The step is ``subproblem.model_step`` on the cubic
+model, seeded with the Cauchy and Eigen points as the trust-region step is:
+``standard`` adds Hg to the span, ``optimal`` grows a Krylov space until the
+model-gradient inexactness test holds.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 
 from .core import (Array, ConfigurationError, HessianOperator, Objective,
                    SolveResult)
-from .subproblem import (CubicModel, SubproblemSolution, _sqrt_shift,
-                         cauchy_point, eigen_point, subspace_solve)
+from .subproblem import CubicModel, SubproblemSolution, _sqrt_shift, model_step
 from .trust_region import HessianSource, LoopConfig, iterate
 
 
@@ -73,53 +73,33 @@ class ARCConfig(LoopConfig):
         return self.sigma0
 
     def accuracy(self, k_h: float, sigma: float) -> float:
-        return arc_epsilon(self, k_h)
+        """Fixed Hessian accuracy for the whole run.
 
-    def step(self, grad: Array, grad_norm: float, hessian: HessianOperator,
-             direction: Array | None, sigma: float) -> SubproblemSolution:
-        model = CubicModel(grad=grad, hessian=hessian, sigma=sigma)
-        points = [cauchy_point(model)] if grad_norm > 0.0 else []
-        seed = {}  # the Eigen seed's curvature and step length, for its certificate
-        if direction is not None:
-            # The eigen seed joins the basis whenever it exists (ties between
-            # the seed points resolve toward it, escaping saddles); the
-            # subspace solution dominates both seeds anyway.
-            eigen = eigen_point(model, direction)
-            points.append(eigen)
-            seed = dict(nu_hat=eigen.certificates.nu_hat,
-                        eigen_norm=eigen.certificates.eigen_norm)
-        seeds, images = [p.step for p in points], [p.hs for p in points]
-        optimal = self.mode == "optimal"
-        if grad_norm > 0.0 and not optimal:
-            seeds.append(model.hg)
-            images.append(None)
-        return subspace_solve(model, seeds, images,
-                              zeta=self.zeta if optimal else None, **seed)
+        eps = min( min(1/12, (1-eta)/6) * (sqrt(K^2 + 8 L eps_g) - K),
+                   min(1/6,  (1-eta)/3) * nu * eps_H )
+        further reduced to zeta*eps_g in optimal mode.
+        """
+        if self.nu is None:
+            raise ConfigurationError("the ARC accuracy needs a resolved nu")
+        if k_h < 0:
+            raise ConfigurationError("k_h must be nonnegative")
+        eta = self.eta
+        branch_grad = min(1.0 / 12.0, (1.0 - eta) / 6.0) * _sqrt_shift(
+            k_h, 8.0 * self.l_estimate * self.tol.eps_g)
+        branch_eig = min(1.0 / 6.0, (1.0 - eta) / 3.0) * self.nu * self.tol.eps_H
+        eps = min(branch_grad, branch_eig)
+        if self.mode == "optimal":
+            eps = min(eps, self.zeta * self.tol.eps_g)
+        return eps
+
+    def step(self, grad: Array, hessian: HessianOperator, direction: Array | None,
+             sigma: float) -> SubproblemSolution:
+        return model_step(CubicModel(grad=grad, hessian=hessian, sigma=sigma), direction,
+                          zeta=self.zeta if self.mode == "optimal" else None)
 
     def update(self, sigma: float, accepted: bool) -> float:
         return (max(sigma / self.gamma, self.sigma_min) if accepted
                 else self.gamma * sigma)
-
-
-def arc_epsilon(config: ARCConfig, k_h: float) -> float:
-    """Fixed Hessian accuracy for the whole run.
-
-    eps = min( min(1/12, (1-eta)/6) * (sqrt(K^2 + 8 L eps_g) - K),
-               min(1/6,  (1-eta)/3) * nu * eps_H )
-    further reduced to zeta*eps_g in optimal mode.
-    """
-    if config.nu is None:
-        raise ConfigurationError("arc_epsilon needs a resolved nu")
-    if k_h < 0:
-        raise ConfigurationError("k_h must be nonnegative")
-    eta = config.eta
-    branch_grad = min(1.0 / 12.0, (1.0 - eta) / 6.0) * _sqrt_shift(
-        k_h, 8.0 * config.l_estimate * config.tol.eps_g)
-    branch_eig = min(1.0 / 6.0, (1.0 - eta) / 3.0) * config.nu * config.tol.eps_H
-    eps = min(branch_grad, branch_eig)
-    if config.mode == "optimal":
-        eps = min(eps, config.zeta * config.tol.eps_g)
-    return eps
 
 
 def run_arc(oracle: Objective, hessian_source: HessianSource, config: ARCConfig,

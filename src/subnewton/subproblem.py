@@ -6,11 +6,13 @@ Eigen step length, reads as a cubic model on a ball (sigma None, or radius
 inf) and computes ||g||, Hg, <g,Hg> and its Cauchy step and bound once. So one
 Cauchy point (the exact 1-D minimizer along -g), one Eigen point (along a
 certified negative-curvature direction), one ``subspace_solve`` and one
-``certificates`` serve both. ``subspace_solve`` solves exactly on the span of
-its seeds and, given zeta, grows a Krylov space until the model-gradient
-inexactness test holds. Each basis vector carries its H-image, built from
-its seed's when held (g's Hg, the Cauchy point's -alpha*Hg, the Eigen
-point's a*H(uhat)), so a step's m(s) and model gradient read Hs = (HU)v.
+``certificates`` serve both, and one ``model_step`` is the step of both
+drivers: ``subspace_solve`` seeded with the Cauchy and Eigen points, which
+solves exactly on their span plus Hg or, given zeta, grows a Krylov space
+until the model-gradient inexactness test holds. Each basis vector carries
+its H-image, built from its seed's when held (the Cauchy point's -alpha*Hg,
+the Eigen point's a*H(uhat)), so a step's m(s) and model gradient read
+Hs = (HU)v.
 ``certificates`` recomputes a solution's certificates from (model, step) plus
 the recorded seed curvature alone; the Eigen certificates are stated with the
 realized curvature nu_hat = -<u,Hu>/||u||^2, which is assertable exactly.
@@ -286,34 +288,51 @@ def cauchy_point(model: TRModel | CubicModel) -> SubproblemSolution:
     return _solution(model, step, hs)
 
 
-def unit_curvature(hessian: HessianOperator, u: Array) -> tuple[Array, Array, float]:
-    """uhat = u/||u||, H uhat and c = <uhat, H uhat> = -nu_hat, for a nonzero
-    u along which H has negative curvature; one apply."""
+def eigen_point(model: TRModel | CubicModel, u: Array) -> SubproblemSolution:
+    """The step a * uhat along a nonzero u of negative curvature, uhat =
+    u/||u||, with c = <uhat, H uhat> = -nu_hat (one apply), b = <grad, uhat>
+    and a = model.eigen_length(b, c): the radius for the trust-region model,
+    the 1-D cubic's global minimizer for the cubic one, signed so
+    <grad, s> <= 0. Its m(s) reads Hs = a * H uhat, and the certificate uses
+    the realized curvature."""
     un = float(np.linalg.norm(u))
     if un == 0.0:
         raise CertificateError("eigen direction must be nonzero")
     uhat = u / un
-    hu = hessian.apply(uhat)
+    hu = model.hessian.apply(uhat)
     c = float(uhat @ hu)
     if c >= 0.0:
         raise CertificateError(
             f"eigen direction must carry negative curvature, got <u,Hu>={c}")
-    return uhat, hu, c
-
-
-def eigen_point(model: TRModel | CubicModel, u: Array) -> SubproblemSolution:
-    """The step a * uhat, a = model.eigen_length(b, c), along a nonzero,
-    negative-curvature u, with uhat, H uhat and c from ``unit_curvature`` and
-    b = <grad, uhat>: the radius for the trust-region model, the 1-D cubic's
-    global minimizer for the cubic one, signed so <grad, s> <= 0. Its m(s)
-    reads Hs = a * H uhat, and the certificate uses the realized curvature."""
-    uhat, hu, c = unit_curvature(model.hessian, u)
     a = model.eigen_length(float(model.grad @ uhat), c)
     step = a * uhat
     with np.errstate(over="ignore", invalid="ignore"):
         eigen_norm = float(np.linalg.norm(step))
         hs = a * hu
     return _solution(model, step, hs, nu_hat=-c, eigen_norm=eigen_norm)
+
+
+def model_step(model: TRModel | CubicModel, direction: Array | None = None,
+               zeta: float | None = None) -> SubproblemSolution:
+    """The step of Algorithms 1 and 2: one ``subspace_solve`` seeded with the
+    Cauchy point and, given a negative-curvature ``direction``, the Eigen
+    point, each with its Hs, so the step dominates both in model value. The
+    Eigen seed joins whenever it exists (ties between the seed points
+    resolve toward it, escaping saddles), and its curvature and step length
+    enter the Eigen certificate. Without zeta, Hg is appended as a seed with
+    no held image; given zeta, the span grows until cond5 holds."""
+    points = [cauchy_point(model)] if model.grad_norm > 0.0 else []
+    seed = {}
+    if direction is not None:
+        eigen = eigen_point(model, direction)
+        points.append(eigen)
+        seed = dict(nu_hat=eigen.certificates.nu_hat,
+                    eigen_norm=eigen.certificates.eigen_norm)
+    seeds, images = [p.step for p in points], [p.hs for p in points]
+    if model.grad_norm > 0.0 and zeta is None:
+        seeds.append(model.hg)
+        images.append(None)
+    return subspace_solve(model, seeds, images, zeta=zeta, **seed)
 
 
 def subspace_solve(model: TRModel | CubicModel, seeds: Sequence[Array],

@@ -7,8 +7,9 @@ operator's ``lambda_floor`` already rules it out, test
 (eps_g, eps_H)-optimality, solve the sub-problem, and accept or reject the
 step. It holds the only optimality test; the rules in which the algorithms
 differ are their configs'. ``TRConfig``'s are the adaptive tolerance
-eps_t = max(eps0, Delta_t), the ball-constrained model solved on the span of
-g, Hg and the Eigen seed, and the multiplicative radius update. On rejected
+eps_t = max(eps0, Delta_t), the step of ``subproblem.model_step`` on the
+ball-constrained model (the exact solve on the span of the Cauchy point, the
+Eigen point and Hg), and the multiplicative radius update. On rejected
 steps the previous operator is reused whenever its recorded accuracy still
 meets the shrunken tolerance.
 """
@@ -27,7 +28,7 @@ from .core import (Array, CertificateError, ConfigurationError, HessianOperator,
                    OptimalityTolerances, SolveResult, acceptance_ratio,
                    ensure_finite, iteration_rng)
 from .curvature import default_nu, probe_extreme
-from .subproblem import SubproblemSolution, TRModel, subspace_solve, unit_curvature
+from .subproblem import SubproblemSolution, TRModel, model_step
 
 HessianSource = Callable[[Array, float, float, np.random.Generator], HessianOperator]
 
@@ -48,7 +49,7 @@ class LoopConfig:
     ``per_iteration_delta()`` failure budget, labelled by ``schedule``, the
     ``initial`` radius or sigma (param), the t = 0 build's
     ``first_accuracy``, ``accuracy(k_h, param)`` with k_h that build's norm
-    bound, ``step(grad, grad_norm, hessian, direction, param)`` and
+    bound, ``step(grad, hessian, direction, param)`` and
     ``update(param, accepted)``.
     """
 
@@ -109,42 +110,27 @@ class TRConfig(LoopConfig):
 
     @property
     def first_accuracy(self) -> float:
-        return _tr_accuracy(self, 1.0 if self.nu is None else self.nu, self.delta0)
+        """The t = 0 accuracy, at nu = 1 when nu is unset: it bounds every
+        resolved nu's."""
+        return self._accuracy(1.0 if self.nu is None else self.nu, self.delta0)
 
     def accuracy(self, k_h: float, delta: float) -> float:
-        return tr_tolerance(self, delta)
+        """Hessian accuracy allowed at radius delta: max(alpha(1-eta)nu*eps_H, delta)."""
+        if self.nu is None:
+            raise ConfigurationError("the TR accuracy needs a resolved nu")
+        if delta <= 0:
+            raise ConfigurationError("delta_t must be positive")
+        return self._accuracy(self.nu, delta)
 
-    def step(self, grad: Array, grad_norm: float, hessian: HessianOperator,
-             direction: Array | None, delta: float) -> SubproblemSolution:
-        model = TRModel(grad=grad, hessian=hessian, radius=delta)
-        seeds: list[Array] = [grad, model.hg] if grad_norm > 0.0 else []
-        images = [model.hg, None] if grad_norm > 0.0 else []
-        seed = {}  # the Eigen seed's curvature and step length, for its certificate
-        if direction is not None:
-            # The Eigen step is the radius along uhat; only its curvature
-            # enters the certificate, so the step itself is never formed.
-            uhat, hu, c = unit_curvature(hessian, direction)
-            seeds.append(uhat)
-            images.append(hu)
-            seed = dict(nu_hat=-c, eigen_norm=delta)
-        return subspace_solve(model, seeds, images, **seed)
+    def _accuracy(self, nu: float, delta: float) -> float:
+        return max(self.alpha * (1.0 - self.eta) * nu * self.tol.eps_H, delta)
+
+    def step(self, grad: Array, hessian: HessianOperator, direction: Array | None,
+             delta: float) -> SubproblemSolution:
+        return model_step(TRModel(grad=grad, hessian=hessian, radius=delta), direction)
 
     def update(self, delta: float, accepted: bool) -> float:
         return delta * self.gamma if accepted else delta / self.gamma
-
-
-def tr_tolerance(config: TRConfig, delta_t: float) -> float:
-    """Hessian accuracy allowed at radius delta_t: max(alpha(1-eta)nu*eps_H, delta_t)."""
-    if config.nu is None:
-        raise ConfigurationError("tr_tolerance needs a resolved nu")
-    if delta_t <= 0:
-        raise ConfigurationError("delta_t must be positive")
-    return _tr_accuracy(config, config.nu, delta_t)
-
-
-def _tr_accuracy(config: TRConfig, nu: float, delta: float) -> float:
-    """max(alpha(1-eta)nu*eps_H, delta); at nu = 1 it bounds every resolved nu's."""
-    return max(config.alpha * (1.0 - config.eta) * nu * config.tol.eps_H, delta)
 
 
 def exact_hessian_source(problem) -> HessianSource:
@@ -221,7 +207,7 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: LoopConfig
                 message = "optimality certified"
                 break
 
-            solution = config.step(grad, grad_norm, hessian, direction, param)
+            solution = config.step(grad, hessian, direction, param)
             f_trial, _ = oracle.value_grad(x + solution.step)
             ensure_finite(f_trial, f"trial objective value at iteration {t}")
             rho = acceptance_ratio(f, f_trial, -solution.model_value)

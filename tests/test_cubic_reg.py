@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from subnewton.core import ConfigurationError, OptimalityTolerances
-from subnewton.cubic_reg import ARCConfig, arc_epsilon, run_arc
+from subnewton.cubic_reg import ARCConfig, run_arc
 from subnewton.problems import QuarticSaddle, generate_synthetic
 from subnewton.subproblem import CubicModel, certificates
 from subnewton.trust_region import exact_hessian_source
@@ -58,28 +58,29 @@ class TestArcEpsilon:
         tol = OptimalityTolerances(eps_g=0.5, eps_H=0.3)
         config = self.make_config(tol=tol)
         expected = min(np.sqrt(8.0 * 0.5) / 12.0, 0.3 / 6.0)
-        assert arc_epsilon(config, 0.0) == pytest.approx(expected, rel=1e-12)
+        assert config.accuracy(0.0, config.sigma0) == pytest.approx(expected, rel=1e-12)
 
     def test_exact_surd_reference(self):
         # eta=0.5, L=1, K_H=1, eps_g=eps_H=nu -> 1: sqrt(9)=3 makes both
         # branches 1/6; tolerances live in (0,1), so take the limit.
         eps = 1.0 - 1e-9
         config = self.make_config(tol=OptimalityTolerances(eps_g=eps, eps_H=eps))
-        assert arc_epsilon(config, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-8)
+        assert config.accuracy(1.0, config.sigma0) == pytest.approx(1.0 / 6.0, rel=1e-8)
 
     def test_monotone_in_tolerances(self):
         for eg, eh in [(0.1, 0.1), (0.2, 0.1), (0.1, 0.2), (0.4, 0.4)]:
             smaller = self.make_config(tol=OptimalityTolerances(eps_g=eg / 2,
                                                                 eps_H=eh / 2))
             larger = self.make_config(tol=OptimalityTolerances(eps_g=eg, eps_H=eh))
-            assert arc_epsilon(smaller, 1.0) <= arc_epsilon(larger, 1.0)
+            assert (smaller.accuracy(1.0, smaller.sigma0)
+                    <= larger.accuracy(1.0, larger.sigma0))
 
     def test_optimal_mode_adds_zeta_branch(self):
         tol = OptimalityTolerances(eps_g=1e-3, eps_H=0.5)
         standard = self.make_config(tol=tol)
         optimal = self.make_config(tol=tol, mode="optimal", zeta=0.25)
-        assert arc_epsilon(optimal, 1.0) <= min(arc_epsilon(standard, 1.0),
-                                                0.25 * 1e-3)
+        assert optimal.accuracy(1.0, optimal.sigma0) <= min(
+            standard.accuracy(1.0, standard.sigma0), 0.25 * 1e-3)
 
 
 class TestRunArcQuadratic:

@@ -3,13 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from subnewton import trust_region
+from subnewton import subproblem, trust_region
 from subnewton.core import ConfigurationError, NonFiniteError, OptimalityTolerances
 from subnewton.cubic_reg import ARCConfig, run_arc
 from subnewton.problems import QuarticSaddle, generate_synthetic
 from subnewton.sampling import build_subsampled_hessian, resolve_scheme
-from subnewton.trust_region import (TRConfig, exact_hessian_source, run_tr,
-                                    tr_tolerance)
+from subnewton.trust_region import TRConfig, exact_hessian_source, run_tr
 
 from conftest import CountingSource, operator_from_dense
 
@@ -72,22 +71,22 @@ class TestTRTolerance:
 
     def test_radius_branch_dominates(self):
         config = self.make_config()
-        assert tr_tolerance(config, 10.0) == 10.0
+        assert config.accuracy(1.0, 10.0) == 10.0
 
     def test_floor_branch(self):
         config = self.make_config()
         # alpha*(1-eta)*nu*eps_H = 0.5*0.5*1*0.1 = 0.025
-        assert tr_tolerance(config, 1e-6) == pytest.approx(0.025)
+        assert config.accuracy(1.0, 1e-6) == pytest.approx(0.025)
 
     def test_monotone_in_radius(self):
         config = self.make_config()
-        values = [tr_tolerance(config, d) for d in (1e-8, 1e-3, 0.1, 1.0, 50.0)]
+        values = [config.accuracy(1.0, d) for d in (1e-8, 1e-3, 0.1, 1.0, 50.0)]
         assert values == sorted(values)
 
     def test_needs_resolved_nu(self):
         config = TRConfig(tol=OptimalityTolerances(eps_g=0.01, eps_H=0.1))
         with pytest.raises(ConfigurationError):
-            tr_tolerance(config, 1.0)
+            config.accuracy(1.0, 1.0)
 
 
 class TestRunTRQuadratic:
@@ -259,10 +258,11 @@ class TestHessianApplies:
     """Each model quantity is computed once, each basis vector of the
     sub-problem's span carries its H-image, and each step's Hs comes from a
     product already made. Every apply is one column. An iteration applies H
-    to g; the sub-problem then applies H once per column it grows the span
+    to g, which gives the Cauchy seed its image -alpha*Hg, in TR and ARC
+    alike; the sub-problem then applies H once per column it grows the span
     by without a held image ("grown"): in TR and ARC standard that is Hg,
     skipped when Hg lies in the span of the seeds before it (on the saddle,
-    once g is an eigenvector, or once a Cauchy and an Eigen seed span the
+    once g is an eigenvector, or once the Cauchy and Eigen seeds span the
     plane); in ARC optimal it is each Krylov vector, none when cond5 holds on
     the seeds' span. A probe adds 1 (<u,Hu>) and an Eigen seed 1 (H uhat);
     the terminating check adds 1 when it probes. A floor that certifies the
@@ -289,7 +289,7 @@ class TestHessianApplies:
         ("tr", "biweight", 8, 4, 4),
         ("arc", "biweight", 18, 9, 9),
         ("arc_optimal", "biweight", 13, 4, 9),
-        ("tr", "saddle", 10, 2, 3),
+        ("tr", "saddle", 9, 1, 3),
         ("arc", "saddle", 13, 3, 4),
         ("arc_optimal", "saddle", 13, 3, 4),
     ])
@@ -326,6 +326,41 @@ class TestHessianApplies:
         columns = sum(1 if len(shape) == 1 else shape[1] for shape in calls)
         assert columns == applies
         assert applies == iterations + grown + len(probed) + eigen_seeds + terminal
+
+
+class TestOneStepPath:
+    """TR takes the step ARC takes: one solve seeded with the Cauchy point
+    and, given a negative-curvature direction, the Eigen point, which does
+    at least as well as both in model value."""
+
+    def test_tr_step_seeds_cauchy_and_eigen_points(self, monkeypatch):
+        points = []  # (name, m(s)) of every seed point made
+        for name in ("cauchy_point", "eigen_point"):
+            def logged(model, *args, original=getattr(subproblem, name), name=name):
+                point = original(model, *args)
+                points.append((name, point.model_value))
+                return point
+            monkeypatch.setattr(subproblem, name, logged)
+        steps = []  # (seed points made for it, had a direction, m(s)) per step
+        step = TRConfig.step
+
+        def logged_step(self, *args):
+            made = len(points)
+            solution = step(self, *args)
+            steps.append((points[made:], args[-2] is not None, solution.model_value))
+            return solution
+
+        monkeypatch.setattr(TRConfig, "step", logged_step)
+        problem = QuarticSaddle()
+        config = TRConfig(tol=OptimalityTolerances(eps_g=1e-6, eps_H=1e-3), nu=0.5)
+        result = run_tr(problem, exact_hessian_source(problem), config,
+                        x0=np.array([0.01, 0.2]), rng_seed=0)
+        assert result.converged
+        assert len(steps) == len(result.records)
+        assert sum(eigen for _, eigen, _ in steps) == 1
+        for made, eigen, value in steps:
+            assert [name for name, _ in made] == ["cauchy_point"] + ["eigen_point"] * eigen
+            assert all(value <= seed_value for _, seed_value in made)
 
 
 class TestCurvatureFloor:
