@@ -7,8 +7,7 @@ Usage: python scripts/saddle_escape.py
 import numpy as np
 
 from subnewton import (ARCConfig, OptimalityTolerances, QuarticSaddle, TRConfig,
-                       run_arc, run_tr)
-from subnewton.trust_region import exact_hessian_source
+                       hessian_source, run_arc, run_tr)
 
 
 def show(name, result):
@@ -26,7 +25,7 @@ def main():
     problem = QuarticSaddle()
     tol = OptimalityTolerances(eps_g=1e-6, eps_H=1e-3)
     x0 = np.zeros(2)
-    source = exact_hessian_source(problem)
+    source = hessian_source(problem, "exact")
 
     tr_result = run_tr(problem, source, TRConfig(tol=tol, max_iters=100), x0,
                        rng_seed=0)

@@ -9,7 +9,8 @@ on)."""
 from .core import OptimalityTolerances
 from .cubic_reg import ARCConfig, run_arc
 from .problems import QuarticSaddle, generate_synthetic
+from .sampling import hessian_source
 from .trust_region import TRConfig, run_tr
 
 __all__ = ["ARCConfig", "OptimalityTolerances", "QuarticSaddle", "TRConfig",
-           "generate_synthetic", "run_arc", "run_tr"]
+           "generate_synthetic", "hessian_source", "run_arc", "run_tr"]

@@ -28,6 +28,10 @@ class NonFiniteError(FloatingPointError):
     """NaN or infinity showed up where the smoothness assumptions forbid it."""
 
 
+# The errors that abort a solve, with its rows so far attached: exit 2.
+ABORT_ERRORS = (NonFiniteError, CertificateError, OverflowError)
+
+
 def ensure_finite(values: Any, context: str) -> None:
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -84,6 +88,10 @@ class HessianOperator:
     def quad(self, v: Array) -> float:
         """<v, Hv> as a float."""
         return float(v @ self.apply(v))
+
+
+# (x, eps, delta, rng) -> an operator at x, accurate to eps except with probability delta.
+HessianSource = Callable[[Array, float, float, np.random.Generator], HessianOperator]
 
 
 @dataclass(frozen=True)
@@ -161,12 +169,9 @@ def acceptance_ratio(f_old: float, f_new: float, model_decrease: float) -> float
     return (f_old - f_new) / model_decrease
 
 
-def iteration_rng(base_seed: int, stream: int, t: int) -> np.random.Generator:
-    """Deterministic per-(stream, iteration) generator.
-
-    The driver loop draws iteration t's Hessian sample from stream 1. The
-    stream number is part of the seed, so it stays fixed to keep those draws,
-    and the traces made from them, unchanged.
-    """
+def iteration_rng(base_seed: int, t: int) -> np.random.Generator:
+    """Deterministic generator of iteration t's Hessian sample, seeded by
+    (base_seed, 1, t). Every draw's seed holds the 1, so it stays fixed to
+    keep the draws, and the traces made from them, unchanged."""
     return np.random.default_rng(np.random.SeedSequence([int(base_seed) & 0xFFFFFFFF,
-                                                         stream, t]))
+                                                         1, t]))

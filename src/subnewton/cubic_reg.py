@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (Array, ConfigurationError, HessianOperator, Objective,
-                   SolveResult)
+from .core import (Array, ConfigurationError, HessianOperator, HessianSource,
+                   Objective, SolveResult)
 from .subproblem import CubicModel, SubproblemSolution, _sqrt_shift, model_step
-from .trust_region import HessianSource, LoopConfig, iterate
+from .trust_region import LoopConfig, iterate
 
 
 @dataclass(frozen=True)

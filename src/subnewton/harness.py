@@ -18,14 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (Array, CertificateError, ConfigurationError, HessianOperator,
-                   NonFiniteError, OptimalityTolerances, SolveResult)
+from .core import (ABORT_ERRORS, Array, ConfigurationError, OptimalityTolerances,
+                   SolveResult)
 from .cubic_reg import ARCConfig, run_arc
 from .problems import (LOSSES, DatasetError, FiniteSumProblem, QuarticSaddle,
                        generate_synthetic, load_dataset)
-from .sampling import (SampleScheme, build_subsampled_hessian, resolve_scheme,
-                       verify_concentration)
-from .trust_region import TRConfig, exact_hessian_source, run_tr
+from .sampling import (HESSIANS, SampleScheme, hessian_source, prescribed_size,
+                       resolve_scheme, verify_concentration)
+from .trust_region import TRConfig, run_tr
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -35,15 +35,6 @@ EXIT_VERIFICATION_FAILURE = 4
 TRACE_COLUMNS = ("t", "F", "grad_norm", "lambda_min_est", "radius_or_sigma",
                  "rho", "accepted", "sample_size", "step_norm", "eps_t",
                  "lambda_source")
-
-_HESSIAN_MODES = {
-    "exact": None,
-    "uniform": "uniform_with_replacement",
-    "uniform_wor": "uniform_without_replacement",
-    "nonuniform": "nonuniform",
-    "intrinsic": "nonuniform_intrinsic",
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -90,7 +81,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"solver must be tr or arc, got {self.solver!r}")
         if self.arc_mode not in ("standard", "optimal"):
             raise ConfigurationError(f"unknown arc_mode {self.arc_mode!r}")
-        if self.hessian not in _HESSIAN_MODES:
+        if self.hessian not in HESSIANS:
             raise ConfigurationError(f"unknown hessian mode {self.hessian!r}")
         if self.problem == "quartic" and self.hessian != "exact":
             raise ConfigurationError("the quartic test problem has no finite-sum "
@@ -178,30 +169,6 @@ def build_problem(config: ExperimentConfig):
                               k_max=config.k_max_target, noise=config.noise)
 
 
-def build_hessian_source(config: ExperimentConfig, problem, schedule: str):
-    mode = _HESSIAN_MODES[config.hessian]
-    if mode is None:
-        return exact_hessian_source(problem)
-    if not isinstance(problem, FiniteSumProblem):
-        raise ConfigurationError("sub-sampling requires a finite-sum problem")
-
-    # Intrinsic-dimension sizing is only valid for eps <= 1/2.
-    cap = min(config.eps_cap, 0.5) if mode == "nonuniform_intrinsic" else config.eps_cap
-
-    def source(x: Array, eps: float, delta: float,
-               rng: np.random.Generator) -> HessianOperator:
-        if delta == 0.0:
-            raise ConfigurationError(
-                f"the per-iteration failure probability of the {schedule} "
-                f"schedule underflows to 0 at delta={config.delta!r}, "
-                f"eps_g={config.eps_g!r}, eps_h={config.eps_h!r}")
-        eps_eff = min(eps, cap)
-        scheme = resolve_scheme(problem, mode, eps_eff, delta, x=x)
-        return build_subsampled_hessian(problem, x, scheme, rng_seed=rng)
-
-    return source
-
-
 def starting_point(config: ExperimentConfig, problem) -> Array:
     if config.x0_scale == 0.0:
         return np.zeros(problem.d)
@@ -222,7 +189,12 @@ def run_solver(config: ExperimentConfig, problem) -> SolveResult:
         solver, run = ARCConfig(**loop, sigma0=config.sigma0, zeta=config.zeta,
                                 l_estimate=l_estimate, mode=config.arc_mode,
                                 sigma_min=config.sigma_min), run_arc
-    source = build_hessian_source(config, problem, solver.schedule)
+    if config.hessian != "exact" and solver.per_iteration_delta() == 0.0:
+        raise ConfigurationError(
+            f"the per-iteration failure probability of the {solver.schedule} "
+            f"schedule underflows to 0 at delta={config.delta!r}, "
+            f"eps_g={config.eps_g!r}, eps_h={config.eps_h!r}")
+    source = hessian_source(problem, config.hessian, config.eps_cap)
     return run(problem, source, solver, starting_point(config, problem),
                rng_seed=config.seed)
 
@@ -287,7 +259,7 @@ def run_experiment(config: ExperimentConfig, out_path: str | Path | None = None)
     path = Path(out_path if out_path is not None else config.out)
     try:
         result = run_solver(config, problem)
-    except (NonFiniteError, CertificateError, OverflowError) as exc:
+    except ABORT_ERRORS as exc:
         partial = getattr(exc, "partial_result", None)
         if partial is not None:
             _write_trace(path, format_trace(partial))
@@ -349,10 +321,7 @@ def verify_bounds(config: ExperimentConfig) -> tuple[list[VerificationRow], bool
         for eps in eps_grid:
             for delta in delta_grid:
                 scheme = resolve_scheme(problem, mode, eps, delta, x=x)
-                prescribed = scheme.resolved_size
-                uncapped = resolve_scheme(problem, mode, eps, delta, x=x,
-                                          cap_at_n=False).resolved_size
-                capped = uncapped > problem.n
+                uncapped = prescribed_size(problem, mode, eps, delta, x=x)
                 if (mode == "uniform_without_replacement"
                         and uncapped >= 100 * problem.n):
                     if tightest is None or eps < tightest.epsilon:
@@ -360,7 +329,8 @@ def verify_bounds(config: ExperimentConfig) -> tuple[list[VerificationRow], bool
                 rate = verify_concentration(problem, x, scheme, trials,
                                             rng_seed=np.random.default_rng(seed_stream.spawn(1)[0]))
                 rows.append(VerificationRow(mode=mode, epsilon=eps, delta=delta,
-                                            sample_size=prescribed, capped=capped,
+                                            sample_size=scheme.resolved_size,
+                                            capped=uncapped > problem.n,
                                             failure_rate=rate))
     if tightest is not None:
         control_size = max(tightest.resolved_size // 4, 1)
@@ -505,7 +475,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigurationError, DatasetError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (NonFiniteError, CertificateError, OverflowError) as exc:
+    except ABORT_ERRORS as exc:
         what = args.command if args.command == "verify-sampling" else "solver"
         print(f"{what} aborted: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED

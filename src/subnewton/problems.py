@@ -342,7 +342,6 @@ class FiniteSumProblem:
     rows: Array
     targets: Array
     loss: ScalarLoss
-    k_i: Array = field(init=False)
     k_max: float = field(init=False)
     k_hat: float = field(init=False)
     row_sq_norms: Array = field(init=False)
@@ -362,12 +361,12 @@ class FiniteSumProblem:
         ensure_finite(self.targets, "problem targets")
         with np.errstate(over="ignore"):
             self.row_sq_norms = np.einsum("ij,ij->i", self.rows, self.rows)
-            self.k_i = self.loss.curvature_bound * self.row_sq_norms
-            self.k_max = float(np.max(self.k_i)) if self.k_i.size else 0.0
-            self.k_hat = float(np.mean(self.k_i)) if self.k_i.size else 0.0
+            k_i = self.loss.curvature_bound * self.row_sq_norms
+            self.k_max = float(np.max(k_i)) if k_i.size else 0.0
+            self.k_hat = float(np.mean(k_i)) if k_i.size else 0.0
         if not math.isfinite(self.k_hat):
             raise ConfigurationError(f"the curvature bounds sup|f''| * ||a_i||^2 overflow "
-                                     f"(the largest at row {int(np.argmax(self.k_i))})")
+                                     f"(the largest at row {int(np.argmax(k_i))})")
 
     @property
     def n(self) -> int:
@@ -480,11 +479,11 @@ class QuarticSaddle:
         return HessianOperator(form=lambda: h,
                                norm_bound=float(np.max(np.abs(np.diag(h)))))
 
-    def hessian_lipschitz_bound(self, box_radius: float = 4.0) -> float:
-        # |d/dx (3x^2 - 1)| = 6|x| on the box |x| <= box_radius. Iterates
-        # with F <= F(0,0) stay inside |x| <= sqrt(2); the default pads the
-        # box for trial points.
-        return 6.0 * box_radius
+    def hessian_lipschitz_bound(self) -> float:
+        # |d/dx (3x^2 - 1)| = 6|x| on the box |x| <= 4. Iterates with
+        # F <= F(0,0) stay inside |x| <= sqrt(2); the box is padded for
+        # trial points.
+        return 24.0
 
 
 def _check_allocatable(n: int, d: int) -> None:

@@ -1,12 +1,13 @@
 """Randomized Hessian sub-sampling: size prescriptions, operator construction,
-and Monte-Carlo concentration checks.
+the drivers' Hessian sources, and Monte-Carlo concentration checks.
 
 Sample sizes follow the matrix-Bernstein prescriptions
     uniform      |S| >= 16 K_max^2 log(2d/delta) / eps^2
     non-uniform  |S| >=  4 K_hat^2 log(2d/delta) / eps^2
-    intrinsic    |S| >= (16/3) K_hat^2 log(8t/delta) / eps^2
+    intrinsic    |S| >= (16/3) K_hat^2 log(8t/delta) / eps^2,  eps <= 1/2
 for a per-iteration failure probability delta, which each driver config
-shrinks from its total budget.
+shrinks from its total budget. ``hessian_source`` gives a driver, by a
+config's ``hessian`` name, the exact Hessian or samples so prescribed.
 """
 
 from __future__ import annotations
@@ -18,14 +19,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Array, ConfigurationError, HessianOperator, ensure_finite
+from .core import (Array, ConfigurationError, HessianOperator, HessianSource,
+                   ensure_finite)
 from .problems import (FiniteSumProblem, exact_sum, row_pass, weighted_gram,
                        weyl_floor)
 
 logger = logging.getLogger(__name__)
 
-MODES = ("uniform_with_replacement", "uniform_without_replacement",
-         "nonuniform", "nonuniform_intrinsic")
+# The config's ``hessian`` names, each with the sampling mode it draws by.
+HESSIANS = {
+    "exact": None,
+    "uniform": "uniform_with_replacement",
+    "uniform_wor": "uniform_without_replacement",
+    "nonuniform": "nonuniform",
+    "intrinsic": "nonuniform_intrinsic",
+}
+MODES = tuple(mode for mode in HESSIANS.values() if mode)
+# The largest eps for which the intrinsic-dimension sizing holds.
+INTRINSIC_EPS_MAX = 0.5
 
 # verify_concentration eigensolves its draws in stacks of at most this size.
 EIG_STACK_BYTES = 256 * 1024
@@ -80,7 +91,7 @@ def nonuniform_sample_size(k_hat: float, epsilon: float, delta: float, d: int) -
 def intrinsic_sample_size(k_hat: float, epsilon: float, delta: float,
                           t_intrinsic: float) -> int:
     _check_tolerances(epsilon, delta)
-    if epsilon > 0.5:
+    if epsilon > INTRINSIC_EPS_MAX:
         raise ConfigurationError(
             f"intrinsic-dimension sizing requires eps <= 1/2, got {epsilon}")
     if t_intrinsic < 1.0:
@@ -120,27 +131,56 @@ def intrinsic_dimension(problem: FiniteSumProblem, x: Array) -> float:
     return min(max(t, 1.0), float(problem.d))
 
 
-def resolve_scheme(problem: FiniteSumProblem, mode: str, epsilon: float,
-                   delta: float, x: Array | None = None,
-                   cap_at_n: bool = True) -> SampleScheme:
-    """Compute the prescribed sample size for a problem and wrap it up."""
+def prescribed_size(problem: FiniteSumProblem, mode: str, epsilon: float,
+                    delta: float, x: Array | None = None) -> int:
+    """The sample size ``mode``'s prescription gives, which may exceed n."""
     d = problem.d
     if mode in ("uniform_with_replacement", "uniform_without_replacement"):
-        size = uniform_sample_size(problem.k_max, epsilon, delta, d)
-    elif mode == "nonuniform":
-        size = nonuniform_sample_size(problem.k_hat, epsilon, delta, d)
-    elif mode == "nonuniform_intrinsic":
+        return uniform_sample_size(problem.k_max, epsilon, delta, d)
+    if mode == "nonuniform":
+        return nonuniform_sample_size(problem.k_hat, epsilon, delta, d)
+    if mode == "nonuniform_intrinsic":
         if x is None:
             raise ConfigurationError("intrinsic sizing needs the evaluation point")
         t = intrinsic_dimension(problem, x)
-        size = intrinsic_sample_size(problem.k_hat, epsilon, delta, t)
-    else:
-        raise ConfigurationError(f"unknown sampling mode {mode!r}")
-    if cap_at_n and size > problem.n:
+        return intrinsic_sample_size(problem.k_hat, epsilon, delta, t)
+    raise ConfigurationError(f"unknown sampling mode {mode!r}")
+
+
+def resolve_scheme(problem: FiniteSumProblem, mode: str, epsilon: float,
+                   delta: float, x: Array | None = None) -> SampleScheme:
+    """The sampling plan of ``prescribed_size``, capped at n rows."""
+    size = prescribed_size(problem, mode, epsilon, delta, x=x)
+    if size > problem.n:
         logger.info("prescribed sample size %d exceeds n=%d; capping", size, problem.n)
         size = problem.n
     return SampleScheme(mode=mode, epsilon=epsilon, delta=delta,
                         resolved_size=size)
+
+
+def hessian_source(problem, hessian: str = "exact", eps_cap: float = 0.9) -> HessianSource:
+    """The operators a driver asks for, by the config's ``hessian`` name.
+
+    ``"exact"`` ignores the request and hands out the exact Hessian at x.
+    Every other name draws a sample by ``resolve_scheme`` for the requested
+    delta and min(eps, cap), where cap is ``eps_cap``, at most
+    ``INTRINSIC_EPS_MAX`` for ``"intrinsic"``.
+    """
+    if hessian not in HESSIANS:
+        raise ConfigurationError(f"unknown hessian mode {hessian!r}")
+    mode = HESSIANS[hessian]
+    if mode is None:
+        return lambda x, eps, delta, rng: problem.exact_hessian_operator(x)
+    if not isinstance(problem, FiniteSumProblem):
+        raise ConfigurationError("sub-sampling requires a finite-sum problem")
+    cap = min(eps_cap, INTRINSIC_EPS_MAX) if mode == "nonuniform_intrinsic" else eps_cap
+
+    def source(x: Array, eps: float, delta: float,
+               rng: np.random.Generator) -> HessianOperator:
+        scheme = resolve_scheme(problem, mode, min(eps, cap), delta, x=x)
+        return build_subsampled_hessian(problem, x, scheme, rng_seed=rng)
+
+    return source
 
 
 def _sampling_cdf(p: Array) -> Array:

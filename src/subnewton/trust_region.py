@@ -19,20 +19,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from .core import (Array, CertificateError, ConfigurationError, HessianOperator,
-                   IterationRecord, NonFiniteError, Objective,
+from .core import (ABORT_ERRORS, Array, ConfigurationError, HessianOperator,
+                   HessianSource, IterationRecord, Objective,
                    OptimalityTolerances, SolveResult, acceptance_ratio,
                    ensure_finite, iteration_rng)
 from .curvature import default_nu, probe_extreme
 from .subproblem import SubproblemSolution, TRModel, model_step
-
-HessianSource = Callable[[Array, float, float, np.random.Generator], HessianOperator]
-
-_HESSIAN_STREAM = 1
 
 logger = logging.getLogger(__name__)
 
@@ -133,16 +128,6 @@ class TRConfig(LoopConfig):
         return delta * self.gamma if accepted else delta / self.gamma
 
 
-def exact_hessian_source(problem) -> HessianSource:
-    """Adapter: ignore the accuracy request and hand out the exact operator."""
-
-    def source(x: Array, eps: float, delta: float,
-               rng: np.random.Generator) -> HessianOperator:
-        return problem.exact_hessian_operator(x)
-
-    return source
-
-
 def run_tr(oracle: Objective, hessian_source: HessianSource, config: TRConfig,
            x0: Array, rng_seed: int = 0) -> SolveResult:
     """Iterate until (eps_g, eps_H)-optimality of the inexact model is certified,
@@ -154,9 +139,9 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: LoopConfig
             x0: Array, rng_seed: int) -> SolveResult:
     """The loop shared by the TR and ARC drivers, under ``config``'s rules.
 
-    A ``NonFiniteError``, ``CertificateError`` or ``OverflowError`` raised
-    inside the loop propagates with the rows done so far attached as its
-    ``partial_result``, a not-converged ``SolveResult``.
+    One of ``core.ABORT_ERRORS`` raised inside the loop propagates with the
+    rows done so far attached as its ``partial_result``, a not-converged
+    ``SolveResult``.
     """
     x = np.asarray(x0, dtype=float).copy()
     ensure_finite(x, "starting point")
@@ -177,15 +162,14 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: LoopConfig
 
             if t == 0:  # k_h resolves a missing nu and ARC's fixed accuracy
                 hessian = hessian_source(x, config.first_accuracy, delta_prob,
-                                         iteration_rng(rng_seed, _HESSIAN_STREAM, 0))
+                                         iteration_rng(rng_seed, 0))
                 k_h = hessian.norm_bound
                 if config.nu is None:
                     config = replace(config, nu=default_nu(k_h, tol.eps_H))
 
             eps_t = config.accuracy(k_h, param)
             if hessian is None or hessian.accuracy > eps_t:
-                hessian = hessian_source(x, eps_t, delta_prob,
-                                         iteration_rng(rng_seed, _HESSIAN_STREAM, t))
+                hessian = hessian_source(x, eps_t, delta_prob, iteration_rng(rng_seed, t))
             eps_in_force = hessian.accuracy
 
             # A floor above the threshold certifies what the probe would
@@ -225,7 +209,7 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: LoopConfig
                 x = x + solution.step
                 hessian = None  # operator belongs to the previous iterate
             param = config.update(param, accepted)
-    except (NonFiniteError, CertificateError, OverflowError) as exc:
+    except ABORT_ERRORS as exc:
         # The rows done so far, for a trace of the aborted run.
         exc.partial_result = SolveResult(
             x=x, records=tuple(records), converged=False, f_final=f,

@@ -5,7 +5,7 @@ from subnewton.core import ConfigurationError, OptimalityTolerances
 from subnewton.cubic_reg import ARCConfig, run_arc
 from subnewton.problems import QuarticSaddle, generate_synthetic
 from subnewton.subproblem import CubicModel, certificates
-from subnewton.trust_region import exact_hessian_source
+from subnewton.sampling import hessian_source
 
 from conftest import CountingSource, operator_from_dense
 
@@ -87,7 +87,7 @@ class TestRunArcQuadratic:
     def test_converges_with_monotone_sigma(self):
         problem = StrongConvexQuadratic(6)
         config = ARCConfig(tol=QUAD_TOL, sigma0=1.0, max_iters=100, l_estimate=1e-3)
-        result = run_arc(problem, exact_hessian_source(problem), config,
+        result = run_arc(problem, hessian_source(problem), config,
                          x0=np.full(6, 5.0), rng_seed=0)
         assert result.converged
         assert result.grad_norm_final <= 1e-6
@@ -100,7 +100,7 @@ class TestRunArcQuadratic:
     def test_sigma_identity(self):
         problem = StrongConvexQuadratic(4)
         config = ARCConfig(tol=QUAD_TOL, sigma0=2.0, max_iters=100, l_estimate=1e-3)
-        result = run_arc(problem, exact_hessian_source(problem), config,
+        result = run_arc(problem, hessian_source(problem), config,
                          x0=np.full(4, 2.0), rng_seed=1)
         floored = replay_sigma_identity(result.records, 2.0, 2.0, config.sigma_min)
         assert not floored
@@ -112,7 +112,7 @@ class TestRunArcSaddle:
         problem = QuarticSaddle()
         config = ARCConfig(tol=QUAD_TOL, sigma0=1.0, mode=mode, max_iters=200,
                            l_estimate=24.0)
-        result = run_arc(problem, exact_hessian_source(problem), config,
+        result = run_arc(problem, hessian_source(problem), config,
                          x0=np.zeros(2), rng_seed=2)
         assert result.converged
         assert result.f_final <= -0.25 + 1e-6
@@ -127,7 +127,7 @@ class TestRunArcFiniteSum:
         tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
         config = ARCConfig(tol=tol, sigma0=1.0, max_iters=500,
                            l_estimate=problem.hessian_lipschitz_bound())
-        result = run_arc(problem, exact_hessian_source(problem), config,
+        result = run_arc(problem, hessian_source(problem), config,
                          x0=np.zeros(50), rng_seed=4)
         assert result.converged
         assert result.grad_norm_final <= 1e-4
@@ -141,7 +141,7 @@ class TestRunArcFiniteSum:
         tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
         l_hat = problem.hessian_lipschitz_bound()
         config = ARCConfig(tol=tol, sigma0=1e-4, max_iters=500, l_estimate=l_hat)
-        result = run_arc(problem, exact_hessian_source(problem), config,
+        result = run_arc(problem, hessian_source(problem), config,
                          x0=np.zeros(20), rng_seed=6)
         assert result.converged
         bound = max(config.sigma0, 2.0 * config.gamma * l_hat)
@@ -152,7 +152,7 @@ class TestRunArcFiniteSum:
     def test_operator_reused_on_rejection_with_exact_source(self, mode):
         problem = generate_synthetic("biweight", n=200, d=10, rng_seed=11)
         tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
-        source = CountingSource(exact_hessian_source(problem))
+        source = CountingSource(hessian_source(problem))
         # A tiny sigma0 forces early rejections.
         config = ARCConfig(tol=tol, sigma0=1e-4, mode=mode, max_iters=300,
                            l_estimate=problem.hessian_lipschitz_bound())
@@ -169,7 +169,7 @@ class TestRunArcFiniteSum:
         tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
         config = ARCConfig(tol=tol, max_iters=500,
                            l_estimate=problem.hessian_lipschitz_bound())
-        result = run_arc(problem, exact_hessian_source(problem), config,
+        result = run_arc(problem, hessian_source(problem), config,
                          x0=np.zeros(15), rng_seed=8)
         assert result.converged
         recs = result.records
@@ -207,7 +207,7 @@ class TestRunArcOptimalMode:
         config = ARCConfig(tol=tol, mode="optimal", zeta=0.25, max_iters=500,
                            l_estimate=problem.hessian_lipschitz_bound())
         oracle = QueryRecorder(problem)
-        result = run_arc(oracle, exact_hessian_source(problem), config,
+        result = run_arc(oracle, hessian_source(problem), config,
                          x0=np.zeros(12), rng_seed=10)
         assert result.converged
         checked = 0
@@ -233,7 +233,7 @@ class TestRunArcOptimalMode:
         zeta = 0.25
         config = ARCConfig(tol=tol, mode="optimal", zeta=zeta, max_iters=300,
                            l_estimate=24.0, sigma0=1.0)
-        result = run_arc(problem, exact_hessian_source(problem), config,
+        result = run_arc(problem, hessian_source(problem), config,
                          x0=np.array([1e-3, 1.0]), rng_seed=11)
         assert result.converged
         l_hat = 24.0

@@ -7,10 +7,10 @@ from subnewton.core import OptimalityTolerances
 from subnewton.cubic_reg import ARCConfig, run_arc
 from subnewton.curvature import probe_extreme
 from subnewton.problems import BIWEIGHT, FiniteSumProblem, generate_synthetic
-from subnewton.sampling import SampleScheme, build_subsampled_hessian
+from subnewton.sampling import SampleScheme, build_subsampled_hessian, hessian_source
 from subnewton.subproblem import (CubicModel, TRModel, arc_subspace_solve,
                                   tr_subspace_solve)
-from subnewton.trust_region import TRConfig, exact_hessian_source, run_tr
+from subnewton.trust_region import TRConfig, run_tr
 
 from conftest import operator_from_dense
 
@@ -37,10 +37,10 @@ class TestOneDimensional:
     def test_solvers_on_1d_problem(self):
         problem = generate_synthetic("biweight", n=50, d=1, rng_seed=0)
         tol = OptimalityTolerances(eps_g=1e-6, eps_H=1e-2)
-        tr = run_tr(problem, exact_hessian_source(problem),
+        tr = run_tr(problem, hessian_source(problem),
                     TRConfig(tol=tol, max_iters=200), np.zeros(1), rng_seed=1)
         assert tr.converged
-        arc = run_arc(problem, exact_hessian_source(problem),
+        arc = run_arc(problem, hessian_source(problem),
                       ARCConfig(tol=tol, max_iters=200,
                                 l_estimate=problem.hessian_lipschitz_bound()),
                       np.zeros(1), rng_seed=1)
@@ -62,7 +62,7 @@ class TestTinyDatasets:
     def test_huge_gradient_start(self):
         problem = generate_synthetic("biweight", n=100, d=5, rng_seed=1, k_max=1.0)
         tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
-        res = run_tr(problem, exact_hessian_source(problem),
+        res = run_tr(problem, hessian_source(problem),
                      TRConfig(tol=tol, max_iters=500), 100.0 * np.ones(5),
                      rng_seed=2)
         # Far field of the bi-weight is nearly flat: any certified point is

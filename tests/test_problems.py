@@ -182,12 +182,14 @@ class TestFiniteSumProblem:
         z = rng.uniform(-30, 30, size=10**4)
         for i in [0, 7, 29]:
             _, _, d2 = problem.loss.evaluate(z, np.full_like(z, problem.targets[i]))
-            assert np.max(np.abs(d2)) * problem.row_sq_norms[i] <= problem.k_i[i] + 1e-12
+            k_i = problem.loss.curvature_bound * problem.row_sq_norms[i]
+            assert np.max(np.abs(d2)) * problem.row_sq_norms[i] <= k_i + 1e-12
 
     def test_k_aggregates(self, rng):
         problem = generate_synthetic("biweight", n=40, d=6, rng_seed=6)
-        assert problem.k_max == pytest.approx(np.max(problem.k_i))
-        assert problem.k_hat == pytest.approx(np.mean(problem.k_i))
+        k_i = problem.loss.curvature_bound * problem.row_sq_norms
+        assert problem.k_max == pytest.approx(np.max(k_i))
+        assert problem.k_hat == pytest.approx(np.mean(k_i))
 
 
 class TestWeightedGram:

@@ -12,12 +12,13 @@ from subnewton.cubic_reg import ARCConfig
 from subnewton.curvature import probe_extreme
 from subnewton.problems import (BIWEIGHT, FiniteSumProblem, generate_synthetic,
                                 row_pass, weighted_gram, weyl_floor)
-from subnewton.sampling import (SampleScheme, _draw_indices,
-                                build_subsampled_hessian, intrinsic_dimension,
-                                intrinsic_sample_size, nonuniform_distribution,
-                                nonuniform_sample_size, resolve_scheme,
+from subnewton.sampling import (HESSIANS, SampleScheme, _draw_indices,
+                                build_subsampled_hessian, hessian_source,
+                                intrinsic_dimension, intrinsic_sample_size,
+                                nonuniform_distribution, nonuniform_sample_size,
+                                prescribed_size, resolve_scheme,
                                 uniform_sample_size, verify_concentration)
-from subnewton.trust_region import TRConfig
+from subnewton.trust_region import TRConfig, run_tr
 
 from conftest import count_grams, reference_verify_concentration, symmetry_defect
 
@@ -421,18 +422,18 @@ class TestMaterializedOperator:
         # and the fixed tolerance; it misses ARC's target, so it is rebuilt
         # at once, capped at n. Only the probe forms a Gram, and on this run
         # every operator's floor certifies its curvature, so none is formed.
-        import subnewton.harness as harness
+        import subnewton.sampling as sampling
         from subnewton.harness import build_problem, parse_config_text, run_solver
 
         grams = count_grams(monkeypatch)
         ops = []
-        build = harness.build_subsampled_hessian
+        build = sampling.build_subsampled_hessian
 
         def counting_build(*args, **kwargs):
             ops.append(build(*args, **kwargs))
             return ops[-1]
 
-        monkeypatch.setattr(harness, "build_subsampled_hessian", counting_build)
+        monkeypatch.setattr(sampling, "build_subsampled_hessian", counting_build)
         config = parse_config_text(
             "problem = biweight\nsolver = arc\nhessian = uniform_wor\n"
             "n = 2000\nd = 8\nk_max_target = 1.0\nseed = 11\n")
@@ -448,7 +449,7 @@ class TestMaterializedOperator:
         # Capped at n, every sample is the exact Hessian at its point: the
         # probes at a point and the trace footer's dense Hessian at the final
         # point read the one Gram formed there. Applies form none.
-        import subnewton.harness as harness
+        import subnewton.sampling as sampling
         import subnewton.trust_region as trust_region
         from subnewton.harness import (build_problem, format_trace,
                                        parse_config_text, run_solver)
@@ -456,7 +457,7 @@ class TestMaterializedOperator:
         grams = count_grams(monkeypatch)
         points = {}  # each built operator's form -> the bytes of its point
         probed = set()
-        build, probe = harness.build_subsampled_hessian, trust_region.probe_extreme
+        build, probe = sampling.build_subsampled_hessian, trust_region.probe_extreme
 
         def marking_build(problem, x, *args, **kwargs):
             op = build(problem, x, *args, **kwargs)
@@ -467,7 +468,7 @@ class TestMaterializedOperator:
             probed.add(points[op.form])
             return probe(op)
 
-        monkeypatch.setattr(harness, "build_subsampled_hessian", marking_build)
+        monkeypatch.setattr(sampling, "build_subsampled_hessian", marking_build)
         monkeypatch.setattr(trust_region, "probe_extreme", marking_probe)
         config = parse_config_text(
             "problem = biweight\nsolver = arc\nhessian = uniform_wor\n"
@@ -568,9 +569,8 @@ class TestResolveScheme:
 
     def test_uncapped_when_requested(self):
         problem = generate_synthetic("biweight", n=50, d=10, rng_seed=10, k_max=1.0)
-        scheme = resolve_scheme(problem, "uniform_with_replacement",
-                                epsilon=0.05, delta=0.1, cap_at_n=False)
-        assert scheme.resolved_size > 50
+        assert prescribed_size(problem, "uniform_with_replacement",
+                               epsilon=0.05, delta=0.1) > 50
 
     def test_intrinsic_needs_point(self):
         problem = generate_synthetic("biweight", n=50, d=10, rng_seed=10)
@@ -630,3 +630,61 @@ class TestVerifyConcentration:
             assert rates == [0.0, 1.0]
         else:
             assert any(0.0 < r < 1.0 for r in rates), rates
+
+
+class TestHessianSource:
+    """``hessian_source`` is the one source of operators: the CLI's runs and
+    a library caller's, by the same ``hessian`` name, are the same runs."""
+
+    @pytest.mark.parametrize("solver", ["tr", "arc"])
+    @pytest.mark.parametrize("hessian", list(HESSIANS))
+    def test_cli_and_library_runs_match(self, solver, hessian):
+        from subnewton import harness
+        from subnewton.cubic_reg import run_arc
+        config = harness.parse_config_text(
+            f"problem = biweight\nsolver = {solver}\nhessian = {hessian}\n"
+            f"n = 300\nd = 6\nk_max_target = 1.0\ndata_seed = 3\nseed = 5\n"
+            f"x0_scale = 1.0\n")
+        problem = harness.build_problem(config)
+        cli = harness.format_trace(harness.run_solver(config, problem), problem=problem)
+        tol = OptimalityTolerances(eps_g=config.eps_g, eps_H=config.eps_h)
+        if solver == "tr":
+            loop, run = TRConfig(tol=tol, max_iters=config.max_iters), run_tr
+        else:
+            loop, run = ARCConfig(tol=tol, max_iters=config.max_iters,
+                                  l_estimate=problem.hessian_lipschitz_bound()), run_arc
+        result = run(problem, hessian_source(problem, hessian), loop,
+                     harness.starting_point(config, problem), rng_seed=config.seed)
+        assert result.records
+        assert harness.format_trace(result, problem=problem) == cli
+
+    def test_requested_accuracy_is_capped(self):
+        problem = generate_synthetic("biweight", n=400, d=6, rng_seed=3, k_max=1.0)
+        x, rng = np.full(6, 0.3), np.random.default_rng(0)
+        # The intrinsic sizing holds for eps <= 1/2 only.
+        assert hessian_source(problem, "intrinsic")(x, 0.9, 0.1, rng).accuracy == 0.5
+        assert hessian_source(problem, "intrinsic", 0.3)(x, 0.9, 0.1, rng).accuracy == 0.3
+        assert hessian_source(problem, "nonuniform")(x, 0.95, 0.1, rng).accuracy == 0.9
+        assert hessian_source(problem, "nonuniform")(x, 0.2, 0.1, rng).accuracy == 0.2
+        with pytest.raises(ConfigurationError, match="unknown hessian mode"):
+            hessian_source(problem, "sampled")
+
+    @pytest.mark.parametrize("solver", ["tr", "arc"])
+    def test_underflowing_budget_refused_before_any_pass(self, tmp_path, capsys,
+                                                         monkeypatch, solver):
+        from subnewton.harness import EXIT_CONFIG_ERROR, main
+        passes = []
+        evaluate = FiniteSumProblem._evaluate
+
+        def counting_evaluate(self, x):
+            passes.append(x)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(FiniteSumProblem, "_evaluate", counting_evaluate)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem = biweight\nn = 50\nd = 4\neps_h = 1e-300\n"
+                       f"solver = {solver}\nhessian = uniform_wor\n"
+                       f"out = {tmp_path / 'o.csv'}\n")
+        assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+        assert "underflows to 0" in capsys.readouterr().err
+        assert passes == []

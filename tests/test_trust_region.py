@@ -7,8 +7,8 @@ from subnewton import subproblem, trust_region
 from subnewton.core import ConfigurationError, NonFiniteError, OptimalityTolerances
 from subnewton.cubic_reg import ARCConfig, run_arc
 from subnewton.problems import QuarticSaddle, generate_synthetic
-from subnewton.sampling import build_subsampled_hessian, resolve_scheme
-from subnewton.trust_region import TRConfig, exact_hessian_source, run_tr
+from subnewton.sampling import hessian_source
+from subnewton.trust_region import TRConfig, run_tr
 
 from conftest import CountingSource, operator_from_dense
 
@@ -93,7 +93,7 @@ class TestRunTRQuadratic:
     def test_converges_and_decreases_monotonically(self):
         problem = StrongConvexQuadratic(6)
         config = TRConfig(tol=QUAD_TOL, delta0=1.0, max_iters=100)
-        result = run_tr(problem, exact_hessian_source(problem), config,
+        result = run_tr(problem, hessian_source(problem), config,
                         x0=np.full(6, 10.0), rng_seed=0)
         assert result.converged
         assert result.grad_norm_final <= 1e-6
@@ -104,7 +104,7 @@ class TestRunTRQuadratic:
         problem = StrongConvexQuadratic(4)
         config = TRConfig(tol=QUAD_TOL, delta0=0.5, max_iters=100)
         with caplog.at_level("DEBUG", logger="subnewton.trust_region"):
-            result = run_tr(problem, exact_hessian_source(problem), config,
+            result = run_tr(problem, hessian_source(problem), config,
                             x0=np.full(4, 3.0), rng_seed=1)
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "subnewton.trust_region"]
@@ -115,14 +115,14 @@ class TestRunTRQuadratic:
     def test_radius_identity(self):
         problem = StrongConvexQuadratic(4)
         config = TRConfig(tol=QUAD_TOL, delta0=0.5, max_iters=100)
-        result = run_tr(problem, exact_hessian_source(problem), config,
+        result = run_tr(problem, hessian_source(problem), config,
                         x0=np.full(4, 3.0), rng_seed=1)
         replay_radius_identity(result.records, 0.5, 2.0)
 
     def test_accepted_steps_decrease_by_eta_times_model(self):
         problem = StrongConvexQuadratic(5)
         config = TRConfig(tol=QUAD_TOL, delta0=2.0, eta=0.2, max_iters=100)
-        result = run_tr(problem, exact_hessian_source(problem), config,
+        result = run_tr(problem, hessian_source(problem), config,
                         x0=np.full(5, 4.0), rng_seed=2)
         recs = result.records
         for i, rec in enumerate(recs):
@@ -139,7 +139,7 @@ class TestRunTRSaddle:
     def test_escapes_strict_saddle(self):
         problem = QuarticSaddle()
         config = TRConfig(tol=QUAD_TOL, delta0=1.0, max_iters=100)
-        result = run_tr(problem, exact_hessian_source(problem), config,
+        result = run_tr(problem, hessian_source(problem), config,
                         x0=np.zeros(2), rng_seed=3)
         assert result.converged
         assert result.f_final <= -0.25 + 1e-6
@@ -154,7 +154,7 @@ class TestRunTRSaddle:
         # no longer computes a budget from it.
         problem = QuarticSaddle()
         config = TRConfig(tol=QUAD_TOL, nu=1e-308, max_iters=100)
-        result = run_tr(problem, exact_hessian_source(problem), config,
+        result = run_tr(problem, hessian_source(problem), config,
                         x0=np.zeros(2), rng_seed=3)
         assert result.converged
         assert result.f_final <= -0.25 + 1e-6
@@ -167,7 +167,7 @@ class TestRunTRSaddle:
         nu = 0.99
         config = TRConfig(tol=tol, delta0=1.0, eta=0.2, alpha=0.5, nu=nu,
                           max_iters=200, strict=True)
-        result = run_tr(problem, exact_hessian_source(problem.inner), config,
+        result = run_tr(problem, hessian_source(problem.inner), config,
                         x0=np.array([1e-3, 0.5]), rng_seed=4)
         assert result.converged
         box = problem.max_abs_coord
@@ -191,7 +191,7 @@ class TestRunTRFiniteSum:
                                      k_max=1.0)
         tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
         config = TRConfig(tol=tol, delta0=1.0, max_iters=500, strict=True)
-        result = run_tr(problem, exact_hessian_source(problem), config,
+        result = run_tr(problem, hessian_source(problem), config,
                         x0=np.zeros(50), rng_seed=8)
         assert result.converged
         assert result.grad_norm_final <= 1e-4
@@ -201,14 +201,9 @@ class TestRunTRFiniteSum:
     def test_subsampled_run_converges(self):
         problem = generate_synthetic("biweight", n=600, d=20, rng_seed=9, k_max=1.0)
         tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
-
-        def source(x, eps, delta, rng):
-            scheme = resolve_scheme(problem, "uniform_without_replacement",
-                                    min(eps, 0.9), delta)
-            return build_subsampled_hessian(problem, x, scheme, rng_seed=rng)
-
         config = TRConfig(tol=tol, delta0=1.0, max_iters=500)
-        result = run_tr(problem, source, config, x0=np.zeros(20), rng_seed=10)
+        result = run_tr(problem, hessian_source(problem, "uniform_wor"), config,
+                        x0=np.zeros(20), rng_seed=10)
         assert result.converged
         assert result.grad_norm_final <= 1e-4
         lam_min = float(np.linalg.eigvalsh(problem.dense_hessian(result.x))[0])
@@ -217,7 +212,7 @@ class TestRunTRFiniteSum:
     def test_operator_reused_on_rejection_with_exact_source(self):
         problem = generate_synthetic("biweight", n=200, d=10, rng_seed=11)
         tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
-        source = CountingSource(exact_hessian_source(problem))
+        source = CountingSource(hessian_source(problem))
         # Tiny eta=?: keep default; large delta0 forces early rejections.
         config = TRConfig(tol=tol, delta0=64.0, max_iters=300)
         result = run_tr(problem, source, config, x0=np.zeros(10), rng_seed=12)
@@ -238,13 +233,13 @@ class TestRunTRGuards:
         problem = StrongConvexQuadratic(3)
         config = TRConfig(tol=QUAD_TOL, max_iters=10)
         with pytest.raises(NonFiniteError):
-            run_tr(Bad(), exact_hessian_source(problem), config,
+            run_tr(Bad(), hessian_source(problem), config,
                    x0=np.ones(3), rng_seed=0)
 
     def test_max_iters_flagged_not_converged(self):
         problem = StrongConvexQuadratic(8)
         config = TRConfig(tol=QUAD_TOL, delta0=1e-8, max_iters=3)
-        result = run_tr(problem, exact_hessian_source(problem), config,
+        result = run_tr(problem, hessian_source(problem), config,
                         x0=np.full(8, 50.0), rng_seed=13)
         assert not result.converged
         assert len(result.records) == 3
@@ -272,7 +267,7 @@ class TestHessianApplies:
     @staticmethod
     def counting_source(problem):
         calls = []
-        exact = exact_hessian_source(problem)
+        exact = hessian_source(problem)
 
         def source(x, eps, delta, rng):
             op = exact(x, eps, delta, rng)
@@ -353,7 +348,7 @@ class TestOneStepPath:
         monkeypatch.setattr(TRConfig, "step", logged_step)
         problem = QuarticSaddle()
         config = TRConfig(tol=OptimalityTolerances(eps_g=1e-6, eps_H=1e-3), nu=0.5)
-        result = run_tr(problem, exact_hessian_source(problem), config,
+        result = run_tr(problem, hessian_source(problem), config,
                         x0=np.array([0.01, 0.2]), rng_seed=0)
         assert result.converged
         assert len(steps) == len(result.records)
@@ -369,7 +364,7 @@ class TestCurvatureFloor:
     @pytest.mark.parametrize("solver", ["tr", "arc"])
     @pytest.mark.parametrize("hessian", ["exact", "uniform_wor", "nonuniform"])
     def test_floor_changes_no_decision(self, solver, hessian):
-        from subnewton.harness import build_hessian_source, build_problem, parse_config_text
+        from subnewton.harness import build_problem, parse_config_text
         config = parse_config_text(f"problem = biweight\nsolver = {solver}\n"
                                    f"hessian = {hessian}\nn = 600\nd = 12\n"
                                    f"k_max_target = 1.0\n")
@@ -379,7 +374,7 @@ class TestCurvatureFloor:
             loop, run = TRConfig(tol=tol), run_tr
         else:
             loop, run = ARCConfig(tol=tol, l_estimate=problem.hessian_lipschitz_bound()), run_arc
-        floored = build_hessian_source(config, problem, loop.schedule)
+        floored = hessian_source(problem, config.hessian, config.eps_cap)
 
         def unfloored(*args):
             return replace(floored(*args), lambda_floor=-np.inf)
