@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from subnewton import problems, sampling
 from subnewton.core import ConfigurationError, HessianOperator
+from subnewton.cubic_reg import ARCConfig
 from subnewton.problems import weighted_gram
 from subnewton.sampling import nonuniform_distribution
 
@@ -44,6 +45,94 @@ def symmetry_defect(op, rng, probes=20):
         denom = scale * float(np.linalg.norm(u)) * float(np.linalg.norm(v))
         worst = max(worst, abs(lhs - rhs) / max(denom, 1e-30))
     return worst
+
+
+class StrongConvexQuadratic:
+    """F(x) = 0.5 ||x||^2."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def value_grad(self, x):
+        return 0.5 * float(x @ x), x.copy()
+
+    def exact_hessian_operator(self, x):
+        return operator_from_dense(np.eye(self.d), norm_bound=1.0)
+
+    def dense_hessian(self, x):
+        return np.eye(self.d)
+
+
+class QueryRecorder:
+    """Captures every oracle query; the drivers query x_t then x_t + s_t each
+    iteration, so the attempted steps are recoverable exactly."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.queries = []
+
+    def value_grad(self, x):
+        self.queries.append(np.array(x))
+        return self.inner.value_grad(x)
+
+    def iteration_points(self, n_records):
+        pairs = []
+        for t in range(n_records):
+            pairs.append((self.queries[2 * t], self.queries[2 * t + 1]))
+        return pairs
+
+
+def replay_updates(result, config, lipschitz=None):
+    """Replay the paper's update rules over ``result.records``, from the
+    records and ``config``'s fields alone.
+
+    Each row's radius (TR) or sigma (ARC) is exactly the last row's times or
+    over gamma, sigma floored at ``sigma_min``, and equals the closed form
+    start * gamma^(+-(successes - failures)) until sigma reaches that floor.
+    A row is accepted iff rho >= eta; an accepted step lowers F by at least
+    eta * (model decrease), the model decrease being (F drop) / rho; a
+    rejected one leaves F unchanged. Given a verified Lipschitz bound L,
+    sigma <= max(sigma0, 2 * gamma * L) on every row. Returns whether sigma
+    reached the ``sigma_min`` floor.
+    """
+    arc = isinstance(config, ARCConfig)
+    start, sign = (config.sigma0, -1) if arc else (config.delta0, 1)
+    gamma, records = config.gamma, result.records
+    bound = math.inf if lipschitz is None else max(start, 2.0 * gamma * lipschitz)
+    expected, succ, fail, floored = start, 0, 0, False
+    for i, rec in enumerate(records):
+        assert rec.radius_or_sigma == expected, i
+        if not floored:
+            closed = start * gamma ** (sign * (succ - fail))
+            assert rec.radius_or_sigma == pytest.approx(closed, rel=1e-12), i
+        assert rec.radius_or_sigma <= bound * (1 + 1e-12), i
+        assert rec.accepted == (rec.rho >= config.eta), i
+        f_next = records[i + 1].f_value if i + 1 < len(records) else result.f_final
+        if rec.accepted:
+            succ += 1
+            decrease = rec.f_value - f_next
+            assert decrease >= config.eta * (decrease / rec.rho) * (1 - 1e-12), i
+            if arc:
+                floored = floored or expected / gamma <= config.sigma_min
+                expected = max(expected / gamma, config.sigma_min)
+            else:
+                expected = expected * gamma
+        else:
+            fail += 1
+            assert f_next == rec.f_value, i
+            expected = expected * gamma if arc else expected / gamma
+    return floored
+
+
+def certified(result, problem, tol):
+    """Whether ``result`` converged to an (eps_g, eps + eps_H)-optimal point
+    of ``problem``, by a dense eigensolve of its exact Hessian; eps is the
+    run's final Hessian accuracy, 0 when none was recorded."""
+    if not (result.converged and result.grad_norm_final <= tol.eps_g):
+        return False
+    eps = result.eps_final if math.isfinite(result.eps_final) else 0.0
+    lam_min = float(np.linalg.eigvalsh(problem.dense_hessian(result.x))[0])
+    return lam_min >= -(eps + tol.eps_H)
 
 
 def save_dataset(problem, path, fmt="csv"):

@@ -8,8 +8,7 @@ from subnewton.cubic_reg import ARCConfig, run_arc
 from subnewton.curvature import probe_extreme
 from subnewton.problems import BIWEIGHT, FiniteSumProblem, generate_synthetic
 from subnewton.sampling import SampleScheme, build_subsampled_hessian, hessian_source
-from subnewton.subproblem import (CubicModel, TRModel, arc_subspace_solve,
-                                  tr_subspace_solve)
+from subnewton.subproblem import CubicModel, TRModel, subspace_solve
 from subnewton.trust_region import TRConfig, run_tr
 
 from conftest import operator_from_dense
@@ -26,10 +25,10 @@ class TestOneDimensional:
         g = np.array([2.0])
         h = np.array([[3.0]])
         tr = TRModel(grad=g, hessian=operator_from_dense(h), radius=0.5)
-        sol = tr_subspace_solve(tr, [g])
+        sol = subspace_solve(tr, [g])
         assert sol.step[0] == pytest.approx(-0.5)  # boundary: |g/h| > radius
         arc = CubicModel(grad=g, hessian=operator_from_dense(h), sigma=1.0)
-        sol = arc_subspace_solve(arc, [g])
+        sol = subspace_solve(arc, [g])
         # Stationarity of the scalar cubic: g + h*s + sigma*|s|*s = 0.
         s = sol.step[0]
         assert 2.0 + 3.0 * s + abs(s) * s == pytest.approx(0.0, abs=1e-9)
@@ -84,6 +83,6 @@ class TestOperatorEdges:
         g = np.array([1.0, 1e-8, 1e8])
         h = np.diag([1.0, -2.0, 0.5])
         tr = TRModel(grad=g, hessian=operator_from_dense(h), radius=1.0)
-        sol = tr_subspace_solve(tr, [g, h @ g, np.array([0.0, 1.0, 0.0])])
+        sol = subspace_solve(tr, [g, h @ g, np.array([0.0, 1.0, 0.0])])
         assert np.linalg.norm(sol.step) <= 1.0 + 1e-12
         assert sol.model_value < 0

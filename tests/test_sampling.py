@@ -20,7 +20,8 @@ from subnewton.sampling import (HESSIANS, SampleScheme, _draw_indices,
                                 uniform_sample_size, verify_concentration)
 from subnewton.trust_region import TRConfig, run_tr
 
-from conftest import count_grams, reference_verify_concentration, symmetry_defect
+from conftest import (count_grams, reference_verify_concentration, replay_updates,
+                      symmetry_defect)
 
 
 class TestSampleSizes:
@@ -656,6 +657,7 @@ class TestHessianSource:
         result = run(problem, hessian_source(problem, hessian), loop,
                      harness.starting_point(config, problem), rng_seed=config.seed)
         assert result.records
+        replay_updates(result, loop)
         assert harness.format_trace(result, problem=problem) == cli
 
     def test_requested_accuracy_is_capped(self):

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from subnewton import subproblem
 from subnewton.core import CertificateError, NonFiniteError
 from subnewton.subproblem import (Certificates, CubicModel, SubproblemSolution,
-                                  TRModel, arc_cauchy_point, arc_eigen_point,
-                                  arc_progressive_solve, arc_subspace_solve,
-                                  certificates, subspace_solve, tr_cauchy_point,
-                                  tr_eigen_point, tr_subspace_solve)
+                                  TRModel, cauchy_point, certificates,
+                                  eigen_point, subspace_solve)
 
 from conftest import (operator_from_dense, random_symmetric,
                       reference_arc_eigen_alpha)
@@ -56,24 +54,24 @@ def scan_arc_ray(model, alpha_lo, alpha_hi, points=10**6):
 
 class TestTRCauchyPoint:
     def test_unconstrained_quadratic_minimum(self):
-        sol = tr_cauchy_point(tr_model([1.0, 0.0], np.eye(2), 10.0))
+        sol = cauchy_point(tr_model([1.0, 0.0], np.eye(2), 10.0))
         assert np.allclose(sol.step, [-1.0, 0.0], atol=1e-12)
         assert sol.model_value == pytest.approx(-0.5)
         assert sol.certificates.cauchy_met
 
     def test_negative_curvature_pushes_to_boundary(self):
-        sol = tr_cauchy_point(tr_model([1.0, 0.0], -np.eye(2), 2.0))
+        sol = cauchy_point(tr_model([1.0, 0.0], -np.eye(2), 2.0))
         assert np.allclose(sol.step, [-2.0, 0.0], atol=1e-12)
         assert sol.model_value == pytest.approx(-4.0)
 
     def test_zero_gradient_rejected(self):
         with pytest.raises(ValueError):
-            tr_cauchy_point(tr_model([0.0, 0.0], np.eye(2), 1.0))
+            cauchy_point(tr_model([0.0, 0.0], np.eye(2), 1.0))
 
     def test_matches_grid_scan(self, rng):
         for _ in range(10):
             model = tr_model(rng.standard_normal(5), random_symmetric(rng, 5), 1.0)
-            sol = tr_cauchy_point(model)
+            sol = cauchy_point(model)
             tau_star = np.linalg.norm(sol.step) / model.radius
             tau_grid, val_grid = scan_tr_ray(model)
             assert abs(tau_star - tau_grid) < 1e-6
@@ -83,20 +81,20 @@ class TestTRCauchyPoint:
 class TestTREigenPoint:
     def test_orthogonal_gradient_sign_free(self):
         model = tr_model([1.0, 0.0], np.diag([1.0, -2.0]), 1.0)
-        sol = tr_eigen_point(model, np.array([0.0, 1.0]))
+        sol = eigen_point(model, np.array([0.0, 1.0]))
         assert abs(sol.step[1]) == pytest.approx(1.0)
         assert sol.model_value == pytest.approx(-1.0)
 
     def test_sign_follows_negative_gradient(self):
         model = tr_model([0.0, 1.0], np.diag([1.0, -2.0]), 2.0)
-        sol = tr_eigen_point(model, np.array([0.0, 1.0]))
+        sol = eigen_point(model, np.array([0.0, 1.0]))
         assert np.allclose(sol.step, [0.0, -2.0])
         assert sol.model_value == pytest.approx(-6.0)
 
     def test_nonnegative_curvature_rejected(self):
         model = tr_model([1.0, 0.0], np.eye(2), 1.0)
         with pytest.raises(CertificateError):
-            tr_eigen_point(model, np.array([0.0, 1.0]))
+            eigen_point(model, np.array([0.0, 1.0]))
 
     def test_realized_curvature_certificate(self, rng):
         for _ in range(20):
@@ -105,7 +103,7 @@ class TestTREigenPoint:
             if lam[0] >= 0:
                 continue
             model = tr_model(rng.standard_normal(6), h, float(rng.uniform(0.2, 3.0)))
-            sol = tr_eigen_point(model, q[:, 0])
+            sol = eigen_point(model, q[:, 0])
             nu_hat = sol.certificates.nu_hat
             assert -sol.model_value >= 0.5 * nu_hat * model.radius**2 - 1e-9
             assert sol.certificates.eigen_met
@@ -117,8 +115,8 @@ class TestTRSubspace:
         h = h @ h.T + 0.1 * np.eye(4)  # PSD
         g = rng.standard_normal(4)
         model = tr_model(g, h, 0.7)
-        cauchy = tr_cauchy_point(model)
-        sub = tr_subspace_solve(model, [g])
+        cauchy = cauchy_point(model)
+        sub = subspace_solve(model, [g])
         assert sub.model_value == pytest.approx(cauchy.model_value, abs=1e-10)
 
     def test_full_2d_matches_brute_force(self, rng):
@@ -127,7 +125,7 @@ class TestTRSubspace:
             g = rng.standard_normal(2)
             radius = float(rng.uniform(0.3, 2.0))
             model = tr_model(g, h, radius)
-            sol = tr_subspace_solve(model, [np.eye(2)[:, 0], np.eye(2)[:, 1]])
+            sol = subspace_solve(model, [np.eye(2)[:, 0], np.eye(2)[:, 1]])
             # Dense brute force over the disk.
             grid = np.linspace(-radius, radius, 1500)
             xx, yy = np.meshgrid(grid, grid)
@@ -144,15 +142,15 @@ class TestTRSubspace:
             g = rng.standard_normal(d)
             radius = float(rng.uniform(0.2, 2.0))
             model = tr_model(g, h, radius)
-            cauchy = tr_cauchy_point(model)
+            cauchy = cauchy_point(model)
             basis = [g, model.hessian.apply(g)]
             seeds = [cauchy.model_value]
             lam, q = np.linalg.eigh(h)
             if lam[0] < 0:
-                eigen = tr_eigen_point(model, q[:, 0])
+                eigen = eigen_point(model, q[:, 0])
                 basis.append(q[:, 0])
                 seeds.append(eigen.model_value)
-            sol = tr_subspace_solve(model, basis)
+            sol = subspace_solve(model, basis)
             assert sol.model_value <= min(seeds) + 1e-9
 
     @pytest.mark.parametrize("lam, g, radius", [
@@ -172,10 +170,10 @@ class TestTRSubspace:
         # the Eigen point and meets its certificate.
         h, g = np.diag(lam), np.array(g)
         model = tr_model(g, h, radius)
-        eigen = tr_eigen_point(model, np.eye(len(g))[:, 0])
-        sol = tr_subspace_solve(model, list(np.eye(len(g))),
-                                nu_hat=eigen.certificates.nu_hat,
-                                eigen_norm=eigen.certificates.eigen_norm)
+        eigen = eigen_point(model, np.eye(len(g))[:, 0])
+        sol = subspace_solve(model, list(np.eye(len(g))),
+                             nu_hat=eigen.certificates.nu_hat,
+                             eigen_norm=eigen.certificates.eigen_norm)
         assert np.linalg.norm(sol.step) == pytest.approx(radius, rel=1e-9)
         assert sol.model_value <= eigen.model_value + 1e-9 * abs(eigen.model_value)
         assert sol.certificates.eigen_met
@@ -191,20 +189,20 @@ class TestTRSubspace:
         h = random_symmetric(rng, 3)
         g = rng.standard_normal(3)
         model = tr_model(g, h, 1.0)
-        sol_a = tr_subspace_solve(model, [g, 2.0 * g, g + 1e-15 * np.ones(3)])
-        sol_b = tr_subspace_solve(model, [g])
+        sol_a = subspace_solve(model, [g, 2.0 * g, g + 1e-15 * np.ones(3)])
+        sol_b = subspace_solve(model, [g])
         assert sol_a.model_value == pytest.approx(sol_b.model_value, abs=1e-10)
 
 
 class TestARCCauchyPoint:
     def test_zero_hessian_analytic_root(self):
-        sol = arc_cauchy_point(cubic_model([1.0, 0.0], np.zeros((2, 2)), 1.0,
-                                           norm_bound=0.0))
+        sol = cauchy_point(cubic_model([1.0, 0.0], np.zeros((2, 2)), 1.0,
+                                       norm_bound=0.0))
         assert np.allclose(sol.step, [-1.0, 0.0], atol=1e-12)
         assert sol.model_value == pytest.approx(-2.0 / 3.0)
 
     def test_identity_hessian_golden_root(self):
-        sol = arc_cauchy_point(cubic_model([1.0, 0.0], np.eye(2), 1.0))
+        sol = cauchy_point(cubic_model([1.0, 0.0], np.eye(2), 1.0))
         alpha = (np.sqrt(5.0) - 1.0) / 2.0
         assert np.linalg.norm(sol.step) == pytest.approx(alpha, abs=1e-12)
         assert -sol.model_value >= 1.0 / (2.0 * np.sqrt(3.0)) - 1e-12
@@ -214,7 +212,7 @@ class TestARCCauchyPoint:
         for _ in range(10):
             model = cubic_model(rng.standard_normal(5), random_symmetric(rng, 5),
                                 float(rng.uniform(0.05, 5.0)))
-            sol = arc_cauchy_point(model)
+            sol = cauchy_point(model)
             gn = float(np.linalg.norm(model.grad))
             alpha_star = np.linalg.norm(sol.step) / gn
             # 1e6 points over a unit-width window: spacing < 1e-6 in alpha.
@@ -228,7 +226,7 @@ class TestARCCauchyPoint:
         for _ in range(20):
             model = cubic_model(rng.standard_normal(4), random_symmetric(rng, 4),
                                 float(rng.uniform(0.1, 4.0)))
-            sol = arc_cauchy_point(model)
+            sol = cauchy_point(model)
             k = model.hessian.norm_bound
             gn = float(np.linalg.norm(model.grad))
             lower = (np.sqrt(k * k + 4 * model.sigma * gn) - k) / (2 * model.sigma)
@@ -238,13 +236,13 @@ class TestARCCauchyPoint:
 class TestARCEigenPoint:
     def test_near_zero_gradient_analytic(self):
         model = cubic_model([1e-16, 0.0], np.diag([1.0, -2.0]), 1.0)
-        sol = arc_eigen_point(model, np.array([0.0, 1.0]))
+        sol = eigen_point(model, np.array([0.0, 1.0]))
         assert np.linalg.norm(sol.step) == pytest.approx(2.0, abs=1e-9)
         assert sol.model_value == pytest.approx(-4.0 / 3.0, abs=1e-9)
 
     def test_sign_choice_by_gradient(self):
         model = cubic_model([0.0, 1.0], np.diag([1.0, -2.0]), 1.0)
-        sol = arc_eigen_point(model, np.array([0.0, 1.0]))
+        sol = eigen_point(model, np.array([0.0, 1.0]))
         assert sol.step[1] < 0
         # 1-D grid cross-check.
         alphas = np.linspace(-4, 4, 10**6)
@@ -260,7 +258,7 @@ class TestARCEigenPoint:
                 continue
             model = cubic_model(rng.standard_normal(5), h,
                                 float(rng.uniform(0.1, 5.0)))
-            sol = arc_eigen_point(model, q[:, 0])
+            sol = eigen_point(model, q[:, 0])
             nu_hat = sol.certificates.nu_hat
             assert model.sigma * np.linalg.norm(sol.step) >= nu_hat * (1 - 1e-12)
             assert sol.certificates.eigen_met
@@ -272,7 +270,7 @@ class TestARCEigenPoint:
             if lam[0] >= 0:
                 continue
             model = cubic_model(rng.standard_normal(4), h, 1.0)
-            sol = arc_eigen_point(model, q[:, 0])
+            sol = eigen_point(model, q[:, 0])
             span = 3.0 * np.linalg.norm(sol.step) + 1.0
             alphas = np.linspace(-span, span, 10**6)
             b = float(model.grad @ q[:, 0])
@@ -319,7 +317,7 @@ class TestARCEigenPoint:
         # value, and a search by model value could pick <g, s> > 0.
         b, c, sigma = -1.4520197206217343e-15, -1.693791227817804, 0.09514594829923427
         model = cubic_model([b, 1.0], np.diag([c, 1.0]), sigma)
-        sol = arc_eigen_point(model, np.array([1.0, 0.0]))
+        sol = eigen_point(model, np.array([1.0, 0.0]))
         assert float(model.grad @ sol.step) < 0.0
         assert sol.certificates.eigen_met
 
@@ -330,8 +328,8 @@ class TestARCSubspace:
         h = h @ h.T + 0.05 * np.eye(4)
         g = rng.standard_normal(4)
         model = cubic_model(g, h, 0.8)
-        cauchy = arc_cauchy_point(model)
-        sub = arc_subspace_solve(model, [g])
+        cauchy = cauchy_point(model)
+        sub = subspace_solve(model, [g])
         assert sub.model_value == pytest.approx(cauchy.model_value, abs=1e-10)
 
     def test_full_2d_matches_grid(self, rng):
@@ -339,7 +337,7 @@ class TestARCSubspace:
             h = random_symmetric(rng, 2)
             g = rng.standard_normal(2)
             model = cubic_model(g, h, float(rng.uniform(0.3, 2.0)))
-            sol = arc_subspace_solve(model, [np.eye(2)[:, 0], np.eye(2)[:, 1]])
+            sol = subspace_solve(model, [np.eye(2)[:, 0], np.eye(2)[:, 1]])
             grid = np.linspace(-3.0, 3.0, 1500)
             xx, yy = np.meshgrid(grid, grid)
             pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
@@ -354,15 +352,15 @@ class TestARCSubspace:
             h = random_symmetric(rng, d)
             g = rng.standard_normal(d)
             model = cubic_model(g, h, float(rng.uniform(0.1, 3.0)))
-            cauchy = arc_cauchy_point(model)
+            cauchy = cauchy_point(model)
             basis = [cauchy.step, g, model.hessian.apply(g)]
             seeds = [cauchy.model_value]
             lam, q = np.linalg.eigh(h)
             if lam[0] < 0:
-                eigen = arc_eigen_point(model, q[:, 0])
+                eigen = eigen_point(model, q[:, 0])
                 basis.append(eigen.step)
                 seeds.append(eigen.model_value)
-            sol = arc_subspace_solve(model, basis)
+            sol = subspace_solve(model, basis)
             assert sol.model_value <= min(seeds) + 1e-9
 
     @pytest.mark.parametrize("lam, g, sigma", [
@@ -377,10 +375,10 @@ class TestARCSubspace:
         # certificate.
         h, g = np.diag(lam), np.array(g)
         model = cubic_model(g, h, sigma)
-        eigen = arc_eigen_point(model, np.eye(2)[:, 0])
-        sol = arc_subspace_solve(model, [np.eye(2)[:, 0], np.eye(2)[:, 1]],
-                                 nu_hat=eigen.certificates.nu_hat,
-                                 eigen_norm=eigen.certificates.eigen_norm)
+        eigen = eigen_point(model, np.eye(2)[:, 0])
+        sol = subspace_solve(model, [np.eye(2)[:, 0], np.eye(2)[:, 1]],
+                             nu_hat=eigen.certificates.nu_hat,
+                             eigen_norm=eigen.certificates.eigen_norm)
         assert sol.model_value <= eigen.model_value + 1e-9 * abs(eigen.model_value)
         assert sol.certificates.eigen_met
         if abs(lam[0]) / sigma < 5.0:
@@ -420,7 +418,7 @@ class TestSubspaceOptimality:
             basis = list(np.eye(d))
             if relation == "tr":
                 radius = float(rng.uniform(0.3, 3.0))
-                s = tr_subspace_solve(tr_model(g, h, radius), basis).step
+                s = subspace_solve(tr_model(g, h, radius), basis).step
                 sn = float(np.linalg.norm(s))
                 assert sn <= radius * (1 + 1e-12)
                 # On the boundary lam follows from s'(H + lam*I)s = -g's;
@@ -430,7 +428,7 @@ class TestSubspaceOptimality:
                 assert mult_lam >= -1e-10 * scale
             else:
                 sigma = float(rng.uniform(0.1, 3.0))
-                s = arc_subspace_solve(cubic_model(g, h, sigma), basis).step
+                s = subspace_solve(cubic_model(g, h, sigma), basis).step
                 sn = float(np.linalg.norm(s))
                 mult_lam = sigma * sn
             residual = np.linalg.norm(h @ s + mult_lam * s + g)
@@ -446,9 +444,9 @@ class TestARCProgressive:
             h = random_symmetric(rng, 2)
             g = rng.standard_normal(2)
             model = cubic_model(g, h, 1.0)
-            cauchy = arc_cauchy_point(model)
+            cauchy = cauchy_point(model)
             with caplog.at_level("DEBUG", logger="subnewton.subproblem"):
-                sol = arc_progressive_solve(model, [cauchy.step], zeta=1e-9)
+                sol = subspace_solve(model, [cauchy.step], zeta=1e-9)
             assert sol.certificates.cond5_met
             assert np.linalg.norm(model.gradient(sol.step)) <= 1e-8
         assert caplog.records == []  # a met test logs nothing
@@ -459,8 +457,8 @@ class TestARCProgressive:
         h = h @ h.T + np.eye(d)  # PD, sigma tiny: essentially Newton
         g = rng.standard_normal(d)
         model = cubic_model(g, h, 1e-6)
-        cauchy = arc_cauchy_point(model)
-        sol = arc_progressive_solve(model, [cauchy.step], zeta=0.4)
+        cauchy = cauchy_point(model)
+        sol = subspace_solve(model, [cauchy.step], zeta=0.4)
         assert sol.certificates.cond5_met
         # Certificate inequality re-derived from scratch.
         fresh = certificates(model, sol.step, zeta=0.4)
@@ -472,9 +470,9 @@ class TestARCProgressive:
         # outside the span, and the returned best step misses cond5.
         h = np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         model = cubic_model([0.0, 1.0, 0.0], h, 0.5)
-        eigen = arc_eigen_point(model, np.array([1.0, 0.0, 0.0]))
+        eigen = eigen_point(model, np.array([1.0, 0.0, 0.0]))
         with caplog.at_level("WARNING", logger="subnewton.subproblem"):
-            sol = arc_progressive_solve(model, [eigen.step], zeta=0.1)
+            sol = subspace_solve(model, [eigen.step], zeta=0.1)
         assert not sol.certificates.cond5_met
         [record] = caplog.records
         assert record.levelname == "WARNING"
@@ -487,8 +485,8 @@ class TestARCProgressive:
         g = np.array([1e-12, 0.0])
         model = cubic_model(g, h, 0.4)  # eigen step length 2/0.4 = 5 >= 1
         lam, q = np.linalg.eigh(h)
-        eigen = arc_eigen_point(model, q[:, 0])
-        sol = arc_progressive_solve(model, [eigen.step], zeta=0.3)
+        eigen = eigen_point(model, q[:, 0])
+        sol = subspace_solve(model, [eigen.step], zeta=0.3)
         sn = float(np.linalg.norm(sol.step))
         assert sn >= 1.0
         bound = 0.3 * max(sn**2, min(1.0, sn) * float(np.linalg.norm(g)))
@@ -571,9 +569,9 @@ class TestBasisImages:
             h = random_symmetric(rng, d)
             op, applies = self.counting(h)
             model = CubicModel(grad=rng.standard_normal(d), hessian=op, sigma=1.0)
-            cauchy = arc_cauchy_point(model)  # applies H to g
+            cauchy = cauchy_point(model)  # applies H to g
             del applies[:]
-            arc_progressive_solve(model, [cauchy.step], [cauchy.hs], zeta=1e-9)
+            subspace_solve(model, [cauchy.step], [cauchy.hs], zeta=1e-9)
             # The Cauchy seed's column costs nothing, g is dropped and Hg is
             # held, so each Krylov column costs one one-column apply.
             u, hu = (np.column_stack(b) for b in bases[-1])
@@ -589,13 +587,13 @@ class TestCertificateChecker:
             h = random_symmetric(rng, d)
             g = rng.standard_normal(d)
             tr = tr_model(g, h, float(rng.uniform(0.2, 2.0)))
-            sol = tr_cauchy_point(tr)
+            sol = cauchy_point(tr)
             fresh = certificates(tr, sol.step)
             assert fresh.cauchy_met == sol.certificates.cauchy_met
             assert fresh.cauchy_slack == pytest.approx(sol.certificates.cauchy_slack,
                                                        abs=1e-12)
             arc = cubic_model(g, h, float(rng.uniform(0.1, 2.0)))
-            sol2 = arc_cauchy_point(arc)
+            sol2 = cauchy_point(arc)
             fresh2 = certificates(arc, sol2.step)
             assert fresh2.cauchy_met == sol2.certificates.cauchy_met
 
@@ -610,7 +608,7 @@ class TestCertificateChecker:
     @settings(max_examples=30, deadline=None)
     def test_cauchy_certificate_scales(self, scale):
         model = cubic_model([scale, 0.0], np.eye(2), 1.0)
-        sol = arc_cauchy_point(model)
+        sol = cauchy_point(model)
         assert sol.certificates.cauchy_met
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,8 @@ from subnewton.problems import QuarticSaddle, generate_synthetic
 from subnewton.sampling import hessian_source
 from subnewton.trust_region import TRConfig, run_tr
 
-from conftest import CountingSource, operator_from_dense
+from conftest import (CountingSource, StrongConvexQuadratic, certified,
+                      replay_updates)
 
 
 class TrackedOracle:
@@ -27,39 +29,7 @@ class TrackedOracle:
         return self.inner.value_grad(x)
 
 
-def replay_radius_identity(records, delta0, gamma):
-    """Expected radius sequence from the multiplicative update, exactly."""
-    expected = delta0
-    succ = fail = 0
-    for rec in records:
-        assert rec.radius_or_sigma == expected
-        closed_form = delta0 * gamma ** (succ - fail)
-        assert rec.radius_or_sigma == pytest.approx(closed_form, rel=1e-12)
-        if rec.accepted:
-            expected *= gamma
-            succ += 1
-        else:
-            expected /= gamma
-            fail += 1
-
-
 QUAD_TOL = OptimalityTolerances(eps_g=1e-6, eps_H=1e-3)
-
-
-class StrongConvexQuadratic:
-    """F(x) = 0.5 ||x||^2."""
-
-    def __init__(self, d):
-        self.d = d
-
-    def value_grad(self, x):
-        return 0.5 * float(x @ x), x.copy()
-
-    def exact_hessian_operator(self, x):
-        return operator_from_dense(np.eye(self.d), norm_bound=1.0)
-
-    def dense_hessian(self, x):
-        return np.eye(self.d)
 
 
 class TestTRTolerance:
@@ -117,22 +87,15 @@ class TestRunTRQuadratic:
         config = TRConfig(tol=QUAD_TOL, delta0=0.5, max_iters=100)
         result = run_tr(problem, hessian_source(problem), config,
                         x0=np.full(4, 3.0), rng_seed=1)
-        replay_radius_identity(result.records, 0.5, 2.0)
+        assert not replay_updates(result, config)
 
     def test_accepted_steps_decrease_by_eta_times_model(self):
         problem = StrongConvexQuadratic(5)
         config = TRConfig(tol=QUAD_TOL, delta0=2.0, eta=0.2, max_iters=100)
         result = run_tr(problem, hessian_source(problem), config,
                         x0=np.full(5, 4.0), rng_seed=2)
-        recs = result.records
-        for i, rec in enumerate(recs):
-            if not rec.accepted:
-                continue
-            f_next = recs[i + 1].f_value if i + 1 < len(recs) else result.f_final
-            decrease = rec.f_value - f_next
-            model_dec = decrease / rec.rho
-            assert rec.rho >= config.eta
-            assert decrease >= config.eta * model_dec * (1 - 1e-12)
+        assert any(rec.accepted for rec in result.records)
+        replay_updates(result, config)
 
 
 class TestRunTRSaddle:
@@ -141,13 +104,10 @@ class TestRunTRSaddle:
         config = TRConfig(tol=QUAD_TOL, delta0=1.0, max_iters=100)
         result = run_tr(problem, hessian_source(problem), config,
                         x0=np.zeros(2), rng_seed=3)
-        assert result.converged
         assert result.f_final <= -0.25 + 1e-6
         assert abs(abs(result.x[0]) - 1.0) < 1e-3
         # Certified against the dense exact Hessian.
-        lam = np.linalg.eigvalsh(problem.dense_hessian(result.x))
-        assert result.grad_norm_final <= 1e-6
-        assert lam[0] >= -1e-3
+        assert certified(result, problem, QUAD_TOL)
 
     def test_tiny_nu_escapes_without_overflow(self):
         # K_H/kappa with kappa = nu/2 overflows for nu = 1e-308; the probe
@@ -193,10 +153,7 @@ class TestRunTRFiniteSum:
         config = TRConfig(tol=tol, delta0=1.0, max_iters=500, strict=True)
         result = run_tr(problem, hessian_source(problem), config,
                         x0=np.zeros(50), rng_seed=8)
-        assert result.converged
-        assert result.grad_norm_final <= 1e-4
-        lam_min = float(np.linalg.eigvalsh(problem.dense_hessian(result.x))[0])
-        assert lam_min >= -(result.eps_final + 1e-2)
+        assert certified(result, problem, tol)
 
     def test_subsampled_run_converges(self):
         problem = generate_synthetic("biweight", n=600, d=20, rng_seed=9, k_max=1.0)
@@ -204,10 +161,8 @@ class TestRunTRFiniteSum:
         config = TRConfig(tol=tol, delta0=1.0, max_iters=500)
         result = run_tr(problem, hessian_source(problem, "uniform_wor"), config,
                         x0=np.zeros(20), rng_seed=10)
-        assert result.converged
-        assert result.grad_norm_final <= 1e-4
-        lam_min = float(np.linalg.eigvalsh(problem.dense_hessian(result.x))[0])
-        assert lam_min >= -(result.eps_final + 1e-2)
+        assert certified(result, problem, tol)
+        replay_updates(result, config)
 
     def test_operator_reused_on_rejection_with_exact_source(self):
         problem = generate_synthetic("biweight", n=200, d=10, rng_seed=11)
@@ -247,6 +202,63 @@ class TestRunTRGuards:
     def test_strict_mode_validates_coupling(self):
         with pytest.raises(ConfigurationError):
             TRConfig(tol=OptimalityTolerances(eps_g=1e-6, eps_H=0.5), strict=True)
+
+
+class TestReplayHelpers:
+    """``replay_updates`` and ``certified`` pass on real runs, and the
+    replay catches each one-field corruption of a trace."""
+
+    @pytest.mark.parametrize("solver", ["tr", "arc"])
+    def test_helpers_pass_real_runs_and_catch_corruption(self, solver):
+        problem = generate_synthetic("biweight", n=200, d=10, rng_seed=11)
+        tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
+        if solver == "tr":
+            config, run = TRConfig(tol=tol, delta0=1e-3, max_iters=300), run_tr
+        else:
+            config, run = ARCConfig(tol=tol, sigma0=1e-4, max_iters=300,
+                                    l_estimate=problem.hessian_lipschitz_bound()), run_arc
+        result = run(problem, hessian_source(problem), config, np.zeros(10), rng_seed=12)
+        assert certified(result, problem, tol)
+        assert not replay_updates(result, config)
+
+        records = result.records
+        rejected = next(i for i, rec in enumerate(records[:-1]) if not rec.accepted)
+
+        def corrupt(i, **fields):
+            rows = list(records)
+            if fields:
+                rows[i] = replace(rows[i], **fields)
+            else:
+                del rows[i]
+            return replace(result, records=tuple(rows))
+
+        param = records[1].radius_or_sigma
+        f_after = records[rejected + 1].f_value
+        for bad in (corrupt(0, accepted=not records[0].accepted),
+                    corrupt(1, radius_or_sigma=math.nextafter(param, math.inf)),
+                    corrupt(1),
+                    corrupt(rejected + 1, f_value=math.nextafter(f_after, -math.inf))):
+            with pytest.raises(AssertionError):
+                replay_updates(bad, config)
+
+        if solver == "arc":
+            # A floor above the run's smallest sigma binds, and the replay
+            # follows it.
+            floored = replace(config, sigma_min=5e-3)
+            result = run(problem, hessian_source(problem), floored, np.zeros(10),
+                         rng_seed=12)
+            assert replay_updates(result, floored)
+
+        # At (0.5, 0) the saddle's gradient norm is 0.375 and lambda_min is
+        # -0.25: the run stops at once under loose tolerances, and the
+        # certificate fails once eps_H is below 0.25.
+        saddle, loose = QuarticSaddle(), OptimalityTolerances(eps_g=0.5, eps_H=0.9)
+        config = (TRConfig(tol=loose) if solver == "tr"
+                  else ARCConfig(tol=loose, l_estimate=24.0))
+        stopped = run(saddle, hessian_source(saddle), config, np.array([0.5, 0.0]))
+        assert not stopped.records
+        assert certified(stopped, saddle, loose)
+        assert not certified(stopped, saddle, replace(loose, eps_H=0.2))
 
 
 class TestHessianApplies:
