@@ -117,6 +117,7 @@ class IterationRecord:
     ``lambda_source`` says where ``lambda_min_estimate`` came from: "probe",
     the bottom eigenpair's Rayleigh quotient, or "bound", the operator's
     ``lambda_floor``, which certified that no probe was needed.
+    ``model_decrease`` is -m(s), the denominator of ``rho``.
     """
 
     t: int
@@ -130,6 +131,7 @@ class IterationRecord:
     step_norm: float
     eps_t: float
     lambda_source: str
+    model_decrease: float
 
 
 @dataclass(frozen=True)

@@ -202,7 +202,7 @@ def iterate(oracle: Objective, hessian_source: HessianSource, config: LoopConfig
                 radius_or_sigma=param, rho=rho, accepted=accepted,
                 sample_size=hessian.sample_size,
                 step_norm=float(np.linalg.norm(solution.step)), eps_t=eps_in_force,
-                lambda_source=lam_source))
+                lambda_source=lam_source, model_decrease=-solution.model_value))
             logger.debug("%s: %s", config.schedule, records[-1])
 
             if accepted:

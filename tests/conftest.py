@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ from hypothesis import settings
 
 from subnewton import problems, sampling
 from subnewton.core import ConfigurationError, HessianOperator
-from subnewton.cubic_reg import ARCConfig
+from subnewton.cubic_reg import ARCConfig, run_arc
 from subnewton.problems import weighted_gram
 from subnewton.sampling import nonuniform_distribution
+from subnewton.trust_region import TRConfig, run_tr
 
 # Deterministic example generation: the suite's outcomes should not depend
 # on the run's entropy.
@@ -62,6 +65,40 @@ class StrongConvexQuadratic:
     def dense_hessian(self, x):
         return np.eye(self.d)
 
+    def hessian_lipschitz_bound(self):
+        # The Hessian is constant, so any positive estimate bounds L = 0.
+        return 1e-3
+
+
+@dataclass(frozen=True)
+class Driver:
+    """One solver as the tests run it: its run function, its config class
+    and the fields that select it, the config field of its start radius or
+    sigma, and a start that forces early rejections."""
+
+    run: Callable
+    config_class: type
+    fields: dict
+    start_field: str
+    rejecting_start: float
+
+    def config(self, problem, tol, start=None, **overrides):
+        """A config for ``problem``; ARC's ``l_estimate`` is the problem's
+        Hessian-Lipschitz bound unless overridden."""
+        fields = dict(self.fields, tol=tol)
+        if self.config_class is ARCConfig:
+            fields["l_estimate"] = problem.hessian_lipschitz_bound()
+        if start is not None:
+            fields[self.start_field] = start
+        return self.config_class(**{**fields, **overrides})
+
+
+DRIVERS = {
+    "tr": Driver(run_tr, TRConfig, {}, "delta0", 64.0),
+    "arc_standard": Driver(run_arc, ARCConfig, {"mode": "standard"}, "sigma0", 1e-4),
+    "arc_optimal": Driver(run_arc, ARCConfig, {"mode": "optimal"}, "sigma0", 1e-4),
+}
+
 
 class QueryRecorder:
     """Captures every oracle query; the drivers query x_t then x_t + s_t each
@@ -89,9 +126,10 @@ def replay_updates(result, config, lipschitz=None):
     Each row's radius (TR) or sigma (ARC) is exactly the last row's times or
     over gamma, sigma floored at ``sigma_min``, and equals the closed form
     start * gamma^(+-(successes - failures)) until sigma reaches that floor.
-    A row is accepted iff rho >= eta; an accepted step lowers F by at least
-    eta * (model decrease), the model decrease being (F drop) / rho; a
-    rejected one leaves F unchanged. Given a verified Lipschitz bound L,
+    A row is accepted iff rho >= eta. An accepted row's rho is
+    (F drop) / ``model_decrease`` bit for bit, as ``acceptance_ratio``
+    computes it, and its step lowers F by at least eta * ``model_decrease``;
+    a rejected one leaves F unchanged. Given a verified Lipschitz bound L,
     sigma <= max(sigma0, 2 * gamma * L) on every row. Returns whether sigma
     reached the ``sigma_min`` floor.
     """
@@ -111,7 +149,8 @@ def replay_updates(result, config, lipschitz=None):
         if rec.accepted:
             succ += 1
             decrease = rec.f_value - f_next
-            assert decrease >= config.eta * (decrease / rec.rho) * (1 - 1e-12), i
+            assert decrease / rec.model_decrease == rec.rho, i
+            assert decrease >= config.eta * rec.model_decrease * (1 - 1e-12), i
             if arc:
                 floored = floored or expected / gamma <= config.sigma_min
                 expected = max(expected / gamma, config.sigma_min)

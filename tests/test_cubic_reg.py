@@ -7,8 +7,7 @@ from subnewton.problems import QuarticSaddle, generate_synthetic
 from subnewton.subproblem import CubicModel, certificates
 from subnewton.sampling import hessian_source
 
-from conftest import (CountingSource, QueryRecorder, StrongConvexQuadratic,
-                      certified, replay_updates)
+from conftest import QueryRecorder, replay_updates
 
 QUAD_TOL = OptimalityTolerances(eps_g=1e-6, eps_H=1e-3)
 
@@ -49,50 +48,7 @@ class TestArcEpsilon:
             standard.accuracy(1.0, standard.sigma0), 0.25 * 1e-3)
 
 
-class TestRunArcQuadratic:
-    def test_converges_with_monotone_sigma(self):
-        problem = StrongConvexQuadratic(6)
-        config = ARCConfig(tol=QUAD_TOL, sigma0=1.0, max_iters=100, l_estimate=1e-3)
-        result = run_arc(problem, hessian_source(problem), config,
-                         x0=np.full(6, 5.0), rng_seed=0)
-        assert result.converged
-        assert result.grad_norm_final <= 1e-6
-        # rho > 1 >= eta on an exactly-modeled quadratic: every step accepted,
-        # sigma non-increasing from the start.
-        sigmas = [r.radius_or_sigma for r in result.records]
-        assert all(r.accepted for r in result.records)
-        assert all(b <= a for a, b in zip(sigmas, sigmas[1:]))
-
-    def test_sigma_identity(self):
-        problem = StrongConvexQuadratic(4)
-        config = ARCConfig(tol=QUAD_TOL, sigma0=2.0, max_iters=100, l_estimate=1e-3)
-        result = run_arc(problem, hessian_source(problem), config,
-                         x0=np.full(4, 2.0), rng_seed=1)
-        assert not replay_updates(result, config)
-
-
-class TestRunArcSaddle:
-    @pytest.mark.parametrize("mode", ["standard", "optimal"])
-    def test_escapes_strict_saddle(self, mode):
-        problem = QuarticSaddle()
-        config = ARCConfig(tol=QUAD_TOL, sigma0=1.0, mode=mode, max_iters=200,
-                           l_estimate=24.0)
-        result = run_arc(problem, hessian_source(problem), config,
-                         x0=np.zeros(2), rng_seed=2)
-        assert certified(result, problem, QUAD_TOL)
-        assert result.f_final <= -0.25 + 1e-6
-
-
 class TestRunArcFiniteSum:
-    def test_biweight_standard_certified(self):
-        problem = generate_synthetic("biweight", n=1000, d=50, rng_seed=3, k_max=1.0)
-        tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
-        config = ARCConfig(tol=tol, sigma0=1.0, max_iters=500,
-                           l_estimate=problem.hessian_lipschitz_bound())
-        result = run_arc(problem, hessian_source(problem), config,
-                         x0=np.zeros(50), rng_seed=4)
-        assert certified(result, problem, tol)
-
     def test_sigma_bounded_by_lipschitz_estimate(self):
         # With a verified upper L plugged into the epsilon formula, sigma can
         # never exceed max(sigma0, 2*gamma*L).
@@ -104,33 +60,6 @@ class TestRunArcFiniteSum:
                          x0=np.zeros(20), rng_seed=6)
         assert result.converged
         replay_updates(result, config, lipschitz=l_hat)
-
-    @pytest.mark.parametrize("mode", ["standard", "optimal"])
-    def test_operator_reused_on_rejection_with_exact_source(self, mode):
-        problem = generate_synthetic("biweight", n=200, d=10, rng_seed=11)
-        tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
-        source = CountingSource(hessian_source(problem))
-        # A tiny sigma0 forces early rejections.
-        config = ARCConfig(tol=tol, sigma0=1e-4, mode=mode, max_iters=300,
-                           l_estimate=problem.hessian_lipschitz_bound())
-        result = run_arc(problem, source, config, x0=np.zeros(10), rng_seed=12)
-        assert result.converged
-        rejected = result.n_rejected
-        assert rejected > 0
-        # Exact operators (accuracy 0) are reused across every rejection:
-        # the bootstrap plus one build per accepted step, at most.
-        assert source.builds <= len(result.records) + 1 - rejected
-
-    def test_accepted_steps_decrease_by_eta_times_model(self):
-        problem = generate_synthetic("nls_logistic", n=300, d=15, rng_seed=7)
-        tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
-        config = ARCConfig(tol=tol, max_iters=500,
-                           l_estimate=problem.hessian_lipschitz_bound())
-        result = run_arc(problem, hessian_source(problem), config,
-                         x0=np.zeros(15), rng_seed=8)
-        assert result.converged
-        assert any(rec.accepted for rec in result.records)
-        replay_updates(result, config)
 
 
 class TestRunArcOptimalMode:

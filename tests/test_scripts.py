@@ -1,14 +1,21 @@
 """Every demo script, and the README's library quick start, runs to
 completion: they use the public API, so an API change that breaks one fails
-here. ``trace_digests.py`` runs in its ``--counts`` mode too."""
+here. ``trace_digests.py`` runs in its ``--counts`` mode too, and every one
+of its solve jobs replays the update rules and ends certified."""
 
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from subnewton import harness
+from subnewton.cubic_reg import ARCConfig
+
+from conftest import certified, replay_updates
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -48,3 +55,25 @@ def test_trace_digests_counts():
     assert counts and all(counts), done.stdout
     assert all(int(m[1]) > 0 and int(m[3]) > 0 for m in counts)
     assert sum(int(m[2]) for m in counts) > 0
+
+
+def test_digest_jobs_replay_and_certify(monkeypatch):
+    # The loop config each job runs under is the one run_solver hands its
+    # driver; an ARC job's Lipschitz bound is its l_estimate, which
+    # run_solver fills from the problem when unset.
+    loops = []
+    for name in ("run_tr", "run_arc"):
+        def capture(oracle, source, config, *args, run=getattr(harness, name), **kw):
+            loops.append(config)
+            return run(oracle, source, config, *args, **kw)
+        monkeypatch.setattr(harness, name, capture)
+    solves = runpy.run_path(str(ROOT / "scripts" / "trace_digests.py"))["SOLVES"]
+    assert len(solves) == 23
+    for name, job in solves.items():
+        problem = harness.build_problem(job)
+        result = harness.run_solver(job, problem)
+        loop = loops[-1]
+        lipschitz = loop.l_estimate if isinstance(loop, ARCConfig) else None
+        assert not replay_updates(result, loop, lipschitz), name
+        assert certified(result, problem, loop.tol), name
+    assert len(loops) == len(solves)

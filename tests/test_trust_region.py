@@ -6,12 +6,11 @@ import pytest
 
 from subnewton import subproblem, trust_region
 from subnewton.core import ConfigurationError, NonFiniteError, OptimalityTolerances
-from subnewton.cubic_reg import ARCConfig, run_arc
 from subnewton.problems import QuarticSaddle, generate_synthetic
 from subnewton.sampling import hessian_source
 from subnewton.trust_region import TRConfig, run_tr
 
-from conftest import (CountingSource, StrongConvexQuadratic, certified,
+from conftest import (DRIVERS, CountingSource, StrongConvexQuadratic, certified,
                       replay_updates)
 
 
@@ -59,56 +58,85 @@ class TestTRTolerance:
             config.accuracy(1.0, 1.0)
 
 
-class TestRunTRQuadratic:
-    def test_converges_and_decreases_monotonically(self):
-        problem = StrongConvexQuadratic(6)
-        config = TRConfig(tol=QUAD_TOL, delta0=1.0, max_iters=100)
-        result = run_tr(problem, hessian_source(problem), config,
-                        x0=np.full(6, 10.0), rng_seed=0)
-        assert result.converged
-        assert result.grad_norm_final <= 1e-6
-        accepted_f = [r.f_value for r in result.records if r.accepted]
-        assert all(b < a for a, b in zip(accepted_f, accepted_f[1:]))
+@pytest.mark.parametrize("name", DRIVERS)
+class TestDriverContract:
+    """The loop's properties, one test each for TR and both ARC modes."""
 
-    def test_one_debug_line_per_iteration(self, caplog):
-        problem = StrongConvexQuadratic(4)
-        config = TRConfig(tol=QUAD_TOL, delta0=0.5, max_iters=100)
+    FINITE_TOL = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
+
+    def test_converges_on_quadratic_with_one_debug_line_per_iteration(self, name, caplog):
+        driver, problem = DRIVERS[name], StrongConvexQuadratic(6)
+        config = driver.config(problem, QUAD_TOL)
         with caplog.at_level("DEBUG", logger="subnewton.trust_region"):
-            result = run_tr(problem, hessian_source(problem), config,
-                            x0=np.full(4, 3.0), rng_seed=1)
-        lines = [r.getMessage() for r in caplog.records
-                 if r.name == "subnewton.trust_region"]
+            result = driver.run(problem, hessian_source(problem), config,
+                                x0=np.full(6, 5.0), rng_seed=0)
+        assert result.converged
+        assert result.grad_norm_final <= QUAD_TOL.eps_g
+        # The models bound F's decrease from below on a quadratic (rho >= 1
+        # up to rounding), so every step is accepted and F falls strictly.
         assert len(result.records) > 1
-        assert lines == [f"tr_optimal: {rec!r}" for rec in result.records]
+        assert all(rec.accepted for rec in result.records)
+        f_values = [rec.f_value for rec in result.records] + [result.f_final]
+        assert all(b < a for a, b in zip(f_values, f_values[1:]))
+        assert not replay_updates(result, config)
+        lines = [r.getMessage() for r in caplog.records if r.name == "subnewton.trust_region"]
+        assert lines == [f"{config.schedule}: {rec!r}" for rec in result.records]
         assert all(r.levelname == "DEBUG" for r in caplog.records)
 
-    def test_radius_identity(self):
-        problem = StrongConvexQuadratic(4)
-        config = TRConfig(tol=QUAD_TOL, delta0=0.5, max_iters=100)
-        result = run_tr(problem, hessian_source(problem), config,
-                        x0=np.full(4, 3.0), rng_seed=1)
+    def test_escapes_strict_saddle(self, name):
+        driver, problem = DRIVERS[name], QuarticSaddle()
+        config = driver.config(problem, QUAD_TOL)
+        result = driver.run(problem, hessian_source(problem), config,
+                            x0=np.zeros(2), rng_seed=3)
+        assert result.f_final <= -0.25 + 1e-6
+        assert abs(abs(result.x[0]) - 1.0) < 1e-3
+        assert certified(result, problem, QUAD_TOL)
+        replay_updates(result, config)
+
+    @pytest.mark.parametrize("hessian", ["exact", "uniform_wor"])
+    def test_biweight_certified_and_replayed(self, name, hessian):
+        driver = DRIVERS[name]
+        problem = generate_synthetic("biweight", n=600, d=20, rng_seed=9, k_max=1.0)
+        config = driver.config(problem, self.FINITE_TOL, max_iters=500)
+        result = driver.run(problem, hessian_source(problem, hessian), config,
+                            x0=np.zeros(20), rng_seed=10)
+        assert certified(result, problem, self.FINITE_TOL)
         assert not replay_updates(result, config)
 
-    def test_accepted_steps_decrease_by_eta_times_model(self):
-        problem = StrongConvexQuadratic(5)
-        config = TRConfig(tol=QUAD_TOL, delta0=2.0, eta=0.2, max_iters=100)
-        result = run_tr(problem, hessian_source(problem), config,
-                        x0=np.full(5, 4.0), rng_seed=2)
-        assert any(rec.accepted for rec in result.records)
-        replay_updates(result, config)
+    def test_exact_operator_reused_on_every_rejection(self, name):
+        driver = DRIVERS[name]
+        problem = generate_synthetic("biweight", n=200, d=10, rng_seed=11)
+        source = CountingSource(hessian_source(problem))
+        config = driver.config(problem, self.FINITE_TOL, driver.rejecting_start,
+                               max_iters=300)
+        result = driver.run(problem, source, config, x0=np.zeros(10), rng_seed=12)
+        assert result.converged
+        rejected = result.n_rejected
+        assert rejected > 0
+        # Exact operators (accuracy 0) are reused across every rejection:
+        # one build per accepted step plus the first, at most.
+        assert source.builds <= len(result.records) + 1 - rejected
+
+    def test_non_finite_objective_aborts(self, name):
+        class Bad:
+            def value_grad(self, x):
+                return float("nan"), x
+
+        driver, problem = DRIVERS[name], StrongConvexQuadratic(3)
+        with pytest.raises(NonFiniteError):
+            driver.run(Bad(), hessian_source(problem), driver.config(problem, QUAD_TOL),
+                       x0=np.ones(3), rng_seed=0)
+
+    def test_max_iters_flagged_not_converged(self, name):
+        driver, problem = DRIVERS[name], StrongConvexQuadratic(8)
+        config = driver.config(problem, QUAD_TOL, max_iters=3)
+        result = driver.run(problem, hessian_source(problem), config,
+                            x0=np.full(8, 50.0), rng_seed=13)
+        assert not result.converged
+        assert len(result.records) == 3
 
 
 class TestRunTRSaddle:
-    def test_escapes_strict_saddle(self):
-        problem = QuarticSaddle()
-        config = TRConfig(tol=QUAD_TOL, delta0=1.0, max_iters=100)
-        result = run_tr(problem, hessian_source(problem), config,
-                        x0=np.zeros(2), rng_seed=3)
-        assert result.f_final <= -0.25 + 1e-6
-        assert abs(abs(result.x[0]) - 1.0) < 1e-3
-        # Certified against the dense exact Hessian.
-        assert certified(result, problem, QUAD_TOL)
-
     def test_tiny_nu_escapes_without_overflow(self):
         # K_H/kappa with kappa = nu/2 overflows for nu = 1e-308; the probe
         # no longer computes a budget from it.
@@ -145,60 +173,7 @@ class TestRunTRSaddle:
             assert rec.radius_or_sigma >= floor * (1 - 1e-12)
 
 
-class TestRunTRFiniteSum:
-    def test_biweight_reaches_certified_optimality(self):
-        problem = generate_synthetic("biweight", n=1000, d=50, rng_seed=7,
-                                     k_max=1.0)
-        tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
-        config = TRConfig(tol=tol, delta0=1.0, max_iters=500, strict=True)
-        result = run_tr(problem, hessian_source(problem), config,
-                        x0=np.zeros(50), rng_seed=8)
-        assert certified(result, problem, tol)
-
-    def test_subsampled_run_converges(self):
-        problem = generate_synthetic("biweight", n=600, d=20, rng_seed=9, k_max=1.0)
-        tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
-        config = TRConfig(tol=tol, delta0=1.0, max_iters=500)
-        result = run_tr(problem, hessian_source(problem, "uniform_wor"), config,
-                        x0=np.zeros(20), rng_seed=10)
-        assert certified(result, problem, tol)
-        replay_updates(result, config)
-
-    def test_operator_reused_on_rejection_with_exact_source(self):
-        problem = generate_synthetic("biweight", n=200, d=10, rng_seed=11)
-        tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
-        source = CountingSource(hessian_source(problem))
-        # Tiny eta=?: keep default; large delta0 forces early rejections.
-        config = TRConfig(tol=tol, delta0=64.0, max_iters=300)
-        result = run_tr(problem, source, config, x0=np.zeros(10), rng_seed=12)
-        assert result.converged
-        rejected = result.n_rejected
-        assert rejected > 0
-        # Exact operators (accuracy 0) are reused across every rejection:
-        # one build per accepted step plus the terminal check, at most.
-        assert source.builds <= len(result.records) + 1 - rejected
-
-
 class TestRunTRGuards:
-    def test_non_finite_objective_aborts(self):
-        class Bad:
-            def value_grad(self, x):
-                return float("nan"), x
-
-        problem = StrongConvexQuadratic(3)
-        config = TRConfig(tol=QUAD_TOL, max_iters=10)
-        with pytest.raises(NonFiniteError):
-            run_tr(Bad(), hessian_source(problem), config,
-                   x0=np.ones(3), rng_seed=0)
-
-    def test_max_iters_flagged_not_converged(self):
-        problem = StrongConvexQuadratic(8)
-        config = TRConfig(tol=QUAD_TOL, delta0=1e-8, max_iters=3)
-        result = run_tr(problem, hessian_source(problem), config,
-                        x0=np.full(8, 50.0), rng_seed=13)
-        assert not result.converged
-        assert len(result.records) == 3
-
     def test_strict_mode_validates_coupling(self):
         with pytest.raises(ConfigurationError):
             TRConfig(tol=OptimalityTolerances(eps_g=1e-6, eps_H=0.5), strict=True)
@@ -208,15 +183,13 @@ class TestReplayHelpers:
     """``replay_updates`` and ``certified`` pass on real runs, and the
     replay catches each one-field corruption of a trace."""
 
-    @pytest.mark.parametrize("solver", ["tr", "arc"])
-    def test_helpers_pass_real_runs_and_catch_corruption(self, solver):
+    @pytest.mark.parametrize("name", DRIVERS)
+    def test_helpers_pass_real_runs_and_catch_corruption(self, name):
+        driver = DRIVERS[name]
         problem = generate_synthetic("biweight", n=200, d=10, rng_seed=11)
         tol = OptimalityTolerances(eps_g=1e-4, eps_H=1e-2)
-        if solver == "tr":
-            config, run = TRConfig(tol=tol, delta0=1e-3, max_iters=300), run_tr
-        else:
-            config, run = ARCConfig(tol=tol, sigma0=1e-4, max_iters=300,
-                                    l_estimate=problem.hessian_lipschitz_bound()), run_arc
+        config = driver.config(problem, tol, driver.rejecting_start, max_iters=300)
+        run = driver.run
         result = run(problem, hessian_source(problem), config, np.zeros(10), rng_seed=12)
         assert certified(result, problem, tol)
         assert not replay_updates(result, config)
@@ -234,14 +207,17 @@ class TestReplayHelpers:
 
         param = records[1].radius_or_sigma
         f_after = records[rejected + 1].f_value
+        accepted = next(i for i, rec in enumerate(records) if rec.accepted)
         for bad in (corrupt(0, accepted=not records[0].accepted),
                     corrupt(1, radius_or_sigma=math.nextafter(param, math.inf)),
                     corrupt(1),
-                    corrupt(rejected + 1, f_value=math.nextafter(f_after, -math.inf))):
+                    corrupt(len(records) - 1),
+                    corrupt(rejected + 1, f_value=math.nextafter(f_after, -math.inf)),
+                    corrupt(accepted, model_decrease=records[accepted].model_decrease / 2)):
             with pytest.raises(AssertionError):
                 replay_updates(bad, config)
 
-        if solver == "arc":
+        if name != "tr":
             # A floor above the run's smallest sigma binds, and the replay
             # follows it.
             floored = replace(config, sigma_min=5e-3)
@@ -253,9 +229,8 @@ class TestReplayHelpers:
         # -0.25: the run stops at once under loose tolerances, and the
         # certificate fails once eps_H is below 0.25.
         saddle, loose = QuarticSaddle(), OptimalityTolerances(eps_g=0.5, eps_H=0.9)
-        config = (TRConfig(tol=loose) if solver == "tr"
-                  else ARCConfig(tol=loose, l_estimate=24.0))
-        stopped = run(saddle, hessian_source(saddle), config, np.array([0.5, 0.0]))
+        stopped = run(saddle, hessian_source(saddle), driver.config(saddle, loose),
+                      np.array([0.5, 0.0]))
         assert not stopped.records
         assert certified(stopped, saddle, loose)
         assert not certified(stopped, saddle, replace(loose, eps_H=0.2))
@@ -292,15 +267,15 @@ class TestHessianApplies:
 
         return source, calls
 
-    @pytest.mark.parametrize("solver, case, applies, grown, iterations", [
+    @pytest.mark.parametrize("name, case, applies, grown, iterations", [
         ("tr", "biweight", 8, 4, 4),
-        ("arc", "biweight", 18, 9, 9),
+        ("arc_standard", "biweight", 18, 9, 9),
         ("arc_optimal", "biweight", 13, 4, 9),
         ("tr", "saddle", 9, 1, 3),
-        ("arc", "saddle", 13, 3, 4),
+        ("arc_standard", "saddle", 13, 3, 4),
         ("arc_optimal", "saddle", 13, 3, 4),
     ])
-    def test_applies_per_iteration(self, monkeypatch, solver, case, applies,
+    def test_applies_per_iteration(self, monkeypatch, name, case, applies,
                                    grown, iterations):
         tol = OptimalityTolerances(eps_g=1e-6, eps_H=1e-3)
         if case == "biweight":
@@ -309,18 +284,14 @@ class TestHessianApplies:
         else:  # starts next to the saddle, where the probe finds an Eigen seed
             problem = QuarticSaddle()
             x0, nu = np.array([0.01, 0.2]), 0.5
-        if solver == "tr":
-            config, run = TRConfig(tol=tol, nu=nu), run_tr
-        else:
-            mode = "optimal" if solver == "arc_optimal" else "standard"
-            config, run = ARCConfig(tol=tol, nu=nu, mode=mode,
-                                    l_estimate=problem.hessian_lipschitz_bound()), run_arc
+        driver = DRIVERS[name]
         probes = []
         probe = trust_region.probe_extreme
         monkeypatch.setattr(trust_region, "probe_extreme",
                             lambda op: probes.append(op) or probe(op))
         source, calls = self.counting_source(problem)
-        result = run(problem, source, config, x0=x0, rng_seed=0)
+        result = driver.run(problem, source, driver.config(problem, tol, nu=nu),
+                            x0=x0, rng_seed=0)
         assert result.converged
         assert len(result.records) == iterations
         probed = [rec for rec in result.records if rec.lambda_source == "probe"]
@@ -373,25 +344,22 @@ class TestOneStepPath:
 class TestCurvatureFloor:
     """A floor above -nu*eps_H skips the probe and changes no decision."""
 
-    @pytest.mark.parametrize("solver", ["tr", "arc"])
+    @pytest.mark.parametrize("name", DRIVERS)
     @pytest.mark.parametrize("hessian", ["exact", "uniform_wor", "nonuniform"])
-    def test_floor_changes_no_decision(self, solver, hessian):
+    def test_floor_changes_no_decision(self, name, hessian):
         from subnewton.harness import build_problem, parse_config_text
-        config = parse_config_text(f"problem = biweight\nsolver = {solver}\n"
-                                   f"hessian = {hessian}\nn = 600\nd = 12\n"
-                                   f"k_max_target = 1.0\n")
+        config = parse_config_text(f"problem = biweight\nhessian = {hessian}\n"
+                                   f"n = 600\nd = 12\nk_max_target = 1.0\n")
         problem = build_problem(config)
         tol = OptimalityTolerances(eps_g=config.eps_g, eps_H=config.eps_h)
-        if solver == "tr":
-            loop, run = TRConfig(tol=tol), run_tr
-        else:
-            loop, run = ARCConfig(tol=tol, l_estimate=problem.hessian_lipschitz_bound()), run_arc
+        driver = DRIVERS[name]
+        loop = driver.config(problem, tol)
         floored = hessian_source(problem, config.hessian, config.eps_cap)
 
         def unfloored(*args):
             return replace(floored(*args), lambda_floor=-np.inf)
 
-        results = [run(problem, source, loop, x0=np.full(12, 0.5), rng_seed=7)
+        results = [driver.run(problem, source, loop, x0=np.full(12, 0.5), rng_seed=7)
                    for source in (floored, unfloored)]
         assert results[0].converged and results[1].converged
         with_floor, probed = results[0].records, results[1].records
