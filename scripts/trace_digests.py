@@ -27,6 +27,9 @@ keep every decision is checked with
          <(PYTHONPATH=src python scripts/trace_digests.py --counts | cut -d' ' -f1-4)
 
 and the same diff of the whole lines shows where the work changed.
+``trace_counts.txt`` beside this script holds the ``--counts`` lines of the
+current code at one BLAS thread, and a test diffs a fresh run against it,
+so a change to that file is a change of decisions or work.
 
 Usage: python scripts/trace_digests.py [--counts]
 """

@@ -34,7 +34,8 @@ ABORT_ERRORS = (NonFiniteError, CertificateError, OverflowError)
 
 def ensure_finite(values: Any, context: str) -> None:
     arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    # min and max carry any NaN or infinity, with no array-sized temporary.
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise NonFiniteError(f"non-finite values encountered in {context}")
 
 

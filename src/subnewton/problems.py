@@ -21,17 +21,22 @@ import numpy as np
 from .core import Array, ConfigurationError, HessianOperator, ensure_finite
 
 
-def biweight_scalar(z: Array, b: Array) -> tuple[Array, Array, Array]:
-    """Smooth bi-weight loss r^2/(1+r^2) of the residual r = z - b.
+def biweight_step(z: Array, b: Array, n: int, value: Array, first: Array,
+                  work: Array) -> None:
+    """Bi-weight loss r^2/(1+r^2), r = z - b (bounded, non-convex), into
+    ``value``, f' = 2r/(1+r^2)^2 over n into ``first``, in the formulas' order."""
+    r = np.subtract(z, b, out=first)
+    t = np.add(1.0, np.multiply(r, r, out=value), out=work)
+    np.divide(value, t, out=value)
+    np.divide(np.multiply(2.0, r, out=r), np.multiply(t, t, out=t), out=r)
+    np.divide(r, n, out=r)
 
-    Bounded, non-convex, with f''(r) = 2(1-3r^2)/(1+r^2)^3 in [-1/2, 2].
-    """
+
+def biweight_second(z: Array, b: Array) -> Array:
+    """f''(r) = 2(1-3r^2)/(1+r^2)^3 of the bi-weight, in [-1/2, 2]."""
     r = np.asarray(z, dtype=float) - np.asarray(b, dtype=float)
     t = 1.0 + r * r
-    value = r * r / t
-    first = 2.0 * r / (t * t)
-    second = 2.0 * (1.0 - 3.0 * r * r) / (t * t * t)
-    return value, first, second
+    return 2.0 * (1.0 - 3.0 * r * r) / (t * t * t)
 
 
 def sigmoid(z: Array) -> Array:
@@ -42,45 +47,51 @@ def sigmoid(z: Array) -> Array:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def nls_logistic_scalar(z: Array, b: Array) -> tuple[Array, Array, Array]:
-    """Least-squares loss (sigmoid(z) - b)^2 with the exact second derivative.
+def nls_logistic_step(z: Array, b: Array, n: int, value: Array, first: Array,
+                      work: Array) -> None:
+    """Least-squares loss (s - b)^2 of s = ``sigmoid(z)`` into ``value``,
+    f' = 2(s - b)s' over n into ``first``, in ``sigmoid``'s and the formulas' order."""
+    e = np.exp(np.negative(np.abs(z, out=value), out=value), out=value)
+    np.add(1.0, e, out=work)
+    np.copyto(e, 1.0, where=z >= 0)
+    s = np.divide(e, work, out=value)
+    sp = np.multiply(s, np.subtract(1.0, s, out=work), out=work)
+    diff = np.subtract(s, b, out=value)
+    np.divide(np.multiply(np.multiply(2.0, diff, out=first), sp, out=first), n, out=first)
+    np.multiply(diff, diff, out=value)
 
-    second = 2*s'^2 + 2*(s-b)*s'' where s', s'' are the sigmoid derivatives.
-    """
+
+def nls_logistic_second(z: Array, b: Array) -> Array:
+    """f'' = 2s'^2 + 2(s - b)s'' of (s - b)^2, s = sigmoid(z)."""
     s = sigmoid(z)
-    b = np.asarray(b, dtype=float)
     sp = s * (1.0 - s)
-    spp = sp * (1.0 - 2.0 * s)
-    diff = s - b
-    value = diff * diff
-    first = 2.0 * diff * sp
-    second = 2.0 * sp * sp + 2.0 * diff * spp
-    return value, first, second
+    return 2.0 * sp * sp + 2.0 * (s - np.asarray(b, dtype=float)) * (sp * (1.0 - 2.0 * s))
 
 
 @dataclass(frozen=True)
 class ScalarLoss:
-    """Scalar loss with derivative oracle and validated curvature bounds.
+    """Scalar loss with its pass step, its f'' and validated curvature bounds.
 
-    ``curvature_bound`` is sup_z |f''(z; b)| over admissible targets, so
-    K_i = curvature_bound * ||a_i||^2. ``third_bound`` upper-bounds |f'''|
-    and yields the Hessian-Lipschitz estimate used by the cubic solver.
-    Custom losses must supply valid bounds themselves; they are not checked.
-    ``evaluate`` must be elementwise in z and b and safe to call from several
-    threads at once: the oracle calls it per row block, on its stripes.
-    """
+    ``step(z, b, n, value, first, work)`` writes f(z; b) into ``value`` and
+    f'(z; b) / n into ``first``, ``work`` scratch, all of z's length, and
+    ``second(z, b)`` is f''(z; b); both elementwise and thread-safe, as the
+    pass steps each row block on its stripe. ``curvature_bound`` is sup_z
+    |f''(z; b)| over admissible targets, so K_i = curvature_bound * ||a_i||^2;
+    ``third_bound`` bounds |f'''| for the cubic solver's Hessian-Lipschitz
+    estimate. Custom losses must supply valid bounds; they are not checked."""
 
     name: str
-    evaluate: Callable[[Array, Array], tuple[Array, Array, Array]]
+    step: Callable[[Array, Array, int, Array, Array, Array], None]
+    second: Callable[[Array, Array], Array]
     curvature_bound: float
     third_bound: float
 
 
 # sup|f''| = 2 at r = 0 for the bi-weight; sup|f'''| = 4.66854 at r^2 = 1-2/sqrt(5).
-BIWEIGHT = ScalarLoss("biweight", biweight_scalar, 2.0, 4.6686)
+BIWEIGHT = ScalarLoss("biweight", biweight_step, biweight_second, 2.0, 4.6686)
 # For (sigmoid-b)^2 the exact sup|f''| is below 0.32, but 2||a||^2 is kept as
 # the per-row bound; |f'''| <= 6*sup|s's''| + 2*sup|s'''| < 0.4.
-NLS_LOGISTIC = ScalarLoss("nls_logistic", nls_logistic_scalar, 2.0, 0.4)
+NLS_LOGISTIC = ScalarLoss("nls_logistic", nls_logistic_step, nls_logistic_second, 2.0, 0.4)
 
 LOSSES = {loss.name: loss for loss in (BIWEIGHT, NLS_LOGISTIC)}
 
@@ -329,14 +340,23 @@ def weyl_floor(weights: Array, sq_norms: Array, d: int) -> tuple[float, float]:
     return (floor if math.isfinite(floor) else -math.inf), total
 
 
+def _second(loss: ScalarLoss, z: Array, b: Array) -> Array:
+    """loss.second(z, b), read-only, any overflow left as inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        second = loss.second(z, b)
+    second.flags.writeable = False
+    return second
+
+
 @dataclass(eq=False)
 class FiniteSumProblem:
     """Rows, targets, and a scalar loss, with precomputed curvature bounds.
 
-    F, grad F and f'' share one pass over the rows per point, and the exact
-    Hessian at a point is formed at most once: the last two points are kept
-    (a driver's current point and its last trial), keyed on the bytes of x,
-    so ``rows`` and ``targets`` must not be mutated after construction.
+    F and grad F share one pass over the rows per point, which keeps z = Ax
+    for f'' on the rows a Hessian reads; f'' of all rows and the exact Hessian
+    are formed at most once a point: the last two points are kept (a driver's
+    current point and its last trial), keyed on the bytes of x, so ``rows``
+    and ``targets`` must not be mutated after construction.
     """
 
     rows: Array
@@ -345,7 +365,7 @@ class FiniteSumProblem:
     k_max: float = field(init=False)
     k_hat: float = field(init=False)
     row_sq_norms: Array = field(init=False)
-    # Up to two (key of x, (F, grad F, f'', cached form of grad^2 F)) entries,
+    # Up to two (key of x, (F, grad F, z, cached f'', cached grad^2 F)) entries,
     # most recent first; the tuple is replaced whole so threads can share it.
     _last: tuple = field(init=False, default=(), repr=False)
 
@@ -379,9 +399,9 @@ class FiniteSumProblem:
     def predictions(self, x: Array) -> Array:
         return self.rows @ x
 
-    def _evaluate(self, x: Array) -> tuple[float, Array, Array, Callable]:
-        """(F, grad F, f'', the cached form of grad^2 F) at x, F exactly
-        rounded, arrays read-only."""
+    def _evaluate(self, x: Array) -> tuple[float, Array, Array, Callable, Callable]:
+        """(F, grad F, z = Ax, the cached f'' of all rows, the cached form of
+        grad^2 F) at x, F exactly rounded, arrays read-only."""
         x = np.asarray(x)
         key = (x.dtype.str, x.shape, x.tobytes())
         last = self._last
@@ -393,9 +413,10 @@ class FiniteSumProblem:
         # Closed over arrays, not self: a cycle through the record would keep
         # every formed Hessian alive until the cyclic collector runs.
         rows, targets, loss, n = self.rows, self.targets, self.loss, self.n
-        values, second = np.empty(n), np.empty(n)
+        values, z = np.empty(n), np.empty(n)
 
         def stripe(lo: int, hi: int, step: int) -> Array:
+            first, work = np.empty((2, min(hi - lo, step)))
             # numpy's error state is per thread, so the pass sets its own: an
             # overflow leaves inf or NaN for the callers' finiteness checks.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -403,36 +424,37 @@ class FiniteSumProblem:
                 for start in range(lo, hi, step):
                     end = min(hi, start + step)
                     block = rows[start:end]
-                    value, first, curvature = loss.evaluate(block @ x,
-                                                            targets[start:end])
-                    values[start:end], second[start:end] = value, curvature
-                    part = block.T @ (first / n)
+                    loss.step(np.matmul(block, x, out=z[start:end]), targets[start:end],
+                              n, values[start:end], first[:end - start], work[:end - start])
+                    part = block.T @ first[:end - start]
                     grad = part if grad is None else grad + part
             return grad
 
         grad = functools.reduce(np.add, _map_stripes(stripe, n, self.d))
         f = exact_sum(values) / n
-        grad.flags.writeable = False
-        second.flags.writeable = False
-        hessian = functools.cache(lambda: weighted_gram(rows, second / n))
-        evaluated = (f, grad, second, hessian)
+        grad.flags.writeable = z.flags.writeable = False
+        second = functools.cache(lambda: _second(loss, z, targets))
+        hessian = functools.cache(lambda: weighted_gram(rows, second() / n))
+        evaluated = (f, grad, z, second, hessian)
         self._last = ((key, evaluated),) + last[:1]
         return evaluated
 
     def value_grad(self, x: Array) -> tuple[float, Array]:
         """Exact F and grad F."""
-        f, grad, _, _ = self._evaluate(x)
-        return f, grad
+        return self._evaluate(x)[:2]
 
-    def second_derivatives(self, x: Array) -> Array:
-        return self._evaluate(x)[2]
+    def second_derivatives(self, x: Array, index: Array | None = None) -> Array:
+        """f'' at x of every row, cached on x's record entry, or of the rows
+        ``index`` lists only, evaluated there from the entry's z."""
+        _, _, z, second, _ = self._evaluate(x)
+        return second() if index is None else _second(self.loss, z[index], self.targets[index])
 
     def exact_hessian_operator(self, x: Array) -> HessianOperator:
         """grad^2 F with the form in x's record entry, shared with
         ``dense_hessian(x)``, applied by a row pass over all n rows; bound
         tightened to the value at x, and floored by ``weyl_floor``."""
-        _, _, second, hessian = self._evaluate(x)
-        weights = second / self.n
+        _, _, _, second, hessian = self._evaluate(x)
+        weights = second() / self.n
         floor, bound_at_x = weyl_floor(weights, self.row_sq_norms, self.d)
         return HessianOperator(form=hessian, sample_size=self.n,
                                norm_bound=min(self.k_max, bound_at_x),
@@ -442,7 +464,7 @@ class FiniteSumProblem:
     def dense_hessian(self, x: Array) -> Array:
         """Materialized grad^2 F(x), read-only: one ``weighted_gram`` over
         all rows, unless an exact operator at x already formed it."""
-        return self._evaluate(x)[3]()
+        return self._evaluate(x)[4]()
 
     def hessian_lipschitz_bound(self) -> float:
         """Global (hence path) Lipschitz bound for grad^2 F from sup|f'''|."""

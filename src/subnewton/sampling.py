@@ -242,12 +242,29 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
     if scheme.mode == "uniform_without_replacement" and size == problem.n:
         return replace(problem.exact_hessian_operator(x), norm_bound=norm_bound)
     rows = problem.rows
-    weights = problem.second_derivatives(x)[idx] / (problem.n * size * p_sel)
+    second = (problem.second_derivatives(x, idx) if p is None
+              else problem.second_derivatives(x)[idx])
+    weights = second / (problem.n * size * p_sel)
     form = functools.cache(lambda: weighted_gram(rows[idx], weights))
     floor, _ = weyl_floor(weights, problem.row_sq_norms[idx], problem.d)
     return HessianOperator(form=form, norm_bound=norm_bound,
                            accuracy=scheme.epsilon, sample_size=size,
                            apply=row_pass(rows, weights, idx), lambda_floor=floor)
+
+
+def _exceeds(stack: Array, epsilon: float) -> Array:
+    """||D||_2 > epsilon for each D of a finite stack, as ``eigvalsh`` says.
+    ||D||_F <= eps (1 - 1e-10) passes a draw and a column norm above
+    eps (1 + 1e-10) fails it, as ||D||_2 lies between the two; the margins
+    exceed the norms' and the eigensolve's rounding, a few d u each (u =
+    2^-53), ``slack`` the squares' underflow. Only the rest are eigensolved."""
+    with np.errstate(over="ignore"):
+        squares = np.einsum("kij,kij->kj", stack, stack)
+    slack = stack.shape[1] * 2.0 ** -537
+    fails = np.sqrt(squares.max(axis=1)) > epsilon * (1 + 1e-10) + slack
+    open_ = ~fails & (np.sqrt(squares.sum(axis=1)) > epsilon * (1 - 1e-10) - slack)
+    fails[open_] = np.max(np.abs(np.linalg.eigvalsh(stack[open_])), axis=1) > epsilon
+    return fails
 
 
 def verify_concentration(problem: FiniteSumProblem, x: Array,
@@ -258,9 +275,10 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
     Each draw's rows are gathered into one buffer that every draw reuses (a
     fresh |S| x d copy per draw made the allocator trim and re-fault its heap
     each time), and its difference H_S - grad^2 F(x) goes into a stack of at
-    most ``EIG_STACK_BYTES``, whose spectra one batched dense eigensolve
-    gives; desk scale only. A full draw without replacement is the same every
-    trial, so its error is measured once and counted ``trials`` times.
+    most ``EIG_STACK_BYTES``, which ``_exceeds`` decides by norms and one
+    batched dense eigensolve; desk scale only. A full draw without
+    replacement is the same every trial, so its error is measured once and
+    counted ``trials`` times.
     """
     rng = np.random.default_rng(rng_seed)
     second = problem.second_derivatives(x)
@@ -286,6 +304,5 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
             np.take(problem.rows, idx, axis=0, out=gathered, mode="clip")
             np.subtract(weighted_gram(gathered, weights), exact, out=diff)
         ensure_finite(chunk, "a sampled Hessian's difference from the exact one")
-        errs = np.max(np.abs(np.linalg.eigvalsh(chunk)), axis=1)
-        failures += int(np.count_nonzero(errs > scheme.epsilon))
+        failures += int(np.count_nonzero(_exceeds(chunk, scheme.epsilon)))
     return failures * (trials if full else 1) / trials

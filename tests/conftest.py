@@ -9,7 +9,7 @@ from hypothesis import settings
 from subnewton import problems, sampling
 from subnewton.core import ConfigurationError, HessianOperator
 from subnewton.cubic_reg import ARCConfig, run_arc
-from subnewton.problems import weighted_gram
+from subnewton.problems import sigmoid, weighted_gram
 from subnewton.sampling import nonuniform_distribution
 from subnewton.trust_region import TRConfig, run_tr
 
@@ -17,6 +17,32 @@ from subnewton.trust_region import TRConfig, run_tr
 # on the run's entropy.
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+
+
+def biweight_scalar(z, b):
+    """Reference bi-weight loss r^2/(1+r^2) of r = z - b: (f, f', f''), by
+    the formulas the oracle's pass and ``BIWEIGHT.second`` must match bit
+    for bit."""
+    r = np.asarray(z, dtype=float) - np.asarray(b, dtype=float)
+    t = 1.0 + r * r
+    value = r * r / t
+    first = 2.0 * r / (t * t)
+    second = 2.0 * (1.0 - 3.0 * r * r) / (t * t * t)
+    return value, first, second
+
+
+def nls_logistic_scalar(z, b):
+    """Reference least-squares loss (sigmoid(z) - b)^2: (f, f', f''), with
+    f'' = 2 s'^2 + 2 (s - b) s'' for the sigmoid's derivatives s', s''."""
+    s = sigmoid(z)
+    b = np.asarray(b, dtype=float)
+    sp = s * (1.0 - s)
+    spp = sp * (1.0 - 2.0 * s)
+    diff = s - b
+    value = diff * diff
+    first = 2.0 * diff * sp
+    second = 2.0 * sp * sp + 2.0 * diff * spp
+    return value, first, second
 
 
 def random_symmetric(rng, d, scale=1.0):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subnewton.core import (CertificateError, ConfigurationError, NonFiniteError,
-                            OptimalityTolerances, acceptance_ratio)
+                            OptimalityTolerances, acceptance_ratio, ensure_finite)
 from subnewton.trust_region import TRConfig, run_tr
 
 from conftest import operator_from_dense, random_symmetric, symmetry_defect
@@ -170,3 +170,21 @@ class TestTolerances:
         TRConfig(tol=OptimalityTolerances(eps_g=1e-4, eps_H=1e-2), strict=True)
         with pytest.raises(ConfigurationError):
             TRConfig(tol=OptimalityTolerances(eps_g=1e-4, eps_H=0.5), strict=True)
+
+
+class TestEnsureFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 3, -1])
+    def test_any_non_finite_entry_is_refused(self, bad, where):
+        for shape in ((7,), (3, 5)):
+            values = 1e308 * np.linspace(-1.0, 1.0, np.prod(shape)).reshape(shape)
+            values.flat[where] = bad
+            with pytest.raises(NonFiniteError, match="in the values"):
+                ensure_finite(values, "the values")
+
+    def test_finite_and_empty_input_pass(self):
+        for values in (np.array([]), np.empty((0, 4)), [], (1.0, -0.0),
+                       np.array([5e-324, -1.7976931348623157e308]), 3.0):
+            ensure_finite(values, "the values")
+        with pytest.raises(NonFiniteError):
+            ensure_finite((1.0, float("nan")), "the values")

@@ -1,5 +1,6 @@
 import gc
 import inspect
+import itertools
 import math
 import os
 import subprocess
@@ -19,13 +20,13 @@ from hypothesis import strategies as st
 from subnewton.harness import build_problem, format_trace, parse_config_text, run_solver
 from subnewton import problems
 from subnewton.problems import (BIWEIGHT, NLS_LOGISTIC, DatasetError,
-                                FiniteSumProblem, QuarticSaddle,
-                                biweight_scalar, exact_sum, generate_synthetic,
-                                load_dataset, nls_logistic_scalar, row_pass,
+                                FiniteSumProblem, QuarticSaddle, exact_sum,
+                                generate_synthetic, load_dataset, row_pass,
                                 sigmoid, weighted_gram)
 from subnewton.sampling import SampleScheme, build_subsampled_hessian
 
-from conftest import count_grams, save_dataset
+from conftest import (biweight_scalar, count_grams, nls_logistic_scalar,
+                      save_dataset)
 
 
 def central_diff(fn, z, b, h=1e-5):
@@ -181,7 +182,7 @@ class TestFiniteSumProblem:
         problem = generate_synthetic("nls_logistic", n=30, d=5, rng_seed=5)
         z = rng.uniform(-30, 30, size=10**4)
         for i in [0, 7, 29]:
-            _, _, d2 = problem.loss.evaluate(z, np.full_like(z, problem.targets[i]))
+            d2 = problem.loss.second(z, np.full_like(z, problem.targets[i]))
             k_i = problem.loss.curvature_bound * problem.row_sq_norms[i]
             assert np.max(np.abs(d2)) * problem.row_sq_norms[i] <= k_i + 1e-12
 
@@ -288,47 +289,50 @@ def block_rows(d):
 
 
 def count_loss_rows(problem):
-    """Make the problem's loss record the row count of each evaluation."""
+    """Make the problem's loss record the row count of each pass step."""
     evaluated = []
-    evaluate = problem.loss.evaluate
+    step = problem.loss.step
 
-    def counted(z, b):
+    def counted(z, b, *args):
         evaluated.append(len(z))
-        return evaluate(z, b)
+        return step(z, b, *args)
 
-    problem.loss = replace(problem.loss, evaluate=counted)
+    problem.loss = replace(problem.loss, step=counted)
     return evaluated
 
 
 def reference_mismatches():
-    """The (n, d, output) cases where the one-pass oracle's F or f'' differs
-    in a bit from the two-pass ``loss(rows @ x)`` (a lone last row's product
-    taken on its own, as its one-row block takes it), or grad F by more than
-    1e-13 of its magnitude; bit for bit for grad F too up to one block."""
+    """The (loss, n, d, output) cases where the one-pass oracle's F or f''
+    differs in a bit from the two-pass reference ``loss(rows @ x)`` (a lone
+    last row's product taken on its own, as its one-row block takes it), or
+    grad F by more than 1e-13 of its magnitude; bit for bit for grad F too
+    up to one block."""
     mismatches = []
-    for n in (1, 1023, 1025, 2049, 8193, 20000):
-        for d in (1, 5, 64, 200):
-            g = np.random.default_rng(n * 1000 + d)
-            rows = g.standard_normal((n, d)) / math.sqrt(d)
-            targets, x = g.standard_normal(n), g.standard_normal(d)
-            problem = FiniteSumProblem(rows=rows, targets=targets, loss=BIWEIGHT)
-            f, grad = problem.value_grad(x)
-            z = rows @ x
-            block = block_rows(d)
-            if n % block == 1:
-                # A lone last row is a block of its own, whose product numpy
-                # takes by a dot; that can round unlike the whole GEMV's row.
-                z[-1:] = rows[-1:] @ x
-            values, first, second = BIWEIGHT.evaluate(z, targets)
-            reference = rows.T @ (first / n)
-            magnitude = np.abs(rows).T @ np.abs(first / n)
-            checks = {
-                "F": _bits(f) == _bits(exact_sum(values) / n),
-                "f''": _bits(problem.second_derivatives(x)) == _bits(second),
-                "grad": (np.max(np.abs(grad - reference)) <= 1e-13 * np.max(magnitude)
-                         and (n > block or _bits(grad) == _bits(reference))),
-            }
-            mismatches += [(n, d, name) for name, ok in checks.items() if not ok]
+    for (n, d), (loss, scalar) in itertools.product(
+            itertools.product((1, 1023, 1025, 2049, 8193, 20000), (1, 5, 64, 200)),
+            ((BIWEIGHT, biweight_scalar), (NLS_LOGISTIC, nls_logistic_scalar))):
+        g = np.random.default_rng(n * 1000 + d)
+        rows = g.standard_normal((n, d)) / math.sqrt(d)
+        targets, x = g.standard_normal(n), g.standard_normal(d)
+        problem = FiniteSumProblem(rows=rows, targets=targets, loss=loss)
+        f, grad = problem.value_grad(x)
+        z = rows @ x
+        block = block_rows(d)
+        if n % block == 1:
+            # A lone last row is a block of its own, whose product numpy
+            # takes by a dot; that can round unlike the whole GEMV's row.
+            z[-1:] = rows[-1:] @ x
+        values, first, second = scalar(z, targets)
+        reference = rows.T @ (first / n)
+        magnitude = np.abs(rows).T @ np.abs(first / n)
+        checks = {
+            "F": _bits(f) == _bits(exact_sum(values) / n),
+            "f''": _bits(problem.second_derivatives(x)) == _bits(second),
+            "grad": (np.max(np.abs(grad - reference)) <= 1e-13 * np.max(magnitude)
+                     and (n > block or _bits(grad) == _bits(reference))),
+        }
+        mismatches += [(loss.name, n, d, name) for name, ok in checks.items()
+                       if not ok]
     return mismatches
 
 
@@ -386,22 +390,22 @@ class TestStripes:
         x, y = np.zeros(200), np.full(200, 0.01)
         problem.value_grad(x)
         record = problem._last
-        evaluate = problem.loss.evaluate
+        step = problem.loss.step
 
         class StripeFailure(Exception):
             pass
 
-        def failing(z, b):
+        def failing(z, b, *args):
             if len(z) == 1:  # the last block only
                 raise StripeFailure
-            return evaluate(z, b)
+            return step(z, b, *args)
 
-        problem.loss = replace(problem.loss, evaluate=failing)
+        problem.loss = replace(problem.loss, step=failing)
         with pytest.raises(StripeFailure):
             problem.value_grad(y)
         assert problems._pool[1].tasks == 2 * 2
         assert problem._last is record
-        problem.loss = replace(problem.loss, evaluate=evaluate)
+        problem.loss = replace(problem.loss, step=step)
         fresh = generate_synthetic("biweight", n=8193, d=200, rng_seed=16)
         assert _bits(problem.value_grad(y)[1]) == _bits(fresh.value_grad(y)[1])
 
@@ -438,6 +442,7 @@ class TestStripes:
             monkeypatch.setattr(problems, "_pool", (os.getpid(), pool, helpers))
             problem = FiniteSumProblem(rows=rows, targets=targets, loss=BIWEIGHT)
             outputs.append([_bits(part) for part in problem._evaluate(x)[:3]]
+                           + [_bits(problem.second_derivatives(x))]
                            + [_bits(weighted_gram(rows, w)),
                               _bits(row_pass(rows, w)(v)),
                               _bits(row_pass(rows, w[index], index)(v))])
@@ -626,7 +631,7 @@ class TestExactSum:
     def test_loss_vectors(self, rng):
         problem = generate_synthetic("biweight", n=5000, d=8, rng_seed=15)
         for _ in range(20):
-            values, _, second = problem.loss.evaluate(
+            values, _, second = biweight_scalar(
                 problem.predictions(rng.standard_normal(8)), problem.targets)
             self.assert_matches_fsum(values)
             self.assert_matches_fsum(np.abs(second) * problem.row_sq_norms)
@@ -681,10 +686,10 @@ class TestEvaluationRecord:
         for name in ("value_grad", "second_derivatives"):
             method = getattr(problem, name)
 
-            def wrapper(x, _method=method):
+            def wrapper(x, *args, _method=method):
                 key = np.asarray(x).tobytes()
                 before = sum(evaluated)
-                out = _method(x)
+                out = _method(x, *args)
                 queried.append(key)
                 if sum(evaluated) > before:
                     passes.append((key, sum(evaluated) - before))
@@ -791,6 +796,102 @@ class TestEvaluationRecord:
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestLeanPass:
+    """The pass computes F and f' in place and keeps z = Ax; f'' is evaluated
+    from z only on the rows a Hessian reads."""
+
+    # Residuals from +-0 through subnormals to past the bi-weight's overflow
+    # at 1.34e154, and the logistic's exp edges; NaN and infinite z after.
+    RESIDUALS = [0.0, 5e-324, 1e-310, 2.2e-308, 1e-160, 1e-8, 0.5, 1.0, 3.0, 36.0,
+                 709.0, 746.0, 1e8, 1e77, 1.2e77, 1e100, 1.3e154, 1.4e154, 1e200]
+    TARGETS = {"biweight": [0.0, -0.0, 1.5, -3.0, 5e-324],
+               "nls_logistic": [0.0, -0.0, 1.0, 0.3, -2.0, 5e-324]}
+    REFERENCES = {"biweight": biweight_scalar, "nls_logistic": nls_logistic_scalar}
+
+    def grid(self, name):
+        r = np.array(self.RESIDUALS + [-v for v in self.RESIDUALS])
+        b = np.array(self.TARGETS[name])
+        z = np.concatenate([(r[:, None] + b).ravel(),
+                            np.repeat([np.nan, np.inf, -np.inf], b.size)])
+        return z, np.concatenate([np.tile(b, r.size), np.tile(b, 3)])
+
+    @pytest.mark.parametrize("name", ["biweight", "nls_logistic"])
+    @pytest.mark.parametrize("n", [1, 3, 1000, 100_000])
+    def test_step_matches_the_reference_value_and_first_over_n(self, name, n):
+        z, b = self.grid(name)
+        value, first, work = np.full((3, z.size), 7.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            problems.LOSSES[name].step(z, b, n, value, first, work)
+            ref_value, ref_first, _ = self.REFERENCES[name](z, b)
+            ref_first = ref_first / n
+        assert _bits(value) == _bits(ref_value)
+        assert _bits(first) == _bits(ref_first)
+
+    @pytest.mark.parametrize("name", ["biweight", "nls_logistic"])
+    def test_second_on_any_rows_equals_the_full_vector(self, name, rng):
+        z, b = self.grid(name)
+        z, b = np.concatenate([z, rng.standard_normal(301) * 30]), np.concatenate(
+            [b, rng.choice(self.TARGETS[name], 301)])
+        loss = problems.LOSSES[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = loss.second(z, b)
+            assert _bits(full) == _bits(self.REFERENCES[name](z, b)[2])
+            for index in (np.arange(1, z.size), np.arange(2, z.size, 3), [0, 0, 5],
+                          np.sort(rng.integers(0, z.size, 40)), np.arange(0),
+                          rng.permutation(z.size)):
+                assert _bits(loss.second(z[index], b[index])) == _bits(full[index])
+        problem = generate_synthetic(name, n=3000, d=7, rng_seed=19)
+        x = rng.standard_normal(7)
+        index = np.sort(rng.integers(0, 3000, 200))
+        assert (_bits(problem.second_derivatives(x, index))
+                == _bits(problem.second_derivatives(x)[index]))
+
+    @staticmethod
+    def count_second_rows(problem):
+        """Make the problem's loss record each f'' evaluation's row count
+        and z bytes."""
+        calls = []
+        second = problem.loss.second
+
+        def counted(z, b):
+            calls.append((len(z), np.asarray(z).tobytes()))
+            return second(z, b)
+
+        problem.loss = replace(problem.loss, second=counted)
+        return calls
+
+    def test_a_partial_uniform_build_evaluates_its_sample_rows(self):
+        problem = generate_synthetic("biweight", n=500, d=6, rng_seed=15)
+        calls = self.count_second_rows(problem)
+        steps = count_loss_rows(problem)
+        x = np.full(6, 0.3)
+        for mode in ("uniform_without_replacement", "uniform_with_replacement"):
+            scheme = SampleScheme(mode=mode, epsilon=0.5, delta=0.1, resolved_size=40)
+            build_subsampled_hessian(problem, x, scheme, rng_seed=1).apply(np.ones(6))
+        assert [size for size, _ in calls] == [40, 40]
+        assert sum(steps) == 500
+
+    @pytest.mark.parametrize("hessian", ["exact", "nonuniform", "intrinsic", "uniform_wor"])
+    def test_full_second_is_evaluated_once_per_point(self, hessian):
+        # Delta_0 = 64 forces rejected trials; the loop head's next query at
+        # the same point, and the footer's at the last, read the record.
+        config = parse_config_text(TestEvaluationRecord.TR_CFG.replace(
+            "uniform_wor", hessian) + "radius0 = 64\n")
+        problem = build_problem(config)
+        calls = self.count_second_rows(problem)
+        result = run_solver(config, problem)
+        format_trace(result, problem=problem)
+        assert result.converged and result.n_rejected >= 1
+        full = [key for size, key in calls if size == problem.n]
+        assert len(full) == len(set(full))
+        if hessian == "uniform_wor":  # only the footer reads every row
+            assert len(full) == 1
+            assert 0 < len(calls) - 1 and all(0 < size < problem.n
+                                              for size, _ in calls[:-1])
+        else:
+            assert len(full) == len(calls) == result.n_accepted + 1
 
 
 class TestQuarticSaddle:

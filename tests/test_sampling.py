@@ -12,7 +12,8 @@ from subnewton.cubic_reg import ARCConfig
 from subnewton.curvature import probe_extreme
 from subnewton.problems import (BIWEIGHT, FiniteSumProblem, generate_synthetic,
                                 row_pass, weighted_gram, weyl_floor)
-from subnewton.sampling import (HESSIANS, SampleScheme, _draw_indices,
+from subnewton import sampling
+from subnewton.sampling import (HESSIANS, SampleScheme, _draw_indices, _exceeds,
                                 build_subsampled_hessian, hessian_source,
                                 intrinsic_dimension, intrinsic_sample_size,
                                 nonuniform_distribution, nonuniform_sample_size,
@@ -145,7 +146,10 @@ class TestNonuniformDistribution:
         # asymptotically; force exact zeros through a custom loss.
         from subnewton.problems import ScalarLoss
 
-        flat = ScalarLoss("flat", lambda z, b: (z * 0.0, z * 0.0, z * 0.0), 1.0, 1.0)
+        def step(z, b, n, value, first, work):
+            value[:] = first[:] = 0.0
+
+        flat = ScalarLoss("flat", step, lambda z, b: z * 0.0, 1.0, 1.0)
         problem = FiniteSumProblem(rows=np.eye(3), targets=np.zeros(3), loss=flat)
         p = nonuniform_distribution(problem, np.zeros(3))
         assert np.allclose(p, 1.0 / 3.0)
@@ -488,13 +492,18 @@ def scaled_problem(d: int, scale: float, row_scale: float = 1.0) -> FiniteSumPro
     ``scale``; the curvature bound is left at the bi-weight's, so that the
     norm bounds stay finite at any scale."""
 
-    def evaluate(z, b):
-        value, first, second = BIWEIGHT.evaluate(z, b)
+    def step(z, b, n, value, first, work):
+        BIWEIGHT.step(z, b, n, value, first, work)
         with np.errstate(over="ignore"):
-            return value * scale, first * scale, second * scale
+            value *= scale
+            first *= scale
+
+    def second(z, b):
+        with np.errstate(over="ignore"):
+            return BIWEIGHT.second(z, b) * scale
 
     base = generate_synthetic("biweight", n=120, d=d, rng_seed=21, skew=4.0)
-    loss = replace(BIWEIGHT, name="scaled", evaluate=evaluate)
+    loss = replace(BIWEIGHT, name="scaled", step=step, second=second)
     return FiniteSumProblem(rows=base.rows * row_scale, targets=base.targets, loss=loss)
 
 
@@ -577,6 +586,48 @@ class TestResolveScheme:
         problem = generate_synthetic("biweight", n=50, d=10, rng_seed=10)
         with pytest.raises(ConfigurationError):
             resolve_scheme(problem, "nonuniform_intrinsic", epsilon=0.3, delta=0.1)
+
+
+class TestScreenedDecisions:
+    """``_exceeds`` decides ||D||_2 > eps as the eigensolve does, and only
+    the draws its norm screens leave open reach the eigensolve."""
+
+    RATIOS = (1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-9, 1 + 1e-6)
+
+    @staticmethod
+    def stack(eps, rng, d=6):
+        """Matrices whose ||D||_2 lies just below, at and just above eps:
+        rank one (norm = Frobenius norm), a scaled basis projector (norm =
+        a column norm), and full spectra that neither screen settles."""
+        mats = [np.zeros((d, d))]
+        for ratio in TestScreenedDecisions.RATIOS:
+            u = rng.standard_normal(d)
+            u /= np.linalg.norm(u)
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            spectrum = eps * ratio * np.array([1.0, -0.5, 0.3, 0.0, -0.9, 0.1])
+            for m in (eps * ratio * np.outer(u, u),
+                      np.diag([-eps * ratio] + [0.0] * (d - 1)), (q * spectrum) @ q.T):
+                mats.append(0.5 * (m + m.T))
+        return np.array(mats)
+
+    @pytest.mark.parametrize("eps", [0.3, 1.0, 1e-200, 0.0, -1.0])
+    def test_screened_decisions_equal_the_eigensolve(self, eps, monkeypatch, rng):
+        stack = self.stack(abs(eps) or 1e-3, rng)
+        expected = np.max(np.abs(np.linalg.eigvalsh(stack)), axis=1) > eps
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            solved.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(sampling.np.linalg, "eigvalsh", counted)
+        assert _exceeds(stack, eps).tolist() == expected.tolist()
+        if eps == 0.3:
+            # The zero matrix and the four rank-one ones 1e-6 and 1e-9 below
+            # pass on their Frobenius norm; the two projectors as far above
+            # fail on their column norm. Everything else is eigensolved.
+            assert sum(solved) == len(stack) - 7
 
 
 class TestVerifyConcentration:

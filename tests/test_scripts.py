@@ -1,7 +1,8 @@
 """Every demo script, and the README's library quick start, runs to
 completion: they use the public API, so an API change that breaks one fails
-here. ``trace_digests.py`` runs in its ``--counts`` mode too, and every one
-of its solve jobs replays the update rules and ends certified."""
+here. ``trace_digests.py`` runs in its ``--counts`` mode too, whose lines
+must equal ``scripts/trace_counts.txt``, and every one of its solve jobs
+replays the update rules and ends certified."""
 
 import os
 import re
@@ -27,8 +28,8 @@ def readme_quick_start() -> str:
     return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
-def run_python(args) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
+def run_python(args, **env_vars) -> subprocess.CompletedProcess:
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
@@ -46,8 +47,11 @@ def test_script_exits_zero(args):
 def test_trace_digests_counts():
     # The decision and work counts that refactors are diffed by come from
     # wrapping the configs' ``step`` and ``HessianOperator`` construction:
-    # every job must read real counts through those hooks.
-    done = run_python([str(ROOT / "scripts" / "trace_digests.py"), "--counts"])
+    # every job must read real counts through those hooks. At one BLAS
+    # thread they equal scripts/trace_counts.txt, so a change to that file
+    # is a change of decisions or work, made on purpose.
+    done = run_python([str(ROOT / "scripts" / "trace_digests.py"), "--counts"],
+                      OPENBLAS_NUM_THREADS="1")
     assert done.returncode == 0, done.stderr
     pattern = re.compile(r"\w+ iterations=(\d+) accepted=\d+ eigen_seeds=(\d+) "
                          r"bound_rows=\d+ applies=(\d+) columns=\d+")
@@ -55,6 +59,7 @@ def test_trace_digests_counts():
     assert counts and all(counts), done.stdout
     assert all(int(m[1]) > 0 and int(m[3]) > 0 for m in counts)
     assert sum(int(m[2]) for m in counts) > 0
+    assert done.stdout == (ROOT / "scripts" / "trace_counts.txt").read_text()
 
 
 def test_digest_jobs_replay_and_certify(monkeypatch):
