@@ -44,6 +44,7 @@ from subnewton.core import HessianOperator
 from subnewton.cubic_reg import ARCConfig
 from subnewton.harness import (ExperimentConfig, build_problem, format_trace,
                                format_verification, run_solver, verify_bounds)
+from subnewton.sampling import HESSIANS
 from subnewton.trust_region import TRConfig
 
 BASE = dict(problem="biweight", n=3000, d=8, k_max_target=1.0, data_seed=3, seed=5,
@@ -51,8 +52,8 @@ BASE = dict(problem="biweight", n=3000, d=8, k_max_target=1.0, data_seed=3, seed
 SOLVERS = {"tr": dict(solver="tr"),
            "arc_standard": dict(solver="arc"),
            "arc_optimal": dict(solver="arc", arc_mode="optimal")}
-HESSIANS = ("exact", "uniform", "uniform_wor", "nonuniform", "intrinsic")
 
+# Older checkouts key a dict by the same names, so iterating gives them too.
 SOLVES = {f"{name}_{hessian}": ExperimentConfig(**BASE, **solver, hessian=hessian)
           for name, solver in SOLVERS.items() for hessian in HESSIANS}
 # A set nu, at d = 64, where the Grams take the SYRK path.

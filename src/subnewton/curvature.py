@@ -39,27 +39,22 @@ def probe_extreme(hessian: HessianOperator) -> CurvatureResult:
     return CurvatureResult(direction=u, rayleigh=hessian.quad(u))
 
 
-def min_valid_nu(norm_bound: float, eps_H: float) -> float:
-    """2K_H/(2K_H + eps_H) with K_H = max(norm_bound, 0): a value in [0, 1)
-    that rises to 1 as K_H/eps_H grows.
+def default_nu(norm_bound: float, eps_H: float) -> float:
+    """max(2K_H/(2K_H + eps_H), 1/2) with K_H = max(norm_bound, 0): the nu
+    a driver resolves from its bootstrap operator's norm bound when the
+    config sets none, rising to 1 as K_H/eps_H grows.
 
-    ``default_nu`` floors it at 1/2 to get the nu a driver resolves from its
-    bootstrap operator's norm bound when the config sets none. nu scales the
-    negative-curvature threshold -nu*eps_H, TR's accuracy floor
-    alpha*(1-eta)*nu*eps_H and the Eigen branch of ARC's fixed accuracy. The
-    probe is exact, so any nu < 1 still certifies lambda_min(H) > -eps_H at
-    termination; a nu near 1 makes the threshold and both accuracies as
-    large as that allows, and this formula keeps the default every trace has
-    been made with.
+    nu scales the negative-curvature threshold -nu*eps_H, TR's accuracy
+    floor alpha*(1-eta)*nu*eps_H and the Eigen branch of ARC's fixed
+    accuracy. The probe is exact, so any nu < 1 still certifies
+    lambda_min(H) > -eps_H at termination; a nu near 1 makes the threshold
+    and both accuracies as large as that allows, and this formula keeps the
+    default every trace has been made with.
     """
     if eps_H <= 0:
         raise ConfigurationError("eps_H must be positive")
     k = max(norm_bound, 0.0)
-    return 2.0 * k / (2.0 * k + eps_H)
-
-
-def default_nu(norm_bound: float, eps_H: float) -> float:
-    nu = max(min_valid_nu(norm_bound, eps_H), 0.5)
+    nu = max(2.0 * k / (2.0 * k + eps_H), 0.5)
     if not nu < 1.0:
         raise ConfigurationError(
             f"the default nu = 2K/(2K + eps_H) rounds to 1 at eps_H={eps_H!r}, "

@@ -24,7 +24,7 @@ from .cubic_reg import ARCConfig, run_arc
 from .problems import (LOSSES, DatasetError, FiniteSumProblem, QuarticSaddle,
                        generate_synthetic, load_dataset)
 from .sampling import (HESSIANS, SampleScheme, hessian_source, prescribed_size,
-                       resolve_scheme, verify_concentration)
+                       verify_concentration)
 from .trust_region import TRConfig, run_tr
 
 EXIT_OK = 0
@@ -317,13 +317,12 @@ def verify_bounds(config: ExperimentConfig) -> tuple[list[VerificationRow], bool
     rows: list[VerificationRow] = []
     seed_stream = np.random.SeedSequence([config.seed & 0xFFFFFFFF, 771])
     tightest: SampleScheme | None = None
-    for mode in ("uniform_without_replacement", "nonuniform"):
+    for mode in ("uniform_wor", "nonuniform"):
         for eps in eps_grid:
             for delta in delta_grid:
-                scheme = resolve_scheme(problem, mode, eps, delta, x=x)
                 uncapped = prescribed_size(problem, mode, eps, delta, x=x)
-                if (mode == "uniform_without_replacement"
-                        and uncapped >= 100 * problem.n):
+                scheme = SampleScheme(mode, eps, delta, min(uncapped, problem.n))
+                if mode == "uniform_wor" and uncapped >= 100 * problem.n:
                     if tightest is None or eps < tightest.epsilon:
                         tightest = scheme
                 rate = verify_concentration(problem, x, scheme, trials,
@@ -333,13 +332,13 @@ def verify_bounds(config: ExperimentConfig) -> tuple[list[VerificationRow], bool
                                             capped=uncapped > problem.n,
                                             failure_rate=rate))
     if tightest is not None:
-        control_size = max(tightest.resolved_size // 4, 1)
-        control = SampleScheme(mode=tightest.mode, epsilon=tightest.epsilon,
-                               delta=tightest.delta, resolved_size=control_size)
+        control = replace(tightest,
+                          resolved_size=max(tightest.resolved_size // 4, 1))
         rate = verify_concentration(problem, x, control, trials,
                                     rng_seed=np.random.default_rng(seed_stream.spawn(1)[0]))
-        rows.append(VerificationRow(mode=tightest.mode, epsilon=tightest.epsilon,
-                                    delta=tightest.delta, sample_size=control_size,
+        rows.append(VerificationRow(mode=control.mode, epsilon=control.epsilon,
+                                    delta=control.delta,
+                                    sample_size=control.resolved_size,
                                     capped=False, failure_rate=rate,
                                     negative_control=True))
     all_ok = all(row.passed for row in rows)

@@ -26,15 +26,8 @@ from .problems import (FiniteSumProblem, exact_sum, row_pass, weighted_gram,
 
 logger = logging.getLogger(__name__)
 
-# The config's ``hessian`` names, each with the sampling mode it draws by.
-HESSIANS = {
-    "exact": None,
-    "uniform": "uniform_with_replacement",
-    "uniform_wor": "uniform_without_replacement",
-    "nonuniform": "nonuniform",
-    "intrinsic": "nonuniform_intrinsic",
-}
-MODES = tuple(mode for mode in HESSIANS.values() if mode)
+# The config's ``hessian`` names; every one but "exact" is a sampling mode.
+HESSIANS = ("exact", "uniform", "uniform_wor", "nonuniform", "intrinsic")
 # The largest eps for which the intrinsic-dimension sizing holds.
 INTRINSIC_EPS_MAX = 0.5
 
@@ -44,7 +37,8 @@ EIG_STACK_BYTES = 256 * 1024
 
 @dataclass(frozen=True)
 class SampleScheme:
-    """Resolved sampling plan: mode, accuracy targets, and sample size."""
+    """Resolved sampling plan: a ``HESSIANS`` mode other than "exact",
+    accuracy targets, and sample size."""
 
     mode: str
     epsilon: float
@@ -52,7 +46,7 @@ class SampleScheme:
     resolved_size: int
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
+        if self.mode not in HESSIANS[1:]:
             raise ConfigurationError(f"unknown sampling mode {self.mode!r}")
         if self.resolved_size < 1:
             raise ConfigurationError("resolved_size must be at least 1")
@@ -135,11 +129,11 @@ def prescribed_size(problem: FiniteSumProblem, mode: str, epsilon: float,
                     delta: float, x: Array | None = None) -> int:
     """The sample size ``mode``'s prescription gives, which may exceed n."""
     d = problem.d
-    if mode in ("uniform_with_replacement", "uniform_without_replacement"):
+    if mode in ("uniform", "uniform_wor"):
         return uniform_sample_size(problem.k_max, epsilon, delta, d)
     if mode == "nonuniform":
         return nonuniform_sample_size(problem.k_hat, epsilon, delta, d)
-    if mode == "nonuniform_intrinsic":
+    if mode == "intrinsic":
         if x is None:
             raise ConfigurationError("intrinsic sizing needs the evaluation point")
         t = intrinsic_dimension(problem, x)
@@ -168,16 +162,15 @@ def hessian_source(problem, hessian: str = "exact", eps_cap: float = 0.9) -> Hes
     """
     if hessian not in HESSIANS:
         raise ConfigurationError(f"unknown hessian mode {hessian!r}")
-    mode = HESSIANS[hessian]
-    if mode is None:
+    if hessian == "exact":
         return lambda x, eps, delta, rng: problem.exact_hessian_operator(x)
     if not isinstance(problem, FiniteSumProblem):
         raise ConfigurationError("sub-sampling requires a finite-sum problem")
-    cap = min(eps_cap, INTRINSIC_EPS_MAX) if mode == "nonuniform_intrinsic" else eps_cap
+    cap = min(eps_cap, INTRINSIC_EPS_MAX) if hessian == "intrinsic" else eps_cap
 
     def source(x: Array, eps: float, delta: float,
                rng: np.random.Generator) -> HessianOperator:
-        scheme = resolve_scheme(problem, mode, min(eps, cap), delta, x=x)
+        scheme = resolve_scheme(problem, hessian, min(eps, cap), delta, x=x)
         return build_subsampled_hessian(problem, x, scheme, rng_seed=rng)
 
     return source
@@ -202,9 +195,9 @@ def _draw_indices(problem: FiniteSumProblem, scheme: SampleScheme,
     of all n rows without replacement takes nothing from ``rng``."""
     n = problem.n
     size = scheme.resolved_size
-    if scheme.mode == "uniform_with_replacement":
+    if scheme.mode == "uniform":
         idx = np.sort(rng.integers(0, n, size=size))
-    elif scheme.mode == "uniform_without_replacement":
+    elif scheme.mode == "uniform_wor":
         if size > n:
             raise ConfigurationError(
                 "sampling without replacement needs resolved_size <= n")
@@ -239,7 +232,7 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
     size = idx.shape[0]
     norm_bound = (problem.k_max if scheme.mode.startswith("uniform")
                   else problem.k_hat + scheme.epsilon)
-    if scheme.mode == "uniform_without_replacement" and size == problem.n:
+    if scheme.mode == "uniform_wor" and size == problem.n:
         return replace(problem.exact_hessian_operator(x), norm_bound=norm_bound)
     rows = problem.rows
     second = (problem.second_derivatives(x, idx) if p is None
@@ -287,8 +280,7 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
     p = (None if scheme.mode.startswith("uniform")
          else nonuniform_distribution(problem, x))
     cdf = None if p is None else _sampling_cdf(p)
-    full = (scheme.mode == "uniform_without_replacement"
-            and scheme.resolved_size == problem.n)
+    full = scheme.mode == "uniform_wor" and scheme.resolved_size == problem.n
     draws = 1 if full else trials
     d = problem.d
     stack = np.empty((min(draws, max(EIG_STACK_BYTES // (8 * d * d), 1)), d, d))

@@ -217,9 +217,9 @@ def reference_draw_indices(problem, scheme, p, rng):
     """The draw as ``Generator.choice`` makes it, one call per trial."""
     n = problem.n
     size = scheme.resolved_size
-    if scheme.mode == "uniform_with_replacement":
+    if scheme.mode == "uniform":
         idx = rng.integers(0, n, size=size)
-    elif scheme.mode == "uniform_without_replacement":
+    elif scheme.mode == "uniform_wor":
         if size > n:
             raise ConfigurationError(
                 "sampling without replacement needs resolved_size <= n")

@@ -187,7 +187,7 @@ def test_criterion_3_concentration():
     # prescription exceeds n and is capped (the full sample is exact).
     grid = [(0.50, 0.05), (0.30, 0.10), (0.20, 0.10), (0.0027, 0.10)]
     rows = []
-    for mode in ("uniform_without_replacement", "nonuniform"):
+    for mode in ("uniform_wor", "nonuniform"):
         for i, (eps, delta) in enumerate(grid):
             scheme = resolve_scheme(problem, mode, eps, delta)
             rate = verify_concentration(problem, x, scheme, trials,
@@ -196,7 +196,7 @@ def test_criterion_3_concentration():
             assert rate <= delta, (mode, eps, delta, rate)
     # Negative control: a quarter of the capped tight-eps uniform size.
     eps_tight, delta_tight = grid[-1]
-    control = SampleScheme(mode="uniform_without_replacement",
+    control = SampleScheme(mode="uniform_wor",
                            epsilon=eps_tight, delta=delta_tight,
                            resolved_size=problem.n // 4)
     control_rate = verify_concentration(problem, x, control, trials,

@@ -3,25 +3,23 @@ import warnings
 import numpy as np
 import pytest
 
-from subnewton.curvature import min_valid_nu, probe_extreme
+from subnewton.curvature import default_nu, probe_extreme
 
 from conftest import operator_from_dense, random_symmetric
 
 
-class TestLanczosExtreme:
+class TestBottomEigenpair:
     def test_diagonal_bound_evaluated_exactly(self):
         # The probe is exact, so it meets any nu-approximate bound, e.g.
         # rayleigh <= (1-nu)*K_H + nu*lambda_min = -0.97 for nu=0.99.
         op = operator_from_dense(np.diag([2.0, -1.0]), norm_bound=2.0)
         res = probe_extreme(op)
-        assert res.converged
         assert res.rayleigh <= (1 - 0.99) * 2.0 + 0.99 * (-1.0) + 1e-12
         assert res.rayleigh == pytest.approx(-1.0, abs=1e-15)
 
     def test_identity_has_no_negative_curvature(self):
         op = operator_from_dense(np.eye(3))
         res = probe_extreme(op)
-        assert res.converged
         assert res.rayleigh == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_dense_eigensolver(self, rng):
@@ -30,7 +28,6 @@ class TestLanczosExtreme:
             op = operator_from_dense(h)
             lam_min = float(np.linalg.eigvalsh(h)[0])
             res = probe_extreme(op)
-            assert res.converged
             assert abs(res.rayleigh - lam_min) <= 1e-12 * op.norm_bound
 
     def test_unit_direction_and_rayleigh_consistency(self, rng):
@@ -61,12 +58,11 @@ class TestLanczosExtreme:
         b = probe_extreme(op_shifted)
         assert b.rayleigh - a.rayleigh == pytest.approx(c, abs=1e-8)
 
-    def test_huge_norm_bound_has_no_budget_to_overflow(self):
-        # log(d/delta)*sqrt(K_H/kappa) overflows here; the probe computes no
-        # such budget and never reads the norm bound.
+    def test_huge_norm_bound_is_not_read(self):
+        # The eigensolve reads only the matrix, so a norm bound near the
+        # float maximum leaves the bottom pair exact.
         op = operator_from_dense(np.diag([2.0, -1.0]), norm_bound=1e308)
         res = probe_extreme(op)
-        assert res.converged
         assert res.rayleigh == pytest.approx(-1.0, abs=1e-15)
 
     def test_huge_entries_give_the_exact_bottom_pair(self):
@@ -87,7 +83,7 @@ class TestNegativeCurvatureDirection:
     def test_explicit_spectrum(self):
         op = operator_from_dense(np.diag([1.0, 1.0, -2.0]))
         eps_h = 1.0
-        nu = min_valid_nu(op.norm_bound, eps_h) + 1e-6
+        nu = default_nu(op.norm_bound, eps_h) + 1e-6
         res = probe_extreme(op)
         assert abs(abs(res.direction[2]) - 1.0) < 1e-6
         assert res.rayleigh <= -nu * eps_h
@@ -95,7 +91,7 @@ class TestNegativeCurvatureDirection:
     def test_psd_returns_absent(self):
         op = operator_from_dense(np.diag([0.5, 1.0, 2.0]))
         res = probe_extreme(op)
-        assert res.converged and res.rayleigh > -0.96 * 0.2
+        assert res.rayleigh > -0.96 * 0.2
 
     def test_returned_certificate_holds_exactly(self, rng):
         # Whenever a direction is found, its stored Rayleigh quotient must
@@ -105,7 +101,7 @@ class TestNegativeCurvatureDirection:
         for _ in range(20):
             h = random_symmetric(rng, 15)
             op = operator_from_dense(h)
-            nu = min_valid_nu(op.norm_bound, eps_h) + 1e-9
+            nu = default_nu(op.norm_bound, eps_h) + 1e-9
             res = probe_extreme(op)
             if res.rayleigh <= -nu * eps_h:
                 found += 1
@@ -122,14 +118,13 @@ class TestNegativeCurvatureDirection:
 
         problem = generate_synthetic("biweight", n=400, d=12, rng_seed=5)
         x = 3.0 * np.ones(12) / np.sqrt(12)
-        scheme = resolve_scheme(problem, "uniform_with_replacement",
+        scheme = resolve_scheme(problem, "uniform",
                                 epsilon=0.5, delta=0.1)
         op = build_subsampled_hessian(problem, x, scheme, rng_seed=2)
         dense = op.matrix
         lam_min = float(np.linalg.eigvalsh(dense)[0])
         eps_h = 0.05
-        nu = min_valid_nu(op.norm_bound, eps_h) + 1e-9
+        nu = default_nu(op.norm_bound, eps_h) + 1e-9
         res = probe_extreme(op)
-        assert res.converged
         assert abs(res.rayleigh - lam_min) <= 1e-12 * op.norm_bound
         assert (res.rayleigh <= -nu * eps_h) == (lam_min <= -nu * eps_h)

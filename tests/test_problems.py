@@ -742,7 +742,7 @@ class TestEvaluationRecord:
         grams = count_grams(monkeypatch)
         problem = generate_synthetic("biweight", n=200, d=6, rng_seed=15)
         x, v = np.full(6, 0.3), np.ones(6)
-        scheme = SampleScheme(mode="uniform_with_replacement", epsilon=0.5,
+        scheme = SampleScheme(mode="uniform", epsilon=0.5,
                               delta=0.1, resolved_size=20)
         enabled = gc.isenabled()
         gc.disable()
@@ -774,7 +774,7 @@ class TestEvaluationRecord:
         # them and the record entry of their point.
         problem = generate_synthetic("biweight", n=200, d=6, rng_seed=15)
         x = np.full(6, 0.3)
-        scheme = SampleScheme(mode="uniform_with_replacement", epsilon=0.5,
+        scheme = SampleScheme(mode="uniform", epsilon=0.5,
                               delta=0.1, resolved_size=20)
         enabled = gc.isenabled()
         gc.disable()
@@ -867,7 +867,7 @@ class TestLeanPass:
         calls = self.count_second_rows(problem)
         steps = count_loss_rows(problem)
         x = np.full(6, 0.3)
-        for mode in ("uniform_without_replacement", "uniform_with_replacement"):
+        for mode in ("uniform_wor", "uniform"):
             scheme = SampleScheme(mode=mode, epsilon=0.5, delta=0.1, resolved_size=40)
             build_subsampled_hessian(problem, x, scheme, rng_seed=1).apply(np.ones(6))
         assert [size for size, _ in calls] == [40, 40]

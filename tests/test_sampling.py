@@ -180,7 +180,7 @@ class TestBuildSubsampledHessian:
     def test_full_sample_without_replacement_is_exact(self, rng):
         problem = generate_synthetic("biweight", n=40, d=6, rng_seed=4)
         x = rng.standard_normal(6)
-        scheme = SampleScheme(mode="uniform_without_replacement", epsilon=0.5,
+        scheme = SampleScheme(mode="uniform_wor", epsilon=0.5,
                               delta=0.1, resolved_size=40)
         op = build_subsampled_hessian(problem, x, scheme, rng_seed=0)
         assert op.accuracy == 0.0
@@ -194,7 +194,7 @@ class TestBuildSubsampledHessian:
         rows = np.tile(np.array([[1.0, 0.5]]), (2, 1))
         problem = FiniteSumProblem(rows=rows, targets=np.zeros(2), loss=BIWEIGHT)
         x = np.array([0.3, -0.2])
-        scheme = SampleScheme(mode="uniform_with_replacement", epsilon=0.9,
+        scheme = SampleScheme(mode="uniform", epsilon=0.9,
                               delta=0.5, resolved_size=1)
         op = build_subsampled_hessian(problem, x, scheme, rng_seed=1)
         assert np.allclose(op.matrix, problem.dense_hessian(x), atol=1e-14)
@@ -204,7 +204,7 @@ class TestBuildSubsampledHessian:
         x = rng.standard_normal(6)
         v = rng.standard_normal(6)
         exact = problem.dense_hessian(x) @ v
-        scheme = SampleScheme(mode="uniform_with_replacement", epsilon=0.9,
+        scheme = SampleScheme(mode="uniform", epsilon=0.9,
                               delta=0.5, resolved_size=1)
         trials = 20000
         gen = np.random.default_rng(6)
@@ -262,7 +262,7 @@ class TestBuildSubsampledHessian:
     def test_uniform_spectral_bound_every_draw(self, rng):
         problem = generate_synthetic("biweight", n=30, d=5, rng_seed=7)
         x = rng.standard_normal(5)
-        scheme = SampleScheme(mode="uniform_with_replacement", epsilon=0.9,
+        scheme = SampleScheme(mode="uniform", epsilon=0.9,
                               delta=0.5, resolved_size=3)
         for seed in range(25):
             op = build_subsampled_hessian(problem, x, scheme, rng_seed=seed)
@@ -284,9 +284,9 @@ class TestBuildSubsampledHessian:
         assert np.array_equal(idx, again)
         assert np.all(np.diff(idx) >= 0)  # canonical sorted order
 
-    @pytest.mark.parametrize("mode, size", [("uniform_with_replacement", 60),
-                                            ("uniform_without_replacement", 25),
-                                            ("uniform_without_replacement", 30),
+    @pytest.mark.parametrize("mode, size", [("uniform", 60),
+                                            ("uniform_wor", 25),
+                                            ("uniform_wor", 30),
                                             ("nonuniform", 60)])
     def test_draws_equal_a_stable_argsort_reference(self, rng, mode, size):
         # Sorting the draws and taking p afterwards gives, bit for bit, the
@@ -299,10 +299,10 @@ class TestBuildSubsampledHessian:
         p = nonuniform_distribution(problem, x)
         for seed in range(5):
             raw = np.random.default_rng(seed)
-            if mode == "uniform_with_replacement":
+            if mode == "uniform":
                 drawn = raw.integers(0, 30, size=size)
                 p_drawn = np.full(size, 1.0 / 30)
-            elif mode == "uniform_without_replacement":
+            elif mode == "uniform_wor":
                 drawn = raw.choice(30, size=size, replace=False)
                 p_drawn = np.full(size, 1.0 / 30)
             else:
@@ -313,7 +313,7 @@ class TestBuildSubsampledHessian:
                                        np.random.default_rng(seed))
             assert idx.tobytes() == drawn[order].tobytes()
             assert p_sel.tobytes() == p_drawn[order].tobytes()
-            if mode != "uniform_without_replacement":
+            if mode != "uniform_wor":
                 assert np.unique(idx).size < size
 
     @pytest.mark.parametrize("size", [1, 17, 30, 90])
@@ -327,7 +327,7 @@ class TestBuildSubsampledHessian:
         p /= p.sum()
         nonuniform = SampleScheme(mode="nonuniform", epsilon=0.5, delta=0.2,
                                   resolved_size=size)
-        full = SampleScheme(mode="uniform_without_replacement", epsilon=0.5,
+        full = SampleScheme(mode="uniform_wor", epsilon=0.5,
                             delta=0.2, resolved_size=30)
         for seed in range(5):
             drawn = np.random.default_rng(seed).choice(30, size=size, replace=True, p=p)
@@ -368,23 +368,23 @@ class TestMaterializedOperator:
     """The operators apply by a row pass over the weighted rows, and form
     their d x d matrix once, only when it is read."""
 
-    MODES = {
+    CASES = {
         "exact": None,
-        "uniform": ("uniform_with_replacement", 70),
-        "uniform_wor_partial": ("uniform_without_replacement", 70),
-        "uniform_wor_full": ("uniform_without_replacement", 120),
+        "uniform": ("uniform", 70),
+        "uniform_wor_partial": ("uniform_wor", 70),
+        "uniform_wor_full": ("uniform_wor", 120),
         "nonuniform": ("nonuniform", 70),
-        "intrinsic": ("nonuniform_intrinsic", 70),
+        "intrinsic": ("intrinsic", 70),
     }
 
     @staticmethod
     def operator_and_rows(problem, x, case, seed):
         """The operator plus the rows and weights it sums, drawn the same way."""
         second = problem.second_derivatives(x)
-        if TestMaterializedOperator.MODES[case] is None:
+        if TestMaterializedOperator.CASES[case] is None:
             return (problem.exact_hessian_operator(x), problem.rows,
                     second / problem.n)
-        mode, size = TestMaterializedOperator.MODES[case]
+        mode, size = TestMaterializedOperator.CASES[case]
         scheme = SampleScheme(mode=mode, epsilon=0.5, delta=0.1,
                               resolved_size=size)
         op = build_subsampled_hessian(problem, x, scheme, rng_seed=seed)
@@ -397,9 +397,9 @@ class TestMaterializedOperator:
 
     # d = 7 takes weighted_gram's GEMM path, d = 80 its SYRK path.
     @pytest.mark.parametrize("case, d", [pytest.param(case, 7, id=case)
-                                         for case in MODES]
+                                         for case in CASES]
                              + [pytest.param(case, 80, id=f"{case}-d80")
-                                for case in MODES])
+                                for case in CASES])
     def test_matches_row_form(self, rng, case, d):
         problem = generate_synthetic("biweight", n=120, d=d, rng_seed=21, skew=4.0)
         x = rng.standard_normal(d)
@@ -517,7 +517,7 @@ class TestLambdaFloor:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.parametrize("d", [7, 80])
-    @pytest.mark.parametrize("case", list(TestMaterializedOperator.MODES))
+    @pytest.mark.parametrize("case", list(TestMaterializedOperator.CASES))
     def test_floor_is_below_the_bottom_eigenvalue_and_the_probe(self, rng, case,
                                                                 d, scale):
         problem = scaled_problem(d, scale)
@@ -573,19 +573,19 @@ class TestLambdaFloor:
 class TestResolveScheme:
     def test_capping_logs_and_caps(self):
         problem = generate_synthetic("biweight", n=50, d=10, rng_seed=10, k_max=1.0)
-        scheme = resolve_scheme(problem, "uniform_without_replacement",
+        scheme = resolve_scheme(problem, "uniform_wor",
                                 epsilon=0.05, delta=0.1)
         assert scheme.resolved_size == 50
 
     def test_uncapped_when_requested(self):
         problem = generate_synthetic("biweight", n=50, d=10, rng_seed=10, k_max=1.0)
-        assert prescribed_size(problem, "uniform_with_replacement",
+        assert prescribed_size(problem, "uniform",
                                epsilon=0.05, delta=0.1) > 50
 
     def test_intrinsic_needs_point(self):
         problem = generate_synthetic("biweight", n=50, d=10, rng_seed=10)
         with pytest.raises(ConfigurationError):
-            resolve_scheme(problem, "nonuniform_intrinsic", epsilon=0.3, delta=0.1)
+            resolve_scheme(problem, "intrinsic", epsilon=0.3, delta=0.1)
 
 
 class TestScreenedDecisions:
@@ -634,14 +634,14 @@ class TestVerifyConcentration:
     def test_full_sample_never_fails(self, rng):
         problem = generate_synthetic("biweight", n=40, d=6, rng_seed=11)
         x = rng.standard_normal(6)
-        scheme = SampleScheme(mode="uniform_without_replacement", epsilon=0.3,
+        scheme = SampleScheme(mode="uniform_wor", epsilon=0.3,
                               delta=0.1, resolved_size=40)
         assert verify_concentration(problem, x, scheme, trials=50, rng_seed=1) == 0.0
 
     def test_prescribed_size_meets_delta(self, rng):
         problem = generate_synthetic("biweight", n=400, d=8, rng_seed=12, k_max=1.0)
         x = rng.standard_normal(8)
-        scheme = resolve_scheme(problem, "uniform_with_replacement",
+        scheme = resolve_scheme(problem, "uniform",
                                 epsilon=0.6, delta=0.2)
         rate = verify_concentration(problem, x, scheme, trials=200, rng_seed=2)
         assert rate <= 0.2
@@ -651,7 +651,7 @@ class TestVerifyConcentration:
         # per-sample Hessians at a tight accuracy.
         problem = generate_synthetic("biweight", n=200, d=6, rng_seed=13, skew=30.0)
         x = rng.standard_normal(6)
-        scheme = SampleScheme(mode="uniform_with_replacement", epsilon=0.05,
+        scheme = SampleScheme(mode="uniform", epsilon=0.05,
                               delta=0.2, resolved_size=1)
         rate = verify_concentration(problem, x, scheme, trials=100, rng_seed=3)
         assert rate > 0.5
@@ -660,9 +660,9 @@ class TestVerifyConcentration:
     # a partial last stack at both sizes.
     @pytest.mark.parametrize("d", [7, 80])
     @pytest.mark.parametrize("mode, size", [
-        ("uniform_with_replacement", 40), ("uniform_without_replacement", 40),
-        ("nonuniform", 40), ("nonuniform_intrinsic", 40),
-        ("uniform_without_replacement", 120)],
+        ("uniform", 40), ("uniform_wor", 40),
+        ("nonuniform", 40), ("intrinsic", 40),
+        ("uniform_wor", 120)],
         ids=["uniform", "uniform_wor", "nonuniform", "intrinsic", "full"])
     def test_rates_equal_the_per_trial_reference(self, mode, size, d):
         problem = generate_synthetic("biweight", n=120, d=d, rng_seed=21, skew=4.0)

@@ -15,6 +15,7 @@ import pytest
 
 from subnewton import harness
 from subnewton.cubic_reg import ARCConfig
+from subnewton.sampling import HESSIANS
 
 from conftest import certified, replay_updates
 
@@ -60,6 +61,27 @@ def test_trace_digests_counts():
     assert all(int(m[1]) > 0 and int(m[3]) > 0 for m in counts)
     assert sum(int(m[2]) for m in counts) > 0
     assert done.stdout == (ROOT / "scripts" / "trace_counts.txt").read_text()
+
+
+def test_trace_counts_cover_every_hessian_under_every_driver():
+    lines = (ROOT / "scripts" / "trace_counts.txt").read_text().splitlines()
+    jobs = {line.split()[0] for line in lines}
+    for driver in ("tr", "arc_standard", "arc_optimal"):
+        for hessian in HESSIANS:
+            assert f"{driver}_{hessian}" in jobs
+
+
+def test_verify_sampling_report_names_modes_by_hessians(tmp_path):
+    # eps = 0.004 prescribes over 100 n rows, so the report has a negative
+    # control row too.
+    config = tmp_path / "verify.cfg"
+    config.write_text("problem = biweight\nn = 2000\nd = 20\nk_max_target = 1.0\n"
+                      "data_seed = 3\nverify_eps = 0.5,0.004\nverify_trials = 5\n")
+    done = run_python(["-m", "subnewton", "verify-sampling", "--config", str(config)])
+    assert done.returncode == 0, done.stderr
+    header, _, *rows = done.stdout.splitlines()
+    assert header.split()[0] == "mode" and len(rows) == 5
+    assert {row.split()[0] for row in rows} <= set(HESSIANS)
 
 
 def test_digest_jobs_replay_and_certify(monkeypatch):

@@ -173,12 +173,6 @@ class TestRunTRSaddle:
             assert rec.radius_or_sigma >= floor * (1 - 1e-12)
 
 
-class TestRunTRGuards:
-    def test_strict_mode_validates_coupling(self):
-        with pytest.raises(ConfigurationError):
-            TRConfig(tol=OptimalityTolerances(eps_g=1e-6, eps_H=0.5), strict=True)
-
-
 class TestReplayHelpers:
     """``replay_updates`` and ``certified`` pass on real runs, and the
     replay catches each one-field corruption of a trace."""
