@@ -346,12 +346,13 @@ def verify_bounds(config: ExperimentConfig) -> tuple[list[VerificationRow], bool
 
 
 def format_verification(rows: Sequence[VerificationRow]) -> str:
-    header = (f"{'mode':<30} {'eps':>6} {'delta':>6} {'|S|':>7} {'capped':>6} "
+    width = max(map(len, HESSIANS))
+    header = (f"{'mode':<{width}} {'eps':>6} {'delta':>6} {'|S|':>7} {'capped':>6} "
               f"{'fail_rate':>9} {'expect':>8} {'ok':>3}")
     lines = [header, "-" * len(header)]
     for row in rows:
         expect = f">{row.delta:g}" if row.negative_control else f"<={row.delta:g}"
-        lines.append(f"{row.mode:<30} {row.epsilon:>6g} {row.delta:>6g} "
+        lines.append(f"{row.mode:<{width}} {row.epsilon:>6g} {row.delta:>6g} "
                      f"{row.sample_size:>7d} {str(row.capped):>6} "
                      f"{row.failure_rate:>9.4f} {expect:>8} "
                      f"{'yes' if row.passed else 'NO':>3}")

@@ -234,6 +234,20 @@ def _map_stripes(task: Callable[[int, int, int], object], n: int, d: int) -> lis
 SYRK_MIN_DIM = 64
 
 
+def gemm_product(weighted: Array, rows: Array, out: Array | None = None) -> Array:
+    """(A diag(w))' A from the weighted rows A diag(w): ``weighted_gram``'s
+    one GEMM below ``SYRK_MIN_DIM``, before ``symmetrized``."""
+    return np.matmul(weighted.T, rows, out=out)
+
+
+def symmetrized(m: Array, out: Array | None = None) -> Array:
+    """0.5 (M + M') of a square matrix or of each matrix of a stack;
+    ``out`` must not overlap ``m``."""
+    out = np.add(m, np.swapaxes(m, -1, -2), out=out)
+    out *= 0.5
+    return out
+
+
 def weighted_gram(rows: Array, w: Array) -> Array:
     """sum_i w_i a_i a_i' over the n x d rows, exactly symmetric and read-only.
 
@@ -252,8 +266,7 @@ def weighted_gram(rows: Array, w: Array) -> Array:
     """
     n, d = rows.shape
     if d < SYRK_MIN_DIM:
-        m = (rows * w[:, None]).T @ rows
-        gram = 0.5 * (m + m.T)
+        gram = symmetrized(gemm_product(rows * w[:, None], rows))
         gram.flags.writeable = False
         return gram
     root = np.sqrt(np.abs(w))[:, None]

@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import (Array, ConfigurationError, HessianOperator, HessianSource,
                    ensure_finite)
-from .problems import (FiniteSumProblem, exact_sum, row_pass, weighted_gram,
-                       weyl_floor)
+from .problems import (SYRK_MIN_DIM, FiniteSumProblem, exact_sum, gemm_product,
+                       row_pass, symmetrized, weighted_gram, weyl_floor)
 
 logger = logging.getLogger(__name__)
 
@@ -188,11 +188,11 @@ def _sampling_cdf(p: Array) -> Array:
 
 def _draw_indices(problem: FiniteSumProblem, scheme: SampleScheme,
                   p: Array | None, rng: np.random.Generator,
-                  cdf: Array | None = None) -> tuple[Array, Array]:
-    """Sorted index multiset plus the per-draw selection probabilities
-    (non-uniform modes draw from ``p``, or its ``cdf`` if given; uniform modes
-    ignore both), bit for bit the sorted draw of ``Generator.choice``. A draw
-    of all n rows without replacement takes nothing from ``rng``."""
+                  cdf: Array | None = None) -> Array:
+    """Sorted index multiset (non-uniform modes draw from ``p``, or its
+    ``cdf`` if given; uniform modes ignore both), bit for bit the sorted draw
+    of ``Generator.choice``. A draw of all n rows without replacement takes
+    nothing from ``rng``."""
     n = problem.n
     size = scheme.resolved_size
     if scheme.mode == "uniform":
@@ -206,8 +206,7 @@ def _draw_indices(problem: FiniteSumProblem, scheme: SampleScheme,
     else:
         cdf = _sampling_cdf(p) if cdf is None else cdf
         idx = cdf.searchsorted(np.sort(rng.random(size)), side="right")
-        return idx, p[idx]
-    return idx, np.full(size, 1.0 / n)
+    return idx
 
 
 def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
@@ -228,7 +227,7 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
     rng = np.random.default_rng(rng_seed)
     p = (None if scheme.mode.startswith("uniform")
          else nonuniform_distribution(problem, x))
-    idx, p_sel = _draw_indices(problem, scheme, p, rng)
+    idx = _draw_indices(problem, scheme, p, rng)
     size = idx.shape[0]
     norm_bound = (problem.k_max if scheme.mode.startswith("uniform")
                   else problem.k_hat + scheme.epsilon)
@@ -237,6 +236,7 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
     rows = problem.rows
     second = (problem.second_derivatives(x, idx) if p is None
               else problem.second_derivatives(x)[idx])
+    p_sel = 1.0 / problem.n if p is None else p[idx]
     weights = second / (problem.n * size * p_sel)
     form = functools.cache(lambda: weighted_gram(rows[idx], weights))
     floor, _ = weyl_floor(weights, problem.row_sq_norms[idx], problem.d)
@@ -265,13 +265,18 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
                          rng_seed: int | np.random.Generator = 0) -> float:
     """Fraction of independent draws with ||H - grad^2 F(x)|| > eps.
 
-    Each draw's rows are gathered into one buffer that every draw reuses (a
-    fresh |S| x d copy per draw made the allocator trim and re-fault its heap
-    each time), and its difference H_S - grad^2 F(x) goes into a stack of at
-    most ``EIG_STACK_BYTES``, which ``_exceeds`` decides by norms and one
-    batched dense eigensolve; desk scale only. A full draw without
-    replacement is the same every trial, so its error is measured once and
-    counted ``trials`` times.
+    Once per grid point: f'', the exact Hessian, p and its CDF, and every
+    row's weight w = f'' / (n |S| p), p = 1/n in the uniform modes; below
+    ``SYRK_MIN_DIM`` also the weighted rows A diag(w), an 8 n d byte table.
+    Per draw: the sorted indices, their plain (and weighted) rows gathered
+    into buffers that every draw reuses, and one Gram into a stack of at
+    most ``EIG_STACK_BYTES``: the GEMM of ``gemm_product``, or from
+    ``SYRK_MIN_DIM`` a ``weighted_gram`` of the gathered rows. Per stack:
+    the GEMM products ``symmetrized``, H_S - grad^2 F(x) and ``_exceeds``,
+    which decides by norms and one batched dense eigensolve; desk scale
+    only. Every difference is bit for bit that of ``weighted_gram(rows[idx],
+    w[idx])``. A full draw without replacement is the same every trial, so
+    its error is measured once and counted ``trials`` times.
     """
     rng = np.random.default_rng(rng_seed)
     second = problem.second_derivatives(x)
@@ -282,19 +287,35 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
     cdf = None if p is None else _sampling_cdf(p)
     full = scheme.mode == "uniform_wor" and scheme.resolved_size == problem.n
     draws = 1 if full else trials
-    d = problem.d
-    stack = np.empty((min(draws, max(EIG_STACK_BYTES // (8 * d * d), 1)), d, d))
-    gathered = np.empty((scheme.resolved_size, d))
+    n, d, size = problem.n, problem.d, scheme.resolved_size
+    gemm, rows = d < SYRK_MIN_DIM, problem.rows
+    # A row of p = 0 is never drawn; a non-finite weight that a draw reads
+    # reaches the stack's finiteness check.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        weights = second / (n * size * (1.0 / n if p is None else p))
+        weighted_rows = rows * weights[:, None] if gemm else None
+    depth = min(draws, max(EIG_STACK_BYTES // (8 * d * d), 1))
+    stack = np.empty((depth, d, d))
+    grams = np.empty_like(stack) if gemm else stack
+    gathered = np.empty((size, d))
+    weighted = np.empty((size, d)) if gemm else None
     failures = 0
-    for start in range(0, draws, stack.shape[0]):
-        chunk = stack[:min(stack.shape[0], draws - start)]
-        for diff in chunk:
-            idx, p_sel = _draw_indices(problem, scheme, p, rng, cdf)
-            weights = second[idx] / (problem.n * idx.shape[0] * p_sel)
+    for start in range(0, draws, depth):
+        count = min(depth, draws - start)
+        for gram in grams[:count]:
+            idx = _draw_indices(problem, scheme, p, rng, cdf)
             # idx lies in [0, n); the default mode="raise" would gather
             # through a temporary copy before filling the buffer.
-            np.take(problem.rows, idx, axis=0, out=gathered, mode="clip")
-            np.subtract(weighted_gram(gathered, weights), exact, out=diff)
+            rows.take(idx, axis=0, out=gathered, mode="clip")
+            if gemm:
+                weighted_rows.take(idx, axis=0, out=weighted, mode="clip")
+                gemm_product(weighted, gathered, out=gram)
+            else:
+                gram[...] = weighted_gram(gathered, weights[idx])
+        chunk = stack[:count]
+        if gemm:
+            symmetrized(grams[:count], out=chunk)
+        chunk -= exact
         ensure_finite(chunk, "a sampled Hessian's difference from the exact one")
         failures += int(np.count_nonzero(_exceeds(chunk, scheme.epsilon)))
     return failures * (trials if full else 1) / trials

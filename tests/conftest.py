@@ -214,7 +214,7 @@ def save_dataset(problem, path, fmt="csv"):
 
 
 def reference_draw_indices(problem, scheme, p, rng):
-    """The draw as ``Generator.choice`` makes it, one call per trial."""
+    """The sorted draw as ``Generator.choice`` makes it, one call per trial."""
     n = problem.n
     size = scheme.resolved_size
     if scheme.mode == "uniform":
@@ -225,9 +225,8 @@ def reference_draw_indices(problem, scheme, p, rng):
                 "sampling without replacement needs resolved_size <= n")
         idx = rng.choice(n, size=size, replace=False)
     else:
-        idx = np.sort(rng.choice(n, size=size, replace=True, p=p))
-        return idx, p[idx]
-    return np.sort(idx), np.full(size, 1.0 / n)
+        idx = rng.choice(n, size=size, replace=True, p=p)
+    return np.sort(idx)
 
 
 def reference_verify_concentration(problem, x, scheme, trials, rng_seed=0):
@@ -241,7 +240,8 @@ def reference_verify_concentration(problem, x, scheme, trials, rng_seed=0):
          else nonuniform_distribution(problem, x))
     failures = 0
     for _ in range(trials):
-        idx, p_sel = reference_draw_indices(problem, scheme, p, rng)
+        idx = reference_draw_indices(problem, scheme, p, rng)
+        p_sel = np.full(idx.shape[0], 1.0 / problem.n) if p is None else p[idx]
         weights = second[idx] / (problem.n * idx.shape[0] * p_sel)
         diff = weighted_gram(problem.rows[idx], weights) - exact
         err = float(np.max(np.abs(np.linalg.eigvalsh(diff))))

@@ -279,8 +279,8 @@ class TestBuildSubsampledHessian:
         b = build_subsampled_hessian(problem, x, scheme, rng_seed=99)
         assert np.array_equal(a.matrix, b.matrix)
         p = nonuniform_distribution(problem, x)
-        idx, _ = _draw_indices(problem, scheme, p, np.random.default_rng(99))
-        again, _ = _draw_indices(problem, scheme, p, np.random.default_rng(99))
+        idx = _draw_indices(problem, scheme, p, np.random.default_rng(99))
+        again = _draw_indices(problem, scheme, p, np.random.default_rng(99))
         assert np.array_equal(idx, again)
         assert np.all(np.diff(idx) >= 0)  # canonical sorted order
 
@@ -289,9 +289,9 @@ class TestBuildSubsampledHessian:
                                             ("uniform_wor", 30),
                                             ("nonuniform", 60)])
     def test_draws_equal_a_stable_argsort_reference(self, rng, mode, size):
-        # Sorting the draws and taking p afterwards gives, bit for bit, the
-        # stable argsort of the raw draws applied to indices and p alike;
-        # 60 draws from 30 rows with replacement repeat indices.
+        # The sorted draw is, bit for bit, the stable argsort of the raw
+        # draws applied to them; 60 draws from 30 rows with replacement
+        # repeat indices.
         problem = generate_synthetic("nls_logistic", n=30, d=4, rng_seed=8)
         x = rng.standard_normal(4)
         scheme = SampleScheme(mode=mode, epsilon=0.5, delta=0.2,
@@ -301,18 +301,13 @@ class TestBuildSubsampledHessian:
             raw = np.random.default_rng(seed)
             if mode == "uniform":
                 drawn = raw.integers(0, 30, size=size)
-                p_drawn = np.full(size, 1.0 / 30)
             elif mode == "uniform_wor":
                 drawn = raw.choice(30, size=size, replace=False)
-                p_drawn = np.full(size, 1.0 / 30)
             else:
                 drawn = raw.choice(30, size=size, replace=True, p=p)
-                p_drawn = p[drawn]
             order = np.argsort(drawn, kind="stable")
-            idx, p_sel = _draw_indices(problem, scheme, p,
-                                       np.random.default_rng(seed))
+            idx = _draw_indices(problem, scheme, p, np.random.default_rng(seed))
             assert idx.tobytes() == drawn[order].tobytes()
-            assert p_sel.tobytes() == p_drawn[order].tobytes()
             if mode != "uniform_wor":
                 assert np.unique(idx).size < size
 
@@ -331,13 +326,11 @@ class TestBuildSubsampledHessian:
                             delta=0.2, resolved_size=30)
         for seed in range(5):
             drawn = np.random.default_rng(seed).choice(30, size=size, replace=True, p=p)
-            idx, p_sel = _draw_indices(problem, nonuniform, p,
-                                       np.random.default_rng(seed))
+            idx = _draw_indices(problem, nonuniform, p, np.random.default_rng(seed))
             assert idx.tobytes() == np.sort(drawn).tobytes()
-            assert p_sel.tobytes() == p[np.sort(drawn)].tobytes()
-            assert np.all(p_sel > 0.0)
+            assert np.all(p[idx] > 0.0)
             perm = np.random.default_rng(seed).choice(30, size=30, replace=False)
-            idx, _ = _draw_indices(problem, full, None, np.random.default_rng(seed))
+            idx = _draw_indices(problem, full, None, np.random.default_rng(seed))
             assert idx.tobytes() == np.sort(perm).tobytes()
 
     @pytest.mark.parametrize("bad, error", [
@@ -390,8 +383,8 @@ class TestMaterializedOperator:
         op = build_subsampled_hessian(problem, x, scheme, rng_seed=seed)
         p = (None if mode.startswith("uniform")
              else nonuniform_distribution(problem, x))
-        idx, p_sel = _draw_indices(problem, scheme, p,
-                                   np.random.default_rng(seed))
+        idx = _draw_indices(problem, scheme, p, np.random.default_rng(seed))
+        p_sel = 1.0 / problem.n if p is None else p[idx]
         weights = second[idx] / (problem.n * idx.shape[0] * p_sel)
         return op, problem.rows[idx], weights
 
@@ -656,32 +649,99 @@ class TestVerifyConcentration:
         rate = verify_concentration(problem, x, scheme, trials=100, rng_seed=3)
         assert rate > 0.5
 
-    # d = 7 forms the sampled Grams by GEMM, d = 80 by SYRK; 37 trials leave
-    # a partial last stack at both sizes.
-    @pytest.mark.parametrize("d", [7, 80])
+    # d = 7 and d = 20 form the sampled Grams by GEMM, d = 80 by SYRK; 37
+    # trials leave a partial last stack at d = 7 and d = 80, and 100 trials
+    # at d = 20, whose stacks hold 81 draws. "nonuniform_n" draws n rows with
+    # replacement, as the verify_mc benchmark's heaviest grid point does.
+    @pytest.mark.parametrize("d", [7, 80, 20])
     @pytest.mark.parametrize("mode, size", [
         ("uniform", 40), ("uniform_wor", 40),
         ("nonuniform", 40), ("intrinsic", 40),
-        ("uniform_wor", 120)],
-        ids=["uniform", "uniform_wor", "nonuniform", "intrinsic", "full"])
+        ("uniform_wor", 120), ("nonuniform", 120)],
+        ids=["uniform", "uniform_wor", "nonuniform", "intrinsic", "full",
+             "nonuniform_n"])
     def test_rates_equal_the_per_trial_reference(self, mode, size, d):
         problem = generate_synthetic("biweight", n=120, d=d, rng_seed=21, skew=4.0)
         x = np.random.default_rng(5).standard_normal(d)
+        full = mode == "uniform_wor" and size == problem.n
+        trials = 100 if d == 20 else 37
         # A full draw has error 0, so eps = -1 makes every trial fail.
-        grid = (0.3, -1.0) if size == problem.n else (0.05, 0.13, 0.18, 0.28)
+        grid = (0.3, -1.0) if full else (0.05, 0.13, 0.18, 0.28)
         rates = []
         for eps in grid:
             scheme = SampleScheme(mode=mode, epsilon=eps, delta=0.1,
                                   resolved_size=size)
-            rate = verify_concentration(problem, x, scheme, trials=37, rng_seed=9)
+            rate = verify_concentration(problem, x, scheme, trials=trials, rng_seed=9)
             expected = reference_verify_concentration(problem, x, scheme,
-                                                      trials=37, rng_seed=9)
+                                                      trials=trials, rng_seed=9)
             assert rate.hex() == expected.hex(), eps
             rates.append(rate)
-        if size == problem.n:
+        if full:
             assert rates == [0.0, 1.0]
         else:
             assert any(0.0 < r < 1.0 for r in rates), rates
+
+
+    @pytest.mark.parametrize("mode", ["nonuniform", "intrinsic"])
+    def test_rows_of_probability_zero_weigh_silently(self, mode):
+        # Zero rows have p = 0, so the weights verify_concentration computes
+        # for all rows at once divide 0 by 0 there, with no RuntimeWarning;
+        # no such row is drawn, and the rates equal the reference's.
+        base = generate_synthetic("biweight", n=60, d=5, rng_seed=21, skew=4.0)
+        rows = base.rows.copy()
+        rows[::7] = 0.0
+        problem = FiniteSumProblem(rows=rows, targets=base.targets, loss=BIWEIGHT)
+        x = np.random.default_rng(5).standard_normal(5)
+        scheme = SampleScheme(mode=mode, epsilon=0.05, delta=0.1, resolved_size=30)
+        rate = verify_concentration(problem, x, scheme, trials=20, rng_seed=3)
+        assert rate == reference_verify_concentration(problem, x, scheme,
+                                                      trials=20, rng_seed=3)
+        assert 0.0 < rate < 1.0
+
+    # d = 7 takes weighted_gram's GEMM branch and d = 80 its SYRK branch,
+    # where 7 trials leave a partial last stack. With the exact Hessian
+    # replaced by zeros each difference the stack holds is the draw's Gram.
+    @pytest.mark.parametrize("exact", ["zero", "dense"])
+    @pytest.mark.parametrize("d", [7, 80])
+    @pytest.mark.parametrize("mode, size", [
+        ("uniform", 40), ("uniform", 120), ("uniform_wor", 40),
+        ("nonuniform", 40), ("nonuniform", 120)],
+        ids=["uniform", "uniform_n", "uniform_wor", "nonuniform", "nonuniform_n"])
+    def test_draw_differences_equal_weighted_gram(self, monkeypatch, mode, size,
+                                                  d, exact):
+        # Each draw's difference is, bit for bit, the weighted_gram of its
+        # gathered rows and of weights computed for its rows alone, minus the
+        # exact Hessian, though verify_concentration weights all rows once.
+        problem = generate_synthetic("biweight", n=120, d=d, rng_seed=21, skew=4.0)
+        x = np.random.default_rng(5).standard_normal(d)
+        reference = problem.dense_hessian(x) if exact == "dense" else np.zeros((d, d))
+        monkeypatch.setattr(problem, "dense_hessian", lambda x: reference)
+        drawn, stacks = [], []
+        draw, exceeds = sampling._draw_indices, sampling._exceeds
+
+        def recorded_draw(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        def recorded_exceeds(stack, epsilon):
+            stacks.append(stack.copy())
+            return exceeds(stack, epsilon)
+
+        monkeypatch.setattr(sampling, "_draw_indices", recorded_draw)
+        monkeypatch.setattr(sampling, "_exceeds", recorded_exceeds)
+        scheme = SampleScheme(mode=mode, epsilon=0.2, delta=0.1, resolved_size=size)
+        verify_concentration(problem, x, scheme, trials=7, rng_seed=9)
+        diffs = np.concatenate(stacks)
+        assert len(drawn) == len(diffs) == 7
+        second = problem.second_derivatives(x)
+        p = None if mode.startswith("uniform") else nonuniform_distribution(problem, x)
+        for idx, diff in zip(drawn, diffs):
+            p_sel = np.full(size, 1.0 / problem.n) if p is None else p[idx]
+            weights = second[idx] / (problem.n * size * p_sel)
+            gram = weighted_gram(problem.rows[idx], weights)
+            assert diff.tobytes() == (gram - reference).tobytes()
+        if size == problem.n:
+            assert all(np.unique(idx).size < size for idx in drawn)
 
 
 class TestHessianSource:

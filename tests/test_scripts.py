@@ -17,7 +17,7 @@ from subnewton import harness
 from subnewton.cubic_reg import ARCConfig
 from subnewton.sampling import HESSIANS
 
-from conftest import certified, replay_updates
+from conftest import certified, reference_verify_concentration, replay_updates
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -82,6 +82,28 @@ def test_verify_sampling_report_names_modes_by_hessians(tmp_path):
     header, _, *rows = done.stdout.splitlines()
     assert header.split()[0] == "mode" and len(rows) == 5
     assert {row.split()[0] for row in rows} <= set(HESSIANS)
+
+
+def test_sampling_check_rows_equal_the_per_trial_reference(monkeypatch, capsys):
+    # scripts/sampling_check.py at 40 trials (the verify_mc benchmark's
+    # settings), then its config again with every grid point's rate from the
+    # one-draw, one-eigensolve-per-trial reference loop.
+    runs = []
+    verify_bounds = harness.verify_bounds
+
+    def recorded(config):
+        runs.append((config, verify_bounds(config)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(harness, "verify_bounds", recorded)
+    monkeypatch.setattr(sys, "argv", ["sampling_check.py", "40"])
+    assert runpy.run_path(str(ROOT / "scripts" / "sampling_check.py"))["main"]() == 0
+    capsys.readouterr()
+    [(config, (rows, all_ok))] = runs
+    assert config.verify_trials == 40 and all_ok
+    assert any(row.negative_control for row in rows)
+    monkeypatch.setattr(harness, "verify_concentration", reference_verify_concentration)
+    assert verify_bounds(config) == (rows, all_ok)
 
 
 def test_digest_jobs_replay_and_certify(monkeypatch):
