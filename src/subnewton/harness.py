@@ -243,10 +243,6 @@ def format_trace(result: SolveResult, problem=None) -> str:
     lines.append(f"# rejected: {result.n_rejected}")
     if problem is not None and result.x.shape[0] <= DENSE_LIMIT:
         lines.append(f"# lambda_min_dense_final: {lambda_min_dense(problem, result.x)!r}")
-    eps_history = ",".join(repr(r.eps_t) for r in result.records)
-    size_history = ",".join(str(r.sample_size) for r in result.records)
-    lines.append(f"# eps_t_history: {eps_history}")
-    lines.append(f"# sample_size_history: {size_history}")
     return "\n".join(lines) + "\n"
 
 

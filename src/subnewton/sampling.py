@@ -186,13 +186,20 @@ def _sampling_cdf(p: Array) -> Array:
     return cdf
 
 
+def _distribution(problem: FiniteSumProblem, x: Array,
+                  mode: str) -> tuple[Array | None, Array | None]:
+    """A non-uniform mode's p at x and its CDF; (None, None) in the others."""
+    if mode.startswith("uniform"):
+        return None, None
+    p = nonuniform_distribution(problem, x)
+    return p, _sampling_cdf(p)
+
+
 def _draw_indices(problem: FiniteSumProblem, scheme: SampleScheme,
-                  p: Array | None, rng: np.random.Generator,
-                  cdf: Array | None = None) -> Array:
-    """Sorted index multiset (non-uniform modes draw from ``p``, or its
-    ``cdf`` if given; uniform modes ignore both), bit for bit the sorted draw
-    of ``Generator.choice``. A draw of all n rows without replacement takes
-    nothing from ``rng``."""
+                  cdf: Array | None, rng: np.random.Generator) -> Array:
+    """Sorted index multiset (non-uniform modes draw by ``cdf``; uniform
+    modes ignore it), bit for bit the sorted draw of ``Generator.choice``.
+    A draw of all n rows without replacement takes nothing from ``rng``."""
     n = problem.n
     size = scheme.resolved_size
     if scheme.mode == "uniform":
@@ -204,7 +211,6 @@ def _draw_indices(problem: FiniteSumProblem, scheme: SampleScheme,
         idx = (np.arange(n) if size == n
                else np.sort(rng.choice(n, size=size, replace=False)))
     else:
-        cdf = _sampling_cdf(p) if cdf is None else cdf
         idx = cdf.searchsorted(np.sort(rng.random(size)), side="right")
     return idx
 
@@ -225,12 +231,10 @@ def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
     rows and carries the ``weyl_floor`` of its weights, both O(|S|) in rows.
     """
     rng = np.random.default_rng(rng_seed)
-    p = (None if scheme.mode.startswith("uniform")
-         else nonuniform_distribution(problem, x))
-    idx = _draw_indices(problem, scheme, p, rng)
+    p, cdf = _distribution(problem, x, scheme.mode)
+    idx = _draw_indices(problem, scheme, cdf, rng)
     size = idx.shape[0]
-    norm_bound = (problem.k_max if scheme.mode.startswith("uniform")
-                  else problem.k_hat + scheme.epsilon)
+    norm_bound = problem.k_max if p is None else problem.k_hat + scheme.epsilon
     if scheme.mode == "uniform_wor" and size == problem.n:
         return replace(problem.exact_hessian_operator(x), norm_bound=norm_bound)
     rows = problem.rows
@@ -282,9 +286,7 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
     second = problem.second_derivatives(x)
     ensure_finite(second, "f'' at the verification point")
     exact = problem.dense_hessian(x)
-    p = (None if scheme.mode.startswith("uniform")
-         else nonuniform_distribution(problem, x))
-    cdf = None if p is None else _sampling_cdf(p)
+    p, cdf = _distribution(problem, x, scheme.mode)
     full = scheme.mode == "uniform_wor" and scheme.resolved_size == problem.n
     draws = 1 if full else trials
     n, d, size = problem.n, problem.d, scheme.resolved_size
@@ -303,7 +305,7 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
     for start in range(0, draws, depth):
         count = min(depth, draws - start)
         for gram in grams[:count]:
-            idx = _draw_indices(problem, scheme, p, rng, cdf)
+            idx = _draw_indices(problem, scheme, cdf, rng)
             # idx lies in [0, n); the default mode="raise" would gather
             # through a temporary copy before filling the buffer.
             rows.take(idx, axis=0, out=gathered, mode="clip")

@@ -1,5 +1,8 @@
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -17,6 +20,21 @@ from subnewton.trust_region import TRConfig, run_tr
 # on the run's entropy.
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(monkeypatch, name: str):
+    """``perfbench/<name>.py`` as a module. No bytecode cache: a test writes
+    nothing under perfbench/. The module is in ``sys.modules`` for the test,
+    where its dataclasses look it up."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def biweight_scalar(z, b):

@@ -14,11 +14,12 @@ from subnewton.problems import (BIWEIGHT, FiniteSumProblem, generate_synthetic,
                                 row_pass, weighted_gram, weyl_floor)
 from subnewton import sampling
 from subnewton.sampling import (HESSIANS, SampleScheme, _draw_indices, _exceeds,
-                                build_subsampled_hessian, hessian_source,
-                                intrinsic_dimension, intrinsic_sample_size,
-                                nonuniform_distribution, nonuniform_sample_size,
-                                prescribed_size, resolve_scheme,
-                                uniform_sample_size, verify_concentration)
+                                _sampling_cdf, build_subsampled_hessian,
+                                hessian_source, intrinsic_dimension,
+                                intrinsic_sample_size, nonuniform_distribution,
+                                nonuniform_sample_size, prescribed_size,
+                                resolve_scheme, uniform_sample_size,
+                                verify_concentration)
 from subnewton.trust_region import TRConfig, run_tr
 
 from conftest import (count_grams, reference_verify_concentration, replay_updates,
@@ -278,9 +279,9 @@ class TestBuildSubsampledHessian:
         a = build_subsampled_hessian(problem, x, scheme, rng_seed=99)
         b = build_subsampled_hessian(problem, x, scheme, rng_seed=99)
         assert np.array_equal(a.matrix, b.matrix)
-        p = nonuniform_distribution(problem, x)
-        idx = _draw_indices(problem, scheme, p, np.random.default_rng(99))
-        again = _draw_indices(problem, scheme, p, np.random.default_rng(99))
+        cdf = _sampling_cdf(nonuniform_distribution(problem, x))
+        idx = _draw_indices(problem, scheme, cdf, np.random.default_rng(99))
+        again = _draw_indices(problem, scheme, cdf, np.random.default_rng(99))
         assert np.array_equal(idx, again)
         assert np.all(np.diff(idx) >= 0)  # canonical sorted order
 
@@ -306,7 +307,8 @@ class TestBuildSubsampledHessian:
             else:
                 drawn = raw.choice(30, size=size, replace=True, p=p)
             order = np.argsort(drawn, kind="stable")
-            idx = _draw_indices(problem, scheme, p, np.random.default_rng(seed))
+            idx = _draw_indices(problem, scheme, _sampling_cdf(p),
+                                np.random.default_rng(seed))
             assert idx.tobytes() == drawn[order].tobytes()
             if mode != "uniform_wor":
                 assert np.unique(idx).size < size
@@ -326,7 +328,8 @@ class TestBuildSubsampledHessian:
                             delta=0.2, resolved_size=30)
         for seed in range(5):
             drawn = np.random.default_rng(seed).choice(30, size=size, replace=True, p=p)
-            idx = _draw_indices(problem, nonuniform, p, np.random.default_rng(seed))
+            idx = _draw_indices(problem, nonuniform, _sampling_cdf(p),
+                                np.random.default_rng(seed))
             assert idx.tobytes() == np.sort(drawn).tobytes()
             assert np.all(p[idx] > 0.0)
             perm = np.random.default_rng(seed).choice(30, size=30, replace=False)
@@ -345,7 +348,7 @@ class TestBuildSubsampledHessian:
         scheme = SampleScheme(mode="nonuniform", epsilon=0.5, delta=0.2,
                               resolved_size=10)
         with pytest.raises(error):
-            _draw_indices(problem, scheme, p, np.random.default_rng(0))
+            _draw_indices(problem, scheme, _sampling_cdf(p), np.random.default_rng(0))
 
     def test_nonuniform_norm_bound_recorded(self, rng):
         problem = generate_synthetic("biweight", n=30, d=5, rng_seed=9)
@@ -383,7 +386,8 @@ class TestMaterializedOperator:
         op = build_subsampled_hessian(problem, x, scheme, rng_seed=seed)
         p = (None if mode.startswith("uniform")
              else nonuniform_distribution(problem, x))
-        idx = _draw_indices(problem, scheme, p, np.random.default_rng(seed))
+        idx = _draw_indices(problem, scheme, None if p is None else _sampling_cdf(p),
+                            np.random.default_rng(seed))
         p_sel = 1.0 / problem.n if p is None else p[idx]
         weights = second[idx] / (problem.n * idx.shape[0] * p_sel)
         return op, problem.rows[idx], weights

@@ -1,14 +1,19 @@
-"""Every demo script, and the README's library quick start, runs to
+"""Every config in ``configs/`` runs to exit 0 under the command its header
+names, every ``subnewton`` command in README.md's shell blocks exits 0, and
+``scripts/trace_digests.py`` and the README's library quick start run to
 completion: they use the public API, so an API change that breaks one fails
 here. ``trace_digests.py`` runs in its ``--counts`` mode too, whose lines
 must equal ``scripts/trace_counts.txt``, and every one of its solve jobs
-replays the update rules and ends certified."""
+replays the update rules and ends certified. The benchmark's hand copy of
+``configs/sampling_check.cfg`` is pinned to the config."""
 
 import os
 import re
 import runpy
+import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,16 +22,35 @@ from subnewton import harness
 from subnewton.cubic_reg import ARCConfig
 from subnewton.sampling import HESSIANS
 
-from conftest import certified, reference_verify_concentration, replay_updates
+from conftest import (certified, load_perfbench, reference_verify_concentration,
+                      replay_updates)
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
 
 
 def readme_quick_start() -> str:
     """The first Python block under README.md's "Library quick start"."""
     section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
     return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def readme_commands() -> list[str]:
+    """Each ``subnewton`` line of README.md's shell blocks, its optional
+    ``[...]`` parts dropped."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return [re.sub(r"\s*\[[^]]*\]", "", line) for block in blocks
+            for line in block.splitlines() if line.startswith("subnewton ")]
+
+
+def config_command(path: Path) -> str:
+    """The command of the ``subnewton <command> --config configs/<name>``
+    line in a config's header comment."""
+    match = re.search(rf"subnewton (\S+) --config configs/{re.escape(path.name)}\b",
+                      path.read_text())
+    assert match, f"{path.name} names no command"
+    return match[1]
 
 
 def run_python(args, **env_vars) -> subprocess.CompletedProcess:
@@ -43,6 +67,31 @@ def run_python(args, **env_vars) -> subprocess.CompletedProcess:
 def test_script_exits_zero(args):
     done = run_python(args)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+def test_config_exits_zero(path, tmp_path, capsys):
+    command = config_command(path)
+    argv = [command, "--config", str(path)]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "trace.csv")]
+    assert harness.main(argv) == harness.EXIT_OK, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_exits_zero(line, tmp_path, monkeypatch, capsys):
+    # Run where configs/ resolves and a solve's default trace path lies in
+    # tmp_path.
+    (tmp_path / "configs").symlink_to(ROOT / "configs")
+    monkeypatch.chdir(tmp_path)
+    assert harness.main(shlex.split(line)[1:]) == harness.EXIT_OK, capsys.readouterr().err
+
+
+def test_readme_documents_every_command_and_config():
+    lines = readme_commands()
+    assert {line.split()[1] for line in lines} == {"solve", "verify-sampling", "compare"}
+    documented = {Path(shlex.split(line)[3]).name for line in lines}
+    assert documented == {path.name for path in CONFIGS}
 
 
 def test_trace_digests_counts():
@@ -84,26 +133,27 @@ def test_verify_sampling_report_names_modes_by_hessians(tmp_path):
     assert {row.split()[0] for row in rows} <= set(HESSIANS)
 
 
-def test_sampling_check_rows_equal_the_per_trial_reference(monkeypatch, capsys):
-    # scripts/sampling_check.py at 40 trials (the verify_mc benchmark's
-    # settings), then its config again with every grid point's rate from the
-    # one-draw, one-eigensolve-per-trial reference loop.
-    runs = []
-    verify_bounds = harness.verify_bounds
-
-    def recorded(config):
-        runs.append((config, verify_bounds(config)))
-        return runs[-1][1]
-
-    monkeypatch.setattr(harness, "verify_bounds", recorded)
-    monkeypatch.setattr(sys, "argv", ["sampling_check.py", "40"])
-    assert runpy.run_path(str(ROOT / "scripts" / "sampling_check.py"))["main"]() == 0
-    capsys.readouterr()
-    [(config, (rows, all_ok))] = runs
-    assert config.verify_trials == 40 and all_ok
+def test_sampling_check_rows_equal_the_per_trial_reference(monkeypatch):
+    # configs/sampling_check.cfg at 40 trials, then the same config with
+    # every grid point's rate from the one-draw, one-eigensolve-per-trial
+    # reference loop.
+    config = replace(harness.load_config(ROOT / "configs" / "sampling_check.cfg"),
+                     verify_trials=40)
+    rows, all_ok = harness.verify_bounds(config)
+    assert all_ok
     assert any(row.negative_control for row in rows)
     monkeypatch.setattr(harness, "verify_concentration", reference_verify_concentration)
-    assert verify_bounds(config) == (rows, all_ok)
+    assert harness.verify_bounds(config) == (rows, all_ok)
+
+
+def test_verify_mc_holds_the_sampling_check_config(monkeypatch):
+    # The benchmark's verify_mc workload copies configs/sampling_check.cfg
+    # by hand, and sets the seed of each job itself.
+    workloads = load_perfbench(monkeypatch, "workloads")
+    config = harness.load_config(ROOT / "configs" / "sampling_check.cfg")
+    workload = workloads.WORKLOADS["verify_mc"]()
+    workload.setup(41)
+    assert replace(workload.config, seed=config.seed) == config
 
 
 def test_digest_jobs_replay_and_certify(monkeypatch):

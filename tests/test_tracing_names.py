@@ -2,15 +2,9 @@
 for wrappers looked up by name and signature. A traced TR solve and a traced
 ARC solve must run through every layer and print the untraced traces."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 from subnewton import harness
 
-from conftest import count_grams
-
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from conftest import count_grams, load_perfbench
 
 SOLVES = (
     "problem = biweight\nsolver = tr\nhessian = uniform\nn = 300\nd = 10\n"
@@ -19,15 +13,6 @@ SOLVES = (
     "hessian = nonuniform\nn = 300\nd = 10\ndata_seed = 3\nseed = 5\n"
     "x0_scale = 1.0\n",
 )
-
-
-def load_tracing(monkeypatch):
-    # No bytecode cache: the test writes nothing under perfbench/.
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def solve_text(text: str) -> str:
@@ -43,7 +28,7 @@ def solve_counting_grams(text: str, grams: list) -> tuple[str, int]:
 
 
 def test_traced_solves_match_untraced(monkeypatch):
-    tracing = load_tracing(monkeypatch)
+    tracing = load_perfbench(monkeypatch, "tracing")
     grams = count_grams(monkeypatch)
     untraced = [solve_counting_grams(text, grams) for text in SOLVES]
     tracer = tracing.Tracer()
