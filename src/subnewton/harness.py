@@ -173,7 +173,9 @@ def starting_point(config: ExperimentConfig, problem) -> Array:
     if config.x0_scale == 0.0:
         return np.zeros(problem.d)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0xFFFFFFFF, 105]))
-    return config.x0_scale * rng.standard_normal(problem.d)
+    # A start that overflows is refused, non-finite, by the first check that reads it.
+    with np.errstate(over="ignore"):
+        return config.x0_scale * rng.standard_normal(problem.d)
 
 
 def run_solver(config: ExperimentConfig, problem) -> SolveResult:

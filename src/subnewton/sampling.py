@@ -52,50 +52,6 @@ class SampleScheme:
             raise ConfigurationError("resolved_size must be at least 1")
 
 
-def _check_tolerances(epsilon: float, delta: float) -> None:
-    # epsilon = 1 is admitted as the degenerate limit of the prescriptions.
-    if not (0.0 < epsilon <= 1.0):
-        raise ConfigurationError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if not (0.0 < delta < 1.0):
-        raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
-
-
-def _prescribed(numerator: float, epsilon: float) -> int:
-    """ceil(numerator / epsilon^2), refused when that is not finite."""
-    size = numerator / epsilon ** 2 if epsilon ** 2 else math.inf
-    if not math.isfinite(size):
-        raise ConfigurationError(f"epsilon={epsilon!r} prescribes an unbounded sample size")
-    return math.ceil(size)
-
-
-def uniform_sample_size(k_max: float, epsilon: float, delta: float, d: int) -> int:
-    _check_tolerances(epsilon, delta)
-    if k_max <= 0:
-        raise ConfigurationError("k_max must be positive")
-    return _prescribed(16.0 * k_max ** 2 * math.log(2.0 * d / delta), epsilon)
-
-
-def nonuniform_sample_size(k_hat: float, epsilon: float, delta: float, d: int) -> int:
-    _check_tolerances(epsilon, delta)
-    if k_hat <= 0:
-        raise ConfigurationError("k_hat must be positive")
-    return _prescribed(4.0 * k_hat ** 2 * math.log(2.0 * d / delta), epsilon)
-
-
-def intrinsic_sample_size(k_hat: float, epsilon: float, delta: float,
-                          t_intrinsic: float) -> int:
-    _check_tolerances(epsilon, delta)
-    if epsilon > INTRINSIC_EPS_MAX:
-        raise ConfigurationError(
-            f"intrinsic-dimension sizing requires eps <= 1/2, got {epsilon}")
-    if t_intrinsic < 1.0:
-        raise ConfigurationError("intrinsic dimension is at least 1")
-    if k_hat <= 0:
-        raise ConfigurationError("k_hat must be positive")
-    return _prescribed(16.0 * k_hat ** 2 / 3.0 * math.log(8.0 * t_intrinsic / delta),
-                       epsilon)
-
-
 def nonuniform_distribution(problem: FiniteSumProblem, x: Array) -> Array:
     """p_i proportional to |f''(a_i'x)| * ||a_i||^2, summing to one.
 
@@ -127,38 +83,47 @@ def intrinsic_dimension(problem: FiniteSumProblem, x: Array) -> float:
 
 def prescribed_size(problem: FiniteSumProblem, mode: str, epsilon: float,
                     delta: float, x: Array | None = None) -> int:
-    """The sample size ``mode``'s prescription gives, which may exceed n."""
-    d = problem.d
-    if mode in ("uniform", "uniform_wor"):
-        return uniform_sample_size(problem.k_max, epsilon, delta, d)
-    if mode == "nonuniform":
-        return nonuniform_sample_size(problem.k_hat, epsilon, delta, d)
-    if mode == "intrinsic":
+    """The sample size ``mode``'s prescription gives, which may exceed n.
+
+    At least one row: one meets a prescription below one row, as when K^2
+    underflows. ``"intrinsic"`` reads the intrinsic dimension at ``x``.
+    """
+    if mode not in HESSIANS[1:]:
+        raise ConfigurationError(f"unknown sampling mode {mode!r}")
+    # epsilon = 1 is admitted as the degenerate limit of the prescriptions;
+    # the intrinsic-dimension one holds for epsilon <= 1/2 only.
+    eps_max = INTRINSIC_EPS_MAX if mode == "intrinsic" else 1.0
+    if not (0.0 < epsilon <= eps_max):
+        raise ConfigurationError(f"{mode} sizing needs epsilon in (0, {eps_max}], "
+                                 f"got {epsilon}")
+    if not (0.0 < delta < 1.0):
+        raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
+    name = "k_max" if mode.startswith("uniform") else "k_hat"
+    k = getattr(problem, name)
+    if k <= 0:
+        raise ConfigurationError(f"{name} must be positive")
+    if mode.startswith("uniform"):
+        numerator = 16.0 * k ** 2 * math.log(2.0 * problem.d / delta)
+    elif mode == "nonuniform":
+        numerator = 4.0 * k ** 2 * math.log(2.0 * problem.d / delta)
+    else:
         if x is None:
             raise ConfigurationError("intrinsic sizing needs the evaluation point")
         t = intrinsic_dimension(problem, x)
-        return intrinsic_sample_size(problem.k_hat, epsilon, delta, t)
-    raise ConfigurationError(f"unknown sampling mode {mode!r}")
-
-
-def resolve_scheme(problem: FiniteSumProblem, mode: str, epsilon: float,
-                   delta: float, x: Array | None = None) -> SampleScheme:
-    """The sampling plan of ``prescribed_size``, capped at n rows."""
-    size = prescribed_size(problem, mode, epsilon, delta, x=x)
-    if size > problem.n:
-        logger.info("prescribed sample size %d exceeds n=%d; capping", size, problem.n)
-        size = problem.n
-    return SampleScheme(mode=mode, epsilon=epsilon, delta=delta,
-                        resolved_size=size)
+        numerator = 16.0 * k ** 2 / 3.0 * math.log(8.0 * t / delta)
+    size = numerator / epsilon ** 2 if epsilon ** 2 else math.inf
+    if not math.isfinite(size):
+        raise ConfigurationError(f"epsilon={epsilon!r} prescribes an unbounded sample size")
+    return max(math.ceil(size), 1)
 
 
 def hessian_source(problem, hessian: str = "exact", eps_cap: float = 0.9) -> HessianSource:
     """The operators a driver asks for, by the config's ``hessian`` name.
 
     ``"exact"`` ignores the request and hands out the exact Hessian at x.
-    Every other name draws a sample by ``resolve_scheme`` for the requested
-    delta and min(eps, cap), where cap is ``eps_cap``, at most
-    ``INTRINSIC_EPS_MAX`` for ``"intrinsic"``.
+    Every other name draws a sample of ``prescribed_size``, capped at n
+    rows, for the requested delta and min(eps, cap), where cap is
+    ``eps_cap``, at most ``INTRINSIC_EPS_MAX`` for ``"intrinsic"``.
     """
     if hessian not in HESSIANS:
         raise ConfigurationError(f"unknown hessian mode {hessian!r}")
@@ -170,7 +135,11 @@ def hessian_source(problem, hessian: str = "exact", eps_cap: float = 0.9) -> Hes
 
     def source(x: Array, eps: float, delta: float,
                rng: np.random.Generator) -> HessianOperator:
-        scheme = resolve_scheme(problem, hessian, min(eps, cap), delta, x=x)
+        eps = min(eps, cap)
+        size = prescribed_size(problem, hessian, eps, delta, x=x)
+        if size > problem.n:
+            logger.info("prescribed sample size %d exceeds n=%d; capping", size, problem.n)
+        scheme = SampleScheme(hessian, eps, delta, min(size, problem.n))
         return build_subsampled_hessian(problem, x, scheme, rng_seed=rng)
 
     return source

@@ -231,6 +231,30 @@ def save_dataset(problem, path, fmt="csv"):
     path.write_text("\n".join(lines) + "\n")
 
 
+def reference_numerator(mode, k, delta, dim):
+    """eps^2 |S| of the three matrix-Bernstein sizes as separate formulas,
+    each in its own order of operations: ``dim`` is d, or the intrinsic
+    dimension t for ``"intrinsic"``."""
+    if mode in ("uniform", "uniform_wor"):
+        return 16.0 * k ** 2 * math.log(2.0 * dim / delta)
+    if mode == "nonuniform":
+        return 4.0 * k ** 2 * math.log(2.0 * dim / delta)
+    return 16.0 * k ** 2 / 3.0 * math.log(8.0 * dim / delta)
+
+
+def reference_sample_size(mode, k, epsilon, delta, dim):
+    """The size of ``reference_numerator``, without ``prescribed_size``'s
+    checks or its one-row floor."""
+    return math.ceil(reference_numerator(mode, k, delta, dim) / epsilon ** 2)
+
+
+def capped_scheme(problem, mode, epsilon, delta, x=None):
+    """The ``SampleScheme`` a Hessian source draws: ``prescribed_size``
+    capped at n rows."""
+    size = sampling.prescribed_size(problem, mode, epsilon, delta, x=x)
+    return sampling.SampleScheme(mode, epsilon, delta, min(size, problem.n))
+
+
 def reference_draw_indices(problem, scheme, p, rng):
     """The sorted draw as ``Generator.choice`` makes it, one call per trial."""
     n = problem.n

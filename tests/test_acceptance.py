@@ -14,14 +14,13 @@ from subnewton.core import OptimalityTolerances
 from subnewton.cubic_reg import ARCConfig, run_arc
 from subnewton.problems import (BIWEIGHT, NLS_LOGISTIC, QuarticSaddle,
                                 generate_synthetic)
-from subnewton.sampling import (SampleScheme, hessian_source, resolve_scheme,
-                                verify_concentration)
+from subnewton.sampling import SampleScheme, hessian_source, verify_concentration
 from subnewton.subproblem import (CubicModel, TRModel, cauchy_point,
                                   certificates, eigen_point, subspace_solve)
 from subnewton.trust_region import TRConfig, run_tr
 
-from conftest import (QueryRecorder, biweight_scalar, certified, nls_logistic_scalar,
-                      operator_from_dense, replay_updates)
+from conftest import (QueryRecorder, biweight_scalar, capped_scheme, certified,
+                      nls_logistic_scalar, operator_from_dense, replay_updates)
 
 SLACK = 1e-9
 
@@ -189,7 +188,7 @@ def test_criterion_3_concentration():
     rows = []
     for mode in ("uniform_wor", "nonuniform"):
         for i, (eps, delta) in enumerate(grid):
-            scheme = resolve_scheme(problem, mode, eps, delta)
+            scheme = capped_scheme(problem, mode, eps, delta)
             rate = verify_concentration(problem, x, scheme, trials,
                                         rng_seed=1000 + i)
             rows.append((mode, eps, delta, scheme.resolved_size, rate))

@@ -5,7 +5,7 @@ import pytest
 
 from subnewton.curvature import default_nu, probe_extreme
 
-from conftest import operator_from_dense, random_symmetric
+from conftest import capped_scheme, operator_from_dense, random_symmetric
 
 
 class TestBottomEigenpair:
@@ -114,12 +114,11 @@ class TestNegativeCurvatureDirection:
         # Compare the probe's Rayleigh quotient on a sub-sampled operator near
         # a saddle-ish point against its matrix's dense bottom eigenvalue.
         from subnewton.problems import generate_synthetic
-        from subnewton.sampling import build_subsampled_hessian, resolve_scheme
+        from subnewton.sampling import build_subsampled_hessian
 
         problem = generate_synthetic("biweight", n=400, d=12, rng_seed=5)
         x = 3.0 * np.ones(12) / np.sqrt(12)
-        scheme = resolve_scheme(problem, "uniform",
-                                epsilon=0.5, delta=0.1)
+        scheme = capped_scheme(problem, "uniform", epsilon=0.5, delta=0.1)
         op = build_subsampled_hessian(problem, x, scheme, rng_seed=2)
         dense = op.matrix
         lam_min = float(np.linalg.eigvalsh(dense)[0])

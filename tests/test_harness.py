@@ -482,21 +482,40 @@ class TestCLI:
 
     # The loss overflows at the start point. At 5000 x 200 it is evaluated
     # on the stripe helpers' threads too (five oracle blocks), and numpy's
-    # error state is per thread, so the pass itself must keep the overflow quiet.
-    @pytest.mark.parametrize("command, n, d, cause", [
-        ("solve", 200, 5, "solver aborted: non-finite values encountered in "
-                          "objective value at iteration 0"),
-        ("solve", 5000, 200, "solver aborted: non-finite values encountered in "
-                             "objective value at iteration 0"),
-        ("verify-sampling", 5000, 200, "verify-sampling aborted: non-finite "
-                                       "values encountered in f''"),
+    # error state is per thread, so the pass itself must keep the overflow
+    # quiet. At x0_scale = 1e308 the start itself overflows, quietly too.
+    @pytest.mark.parametrize("command, n, d, scale, cause", [
+        ("solve", 200, 5, 1e300, "solver aborted: non-finite values encountered in "
+                                 "objective value at iteration 0"),
+        ("solve", 5000, 200, 1e300, "solver aborted: non-finite values encountered "
+                                    "in objective value at iteration 0"),
+        ("verify-sampling", 5000, 200, 1e300, "verify-sampling aborted: non-finite "
+                                              "values encountered in f''"),
+        ("solve", 200, 5, 1e308, "solver aborted: non-finite values encountered in "
+                                 "starting point"),
+        ("verify-sampling", 200, 5, 1e308, "verify-sampling aborted: non-finite "
+                                           "values encountered in f''"),
+        ("compare", 200, 5, 1e308, "solver aborted: non-finite values encountered "
+                                   "in starting point"),
     ])
     def test_start_point_overflow_exit_code(self, tmp_path, capsys, command, n,
-                                            d, cause):
+                                            d, scale, cause):
         cfg = write_cfg(tmp_path, f"problem = biweight\nn = {n}\nd = {d}\n"
-                                  f"x0_scale = 1e300\nout = {tmp_path / 'o.csv'}\n")
+                                  f"hessian = uniform\nx0_scale = {scale}\n"
+                                  f"out = {tmp_path / 'o.csv'}\n")
         assert main([command, "--config", str(cfg)]) == EXIT_NOT_CONVERGED
         assert capsys.readouterr().err.startswith(cause)
+
+    @pytest.mark.parametrize("hessian", ["uniform", "nonuniform", "intrinsic"])
+    def test_underflowing_sample_size_exit_code(self, tmp_path, hessian):
+        # K^2 underflows to 0, so every prescription lies below one row;
+        # one row meets it.
+        cfg = write_cfg(tmp_path, f"problem = biweight\nn = 200\nd = 5\n"
+                                  f"k_max_target = 1e-300\nhessian = {hessian}\n"
+                                  f"out = {tmp_path / 'o.csv'}\n")
+        for command, *options in (["solve"], ["verify-sampling"],
+                                  ["compare", "--trials", "2"]):
+            assert main([command, "--config", str(cfg), *options]) == EXIT_OK
 
     def test_verification_failure_exit_code(self, tmp_path, monkeypatch):
         import subnewton.harness as harness

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,65 +14,113 @@ from subnewton.curvature import probe_extreme
 from subnewton.problems import (BIWEIGHT, FiniteSumProblem, generate_synthetic,
                                 row_pass, weighted_gram, weyl_floor)
 from subnewton import sampling
-from subnewton.sampling import (HESSIANS, SampleScheme, _draw_indices, _exceeds,
-                                _sampling_cdf, build_subsampled_hessian,
-                                hessian_source, intrinsic_dimension,
-                                intrinsic_sample_size, nonuniform_distribution,
-                                nonuniform_sample_size, prescribed_size,
-                                resolve_scheme, uniform_sample_size,
-                                verify_concentration)
+from subnewton.sampling import (HESSIANS, INTRINSIC_EPS_MAX, SampleScheme,
+                                _draw_indices, _exceeds, _sampling_cdf,
+                                build_subsampled_hessian, hessian_source,
+                                intrinsic_dimension, nonuniform_distribution,
+                                prescribed_size, verify_concentration)
 from subnewton.trust_region import TRConfig, run_tr
 
-from conftest import (count_grams, reference_verify_concentration, replay_updates,
-                      symmetry_defect)
+from conftest import (capped_scheme, count_grams, reference_numerator,
+                      reference_sample_size, reference_verify_concentration,
+                      replay_updates, symmetry_defect)
+
+
+def sized(mode, k, epsilon, delta, dim):
+    """``prescribed_size`` of a stub problem with K_max = K_hat = k in
+    dimension ``dim``, also its intrinsic dimension t."""
+    problem = SimpleNamespace(d=dim, k_max=k, k_hat=k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "intrinsic_dimension", lambda problem, x: float(dim))
+        return prescribed_size(problem, mode, epsilon, delta, x=np.zeros(1))
 
 
 class TestSampleSizes:
     def test_uniform_epsilon_one_limit(self):
-        assert uniform_sample_size(1.0, 1.0, 0.1, 10) == math.ceil(16 * math.log(200))
+        assert sized("uniform", 1.0, 1.0, 0.1, 10) == math.ceil(16 * math.log(200))
 
     def test_uniform_reference_value(self):
         # 16 * 1 * log(2*100/0.01) / 0.01 = 1600 * log(20000)
         expected = math.ceil(1600.0 * math.log(20000.0))
-        assert uniform_sample_size(1.0, 0.1, 0.01, 100) == expected
+        assert sized("uniform", 1.0, 0.1, 0.01, 100) == expected
+        assert sized("uniform_wor", 1.0, 0.1, 0.01, 100) == expected
 
     def test_doubling_k_quadruples(self):
         base = 16.0 * math.log(2 * 30 / 0.1)
-        assert (uniform_sample_size(2.0, 1.0, 0.1, 30)
-                == math.ceil(4.0 * base))
+        assert sized("uniform", 2.0, 1.0, 0.1, 30) == math.ceil(4.0 * base)
 
     def test_nonuniform_reference_value(self):
         expected = math.ceil(400.0 * math.log(20000.0))
-        assert nonuniform_sample_size(1.0, 0.1, 0.01, 100) == expected
+        assert sized("nonuniform", 1.0, 0.1, 0.01, 100) == expected
 
     def test_nonuniform_is_quarter_of_uniform_for_equal_k(self):
         uni = 16.0 * 4.0 * math.log(2 * 50 / 0.05) / 0.04
         non = 4.0 * 4.0 * math.log(2 * 50 / 0.05) / 0.04
-        assert uniform_sample_size(2.0, 0.2, 0.05, 50) == math.ceil(uni)
-        assert nonuniform_sample_size(2.0, 0.2, 0.05, 50) == math.ceil(non)
+        assert sized("uniform", 2.0, 0.2, 0.05, 50) == math.ceil(uni)
+        assert sized("nonuniform", 2.0, 0.2, 0.05, 50) == math.ceil(non)
         assert math.ceil(uni) == math.ceil(4 * non / 4 * 4)
 
     def test_intrinsic_requires_small_epsilon(self):
         with pytest.raises(ConfigurationError):
-            intrinsic_sample_size(1.0, 0.6, 0.1, 5.0)
-        assert intrinsic_sample_size(1.0, 0.5, 0.1, 5.0) == math.ceil(
+            sized("intrinsic", 1.0, 0.6, 0.1, 5)
+        assert sized("intrinsic", 1.0, 0.5, 0.1, 5) == math.ceil(
             16.0 / 3.0 * math.log(8.0 * 5.0 / 0.1) / 0.25)
 
     def test_out_of_range_tolerances(self):
         with pytest.raises(ConfigurationError):
-            uniform_sample_size(1.0, 1.5, 0.1, 10)
+            sized("uniform", 1.0, 1.5, 0.1, 10)
         with pytest.raises(ConfigurationError):
-            uniform_sample_size(1.0, 0.5, 1.0, 10)
+            sized("uniform", 1.0, 0.5, 1.0, 10)
+        with pytest.raises(ConfigurationError, match="unknown sampling mode"):
+            sized("exact", 1.0, 0.5, 0.1, 10)
 
+    @pytest.mark.parametrize("mode", HESSIANS[1:])
+    def test_refuses_a_nonpositive_bound_and_an_unbounded_size(self, mode):
+        for k in (0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="must be positive"):
+                sized(mode, k, 0.5, 0.1, 10)
+        with pytest.raises(ConfigurationError, match="unbounded sample size"):
+            sized(mode, 1.0, 1e-200, 0.1, 10)
+
+    @pytest.mark.parametrize("mode", HESSIANS[1:])
+    def test_an_underflowing_bound_prescribes_one_row(self, mode):
+        # K^2 underflows to 0; one row meets a prescription below one row.
+        assert sized(mode, 1e-300, 0.5, 0.1, 10) == 1
+
+    @pytest.mark.parametrize("mode", HESSIANS[1:])
+    def test_sizes_equal_the_separate_formulas(self, mode):
+        eps_max = INTRINSIC_EPS_MAX if mode == "intrinsic" else 1.0
+        grid = [(k, eps, delta, dim) for k in (1e-3, 0.37, 1.0, 2.0, 7.5)
+                for eps in (0.013, 0.1, 0.3, 0.5, 0.77, 1.0) if eps <= eps_max
+                for delta in (1e-6, 0.01, 0.1, 0.5, 0.99) for dim in (2, 10, 64, 1000)]
+        # Points where N / eps^2 is exactly an integer m, with N the
+        # numerator: there an N or a quotient rounded otherwise than the
+        # formulas round them can move the ceiling to m + 1.
+        exact = []
+        for k, _, delta, dim in grid[::7]:
+            numerator = reference_numerator(mode, k, delta, dim)
+            m = math.ceil(numerator / (0.3 * eps_max) ** 2)
+            eps = math.sqrt(numerator / m)
+            exact += [(k, e, delta, dim)
+                      for e in (eps + i * math.ulp(eps) for i in range(-8, 9))
+                      if numerator / e ** 2 == m]
+        assert len(exact) >= 10
+        for point in grid + exact:
+            assert sized(mode, *point) == reference_sample_size(mode, *point)
+
+    @pytest.mark.parametrize("mode", HESSIANS[1:])
     @given(eps=st.floats(0.05, 1.0), delta=st.floats(0.01, 0.5),
            k=st.floats(0.1, 5.0), d=st.integers(2, 200))
     @settings(max_examples=80, deadline=None)
-    def test_monotonicity(self, eps, delta, k, d):
-        base = uniform_sample_size(k, eps, delta, d)
-        assert uniform_sample_size(k, min(eps * 1.5, 1.0), delta, d) <= base
-        assert uniform_sample_size(k, eps, min(delta * 1.5, 0.99), d) <= base
-        assert uniform_sample_size(k * 1.5, eps, delta, d) >= base
-        assert uniform_sample_size(k, eps, delta, d + 10) >= base
+    def test_monotonicity(self, mode, eps, delta, k, d):
+        # d is the intrinsic dimension t for "intrinsic", where eps <= 1/2.
+        eps_max = INTRINSIC_EPS_MAX if mode == "intrinsic" else 1.0
+        eps *= eps_max
+        base = sized(mode, k, eps, delta, d)
+        assert sized(mode, k, min(eps * 1.5, eps_max), delta, d) <= base
+        assert sized(mode, k, eps, min(delta * 1.5, 0.99), d) <= base
+        assert sized(mode, k * 1.5, eps, delta, d) >= base
+        assert sized(mode, k, eps, delta, d + 10) >= base
 
 
 class TestPerIterationDelta:
@@ -567,12 +616,18 @@ class TestLambdaFloor:
         assert QuarticSaddle().exact_hessian_operator(np.zeros(2)).lambda_floor == -math.inf
 
 
-class TestResolveScheme:
-    def test_capping_logs_and_caps(self):
+class TestCappedSize:
+    def test_capping_logs_and_caps(self, caplog):
         problem = generate_synthetic("biweight", n=50, d=10, rng_seed=10, k_max=1.0)
-        scheme = resolve_scheme(problem, "uniform_wor",
-                                epsilon=0.05, delta=0.1)
-        assert scheme.resolved_size == 50
+        source = hessian_source(problem, "uniform_wor")
+        with caplog.at_level("INFO", logger="subnewton.sampling"):
+            op = source(np.zeros(10), 0.05, 0.1, np.random.default_rng(0))
+        assert op.sample_size == 50
+        size = prescribed_size(problem, "uniform_wor", epsilon=0.05, delta=0.1)
+        [record] = caplog.records
+        assert record.levelname == "INFO"
+        assert record.getMessage() == (f"prescribed sample size {size} exceeds "
+                                       "n=50; capping")
 
     def test_uncapped_when_requested(self):
         problem = generate_synthetic("biweight", n=50, d=10, rng_seed=10, k_max=1.0)
@@ -582,7 +637,7 @@ class TestResolveScheme:
     def test_intrinsic_needs_point(self):
         problem = generate_synthetic("biweight", n=50, d=10, rng_seed=10)
         with pytest.raises(ConfigurationError):
-            resolve_scheme(problem, "intrinsic", epsilon=0.3, delta=0.1)
+            prescribed_size(problem, "intrinsic", epsilon=0.3, delta=0.1)
 
 
 class TestScreenedDecisions:
@@ -638,8 +693,7 @@ class TestVerifyConcentration:
     def test_prescribed_size_meets_delta(self, rng):
         problem = generate_synthetic("biweight", n=400, d=8, rng_seed=12, k_max=1.0)
         x = rng.standard_normal(8)
-        scheme = resolve_scheme(problem, "uniform",
-                                epsilon=0.6, delta=0.2)
+        scheme = capped_scheme(problem, "uniform", epsilon=0.6, delta=0.2)
         rate = verify_concentration(problem, x, scheme, trials=200, rng_seed=2)
         assert rate <= 0.2
 
