@@ -311,9 +311,18 @@ def verify_bounds(config: ExperimentConfig) -> tuple[list[VerificationRow], bool
     x = starting_point(config, problem)
     eps_grid = _grid(config, "verify_eps")
     delta_grid = _grid(config, "verify_delta")
-    trials = config.verify_trials
-    rows: list[VerificationRow] = []
     seed_stream = np.random.SeedSequence([config.seed & 0xFFFFFFFF, 771])
+
+    def verified_row(scheme: SampleScheme, capped: bool,
+                     negative_control: bool = False) -> VerificationRow:
+        rate = verify_concentration(problem, x, scheme, config.verify_trials,
+                                    rng_seed=np.random.default_rng(seed_stream.spawn(1)[0]))
+        return VerificationRow(mode=scheme.mode, epsilon=scheme.epsilon,
+                               delta=scheme.delta, sample_size=scheme.resolved_size,
+                               capped=capped, failure_rate=rate,
+                               negative_control=negative_control)
+
+    rows: list[VerificationRow] = []
     tightest: SampleScheme | None = None
     for mode in ("uniform_wor", "nonuniform"):
         for eps in eps_grid:
@@ -323,24 +332,11 @@ def verify_bounds(config: ExperimentConfig) -> tuple[list[VerificationRow], bool
                 if mode == "uniform_wor" and uncapped >= 100 * problem.n:
                     if tightest is None or eps < tightest.epsilon:
                         tightest = scheme
-                rate = verify_concentration(problem, x, scheme, trials,
-                                            rng_seed=np.random.default_rng(seed_stream.spawn(1)[0]))
-                rows.append(VerificationRow(mode=mode, epsilon=eps, delta=delta,
-                                            sample_size=scheme.resolved_size,
-                                            capped=uncapped > problem.n,
-                                            failure_rate=rate))
+                rows.append(verified_row(scheme, capped=uncapped > problem.n))
     if tightest is not None:
-        control = replace(tightest,
-                          resolved_size=max(tightest.resolved_size // 4, 1))
-        rate = verify_concentration(problem, x, control, trials,
-                                    rng_seed=np.random.default_rng(seed_stream.spawn(1)[0]))
-        rows.append(VerificationRow(mode=control.mode, epsilon=control.epsilon,
-                                    delta=control.delta,
-                                    sample_size=control.resolved_size,
-                                    capped=False, failure_rate=rate,
-                                    negative_control=True))
-    all_ok = all(row.passed for row in rows)
-    return rows, all_ok
+        control = replace(tightest, resolved_size=max(tightest.resolved_size // 4, 1))
+        rows.append(verified_row(control, capped=False, negative_control=True))
+    return rows, all(row.passed for row in rows)
 
 
 def format_verification(rows: Sequence[VerificationRow]) -> str:

@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Array, ConfigurationError, HessianOperator, ensure_finite
+from .core import (Array, ConfigurationError, HessianOperator, NonFiniteError,
+                   ensure_finite)
 
 
 def biweight_step(z: Array, b: Array, n: int, value: Array, first: Array,
@@ -182,28 +183,25 @@ def _executor() -> tuple:
         return _pool[1:]
 
 
-def _map_stripes(task: Callable[[int, int, int], object], n: int, d: int) -> list:
-    """task(lo, hi, step) for each non-empty stripe lo:hi of n rows of d
-    doubles, in stripe order; step = max(1, BLOCK_BYTES // 8d) rows a block.
+def _map_stripes(task: Callable[[int, int, int], Array], n: int, d: int) -> Array:
+    """The stripe-order sum of task(lo, hi, step) over the non-empty stripes
+    lo:hi of n rows of d doubles; step = max(1, BLOCK_BYTES // 8d) rows a block.
 
     The ceil(n / step) row blocks are dealt into ``STRIPES`` contiguous
-    stripes. The calling thread and up to len(stripes) - 1 of ``_executor``'s
-    helpers claim stripes from one shared queue, and the caller then waits
-    only for stripes a running helper has claimed: a helper slow to wake
-    leaves the caller more stripes, never a pass slower than inline. One
-    stripe, or one CPU, starts no thread. Every stripe runs, and the first
-    exception in stripe order reaches the caller.
+    stripes, claimed from one queue by the calling thread and up to
+    len(stripes) - 1 of ``_executor``'s helpers. The caller then cancels each
+    helper not yet started and waits for the rest to finish their stripe: a
+    helper slow to wake leaves the caller more stripes, never a pass slower
+    than inline. One stripe, or one CPU, starts no thread. Every stripe runs,
+    and the first exception in stripe order reaches the caller.
     """
     step = max(1, BLOCK_BYTES // (8 * d))
     blocks = -(-n // step)
     cuts = [min(n, k * blocks // STRIPES * step) for k in range(STRIPES + 1)]
     spans = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi] or [(0, n)]
     if len(spans) == 1:
-        return [task(*spans[0], step)]
+        return task(*spans[0], step)
     results, failures = [None] * len(spans), [None] * len(spans)
-    done = [threading.Lock() for _ in spans]
-    for lock in done:
-        lock.acquire()  # released once its stripe has run
     unclaimed = collections.deque(range(len(spans)))  # popleft is thread-safe
 
     def work() -> None:
@@ -216,18 +214,16 @@ def _map_stripes(task: Callable[[int, int, int], object], n: int, d: int) -> lis
                 results[k] = task(*spans[k], step)
             except BaseException as exc:  # recorded; raised on the caller below
                 failures[k] = exc
-            finally:
-                done[k].release()
 
     pool, helpers = _executor()
-    for _ in range(min(helpers, len(spans) - 1)):
-        pool.submit(work)
+    futures = [pool.submit(work) for _ in range(min(helpers, len(spans) - 1))]
     work()
-    for lock in done:
-        lock.acquire()
+    for future in futures:
+        if not future.cancel():  # its helper has started: wait for its stripe
+            future.result()
     for failure in filter(None, failures):
         raise failure
-    return results
+    return functools.reduce(np.add, results)
 
 
 # The d from which weighted_gram uses SYRK updates.
@@ -288,7 +284,7 @@ def weighted_gram(rows: Array, w: Array) -> Array:
             total += np.matmul(b.T, b, out=term)
         return total
 
-    gram = functools.reduce(np.add, _map_stripes(stripe, n, d))
+    gram = _map_stripes(stripe, n, d)
     gram.flags.writeable = False
     return gram
 
@@ -318,7 +314,7 @@ def row_pass(rows: Array, weights: Array,
                     total = part if total is None else total + part
             return total
 
-        return functools.reduce(np.add, _map_stripes(stripe, len(weights), rows.shape[1]))
+        return _map_stripes(stripe, len(weights), rows.shape[1])
 
     return apply
 
@@ -443,7 +439,7 @@ class FiniteSumProblem:
                     grad = part if grad is None else grad + part
             return grad
 
-        grad = functools.reduce(np.add, _map_stripes(stripe, n, self.d))
+        grad = _map_stripes(stripe, n, self.d)
         f = exact_sum(values) / n
         grad.flags.writeable = z.flags.writeable = False
         second = functools.cache(lambda: _second(loss, z, targets))
@@ -553,20 +549,26 @@ def generate_synthetic(loss: ScalarLoss | str, n: int, d: int, rng_seed: int = 0
         raise ConfigurationError(f"noise must be nonnegative and finite, got {noise}")
     _check_allocatable(n, d)
     rng = np.random.default_rng(rng_seed)
-    rows = rng.standard_normal((n, d)) / math.sqrt(d)
-    if skew > 1.0:
-        scales = skew ** (rng.random(n) ** 4)
-        rows *= scales[:, None]
-    if k_max is not None:
-        current = loss.curvature_bound * float(np.max(np.einsum("ij,ij->i", rows, rows)))
-        rows *= math.sqrt(k_max / current)
-    planted = rng.standard_normal(d)
-    z = rows @ planted
-    if loss.name == "nls_logistic":
-        targets = (rng.random(n) < sigmoid(z)).astype(float)
-    else:
-        targets = z + noise * rng.standard_normal(n)
-    return FiniteSumProblem(rows=rows, targets=targets, loss=loss)
+    # An overflow leaves inf or NaN, refused below with the settings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = rng.standard_normal((n, d)) / math.sqrt(d)
+        if skew > 1.0:
+            scales = skew ** (rng.random(n) ** 4)
+            rows *= scales[:, None]
+        if k_max is not None:
+            current = loss.curvature_bound * float(np.max(np.einsum("ij,ij->i", rows, rows)))
+            rows *= math.sqrt(k_max / current)
+        planted = rng.standard_normal(d)
+        z = rows @ planted
+        if loss.name == "nls_logistic":
+            targets = (rng.random(n) < sigmoid(z)).astype(float)
+        else:
+            targets = z + noise * rng.standard_normal(n)
+    try:
+        return FiniteSumProblem(rows=rows, targets=targets, loss=loss)
+    except NonFiniteError as exc:
+        raise ConfigurationError(f"{exc}: the synthetic data overflow at skew={skew}, "
+                                 f"k_max={k_max}, noise={noise}") from None
 
 
 class DatasetError(ValueError):

@@ -130,12 +130,14 @@ class CubicModel(_Model):
     @cached_property
     def cauchy_alpha(self) -> float:
         """Nonnegative root of sigma*||g||^3*a^2 + <g,Hg>*a - ||g||^2 = 0, the
-        Cauchy step size; the conjugate form when <g,Hg> > 0 avoids cancellation."""
+        Cauchy step size; the conjugate form when <g,Hg> > 0 avoids cancellation,
+        and the size is infinite when 2*sigma*||g||^3 underflows to 0."""
         gn, ghg = self.grad_norm, self.ghg
         disc = math.sqrt(ghg * ghg + 4.0 * self.sigma * gn ** 5)
         if ghg > 0.0:
             return 2.0 * gn * gn / (ghg + disc)
-        return (-ghg + disc) / (2.0 * self.sigma * gn ** 3)
+        denominator = 2.0 * self.sigma * gn ** 3
+        return (-ghg + disc) / denominator if denominator else math.inf
 
     @cached_property
     def cauchy_required(self) -> float:
@@ -305,8 +307,8 @@ def eigen_point(model: TRModel | CubicModel, u: Array) -> SubproblemSolution:
         raise CertificateError(
             f"eigen direction must carry negative curvature, got <u,Hu>={c}")
     a = model.eigen_length(float(model.grad @ uhat), c)
-    step = a * uhat
     with np.errstate(over="ignore", invalid="ignore"):
+        step = a * uhat
         eigen_norm = float(np.linalg.norm(step))
         hs = a * hu
     return _solution(model, step, hs, nu_hat=-c, eigen_norm=eigen_norm)

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -238,9 +239,9 @@ class TestCLI:
         # data, step-size or regularization value exits 3 naming the value.
         # A negative data seed, a compare run too wide for its dense
         # eigensolves, an eps_h so small that the default nu rounds to 1,
-        # rows whose Hessian-Lipschitz bound overflows and a synthetic problem
+        # rows whose Hessian-Lipschitz bound overflows, a synthetic problem
         # too large to allocate (numpy refuses both shapes without allocating)
-        # exit 3 naming the cause.
+        # and synthetic targets that overflow exit 3 naming the cause.
         base = "problem = biweight\nhessian = uniform_wor\nn = 50\nd = 4\n"
         cases = [
             (["solve"], "gama = 2.0\n", "gama"),
@@ -277,6 +278,10 @@ class TestCLI:
             (["solve"], "n = 1000000000000\nd = 10000000\n",
              "n=1000000000000, d=10000000"),
             (["verify-sampling"], f"n = {10 ** 30}\nd = 5\n", f"n={10 ** 30}, d=5"),
+            (["solve"], "noise = 1e308\n", "noise=1e+308"),
+            (["verify-sampling"], "noise = 1e308\n", "noise=1e+308"),
+            (["compare"], "noise = 1e308\n", "noise=1e+308"),
+            (["solve"], "n = 20000\nd = 5\nskew = 1e308\n", "skew=1e+308"),
         ]
         for i, (command, text, key) in enumerate(cases):
             cfg = write_cfg(tmp_path, base + text, f"case{i}.cfg")
@@ -432,7 +437,8 @@ class TestCLI:
         assert "# message: optimality certified" in out.read_text().splitlines()
 
     # Each run overflows a sub-problem step or its model value: the TR Eigen
-    # step of length 1e300, or the ARC Cauchy step at an extreme sigma. The
+    # step of length 1e300, or the ARC Cauchy or Eigen step at an extreme
+    # sigma (at the subnormal one, 2 sigma ||g||^3 underflows to 0). The
     # NonFiniteError is raised before any certificate is computed, and no
     # RuntimeWarning is printed on the way.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -448,8 +454,15 @@ class TestCLI:
          "the ARC Eigen decrease bound overflows: ||s_e||="),
         ("problem = quartic\nx0_scale = 1e200\n",
          "the quartic objective overflows at x=(2.2007"),
+        ("problem = biweight\nn = 200\nd = 5\nsolver = arc\nhessian = uniform\n"
+         "sigma0 = 5e-324\n",
+         "non-finite sub-problem solution: m(s)=nan, ||s||=inf"),
+        ((Path(__file__).resolve().parents[1] / "configs" / "saddle_arc.cfg").read_text()
+         + "sigma0 = 5e-324\n",
+         "non-finite sub-problem solution: m(s)=nan, ||s||=nan"),
     ], ids=["tr_huge_radius", "arc_tiny_sigma", "arc_huge_sigma_far_start",
-            "arc_huge_sigma_eigen_bound", "quartic_huge_start"])
+            "arc_huge_sigma_eigen_bound", "quartic_huge_start",
+            "arc_subnormal_sigma", "saddle_arc_subnormal_sigma"])
     def test_solver_abort_exit_code(self, tmp_path, capsys, text, reason):
         out = tmp_path / "abort.csv"
         cfg = write_cfg(tmp_path, text + f"out = {out}\n")
@@ -613,6 +626,14 @@ FUZZ_SETUPS = ("", "solver = arc\n", "solver = arc\narc_mode = optimal\n",
                "hessian = nonuniform\n", "solver = arc\nhessian = intrinsic\n",
                "problem = quartic\n", "problem = nls_logistic\nsolver = arc\n",
                "n = 2\nhessian = uniform_wor\n")
+FUZZ_KEYS = [f.name for f in fields(ExperimentConfig) if f.name not in ("data", "out")]
+FUZZ_COMMANDS = ("solve", "verify-sampling", "compare")
+CONTRACT_CODES = (EXIT_OK, EXIT_NOT_CONVERGED, EXIT_CONFIG_ERROR,
+                  EXIT_VERIFICATION_FAILURE)
+# The float-extremes sweep's setups: sampled TR, sampled ARC, the quartic
+# under ARC.
+EXTREME_SETUPS = ("hessian = uniform\n", "solver = arc\nhessian = uniform\n",
+                  "problem = quartic\nsolver = arc\nhessian = exact\n")
 
 
 @st.composite
@@ -646,12 +667,10 @@ class TestExitCodeContract:
     # turns one into an error). Examples are fixed and bounded, so the test
     # takes seconds.
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-    @given(command=st.sampled_from(["solve", "verify-sampling", "compare"]),
+    @given(command=st.sampled_from(FUZZ_COMMANDS),
            setup=st.sampled_from(FUZZ_SETUPS),
-           overrides=st.lists(st.tuples(
-               st.sampled_from([f.name for f in fields(ExperimentConfig)
-                                if f.name not in ("data", "out")]),
-               st.sampled_from(HOSTILE_VALUES)), max_size=2),
+           overrides=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS),
+                                        st.sampled_from(HOSTILE_VALUES)), max_size=2),
            data=st.none() | hostile_datasets())
     def test_every_run_returns_a_contract_code(self, tmp_path_factory, command,
                                                setup, overrides, data):
@@ -666,5 +685,28 @@ class TestExitCodeContract:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = main([command, "--config", str(folder / "fuzz.cfg")])
-        assert code in (EXIT_OK, EXIT_NOT_CONVERGED, EXIT_CONFIG_ERROR,
-                        EXIT_VERIFICATION_FAILURE), text
+        assert code in CONTRACT_CODES, text
+
+    @pytest.mark.parametrize("value", ["1e308", "5e-324"])
+    @pytest.mark.parametrize("setup", EXTREME_SETUPS)
+    def test_float_extremes_on_every_key(self, tmp_path, setup, value):
+        # The largest float and the smallest subnormal, which the examples
+        # above miss, on every key in turn under every command: 93 runs.
+        failures = []
+        for key in FUZZ_KEYS:
+            cfg = write_cfg(tmp_path, FUZZ_BASE + setup + f"{key} = {value}\n"
+                            f"out = {tmp_path / 'trace.csv'}\n")
+            for command in FUZZ_COMMANDS:
+                with warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    warnings.simplefilter("always", RuntimeWarning)
+                    try:
+                        code = main([command, "--config", str(cfg)])
+                    except Exception as exc:  # reported with the run below
+                        code = repr(exc)
+                warned = [str(w.message) for w in caught
+                          if issubclass(w.category, RuntimeWarning)]
+                if code not in CONTRACT_CODES or warned:
+                    failures.append((key, command, code, warned))
+        assert not failures

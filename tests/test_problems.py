@@ -8,7 +8,7 @@ import sys
 import threading
 import warnings
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -250,7 +250,8 @@ class CountingPool(ThreadPoolExecutor):
 
 
 class StalledPool:
-    """A pool whose helpers never start: it counts its tasks and drops them."""
+    """A pool whose helpers never start: it counts its tasks and hands back
+    a pending future for each, which the caller can cancel."""
 
     helpers = 3
 
@@ -259,6 +260,7 @@ class StalledPool:
 
     def submit(self, fn):
         self.tasks += 1
+        return Future()
 
     def shutdown(self):
         pass
@@ -266,15 +268,18 @@ class StalledPool:
 
 class EagerPool(StalledPool):
     """A pool whose helper runs on a thread of its own, claiming every
-    stripe, before ``submit`` returns: the caller runs none."""
+    stripe, before ``submit`` returns a finished future: the caller runs none."""
 
     helpers = 1
 
     def submit(self, fn):
-        super().submit(fn)
+        future = super().submit(fn)
         helper = threading.Thread(target=fn)
         helper.start()
         helper.join()
+        future.set_running_or_notify_cancel()
+        future.set_result(None)
+        return future
 
 
 def use_pool(monkeypatch, pool):
@@ -448,6 +453,25 @@ class TestStripes:
                               _bits(row_pass(rows, w[index], index)(v))])
         assert outputs[0] == outputs[1]
         assert stalled.tasks == 4 * 3  # four passes, each offered three helpers
+
+    def test_a_helper_that_has_not_started_is_cancelled(self, monkeypatch):
+        # A real one-worker executor whose worker is held: the pass's helper
+        # waits in the queue, and the caller runs every stripe, cancels it
+        # and returns while the worker is still held.
+        x = np.full(200, 0.01)
+        monkeypatch.setattr(problems, "_pool", (os.getpid(), None, 0))
+        inline = generate_synthetic("biweight", n=8193, d=200, rng_seed=20)
+        expected = [_bits(part) for part in inline._evaluate(x)[:3]]
+        pool, gate = use_pool(monkeypatch, CountingPool(1)), threading.Event()
+        held = pool.submit(gate.wait, 60)
+        problem = generate_synthetic("biweight", n=8193, d=200, rng_seed=20)
+        outputs = [_bits(part) for part in problem._evaluate(x)[:3]]
+        assert not held.done()
+        gate.set()
+        pool.shutdown()
+        assert held.result() is True
+        assert pool.tasks == 1 + 1
+        assert outputs == expected
 
     def test_a_new_pid_gets_a_new_pool(self, monkeypatch):
         inherited = CountingPool(1)
