@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, ConfigurationError, HessianOperator
+from .core import Array, ConfigurationError, HessianOperator, ensure_finite
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,10 @@ def probe_extreme(hessian: HessianOperator) -> CurvatureResult:
     the trace records the estimate even when no usable direction exists.
     The quotient comes from ``hessian.apply``, a row pass for the
     finite-sum operators, not from the matrix the eigensolve read.
+    A non-finite matrix is refused with ``NonFiniteError``, before LAPACK
+    sees it.
     """
+    ensure_finite(hessian.matrix, "the Hessian handed to the curvature probe")
     u = np.linalg.eigh(hessian.matrix)[1][:, 0]
     return CurvatureResult(direction=u, rayleigh=hessian.quad(u))
 

@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ABORT_ERRORS, Array, ConfigurationError, OptimalityTolerances,
-                   SolveResult)
+from .core import (ABORT_ERRORS, Array, ConfigurationError, IterationRecord,
+                   OptimalityTolerances, SolveResult, ensure_finite)
 from .cubic_reg import ARCConfig, run_arc
 from .problems import (LOSSES, DatasetError, FiniteSumProblem, QuarticSaddle,
                        generate_synthetic, load_dataset)
@@ -32,9 +32,13 @@ EXIT_NOT_CONVERGED = 2
 EXIT_CONFIG_ERROR = 3
 EXIT_VERIFICATION_FAILURE = 4
 
-TRACE_COLUMNS = ("t", "F", "grad_norm", "lambda_min_est", "radius_or_sigma",
-                 "rho", "accepted", "sample_size", "step_norm", "eps_t",
-                 "lambda_source")
+# The trace's columns in order, each with the ``IterationRecord`` field it holds.
+TRACE_SCHEMA = (
+    ("t", "t"), ("F", "f_value"), ("grad_norm", "grad_norm"),
+    ("lambda_min_est", "lambda_min_estimate"), ("radius_or_sigma", "radius_or_sigma"),
+    ("rho", "rho"), ("accepted", "accepted"), ("sample_size", "sample_size"),
+    ("step_norm", "step_norm"), ("eps_t", "eps_t"), ("lambda_source", "lambda_source"))
+TRACE_COLUMNS = tuple(column for column, _ in TRACE_SCHEMA)
 
 @dataclass
 class ExperimentConfig:
@@ -128,7 +132,11 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         value = value.strip()
         if key not in _FIELD_TYPES:
             raise ConfigurationError(f"{source}: line {lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, value, source, lineno)
+        try:
+            values[key] = _coerce(_FIELD_TYPES[key], value)
+        except ValueError:
+            raise ConfigurationError(f"{source}: line {lineno}: bad value "
+                                     f"{value!r} for key {key!r}") from None
     return ExperimentConfig(**values)
 
 
@@ -140,19 +148,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config_text(text, source=str(path))
 
 
-def _coerce(key: str, value: str, source: str, lineno: int) -> object:
-    annotation = _FIELD_TYPES[key]
-    try:
-        if annotation.startswith("str"):
-            return value
-        if annotation == "int":
-            return int(value)
-        if annotation == "float | None" and value.lower() in ("none", ""):
-            return None
-        return float(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"{source}: line {lineno}: bad value {value!r} for key {key!r}") from None
+def _coerce(annotation: str, text: str) -> object:
+    """A config value or trace cell as a value of the postponed ``annotation``."""
+    if annotation.startswith("str"):
+        return text
+    if annotation == "int":
+        return int(text)
+    if annotation == "bool":
+        return bool(int(text))
+    if annotation == "float | None" and text.lower() in ("none", ""):
+        return None
+    return float(text)
 
 
 # ---------------------------------------------------------------------------
@@ -227,25 +233,40 @@ def lambda_min_dense(problem, x: Array) -> float:
 
 def format_trace(result: SolveResult, problem=None) -> str:
     """CSV rows for each iteration plus a '#'-prefixed summary footer."""
-    lines = [",".join(TRACE_COLUMNS)]
-    for r in result.records:
-        lines.append(",".join((
-            str(r.t), repr(r.f_value), repr(r.grad_norm),
-            repr(r.lambda_min_estimate), repr(r.radius_or_sigma), repr(r.rho),
-            "1" if r.accepted else "0", str(r.sample_size), repr(r.step_norm),
-            repr(r.eps_t), r.lambda_source)))
-    lines.append(f"# converged: {int(result.converged)}")
-    lines.append(f"# message: {result.message}")
-    lines.append(f"# f_final: {result.f_final!r}")
-    lines.append(f"# grad_norm_final: {result.grad_norm_final!r}")
-    lines.append(f"# lambda_min_estimate_final: {result.lambda_min_final!r}")
-    lines.append(f"# eps_final: {result.eps_final!r}")
-    lines.append(f"# iterations: {len(result.records)}")
-    lines.append(f"# accepted: {result.n_accepted}")
-    lines.append(f"# rejected: {result.n_rejected}")
+    footer = [("converged", result.converged), ("message", result.message),
+              ("f_final", result.f_final), ("grad_norm_final", result.grad_norm_final),
+              ("lambda_min_estimate_final", result.lambda_min_final),
+              ("eps_final", result.eps_final), ("iterations", len(result.records)),
+              ("accepted", result.n_accepted), ("rejected", result.n_rejected)]
     if problem is not None and result.x.shape[0] <= DENSE_LIMIT:
-        lines.append(f"# lambda_min_dense_final: {lambda_min_dense(problem, result.x)!r}")
+        footer.append(("lambda_min_dense_final", lambda_min_dense(problem, result.x)))
+    return _render_trace(map(vars, result.records), footer)
+
+
+def _render_trace(rows, footer) -> str:
+    """The header, a line per row (``IterationRecord`` field -> value) and per
+    footer pair: a bool as 1 or 0, a float by ``repr`` (exact), else ``str``."""
+    def cell(value: object) -> str:
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        return repr(value) if isinstance(value, float) else str(value)
+
+    lines = [",".join(TRACE_COLUMNS)]
+    lines += [",".join(cell(row[field]) for _, field in TRACE_SCHEMA) for row in rows]
+    lines += [f"# {key}: {cell(value)}" for key, value in footer]
     return "\n".join(lines) + "\n"
+
+
+def read_trace(text: str) -> tuple[list[dict[str, object]], dict[str, str]]:
+    """A trace's rows, dicts from ``IterationRecord`` field to a value of its
+    annotation, and its footer, a dict from key to text, as they were written."""
+    lines = text.splitlines()[1:]
+    types = {f.name: f.type for f in dataclass_fields(IterationRecord)}
+    rows = [{field: _coerce(types[field], cell)
+             for (_, field), cell in zip(TRACE_SCHEMA, line.split(","), strict=True)}
+            for line in lines if not line.startswith("# ")]
+    footer = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
+    return rows, footer
 
 
 def run_experiment(config: ExperimentConfig, out_path: str | Path | None = None) -> int:
@@ -305,10 +326,12 @@ def verify_bounds(config: ExperimentConfig) -> tuple[list[VerificationRow], bool
     accounting for the concentration bound's conservative constant -- a
     quarter of the capped size is run as a negative control and must fail
     more often than delta. With only loose grid points no control is emitted:
-    a quartered size can legitimately still concentrate there.
+    a quartered size can legitimately still concentrate there; nor with a
+    zero Hessian at the point, where every sample is exact.
     """
     problem = _dense_finite_sum_problem(config, "verify-sampling")
     x = starting_point(config, problem)
+    ensure_finite(x, "starting point")
     eps_grid = _grid(config, "verify_eps")
     delta_grid = _grid(config, "verify_delta")
     seed_stream = np.random.SeedSequence([config.seed & 0xFFFFFFFF, 771])
@@ -333,7 +356,7 @@ def verify_bounds(config: ExperimentConfig) -> tuple[list[VerificationRow], bool
                     if tightest is None or eps < tightest.epsilon:
                         tightest = scheme
                 rows.append(verified_row(scheme, capped=uncapped > problem.n))
-    if tightest is not None:
+    if tightest is not None and np.any(problem.second_derivatives(x)):
         control = replace(tightest, resolved_size=max(tightest.resolved_size // 4, 1))
         rows.append(verified_row(control, capped=False, negative_control=True))
     return rows, all(row.passed for row in rows)

@@ -22,11 +22,42 @@ from .core import (Array, ConfigurationError, HessianOperator, NonFiniteError,
                    ensure_finite)
 
 
+# Above this |r| the bi-weight is evaluated in q = 1/r. Below it every power
+# of r in its formulas is finite: (1 + r^2)^3 overflows only from |r| = 2^170.
+_BIWEIGHT_FAR = 2.0 ** 128
+
+
+def _far(r: Array, out: Array | None = None) -> Array | None:
+    """Where |r| > 2^128, or None when nowhere, as one reduction of |r| (into
+    ``out``) finds. fmax passes over NaN, so a NaN residual hides no far one."""
+    size = np.abs(r, out=out)
+    if np.fmax.reduce(size, axis=None, initial=0.0) > _BIWEIGHT_FAR:
+        return size > _BIWEIGHT_FAR
+    return None
+
+
+def _biweight_far(r: Array) -> tuple[Array, Array, Array]:
+    """f, f' and f'' of the bi-weight at |r| > 2^128 in q = 1/r, where no power
+    overflows: 1/(1+q^2), 2q^3/(1+q^2)^2 and 2q^4(q^2-3)/(1+q^2)^3. r = +-inf
+    gives q = +-0 and the limits 1, 0 and 0."""
+    q = 1.0 / r
+    q2 = q * q
+    t = 1.0 + q2
+    return 1.0 / t, 2.0 * q2 * q / (t * t), 2.0 * q2 * q2 * (q2 - 3.0) / (t * t * t)
+
+
 def biweight_step(z: Array, b: Array, n: int, value: Array, first: Array,
                   work: Array) -> None:
     """Bi-weight loss r^2/(1+r^2), r = z - b (bounded, non-convex), into
-    ``value``, f' = 2r/(1+r^2)^2 over n into ``first``, in the formulas' order."""
+    ``value``, f' = 2r/(1+r^2)^2 over n into ``first``, in the formulas' order,
+    and by ``_biweight_far``'s forms where |r| > 2^128."""
     r = np.subtract(z, b, out=first)
+    far = _far(r, out=work)
+    if far is not None:
+        f, f1, _ = _biweight_far(r[far])
+        biweight_step(np.where(far, 0.0, r), 0.0, n, value, first, work)
+        value[far], first[far] = f, f1 / n
+        return
     t = np.add(1.0, np.multiply(r, r, out=value), out=work)
     np.divide(value, t, out=value)
     np.divide(np.multiply(2.0, r, out=r), np.multiply(t, t, out=t), out=r)
@@ -34,8 +65,13 @@ def biweight_step(z: Array, b: Array, n: int, value: Array, first: Array,
 
 
 def biweight_second(z: Array, b: Array) -> Array:
-    """f''(r) = 2(1-3r^2)/(1+r^2)^3 of the bi-weight, in [-1/2, 2]."""
+    """f''(r) = 2(1-3r^2)/(1+r^2)^3 of the bi-weight, in [-1/2, 2], and by
+    ``_biweight_far``'s form where |r| > 2^128."""
     r = np.asarray(z, dtype=float) - np.asarray(b, dtype=float)
+    far = _far(r)
+    if far is not None:
+        return np.where(far, _biweight_far(np.where(far, r, np.inf))[2],
+                        biweight_second(np.where(far, 0.0, r), 0.0))
     t = 1.0 + r * r
     return 2.0 * (1.0 - 3.0 * r * r) / (t * t * t)
 
@@ -79,7 +115,10 @@ class ScalarLoss:
     pass steps each row block on its stripe. ``curvature_bound`` is sup_z
     |f''(z; b)| over admissible targets, so K_i = curvature_bound * ||a_i||^2;
     ``third_bound`` bounds |f'''| for the cubic solver's Hessian-Lipschitz
-    estimate. Custom losses must supply valid bounds; they are not checked."""
+    estimate. Custom losses must supply valid bounds; they are not checked.
+    ``second`` is finite wherever ``step``'s value is, and a bounded loss's
+    value is finite for every finite z and b, so no finite input hands the
+    curvature probe a NaN."""
 
     name: str
     step: Callable[[Array, Array, int, Array, Array, Array], None]

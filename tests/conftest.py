@@ -40,12 +40,19 @@ def load_perfbench(monkeypatch, name: str):
 def biweight_scalar(z, b):
     """Reference bi-weight loss r^2/(1+r^2) of r = z - b: (f, f', f''), by
     the formulas the oracle's pass and ``BIWEIGHT.second`` must match bit
-    for bit."""
+    for bit: in r up to |r| = 2^128, and beyond in q = 1/r, 1/(1+q^2),
+    2q^3/(1+q^2)^2 and 2q^4(q^2-3)/(1+q^2)^3."""
     r = np.asarray(z, dtype=float) - np.asarray(b, dtype=float)
-    t = 1.0 + r * r
-    value = r * r / t
-    first = 2.0 * r / (t * t)
-    second = 2.0 * (1.0 - 3.0 * r * r) / (t * t * t)
+    far = np.abs(r) > 2.0 ** 128
+    near = np.where(far, 0.0, r)
+    t = 1.0 + near * near
+    q = 1.0 / np.where(far, r, np.inf)
+    q2 = q * q
+    u = 1.0 + q2
+    value = np.where(far, 1.0 / u, near * near / t)
+    first = np.where(far, 2.0 * q2 * q / (u * u), 2.0 * near / (t * t))
+    second = np.where(far, 2.0 * q2 * q2 * (q2 - 3.0) / (u * u * u),
+                      2.0 * (1.0 - 3.0 * near * near) / (t * t * t))
     return value, first, second
 
 

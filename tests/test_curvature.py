@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from subnewton.core import NonFiniteError
 from subnewton.curvature import default_nu, probe_extreme
 
 from conftest import capped_scheme, operator_from_dense, random_symmetric
@@ -74,6 +75,13 @@ class TestBottomEigenpair:
                 res = probe_extreme(op)
             assert res.rayleigh == -top
             assert abs(res.direction[1]) == 1.0 and res.direction[0] == 0.0
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_is_refused_before_the_eigensolve(self, entry):
+        # LAPACK's answer to a NaN is "did not converge", or garbage.
+        op = operator_from_dense(np.array([[1.0, entry], [entry, 1.0]]), norm_bound=1.0)
+        with pytest.raises(NonFiniteError, match="curvature probe"):
+            probe_extreme(op)
 
 
 class TestNegativeCurvatureDirection:

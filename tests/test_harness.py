@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -12,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnewton.core import ConfigurationError
+from subnewton.core import ABORT_ERRORS, ConfigurationError
 from subnewton.harness import (EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK,
-                               EXIT_VERIFICATION_FAILURE, ExperimentConfig,
-                               build_problem, compare_exact_vs_sampled,
-                               load_config, main, parse_config_text,
-                               run_experiment, run_solver, verify_bounds)
+                               EXIT_VERIFICATION_FAILURE, TRACE_SCHEMA,
+                               ExperimentConfig, _render_trace, build_problem,
+                               compare_exact_vs_sampled, format_trace, load_config,
+                               main, parse_config_text, read_trace, run_experiment,
+                               run_solver, verify_bounds)
 
 QUARTIC_CFG = """
 problem = quartic
@@ -88,14 +90,11 @@ class TestRunExperiment:
         code = run_experiment(config)
         assert code == EXIT_OK
         text = out.read_text()
-        lines = text.splitlines()
-        assert lines[0] == ("t,F,grad_norm,lambda_min_est,radius_or_sigma,rho,"
-                            "accepted,sample_size,step_norm,eps_t,lambda_source")
+        assert text.startswith("t,F,grad_norm,lambda_min_est,radius_or_sigma,rho,"
+                               "accepted,sample_size,step_norm,eps_t,lambda_source\n")
+        rows, footer = read_trace(text)
         # The quartic operator has no floor, so every row is probed.
-        assert all(line.endswith(",probe") for line in lines[1:]
-                   if not line.startswith("#"))
-        footer = {line.split(":")[0][2:]: line.split(": ", 1)[1]
-                  for line in lines if line.startswith("# ") and ": " in line}
+        assert rows and all(row["lambda_source"] == "probe" for row in rows)
         assert footer["converged"] == "1"
         assert float(footer["f_final"]) == pytest.approx(-0.25, abs=1e-6)
         assert float(footer["lambda_min_dense_final"]) >= -1e-3
@@ -434,7 +433,7 @@ class TestCLI:
                                   "hessian = exact\nn = 20\nd = 3\nx0_scale = 1e12\n"
                                   f"l_estimate = 1e-300\neps_g = 1e-30\nout = {out}\n")
         assert main(["solve", "--config", str(cfg)]) == EXIT_OK
-        assert "# message: optimality certified" in out.read_text().splitlines()
+        assert read_trace(out.read_text())[1]["message"] == "optimality certified"
 
     # Each run overflows a sub-problem step or its model value: the TR Eigen
     # step of length 1e300, or the ARC Cauchy or Eigen step at an extreme
@@ -472,20 +471,20 @@ class TestCLI:
         assert "solver aborted" in err and reason in err
         # The aborted run still leaves its trace: the rows done so far and
         # the reason in the footer.
-        assert out.exists()
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("t,F,")
-        assert "# converged: 0" in lines
+        rows, footer = read_trace(out.read_text())
+        assert footer["converged"] == "0"
         message = err.strip().splitlines()[-1].removeprefix("solver aborted: ")
-        assert f"# message: aborted: {message}" in lines
-        rows = [line for line in lines[1:] if not line.startswith("#")]
-        assert f"# iterations: {len(rows)}" in lines
+        assert footer["message"] == f"aborted: {message}"
+        assert footer["iterations"] == str(len(rows))
 
     def test_verify_overflow_exit_code(self, tmp_path, capsys):
-        # f'' overflows at this point; the report stops with exit 2 naming
-        # the command and the value, not with an eigensolver traceback.
-        cfg = write_cfg(tmp_path, "problem = biweight\nn = 200\nd = 5\n"
-                                  "x0_scale = 1e300\n")
+        # A target of 1e308 makes the least-squares loss, and so its f'',
+        # overflow at every point; the report stops with exit 2 naming the
+        # command and the value, not with an eigensolver traceback.
+        data = tmp_path / "data.csv"
+        data.write_text("1.0,2.0,1e308\n0.5,-1.0,0.0\n2.0,1.0,1.0\n")
+        cfg = write_cfg(tmp_path, f"problem = nls_logistic\ndata = {data}\n"
+                                  "x0_scale = 1\n")
         code = main(["verify-sampling", "--config", str(cfg)])
         assert code == EXIT_NOT_CONVERGED
         err = capsys.readouterr().err
@@ -493,28 +492,47 @@ class TestCLI:
                               "encountered in f''")
         assert "solver" not in err
 
-    # The loss overflows at the start point. At 5000 x 200 it is evaluated
-    # on the stripe helpers' threads too (five oracle blocks), and numpy's
-    # error state is per thread, so the pass itself must keep the overflow
-    # quiet. At x0_scale = 1e308 the start itself overflows, quietly too.
-    @pytest.mark.parametrize("command, n, d, scale, cause", [
-        ("solve", 200, 5, 1e300, "solver aborted: non-finite values encountered in "
-                                 "objective value at iteration 0"),
-        ("solve", 5000, 200, 1e300, "solver aborted: non-finite values encountered "
-                                    "in objective value at iteration 0"),
-        ("verify-sampling", 5000, 200, 1e300, "verify-sampling aborted: non-finite "
-                                              "values encountered in f''"),
-        ("solve", 200, 5, 1e308, "solver aborted: non-finite values encountered in "
-                                 "starting point"),
-        ("verify-sampling", 200, 5, 1e308, "verify-sampling aborted: non-finite "
-                                           "values encountered in f''"),
-        ("compare", 200, 5, 1e308, "solver aborted: non-finite values encountered "
-                                   "in starting point"),
+    # At x0_scale = 1e300 every residual lies beyond 2^128, where the
+    # bi-weight is evaluated in q = 1/r: F stays in [0, 1], every f' and f''
+    # underflows to 0 and the start is certified. With a zero Hessian every
+    # sample is exact, so verify-sampling emits no negative control. At
+    # x0_scale = 1e308 the start itself overflows, quietly, and each command
+    # refuses it.
+    @pytest.mark.parametrize("command, n, d, scale, code, cause", [
+        ("solve", 200, 5, 1e300, EXIT_OK, ""),
+        ("verify-sampling", 200, 5, 1e300, EXIT_OK, ""),
+        ("solve", 5000, 200, 1e300, EXIT_OK, ""),
+        ("verify-sampling", 5000, 200, 1e300, EXIT_OK, ""),
+        ("solve", 200, 5, 1e308, EXIT_NOT_CONVERGED,
+         "solver aborted: non-finite values encountered in starting point"),
+        ("verify-sampling", 200, 5, 1e308, EXIT_NOT_CONVERGED,
+         "verify-sampling aborted: non-finite values encountered in starting point"),
+        ("compare", 200, 5, 1e308, EXIT_NOT_CONVERGED,
+         "solver aborted: non-finite values encountered in starting point"),
     ])
     def test_start_point_overflow_exit_code(self, tmp_path, capsys, command, n,
-                                            d, scale, cause):
+                                            d, scale, code, cause):
         cfg = write_cfg(tmp_path, f"problem = biweight\nn = {n}\nd = {d}\n"
                                   f"hessian = uniform\nx0_scale = {scale}\n"
+                                  f"verify_trials = 2\nout = {tmp_path / 'o.csv'}\n")
+        assert main([command, "--config", str(cfg)]) == code
+        assert capsys.readouterr().err.startswith(cause)
+
+    # A target of 1e308 makes the least-squares loss, its f' and its f''
+    # overflow in every row. At 5000 x 200 the oracle's pass runs on the
+    # stripe helpers' threads too, and numpy's error state is per thread, so
+    # each stripe must keep the overflow quiet for the command to name it.
+    @pytest.mark.parametrize("command, cause", [
+        ("solve", "solver aborted: non-finite values encountered in objective "
+                  "value at iteration 0"),
+        ("verify-sampling", "verify-sampling aborted: non-finite values "
+                            "encountered in f''"),
+    ])
+    def test_overflow_on_the_stripe_helpers(self, tmp_path, capsys, command, cause):
+        data = tmp_path / "data.svm"
+        data.write_text("".join(f"1e308 {1 + i % 199}:1 200:0.5\n" for i in range(5000)))
+        cfg = write_cfg(tmp_path, f"problem = nls_logistic\ndata = {data}\n"
+                                  f"format = svmlight\nx0_scale = 1\n"
                                   f"out = {tmp_path / 'o.csv'}\n")
         assert main([command, "--config", str(cfg)]) == EXIT_NOT_CONVERGED
         assert capsys.readouterr().err.startswith(cause)
@@ -589,7 +607,7 @@ class TestTraceDeterminism:
                            "hessian = uniform_wor\nn = 1500\nd = 80\n"
                            "k_max_target = 1.0\nseed = 3\n")
         first, second = self.rerun_traces(config, tmp_path)
-        assert "lambda_min_dense_final" in first.decode()
+        assert "lambda_min_dense_final" in read_trace(first.decode())[1]
         assert first == second
 
     def test_one_cpu_and_all_cpus_give_the_same_bytes(self, tmp_path):
@@ -604,8 +622,47 @@ class TestTraceDeterminism:
                   "runpy.run_module('subnewton', run_name='__main__')")
         first, second = self.rerun_traces(config, tmp_path,
                                           (pinned, ("-m", "subnewton")))
-        assert "lambda_min_dense_final" in first.decode()
+        assert "lambda_min_dense_final" in read_trace(first.decode())[1]
         assert first == second
+
+
+class TestTraceFormat:
+    """``read_trace`` inverts the renderer ``format_trace`` writes through:
+    rendering what it reads gives the text back byte for byte, and each row
+    it reads equals its record on every schema field, floats included."""
+
+    @staticmethod
+    def assert_round_trip(result, text):
+        rows, footer = read_trace(text)
+        assert _render_trace(rows, footer.items()) == text
+        records = [{field: getattr(record, field) for _, field in TRACE_SCHEMA}
+                   for record in result.records]
+        assert rows == records
+        assert [list(map(type, row.values())) for row in rows] == \
+            [list(map(type, record.values())) for record in records]
+
+    def test_every_digest_solve(self):
+        # runpy compiles the script in memory: no bytecode under scripts/.
+        script = Path(__file__).resolve().parents[1] / "scripts" / "trace_digests.py"
+        solves = runpy.run_path(str(script))["SOLVES"]
+        assert len(solves) == 23
+        for config in solves.values():
+            problem = build_problem(config)
+            result = run_solver(config, problem)
+            self.assert_round_trip(result, format_trace(result, problem=problem))
+
+    @pytest.mark.parametrize("setting, iterations, reason", [
+        ("solver = tr\nradius0 = 1e-20\n", 452, "trust-region step exceeds the radius"),
+        ("solver = arc\nsigma0 = 1e155\n", 0, "the ARC Eigen decrease bound overflows"),
+    ], ids=["tr_tiny_radius", "arc_huge_sigma"])
+    def test_aborted_runs_partial_trace(self, setting, iterations, reason):
+        config = parse_config_text("problem = biweight\nn = 200\nd = 5\nx0_scale = 1\n"
+                                   "max_iters = 1000\n" + setting)
+        with pytest.raises(ABORT_ERRORS, match=reason) as aborted:
+            run_solver(config, build_problem(config))
+        result = aborted.value.partial_result
+        assert len(result.records) == iterations
+        self.assert_round_trip(result, format_trace(result))
 
 
 # Values that have broken the exit-code contract or sit on a range's bound,
@@ -661,6 +718,24 @@ def hostile_datasets(draw):
         for line in lines)
 
 
+def run_every_command(cfg) -> list[tuple[str, object, list[str]]]:
+    """(command, exit code or the exception's repr, RuntimeWarnings) of each
+    of FUZZ_COMMANDS run on the config file ``cfg``."""
+    runs = []
+    for command in FUZZ_COMMANDS:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("always", RuntimeWarning)
+            try:
+                code = main([command, "--config", str(cfg)])
+            except Exception as exc:  # reported with the run
+                code = repr(exc)
+        runs.append((command, code, [str(w.message) for w in caught
+                                     if issubclass(w.category, RuntimeWarning)]))
+    return runs
+
+
 class TestExitCodeContract:
     # Hostile config values and dataset files: every command must return a
     # contract exit code, never raise, and print no RuntimeWarning (the suite
@@ -696,17 +771,18 @@ class TestExitCodeContract:
         for key in FUZZ_KEYS:
             cfg = write_cfg(tmp_path, FUZZ_BASE + setup + f"{key} = {value}\n"
                             f"out = {tmp_path / 'trace.csv'}\n")
-            for command in FUZZ_COMMANDS:
-                with warnings.catch_warnings(record=True) as caught, \
-                        contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    warnings.simplefilter("always", RuntimeWarning)
-                    try:
-                        code = main([command, "--config", str(cfg)])
-                    except Exception as exc:  # reported with the run below
-                        code = repr(exc)
-                warned = [str(w.message) for w in caught
-                          if issubclass(w.category, RuntimeWarning)]
-                if code not in CONTRACT_CODES or warned:
-                    failures.append((key, command, code, warned))
+            failures += [(key, *run) for run in run_every_command(cfg)
+                         if run[1] not in CONTRACT_CODES or run[2]]
         assert not failures
+
+    @pytest.mark.parametrize("noise", ["1e154", "1e200"])
+    def test_huge_biweight_residuals(self, tmp_path, noise):
+        # Residuals past 5.5e153 once made f'' NaN, which reached LAPACK
+        # (exit 1), and past 1.3e154 made F overflow, though it lies in
+        # [0, 1) (exit 2). Every f' now underflows to 0 at the start, which
+        # is certified optimal.
+        cfg = write_cfg(tmp_path, "problem = biweight\nn = 2\nd = 3\n"
+                        f"hessian = uniform_wor\nnoise = {noise}\n"
+                        f"out = {tmp_path / 'trace.csv'}\n")
+        assert run_every_command(cfg) == [(command, EXIT_OK, [])
+                                          for command in FUZZ_COMMANDS]

@@ -10,6 +10,7 @@ import warnings
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,63 @@ class TestLogisticScalar:
         fd1, fd2 = central_diff(nls_logistic_scalar, z, b)
         assert d1[0] == pytest.approx(fd1, rel=1e-6, abs=1e-6)
         assert d2[0] == pytest.approx(fd2, rel=1e-4, abs=1e-4)
+
+
+# z and b of every magnitude, each of both signs: zero, the smallest
+# subnormal, 1e-300 to 1e300 every ten decades, and near the float maximum.
+MAGNITUDES = (0.0, 5e-324, *(10.0 ** k for k in range(-300, 301, 10)), 1.7e308)
+LADDER = np.array([sign * m for m in MAGNITUDES for sign in (1.0, -1.0)])
+
+
+def on_ladder(loss):
+    """z, b, F, f'/n and f'' of ``loss`` at n = 3 on every pair of ladder
+    values, under the error state of the pass and of ``_second``."""
+    z, b = (grid.ravel() for grid in np.meshgrid(LADDER, LADDER))
+    value, first, work = np.empty((3, z.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss.step(z, b, 3, value, first, work)
+        second = loss.second(z, b)
+    return z, b, value, first, second
+
+
+class TestLossRange:
+    """No finite z and b make the bi-weight, a loss in [0, 1), non-finite,
+    and the logistic's f'' is finite wherever its F is."""
+
+    def test_biweight_is_finite_and_bounded_on_the_ladder(self):
+        _, _, value, first, second = on_ladder(BIWEIGHT)
+        assert np.all((0.0 <= value) & (value <= 1.0))
+        assert np.all(np.isfinite(first))
+        assert np.all(np.abs(second) <= BIWEIGHT.curvature_bound)
+
+    def test_biweight_keeps_its_bits_below_the_far_threshold(self):
+        z, b, value, first, second = on_ladder(BIWEIGHT)
+        with np.errstate(over="ignore"):
+            near = np.abs(z - b) < 2.0 ** 128
+        r = z[near] - b[near]
+        # The formulas in r, as the pass evaluated them before the q form.
+        t = 1.0 + r * r
+        assert _bits(value[near]) == _bits(r * r / t)
+        assert _bits(first[near]) == _bits(2.0 * r / (t * t) / 3)
+        assert _bits(second[near]) == _bits(2.0 * (1.0 - 3.0 * r * r) / (t * t * t))
+
+    @pytest.mark.parametrize("r", [2.0 ** 128 * (1 + 2.0 ** -52), 1e40, 1e77, 1e154,
+                                   5.5e153, 1e200, 1e300])
+    def test_biweight_far_form_is_the_exact_loss_rounded(self, r):
+        # Within a few roundings of the exact rational values; f'' underflows
+        # from |r| ~ 1e77 on, f' from ~1e103.
+        exact = Fraction(r)
+        t = 1 + exact * exact
+        value, first, work = np.empty((3, 1))
+        BIWEIGHT.step(np.array([r]), np.zeros(1), 1, value, first, work)
+        second = BIWEIGHT.second(np.array([r]), np.zeros(1))
+        for got, want in ((value, exact * exact / t), (first, 2 * exact / t ** 2),
+                          (second, 2 * (1 - 3 * exact * exact) / t ** 3)):
+            assert math.isclose(got[0], float(want), rel_tol=1e-15, abs_tol=1e-322)
+
+    def test_logistic_curvature_is_finite_wherever_its_value_is(self):
+        _, _, value, _, second = on_ladder(NLS_LOGISTIC)
+        assert np.all(np.isfinite(second[np.isfinite(value)]))
 
 
 class TestSigmoid:
@@ -826,10 +884,12 @@ class TestLeanPass:
     """The pass computes F and f' in place and keeps z = Ax; f'' is evaluated
     from z only on the rows a Hessian reads."""
 
-    # Residuals from +-0 through subnormals to past the bi-weight's overflow
-    # at 1.34e154, and the logistic's exp edges; NaN and infinite z after.
+    # Residuals from +-0 through subnormals, the bi-weight's switch to q = 1/r
+    # above 2^128 and past 1.34e154, where r^2 overflows, and the logistic's
+    # exp edges; NaN and infinite z after.
     RESIDUALS = [0.0, 5e-324, 1e-310, 2.2e-308, 1e-160, 1e-8, 0.5, 1.0, 3.0, 36.0,
-                 709.0, 746.0, 1e8, 1e77, 1.2e77, 1e100, 1.3e154, 1.4e154, 1e200]
+                 709.0, 746.0, 1e8, 1e38, 2.0 ** 128, 2.0 ** 128 * (1 + 2.0 ** -52),
+                 1e77, 1.2e77, 1e100, 1.3e154, 1.4e154, 1e200]
     TARGETS = {"biweight": [0.0, -0.0, 1.5, -3.0, 5e-324],
                "nls_logistic": [0.0, -0.0, 1.0, 0.3, -2.0, 5e-324]}
     REFERENCES = {"biweight": biweight_scalar, "nls_logistic": nls_logistic_scalar}

@@ -503,7 +503,7 @@ class TestMaterializedOperator:
         import subnewton.sampling as sampling
         import subnewton.trust_region as trust_region
         from subnewton.harness import (build_problem, format_trace,
-                                       parse_config_text, run_solver)
+                                       parse_config_text, read_trace, run_solver)
 
         grams = count_grams(monkeypatch)
         points = {}  # each built operator's form -> the bytes of its point
@@ -529,7 +529,8 @@ class TestMaterializedOperator:
         sources = [r.lambda_source for r in result.records]
         assert result.converged and "probe" in sources and "bound" in sources
         assert len(grams) == len(probed)
-        assert "lambda_min_dense_final" in format_trace(result, problem=problem)
+        _, footer = read_trace(format_trace(result, problem=problem))
+        assert "lambda_min_dense_final" in footer
         assert grams == [2000] * len(probed | {result.x.tobytes()})
 
 
