@@ -1,5 +1,5 @@
 """Print one ``name sha256`` line per small fixed job: solve traces of both
-solvers under every Hessian mode, and one verify-sampling report.
+solvers under every Hessian mode, and two verify-sampling reports.
 
 Two checkouts give equal lines exactly when their outputs are byte-identical,
 so a refactor is checked with one diff (pin BLAS to one thread: traces are
@@ -9,9 +9,11 @@ byte-identical only at a fixed BLAS thread count):
     diff <(PYTHONPATH=old/src python old/scripts/trace_digests.py) \\
          <(PYTHONPATH=src python scripts/trace_digests.py)
 
-The CPU count changes no line either: ``arc_striped`` is the job whose row
-passes span several blocks and so run on the stripe helpers, and a run
-under ``taskset -c 0`` (one CPU, no helper) prints what an unpinned run does.
+The CPU count changes no line either: ``arc_striped`` is the solve whose row
+passes span several blocks and so run on the stripe helpers, the
+verify-sampling grid points run on the same helpers, and ``verify_striped``
+runs striped Grams inside them; a run under ``taskset -c 0`` (one CPU, no
+helper) prints what an unpinned run does.
 
 With ``--counts`` each solve job prints its decisions instead: iterations,
 accepted steps, Eigen seeds (steps handed a negative-curvature direction)
@@ -82,8 +84,15 @@ SOLVES["arc_quartic"] = ExperimentConfig(problem="quartic", solver="arc",
 EIGEN = dict(BASE, x0_scale=5.0, eps_h=1e-3, hessian="uniform")
 SOLVES["tr_eigen"] = ExperimentConfig(**EIGEN, solver="tr")
 SOLVES["arc_eigen"] = ExperimentConfig(**EIGEN, solver="arc")
-VERIFY = ExperimentConfig(problem="biweight", n=2000, d=20, k_max_target=1.0,
-                          data_seed=3, verify_eps="0.5,0.3", verify_trials=50)
+VERIFIES = {"verify_sampling": ExperimentConfig(
+    problem="biweight", n=2000, d=20, k_max_target=1.0, data_seed=3,
+    verify_eps="0.5,0.3", verify_trials=50)}
+# At d = 64, where a draw of all 4,000 rows spans two 3,200-row SYRK blocks:
+# its Gram runs its stripes inside the grid point's task, which may itself
+# run on a helper.
+VERIFIES["verify_striped"] = ExperimentConfig(
+    problem="biweight", n=4000, d=64, k_max_target=1.0, data_seed=3,
+    verify_eps="0.3,0.01", verify_trials=10)
 
 
 def digest(text: str) -> str:
@@ -163,8 +172,9 @@ def main(argv=None):
         result = run_solver(config, problem)
         print(name, digest(format_trace(result, problem=problem)), flush=True)
     if not args.counts:
-        rows, all_ok = verify_bounds(VERIFY)
-        print("verify_sampling", digest(f"{format_verification(rows)}\n{all_ok}\n"))
+        for name, config in VERIFIES.items():
+            rows, all_ok = verify_bounds(config)
+            print(name, digest(f"{format_verification(rows)}\n{all_ok}\n"), flush=True)
 
 
 if __name__ == "__main__":

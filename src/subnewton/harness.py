@@ -22,9 +22,9 @@ from .core import (ABORT_ERRORS, Array, ConfigurationError, IterationRecord,
                    OptimalityTolerances, SolveResult, ensure_finite)
 from .cubic_reg import ARCConfig, run_arc
 from .problems import (LOSSES, DatasetError, FiniteSumProblem, QuarticSaddle,
-                       generate_synthetic, load_dataset)
-from .sampling import (HESSIANS, SampleScheme, hessian_source, prescribed_size,
-                       verify_concentration)
+                       generate_synthetic, load_dataset, run_claimed)
+from .sampling import (HESSIANS, SampleScheme, concentration_draws, hessian_source,
+                       prescribed_size, verify_concentration)
 from .trust_region import TRConfig, run_tr
 
 EXIT_OK = 0
@@ -328,24 +328,19 @@ def verify_bounds(config: ExperimentConfig) -> tuple[list[VerificationRow], bool
     more often than delta. With only loose grid points no control is emitted:
     a quartered size can legitimately still concentrate there; nor with a
     zero Hessian at the point, where every sample is exact.
+
+    The plan is built serially: sizes, ``capped`` flags, the control row and
+    each row's seed, spawned in grid order. f'' is checked finite and the
+    exact Hessian formed once, on the point's record, before the rows run
+    concurrently through ``run_claimed``, largest first by draws x |S|. Each
+    row draws from its own seed, so the rows equal those of a serial run.
     """
     problem = _dense_finite_sum_problem(config, "verify-sampling")
     x = starting_point(config, problem)
     ensure_finite(x, "starting point")
     eps_grid = _grid(config, "verify_eps")
     delta_grid = _grid(config, "verify_delta")
-    seed_stream = np.random.SeedSequence([config.seed & 0xFFFFFFFF, 771])
-
-    def verified_row(scheme: SampleScheme, capped: bool,
-                     negative_control: bool = False) -> VerificationRow:
-        rate = verify_concentration(problem, x, scheme, config.verify_trials,
-                                    rng_seed=np.random.default_rng(seed_stream.spawn(1)[0]))
-        return VerificationRow(mode=scheme.mode, epsilon=scheme.epsilon,
-                               delta=scheme.delta, sample_size=scheme.resolved_size,
-                               capped=capped, failure_rate=rate,
-                               negative_control=negative_control)
-
-    rows: list[VerificationRow] = []
+    plan: list[tuple[SampleScheme, bool, bool]] = []  # scheme, capped, control
     tightest: SampleScheme | None = None
     for mode in ("uniform_wor", "nonuniform"):
         for eps in eps_grid:
@@ -355,10 +350,33 @@ def verify_bounds(config: ExperimentConfig) -> tuple[list[VerificationRow], bool
                 if mode == "uniform_wor" and uncapped >= 100 * problem.n:
                     if tightest is None or eps < tightest.epsilon:
                         tightest = scheme
-                rows.append(verified_row(scheme, capped=uncapped > problem.n))
-    if tightest is not None and np.any(problem.second_derivatives(x)):
+                plan.append((scheme, uncapped > problem.n, False))
+    second = problem.second_derivatives(x)
+    ensure_finite(second, "f'' at the verification point")
+    if tightest is not None and np.any(second):
         control = replace(tightest, resolved_size=max(tightest.resolved_size // 4, 1))
-        rows.append(verified_row(control, capped=False, negative_control=True))
+        plan.append((control, False, True))
+    seeds = np.random.SeedSequence([config.seed & 0xFFFFFFFF, 771]).spawn(len(plan))
+    problem.dense_hessian(x)  # cached on x's record for every row
+
+    def row_rate(scheme: SampleScheme, seed: np.random.SeedSequence):
+        # Looked up at run time, so a replaced verify_concentration serves
+        # every row.
+        return lambda: verify_concentration(problem, x, scheme, config.verify_trials,
+                                            rng_seed=np.random.default_rng(seed))
+
+    def cost(k: int) -> int:
+        scheme = plan[k][0]
+        return (concentration_draws(problem, scheme, config.verify_trials)
+                * scheme.resolved_size)
+
+    rates = run_claimed([row_rate(scheme, seed) for (scheme, _, _), seed in zip(plan, seeds)],
+                        order=sorted(range(len(plan)), key=cost, reverse=True))
+    rows = [VerificationRow(mode=scheme.mode, epsilon=scheme.epsilon,
+                            delta=scheme.delta, sample_size=scheme.resolved_size,
+                            capped=capped, failure_rate=failure_rate,
+                            negative_control=negative_control)
+            for (scheme, capped, negative_control), failure_rate in zip(plan, rates)]
     return rows, all(row.passed for row in rows)
 
 

@@ -14,7 +14,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -222,17 +222,53 @@ def _executor() -> tuple:
         return _pool[1:]
 
 
+def run_claimed(tasks: Sequence[Callable[[], object]],
+                order: Iterable[int] | None = None) -> list:
+    """[task() for task in tasks], the tasks claimed in ``order`` (by
+    default task order) from one queue by the calling thread and up to
+    min(len(tasks) - 1, helpers) of ``_executor``'s helpers.
+
+    Once the queue is empty the caller cancels each helper not yet started
+    and waits for the rest to finish the task they hold: a helper slow to
+    wake leaves the caller more tasks, never a run slower than inline, and
+    a task may call ``run_claimed`` itself. Every task runs, and the first
+    exception in task order reaches the caller. One task, or one CPU,
+    starts no thread.
+    """
+    results, failures = [None] * len(tasks), [None] * len(tasks)
+    unclaimed = collections.deque(range(len(tasks)) if order is None else order)
+
+    def work() -> None:
+        while True:
+            try:
+                k = unclaimed.popleft()  # thread-safe
+            except IndexError:  # every task is claimed
+                return
+            try:
+                results[k] = tasks[k]()
+            except BaseException as exc:  # recorded; raised on the caller below
+                failures[k] = exc
+
+    pool, helpers = _executor() if len(tasks) > 1 else (None, 0)
+    futures = [pool.submit(work) for _ in range(min(helpers, len(tasks) - 1))]
+    work()
+    for future in futures:
+        if not future.cancel():  # its helper has started: wait for its task
+            future.result()
+    for failure in filter(None, failures):
+        raise failure
+    return results
+
+
 def _map_stripes(task: Callable[[int, int, int], Array], n: int, d: int) -> Array:
     """The stripe-order sum of task(lo, hi, step) over the non-empty stripes
     lo:hi of n rows of d doubles; step = max(1, BLOCK_BYTES // 8d) rows a block.
 
     The ceil(n / step) row blocks are dealt into ``STRIPES`` contiguous
-    stripes, claimed from one queue by the calling thread and up to
-    len(stripes) - 1 of ``_executor``'s helpers. The caller then cancels each
-    helper not yet started and waits for the rest to finish their stripe: a
-    helper slow to wake leaves the caller more stripes, never a pass slower
-    than inline. One stripe, or one CPU, starts no thread. Every stripe runs,
-    and the first exception in stripe order reaches the caller.
+    stripes, run by ``run_claimed``: the calling thread and up to
+    len(stripes) - 1 helpers claim them from one queue, and the first
+    exception in stripe order reaches the caller. One stripe runs inline
+    without building the claim queue.
     """
     step = max(1, BLOCK_BYTES // (8 * d))
     blocks = -(-n // step)
@@ -240,29 +276,8 @@ def _map_stripes(task: Callable[[int, int, int], Array], n: int, d: int) -> Arra
     spans = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi] or [(0, n)]
     if len(spans) == 1:
         return task(*spans[0], step)
-    results, failures = [None] * len(spans), [None] * len(spans)
-    unclaimed = collections.deque(range(len(spans)))  # popleft is thread-safe
-
-    def work() -> None:
-        while True:
-            try:
-                k = unclaimed.popleft()
-            except IndexError:  # every stripe is claimed
-                return
-            try:
-                results[k] = task(*spans[k], step)
-            except BaseException as exc:  # recorded; raised on the caller below
-                failures[k] = exc
-
-    pool, helpers = _executor()
-    futures = [pool.submit(work) for _ in range(min(helpers, len(spans) - 1))]
-    work()
-    for future in futures:
-        if not future.cancel():  # its helper has started: wait for its stripe
-            future.result()
-    for failure in filter(None, failures):
-        raise failure
-    return functools.reduce(np.add, results)
+    return functools.reduce(np.add, run_claimed(
+        [functools.partial(task, lo, hi, step) for lo, hi in spans]))
 
 
 # The d from which weighted_gram uses SYRK updates.
@@ -271,8 +286,11 @@ SYRK_MIN_DIM = 64
 
 def gemm_product(weighted: Array, rows: Array, out: Array | None = None) -> Array:
     """(A diag(w))' A from the weighted rows A diag(w): ``weighted_gram``'s
-    one GEMM below ``SYRK_MIN_DIM``, before ``symmetrized``."""
-    return np.matmul(weighted.T, rows, out=out)
+    one GEMM below ``SYRK_MIN_DIM``, before ``symmetrized``. ``out`` must be
+    C-contiguous. ``np.dot`` releases the GIL for its GEMM, where
+    ``np.matmul`` of a d x d product at d = 20 holds it, so concurrent draws
+    overlap; both call the same GEMM, so the bits are the same."""
+    return np.dot(weighted.T, rows, out=out)
 
 
 def symmetrized(m: Array, out: Array | None = None) -> Array:

@@ -233,6 +233,14 @@ def _exceeds(stack: Array, epsilon: float) -> Array:
     return fails
 
 
+def concentration_draws(problem: FiniteSumProblem, scheme: SampleScheme,
+                        trials: int) -> int:
+    """The draws ``verify_concentration`` makes for ``trials`` trials: one
+    for a sample of all n rows without replacement, the same every trial."""
+    full = scheme.mode == "uniform_wor" and scheme.resolved_size == problem.n
+    return 1 if full else trials
+
+
 def verify_concentration(problem: FiniteSumProblem, x: Array,
                          scheme: SampleScheme, trials: int,
                          rng_seed: int | np.random.Generator = 0) -> float:
@@ -256,8 +264,7 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
     ensure_finite(second, "f'' at the verification point")
     exact = problem.dense_hessian(x)
     p, cdf = _distribution(problem, x, scheme.mode)
-    full = scheme.mode == "uniform_wor" and scheme.resolved_size == problem.n
-    draws = 1 if full else trials
+    draws = concentration_draws(problem, scheme, trials)
     n, d, size = problem.n, problem.d, scheme.resolved_size
     gemm, rows = d < SYRK_MIN_DIM, problem.rows
     # A row of p = 0 is never drawn; a non-finite weight that a draw reads
@@ -289,4 +296,4 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
         chunk -= exact
         ensure_finite(chunk, "a sampled Hessian's difference from the exact one")
         failures += int(np.count_nonzero(_exceeds(chunk, scheme.epsilon)))
-    return failures * (trials if full else 1) / trials
+    return failures * (trials // draws) / trials

@@ -1,6 +1,9 @@
 import importlib.util
 import math
+import os
 import sys
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -22,6 +25,62 @@ settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A pool of claim-loop helpers that counts the tasks it is given."""
+
+    def __init__(self, helpers):
+        super().__init__(helpers)
+        self.helpers, self.tasks = helpers, 0
+
+    def submit(self, *args, **kwargs):
+        self.tasks += 1
+        return super().submit(*args, **kwargs)
+
+
+class StalledPool:
+    """A pool whose helpers never start: it counts its tasks and hands back
+    a pending future for each, which the caller can cancel."""
+
+    helpers = 3
+
+    def __init__(self):
+        self.tasks = 0
+
+    def submit(self, fn):
+        self.tasks += 1
+        return Future()
+
+    def shutdown(self):
+        pass
+
+
+class EagerPool(StalledPool):
+    """A pool whose helper runs on a thread of its own, claiming every
+    task, before ``submit`` returns a finished future: the caller runs none."""
+
+    helpers = 1
+
+    def submit(self, fn):
+        future = super().submit(fn)
+        helper = threading.Thread(target=fn)
+        helper.start()
+        helper.join()
+        future.set_running_or_notify_cancel()
+        future.set_result(None)
+        return future
+
+
+def use_pool(monkeypatch, pool):
+    """Run every ``problems.run_claimed`` call with ``pool``'s helpers."""
+    monkeypatch.setattr(problems, "_pool", (os.getpid(), pool, pool.helpers))
+    return pool
+
+
+# Pools of 1, 2 and 3 helpers beside the caller, and helpers that never run.
+POOLS = (lambda: CountingPool(1), lambda: CountingPool(2),
+         lambda: CountingPool(3), StalledPool)
 
 
 def load_perfbench(monkeypatch, name: str):

@@ -4,8 +4,9 @@ import os
 import runpy
 import subprocess
 import sys
+import threading
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnewton.core import ABORT_ERRORS, ConfigurationError
+from subnewton import harness, problems
+from subnewton.core import ABORT_ERRORS, ConfigurationError, NonFiniteError
 from subnewton.harness import (EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK,
                                EXIT_VERIFICATION_FAILURE, TRACE_SCHEMA,
                                ExperimentConfig, _render_trace, build_problem,
                                compare_exact_vs_sampled, format_trace, load_config,
                                main, parse_config_text, read_trace, run_experiment,
                                run_solver, verify_bounds)
+from subnewton.sampling import verify_concentration
+
+from conftest import POOLS, CountingPool, EagerPool, use_pool
+
+ROOT = Path(__file__).resolve().parents[1]
 
 QUARTIC_CFG = """
 problem = quartic
@@ -173,6 +180,143 @@ class TestVerifyBounds:
         config = parse_config_text(text)
         with pytest.raises(ConfigurationError, match="too large"):
             verify_bounds(config)
+
+
+def verify_grid(name):
+    """``configs/sampling_check.cfg`` at 20 trials (seven rows at d = 20), or
+    a ``VERIFIES`` grid of ``scripts/trace_digests.py``."""
+    if name == "sampling_check":
+        return replace(load_config(ROOT / "configs" / "sampling_check.cfg"),
+                       verify_trials=20)
+    return runpy.run_path(str(ROOT / "scripts" / "trace_digests.py"))["VERIFIES"][name]
+
+
+class TestVerifyConcurrency:
+    """The grid points run through ``run_claimed``: the rows are those of a
+    serial run under every pool, and a row's failure reaches ``main``."""
+
+    @staticmethod
+    def inline(monkeypatch):
+        monkeypatch.setattr(problems, "_pool", (os.getpid(), None, 0))
+
+    @pytest.mark.parametrize("grid", ["sampling_check", "verify_striped"])
+    def test_rows_do_not_depend_on_the_pool(self, monkeypatch, grid):
+        config = verify_grid(grid)
+        self.inline(monkeypatch)
+        expected = verify_bounds(config)
+        for make in (*POOLS, EagerPool):
+            pool = use_pool(monkeypatch, make())
+            assert verify_bounds(config) == expected
+            pool.shutdown()
+            assert pool.tasks > 0
+
+    def test_rows_are_claimed_largest_first(self, monkeypatch):
+        # With no helper the caller claims every row, in the claim order:
+        # draws x |S| descending, a full sample without replacement one draw.
+        config = verify_grid("sampling_check")
+        self.inline(monkeypatch)
+        claimed = []
+
+        def recording(problem, x, scheme, trials, rng_seed):
+            claimed.append(scheme)
+            return verify_concentration(problem, x, scheme, trials, rng_seed=rng_seed)
+
+        monkeypatch.setattr(harness, "verify_concentration", recording)
+        rows, _ = verify_bounds(config)
+        assert len(claimed) == len(rows) == 7
+        costs = [(1 if s.mode == "uniform_wor" and s.resolved_size == 2000 else 20)
+                 * s.resolved_size for s in claimed]
+        assert costs == sorted(costs, reverse=True)
+        assert (claimed[0].mode, claimed[0].resolved_size) == ("nonuniform", 2000)
+        assert sorted((r.mode, r.epsilon, r.sample_size) for r in rows) == \
+            sorted((s.mode, s.epsilon, s.resolved_size) for s in claimed)
+
+    def test_a_striped_gram_runs_inside_a_helpers_row(self, monkeypatch):
+        # Every row on the eager pool's helper thread: the draws of all
+        # 4,000 rows at d = 64 map their two SYRK stripes from there.
+        config = verify_grid("verify_striped")
+        use_pool(monkeypatch, EagerPool())
+        callers = []
+        map_stripes = problems._map_stripes
+
+        def recording(task, n, d):
+            callers.append((n, threading.get_ident()))
+            return map_stripes(task, n, d)
+
+        monkeypatch.setattr(problems, "_map_stripes", recording)
+        verify_bounds(config)
+        main = threading.get_ident()
+        assert any(n == 4000 and ident != main for n, ident in callers)
+
+    def test_a_held_helper_leaves_every_row_to_the_caller(self, monkeypatch):
+        # A real one-worker executor whose worker is held: the grid's helper
+        # and each striped Gram's helper wait in its queue, and the caller
+        # runs every row and stripe, cancels them and returns.
+        config = verify_grid("verify_striped")
+        self.inline(monkeypatch)
+        expected = verify_bounds(config)
+        pool, gate = use_pool(monkeypatch, CountingPool(1)), threading.Event()
+        held = pool.submit(gate.wait, 60)
+        outputs = verify_bounds(config)
+        assert not held.done()
+        gate.set()
+        pool.shutdown()
+        assert held.result() is True
+        assert pool.tasks > 1 + 1  # the hold, the grid's helper, the stripes'
+        assert outputs == expected
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        # More callers than CPUs, each running the striped grid's rows and
+        # their striped Grams beside two shared helpers, with frequent thread
+        # switches: none may deadlock, and each gets a lone caller's rows.
+        config = verify_grid("verify_striped")
+        self.inline(monkeypatch)
+        expected = verify_bounds(config)
+        pool = use_pool(monkeypatch, CountingPool(2))
+        results = [None] * 4
+
+        def call(k):
+            results[k] = verify_bounds(config)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        pool.shutdown()
+        assert results == [expected] * 4
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(problems, "_pool", ())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        threads = set(threading.enumerate())
+        verify_bounds(verify_grid("sampling_check"))
+        assert problems._pool == (os.getpid(), None, 0)
+        assert set(threading.enumerate()) <= threads
+
+    def test_a_failing_row_aborts_with_the_first_failure_in_grid_order(
+            self, tmp_path, monkeypatch, capsys):
+        # Both nonuniform rows fail; the smaller, at eps = 0.5, is claimed
+        # last but comes first in the grid.
+        use_pool(monkeypatch, CountingPool(1))
+
+        def failing(problem, x, scheme, trials, rng_seed):
+            if scheme.mode == "nonuniform":
+                raise NonFiniteError(f"row at eps = {scheme.epsilon}")
+            return verify_concentration(problem, x, scheme, trials, rng_seed=rng_seed)
+
+        monkeypatch.setattr(harness, "verify_concentration", failing)
+        cfg = write_cfg(tmp_path, "problem = biweight\nn = 2000\nd = 20\n"
+                                  "k_max_target = 1.0\ndata_seed = 3\n"
+                                  "verify_eps = 0.5,0.004\nverify_trials = 5\n")
+        assert main(["verify-sampling", "--config", str(cfg)]) == EXIT_NOT_CONVERGED
+        assert capsys.readouterr().err == "verify-sampling aborted: row at eps = 0.5\n"
 
 
 class TestCompare:
@@ -549,7 +693,6 @@ class TestCLI:
             assert main([command, "--config", str(cfg), *options]) == EXIT_OK
 
     def test_verification_failure_exit_code(self, tmp_path, monkeypatch):
-        import subnewton.harness as harness
         monkeypatch.setattr(harness, "verify_bounds", lambda config: ([], False))
         cfg = write_cfg(tmp_path, "problem = biweight\nn = 50\nd = 4\n")
         assert main(["verify-sampling", "--config", str(cfg)]) == EXIT_VERIFICATION_FAILURE

@@ -8,7 +8,6 @@ import sys
 import threading
 import warnings
 import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -26,8 +25,8 @@ from subnewton.problems import (BIWEIGHT, NLS_LOGISTIC, DatasetError,
                                 sigmoid, weighted_gram)
 from subnewton.sampling import SampleScheme, build_subsampled_hessian
 
-from conftest import (biweight_scalar, count_grams, nls_logistic_scalar,
-                      save_dataset)
+from conftest import (POOLS, CountingPool, EagerPool, StalledPool, biweight_scalar,
+                      count_grams, nls_logistic_scalar, save_dataset, use_pool)
 
 
 def central_diff(fn, z, b, h=1e-5):
@@ -295,57 +294,6 @@ class TestWeightedGram:
         assert striped == [(0, 300, block_rows(64))]
 
 
-class CountingPool(ThreadPoolExecutor):
-    """A pool of stripe helpers that counts the tasks it is given."""
-
-    def __init__(self, helpers):
-        super().__init__(helpers)
-        self.helpers, self.tasks = helpers, 0
-
-    def submit(self, *args, **kwargs):
-        self.tasks += 1
-        return super().submit(*args, **kwargs)
-
-
-class StalledPool:
-    """A pool whose helpers never start: it counts its tasks and hands back
-    a pending future for each, which the caller can cancel."""
-
-    helpers = 3
-
-    def __init__(self):
-        self.tasks = 0
-
-    def submit(self, fn):
-        self.tasks += 1
-        return Future()
-
-    def shutdown(self):
-        pass
-
-
-class EagerPool(StalledPool):
-    """A pool whose helper runs on a thread of its own, claiming every
-    stripe, before ``submit`` returns a finished future: the caller runs none."""
-
-    helpers = 1
-
-    def submit(self, fn):
-        future = super().submit(fn)
-        helper = threading.Thread(target=fn)
-        helper.start()
-        helper.join()
-        future.set_running_or_notify_cancel()
-        future.set_result(None)
-        return future
-
-
-def use_pool(monkeypatch, pool):
-    """Run every multi-stripe pass with ``pool``'s helpers."""
-    monkeypatch.setattr(problems, "_pool", (os.getpid(), pool, pool.helpers))
-    return pool
-
-
 def block_rows(d):
     """Rows per block of a pass over rows of d doubles."""
     return max(1, problems.BLOCK_BYTES // (8 * d))
@@ -402,10 +350,6 @@ def reference_mismatches():
 class TestStripes:
     """The striped kernels give the same bytes at any worker count."""
 
-    # Pools of 1, 2 and 3 helpers beside the caller, and helpers that never run.
-    POOLS = (lambda: CountingPool(1), lambda: CountingPool(2),
-             lambda: CountingPool(3), StalledPool)
-
     @pytest.mark.parametrize("d", [1, 5, 64, 200])
     @pytest.mark.parametrize("n", [1, 1023, 1025, 2049, 8193, 20000])
     def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, n, d):
@@ -417,7 +361,7 @@ class TestStripes:
         # blocks: the oracle always, a Gram from d = 64 (SYRK updates).
         passes = (n > block_rows(d)) * (1 + (d >= problems.SYRK_MIN_DIM))
         outputs = []
-        for make in self.POOLS:
+        for make in POOLS:
             pool = use_pool(monkeypatch, make())
             problem = FiniteSumProblem(rows=rows, targets=targets, loss=BIWEIGHT)
             f, grad = problem.value_grad(x)
@@ -491,6 +435,37 @@ class TestStripes:
         assert failure.value.args == (1024,)
         assert sorted(ran_on) == [0, 1024, 2048, 3072]
         assert threading.get_ident() not in ran_on.values()
+
+    def test_claims_in_the_given_order_and_returns_in_task_order(self, monkeypatch):
+        # With no helper the caller claims every task, in the given order.
+        # Every task runs, and the first failure in task order is raised.
+        monkeypatch.setattr(problems, "_pool", (os.getpid(), None, 0))
+        ran = []
+
+        def task(k):
+            def run():
+                ran.append(k)
+                if k in (1, 3):
+                    raise ValueError(k)
+                return k * k
+            return run
+
+        assert problems.run_claimed([task(k) for k in (0, 2, 4)],
+                                    order=[2, 0, 1]) == [0, 4, 16]
+        assert ran == [4, 0, 2]
+        ran.clear()
+        with pytest.raises(ValueError) as failure:
+            problems.run_claimed([task(k) for k in range(5)], order=[4, 3, 2, 1, 0])
+        assert failure.value.args == (1,)
+        assert ran == [4, 3, 2, 1, 0]
+
+    def test_a_single_task_runs_inline_without_a_pool(self, monkeypatch):
+        monkeypatch.setattr(problems, "_pool", ())
+        threads = set(threading.enumerate())
+        assert problems.run_claimed([threading.get_ident]) == [threading.get_ident()]
+        assert problems.run_claimed([]) == []
+        assert problems._pool == ()
+        assert set(threading.enumerate()) <= threads
 
     def test_a_pool_whose_helpers_never_start_finishes_every_pass(self, monkeypatch):
         # 20,000 x 200 is twenty blocks: every pass is offered a helper,
@@ -575,7 +550,7 @@ class TestStripes:
         index = np.sort(g.integers(0, n, size=n))  # a draw with replacement
         v, block = g.standard_normal(d), g.standard_normal((d, 2))
         outputs = []
-        for make in self.POOLS:
+        for make in POOLS:
             pool = use_pool(monkeypatch, make())
             outputs.append([_bits(row_pass(rows, w, idx)(x))
                             for idx in (None, index) for x in (v, block)])
