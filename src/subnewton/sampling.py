@@ -31,7 +31,10 @@ HESSIANS = ("exact", "uniform", "uniform_wor", "nonuniform", "intrinsic")
 # The largest eps for which the intrinsic-dimension sizing holds.
 INTRINSIC_EPS_MAX = 0.5
 
-# verify_concentration eigensolves its draws in stacks of at most this size.
+# verify_concentration eigensolves its draws in stacks of at most this size,
+# and draws their indices (8 bytes each) in batches of at most this size:
+# concurrent grid points trade the GIL at every numpy call, and a batch
+# sorts, and searches the CDF, once for all its draws.
 EIG_STACK_BYTES = 256 * 1024
 
 
@@ -165,23 +168,33 @@ def _distribution(problem: FiniteSumProblem, x: Array,
 
 
 def _draw_indices(problem: FiniteSumProblem, scheme: SampleScheme,
-                  cdf: Array | None, rng: np.random.Generator) -> Array:
+                  cdf: Array | None, rng: np.random.Generator,
+                  count: int | None = None) -> Array:
     """Sorted index multiset (non-uniform modes draw by ``cdf``; uniform
     modes ignore it), bit for bit the sorted draw of ``Generator.choice``.
-    A draw of all n rows without replacement takes nothing from ``rng``."""
+    Given ``count``, a (count, |S|) array whose rows are bit for bit
+    ``count`` successive single draws from ``rng``, made by one call per
+    mode (one ``choice`` per row without replacement) and one sort. A draw
+    of all n rows without replacement takes nothing from ``rng``."""
     n = problem.n
     size = scheme.resolved_size
+    shape = (size,) if count is None else (count, size)
     if scheme.mode == "uniform":
-        idx = np.sort(rng.integers(0, n, size=size))
+        idx = rng.integers(0, n, size=shape)
     elif scheme.mode == "uniform_wor":
         if size > n:
             raise ConfigurationError(
                 "sampling without replacement needs resolved_size <= n")
-        idx = (np.arange(n) if size == n
-               else np.sort(rng.choice(n, size=size, replace=False)))
+        if size == n:
+            return np.broadcast_to(np.arange(n), shape)
+        idx = np.empty(shape, dtype=np.int64)
+        for row in idx.reshape(-1, size):
+            row[...] = rng.choice(n, size=size, replace=False)
     else:
-        idx = cdf.searchsorted(np.sort(rng.random(size)), side="right")
-    return idx
+        idx = rng.random(shape)
+    idx.sort(axis=-1)
+    return (idx if scheme.mode.startswith("uniform")
+            else cdf.searchsorted(idx, side="right"))
 
 
 def build_subsampled_hessian(problem: FiniteSumProblem, x: Array,
@@ -249,9 +262,11 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
     Once per grid point: f'', the exact Hessian, p and its CDF, and every
     row's weight w = f'' / (n |S| p), p = 1/n in the uniform modes; below
     ``SYRK_MIN_DIM`` also the weighted rows A diag(w), an 8 n d byte table.
-    Per draw: the sorted indices, their plain (and weighted) rows gathered
-    into buffers that every draw reuses, and one Gram into a stack of at
-    most ``EIG_STACK_BYTES``: the GEMM of ``gemm_product``, or from
+    Per batch of at most ``EIG_STACK_BYTES`` of indices within a stack: the
+    sorted indices of its draws from one ``_draw_indices`` call, bit for bit
+    those of successive single draws. Per draw: its plain (and weighted)
+    rows gathered into buffers that every draw reuses, and one Gram into a
+    stack of at most ``EIG_STACK_BYTES``: the GEMM of ``gemm_product``, or from
     ``SYRK_MIN_DIM`` a ``weighted_gram`` of the gathered rows. Per stack:
     the GEMM products ``symmetrized``, H_S - grad^2 F(x) and ``_exceeds``,
     which decides by norms and one batched dense eigensolve; desk scale
@@ -277,19 +292,22 @@ def verify_concentration(problem: FiniteSumProblem, x: Array,
     grams = np.empty_like(stack) if gemm else stack
     gathered = np.empty((size, d))
     weighted = np.empty((size, d)) if gemm else None
+    batch = max(EIG_STACK_BYTES // (8 * size), 1)
     failures = 0
     for start in range(0, draws, depth):
         count = min(depth, draws - start)
-        for gram in grams[:count]:
-            idx = _draw_indices(problem, scheme, cdf, rng)
-            # idx lies in [0, n); the default mode="raise" would gather
-            # through a temporary copy before filling the buffer.
-            rows.take(idx, axis=0, out=gathered, mode="clip")
-            if gemm:
-                weighted_rows.take(idx, axis=0, out=weighted, mode="clip")
-                gemm_product(weighted, gathered, out=gram)
-            else:
-                gram[...] = weighted_gram(gathered, weights[idx])
+        for first in range(0, count, batch):
+            drawn = _draw_indices(problem, scheme, cdf, rng,
+                                  count=min(batch, count - first))
+            for idx, gram in zip(drawn, grams[first:]):
+                # idx lies in [0, n); the default mode="raise" would gather
+                # through a temporary copy before filling the buffer.
+                rows.take(idx, axis=0, out=gathered, mode="clip")
+                if gemm:
+                    weighted_rows.take(idx, axis=0, out=weighted, mode="clip")
+                    gemm_product(weighted, gathered, out=gram)
+                else:
+                    gram[...] = weighted_gram(gathered, weights[idx])
         chunk = stack[:count]
         if gemm:
             symmetrized(grams[:count], out=chunk)

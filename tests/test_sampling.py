@@ -385,6 +385,32 @@ class TestBuildSubsampledHessian:
             idx = _draw_indices(problem, full, None, np.random.default_rng(seed))
             assert idx.tobytes() == np.sort(perm).tobytes()
 
+    # An odd |S| with replacement leaves half of a 64-bit word that the
+    # next integer takes; a full draw without replacement takes nothing.
+    @pytest.mark.parametrize("mode, size", [
+        ("uniform", 41), ("uniform_wor", 25), ("uniform_wor", 30),
+        ("nonuniform", 41), ("intrinsic", 17)],
+        ids=["uniform", "uniform_wor", "full", "nonuniform", "intrinsic"])
+    def test_batch_equals_successive_single_draws(self, rng, mode, size):
+        problem = generate_synthetic("nls_logistic", n=30, d=4, rng_seed=8)
+        cdf = _sampling_cdf(nonuniform_distribution(problem, rng.standard_normal(4)))
+        scheme = SampleScheme(mode=mode, epsilon=0.5, delta=0.2,
+                              resolved_size=size)
+        batched, single = np.random.default_rng(4), np.random.default_rng(4)
+        for count in (1, 6):
+            batch = _draw_indices(problem, scheme, cdf, batched, count=count)
+            singles = [_draw_indices(problem, scheme, cdf, single)
+                       for _ in range(count)]
+            assert batch.shape == (count, size)
+            assert batch.dtype == singles[0].dtype
+            assert batch.tobytes() == np.stack(singles).tobytes()
+        # The generators' states match after the batches too; a full draw
+        # takes nothing from them.
+        after = _draw_indices(problem, scheme, cdf, batched)
+        assert after.tobytes() == _draw_indices(problem, scheme, cdf, single).tobytes()
+        if size == problem.n:
+            assert batched.bit_generator.state == np.random.default_rng(4).bit_generator.state
+
     @pytest.mark.parametrize("bad, error", [
         (np.nan, NonFiniteError), (np.inf, NonFiniteError), (-0.1, ValueError),
         (0.5, ValueError),  # p then sums to about 1.47
@@ -740,6 +766,34 @@ class TestVerifyConcentration:
         else:
             assert any(0.0 < r < 1.0 for r in rates), rates
 
+    # At d = 20 a stack holds 81 draws and a batch of |S| = 2,000 indices
+    # 16, so 100 trials cut the first stack's sixth batch short at one draw
+    # and end the second stack on a batch of 3.
+    @pytest.mark.parametrize("mode", ["uniform", "uniform_wor", "nonuniform",
+                                      "intrinsic"])
+    def test_batches_cut_by_a_stack_end_equal_the_reference(self, monkeypatch,
+                                                             mode):
+        problem = generate_synthetic("biweight", n=2400, d=20, rng_seed=21, skew=4.0)
+        x = np.random.default_rng(5).standard_normal(20)
+        counts, draw = [], sampling._draw_indices
+
+        def counted_draw(*args, count):
+            counts.append(count)
+            return draw(*args, count=count)
+
+        monkeypatch.setattr(sampling, "_draw_indices", counted_draw)
+        rates = []
+        for eps in (0.008, 0.018):
+            scheme = SampleScheme(mode=mode, epsilon=eps, delta=0.1,
+                                  resolved_size=2000)
+            rate = verify_concentration(problem, x, scheme, trials=100, rng_seed=9)
+            expected = reference_verify_concentration(problem, x, scheme,
+                                                      trials=100, rng_seed=9)
+            assert rate.hex() == expected.hex(), eps
+            rates.append(rate)
+        assert counts == 2 * ([16] * 5 + [1] + [16, 3])
+        assert any(0.0 < r < 1.0 for r in rates), rates
+
 
     @pytest.mark.parametrize("mode", ["nonuniform", "intrinsic"])
     def test_rows_of_probability_zero_weigh_silently(self, mode):
@@ -778,9 +832,11 @@ class TestVerifyConcentration:
         drawn, stacks = [], []
         draw, exceeds = sampling._draw_indices, sampling._exceeds
 
-        def recorded_draw(*args):
-            drawn.append(draw(*args))
-            return drawn[-1]
+        def recorded_draw(*args, count):
+            # Each row of a batch is one draw.
+            batch = draw(*args, count=count)
+            drawn.extend(batch)
+            return batch
 
         def recorded_exceeds(stack, epsilon):
             stacks.append(stack.copy())
